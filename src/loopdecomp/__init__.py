@@ -8,6 +8,7 @@ an independent homology oracle.
 """
 
 from .complexes import (
+    BadDocument,
     BadIndex,
     Classification,
     DominatingVertex,
@@ -73,13 +74,6 @@ from .oracle import (
     simplicial_homology_ranks,
     verify_against_oracle,
 )
-from .series import (
-    DEFAULT_DEGREE,
-    DivisionUndefined,
-    GradedSeries,
-    series_div,
-    series_expand,
-    series_mul,
-)
+from .series import DEFAULT_DEGREE, DivisionUndefined, GradedSeries
 
 __version__ = "0.1.0"

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from random import Random
 
 from .complexes import (
+    BadDocument,
     BadIndex,
     DominatingVertex,
     GhostVertex,
@@ -38,7 +39,7 @@ EXIT_INPUT = 1
 EXIT_INADMISSIBLE = 2
 EXIT_INTERNAL = 3
 
-_INPUT_ERRORS = (BadIndex, GhostVertex, json.JSONDecodeError, OSError, KeyError)
+_INPUT_ERRORS = (BadDocument, BadIndex, GhostVertex, json.JSONDecodeError, OSError, KeyError)
 _INADMISSIBLE_ERRORS = (NotFlagSkeleton, NotApplicable, DominatingVertex, TooLarge)
 _INTERNAL_ERRORS = (NotCanonicalP, NotADivisor, NoSolution)
 
@@ -63,7 +64,12 @@ class JobSpec:
 def load_complex(path: str) -> SimplicialComplex:
     with open(path) as handle:
         doc = json.load(handle)
-    return validate_complex(doc["facets"], doc["m"])
+    if not isinstance(doc, dict):
+        raise BadDocument("a complex is a JSON object {\"m\": ..., \"facets\": ...}")
+    facets = doc["facets"]
+    if not isinstance(facets, list) or not all(isinstance(f, list) for f in facets):
+        raise BadDocument("facets must be a list of vertex lists")
+    return validate_complex(facets, doc["m"])
 
 
 def resolve_pairs(spec: str, m: int) -> PairSpec:
@@ -75,7 +81,11 @@ def resolve_pairs(spec: str, m: int) -> PairSpec:
     if spec.startswith("custom:"):
         with open(spec.split(":", 1)[1]) as handle:
             doc = json.load(handle)
-        dims = doc["suspensions"]
+        dims = doc["suspensions"] if isinstance(doc, dict) else None
+        if not isinstance(dims, list) or not all(
+            isinstance(ds, list) and all(type(d) is int for d in ds) for ds in dims
+        ):
+            raise BadDocument("suspensions must be a list of integer lists")
         if len(dims) != m:
             raise ValueError(f"custom pairs cover {len(dims)} vertices, need {m}")
         return PairSpec.from_suspension_dims(dims)
@@ -211,18 +221,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    spec = JobSpec(**vars(args))
-    if spec.command != "verify" and spec.input_path is None:
+    if args.command != "verify" and args.input_path is None:
         print("error: --input is required", file=sys.stderr)
         return EXIT_INPUT
-    if spec.command == "verify" and not spec.linalg and spec.input_path is None:
+    if args.command == "verify" and not args.linalg and args.input_path is None:
         print("error: --input is required without --linalg", file=sys.stderr)
         return EXIT_INPUT
     handler = {"check": cmd_check, "decompose": cmd_decompose, "verify": cmd_verify}[
-        spec.command
+        args.command
     ]
     try:
-        return handler(spec)
+        return handler(JobSpec(**vars(args)))
     except _INADMISSIBLE_ERRORS as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE

@@ -22,6 +22,10 @@ class GhostVertex(ValueError):
     """Some vertex of [m] lies in no facet."""
 
 
+class BadDocument(ValueError):
+    """An input document of the wrong shape or type."""
+
+
 class DominatingVertex(ValueError):
     """Splitting at a vertex adjacent to every other vertex."""
 
@@ -51,9 +55,6 @@ class SimplicialComplex:
 
     def nonempty_faces(self) -> frozenset[frozenset[int]]:
         return frozenset(f for f in self.faces() if f)
-
-    def has_face(self, vertices) -> bool:
-        return frozenset(vertices) in self.faces()
 
     def dim(self) -> int:
         """Dimension, -1 for the empty complex."""
@@ -104,6 +105,8 @@ def empty_complex() -> SimplicialComplex:
 
 def validate_complex(raw_facets, m: int) -> SimplicialComplex:
     """Build a complex from a raw facet list, establishing all invariants."""
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise BadDocument(f"m must be an integer, got {m!r}")
     if m < 0:
         raise BadIndex("m must be >= 0")
     seen = set()

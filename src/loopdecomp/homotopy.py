@@ -16,15 +16,9 @@ lossless record of their aggregate.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .series import (
-    DEFAULT_DEGREE,
-    GradedSeries,
-    binomial_expansion,
-    convolve_trunc,
-)
+from .series import DEFAULT_DEGREE, GradedSeries, convolve_trunc
 
 
 class NotSimplyConnectedOutput(ValueError):
@@ -71,12 +65,6 @@ class CellSeries:
     @classmethod
     def trivial(cls) -> "CellSeries":
         return cls(GradedSeries.zero())
-
-    @classmethod
-    def sphere(cls, dim: int) -> "CellSeries":
-        if dim < 1:
-            raise ValueError("sphere dimension must be >= 1")
-        return cls(GradedSeries.monomial(dim))
 
 
 @dataclass(frozen=True)
@@ -203,21 +191,16 @@ class PProduct:
                 series = series * fs
         return cls(series, merged, cutoff)
 
-    def residual_expansion(self) -> tuple[int, ...]:
-        """Expansion of series / prod(listed factor series) through the cutoff.
-
-        Works on truncated coefficient arrays so huge multiplicities never
-        materialise as full polynomials.
-        """
-        coeffs = list(self.series.expand(self.cutoff))
-        for factor, mult in self.factors:
-            coeffs = _strip_factor(coeffs, factor, mult, self.cutoff)
-        return tuple(coeffs)
-
     def check_canonical(self) -> None:
-        """Raise NotCanonicalP unless series/factors satisfy the P invariants."""
-        residual = self.residual_expansion()
-        if residual[0] != 1 or any(residual[1:]):
+        """Raise NotCanonicalP unless the listed factors are the factorisation
+        of the series through the cutoff.
+
+        The series is re-factorised by the power-sum divisor sweep of
+        `_bottom_counts`; since that factorisation is unique, it must give
+        exactly the listed factors, with no negative exponent.
+        """
+        counts = _bottom_counts(self.series, self.cutoff, spheres=True)
+        if tuple(_canonical_factors(counts)) != self.factors:
             raise NotCanonicalP("series does not match listed factors below cutoff")
 
     def multiplicity(self, factor: PFactor) -> int:
@@ -243,13 +226,38 @@ class PProduct:
         return cls(series, factors, doc["cutoff"])
 
 
-def _strip_factor(coeffs: list[int], factor: PFactor, mult: int, degree: int) -> list[int]:
-    """Divide a truncated expansion by factor.poincare()**mult."""
-    if factor.kind == "sphere":
-        inverse = binomial_expansion(factor.dim, 1, -mult, degree)
-    else:
-        inverse = binomial_expansion(factor.dim - 1, -1, mult, degree)
-    return convolve_trunc(coeffs, inverse, degree)
+def _bottom_counts(s: GradedSeries, degree: int, spheres: bool) -> list[int]:
+    """Exponents of the unique factorisation of s (constant term 1) through
+    degree into one factor per bottom degree d = 1..degree.
+
+    The factor of bottom d is 1/(1-t^d), or 1+t^d for d in {1,3,7} when
+    `spheres` is set; exponents may come out negative.  Work in the log
+    domain: the power sums a_n = n [t^n] log s are the coefficients of
+    t s'/s (Newton's identity, one truncated convolution).  A factor
+    1/(1-t^d) adds d to a_n at every multiple n of d, and 1+t^d adds
+    d (-1)^(n/d+1); sweeping d upwards, what is left of a_d is d times the
+    exponent at d.  Returns counts with counts[d] the exponent, counts[0] = 0.
+    """
+    sums = convolve_trunc(
+        [n * c for n, c in enumerate(s.expand(degree))], (1 / s).expand(degree), degree
+    )
+    counts = [0] * (degree + 1)
+    for d in range(1, degree + 1):
+        c = counts[d] = sums[d] // d
+        if c:
+            alternate = spheres and d in _HOPF_DIMS
+            for j, n in enumerate(range(d, degree + 1, d)):
+                sums[n] -= -c * d if alternate and j % 2 else c * d
+    return counts
+
+
+def _canonical_factors(counts: list[int]) -> list[tuple[PFactor, int]]:
+    """The (factor, exponent) pairs of the nonzero sphere-rule counts."""
+    return [
+        (sphere(d) if d in _HOPF_DIMS else loop_sphere(d + 1), c)
+        for d, c in enumerate(counts)
+        if c
+    ]
 
 
 def pproduct_mul(a: PProduct, b: PProduct) -> PProduct:
@@ -285,41 +293,30 @@ def join_cells(a: CellSeries, b: CellSeries) -> SphereWedge:
     return SphereWedge(CellSeries(cells))
 
 
-def suspend_series(series: GradedSeries) -> SphereWedge:
-    """Wedge of spheres underlying the suspension of a space with the given
-    unreduced Poincare series: cells t * (series - 1)."""
-    return SphereWedge(CellSeries(GradedSeries.monomial(1) * (series - 1)))
-
-
 def suspension_splitting(p: PProduct) -> SphereWedge:
-    """Suspension of a product of spheres and loop spaces, as a sphere wedge."""
-    return suspend_series(p.series)
+    """Suspension of a product of spheres and loop spaces, as a sphere wedge:
+    cells t * (series - 1)."""
+    return SphereWedge(CellSeries(GradedSeries.monomial(1) * (p.series - 1)))
 
 
 def lyndon_counts(f: GradedSeries, degree: int) -> dict[int, int]:
     """Graded basic-product counts l_n with prod (1-t^n)^(l_n) = 1 - f(t).
 
     These are the numbers of Lyndon words over a graded alphabet whose
-    generating function is f; solved degree by degree, which is where the
-    uniqueness comes from.  For genuine letter counts (non-negative f) the
-    counts are automatically non-negative; NoSolution flags malformed input.
+    generating function is f (Witt's necklace numbers in the ungraded case).
+    They are the exponents of 1/(1-f) = prod 1/(1-t^n)^(l_n), read off the
+    power sums of log 1/(1-f) by a divisor sweep over loop factors only, so
+    they are unique.  For genuine letter counts (non-negative f) they are
+    automatically non-negative; NoSolution flags malformed input at the
+    lowest negative degree.
     """
-    coeffs = f.expand(degree)
-    if coeffs[0] != 0:
+    if f.coefficient(0) != 0:
         raise ValueError("letter generating function needs zero constant term")
-    target = [1] + [-c for c in coeffs[1:]]
-    current = [1] + [0] * degree
-    counts: dict[int, int] = {}
-    for n in range(1, degree + 1):
-        l_n = current[n] - target[n]
+    counts = _bottom_counts(1 / (1 - f), degree, spheres=False)
+    for n, l_n in enumerate(counts):
         if l_n < 0:
             raise NoSolution(f"negative count {l_n} in degree {n}")
-        if l_n:
-            counts[n] = l_n
-            current = convolve_trunc(
-                current, binomial_expansion(n, -1, l_n, degree), degree
-            )
-    return counts
+    return {n: l_n for n, l_n in enumerate(counts) if l_n}
 
 
 def hilton_milnor(w: SphereWedge, cutoff: int = DEFAULT_DEGREE) -> PProduct:
@@ -394,26 +391,18 @@ def porter_loop_wedge(summands, cutoff: int = DEFAULT_DEGREE) -> PProduct:
 def greedy_factorize(s: GradedSeries, cutoff: int = DEFAULT_DEGREE) -> PProduct:
     """Recover the canonical factor multiset of a P-form Poincare series.
 
-    Repeatedly take the lowest degree d with a positive coefficient: d in
-    {1,3,7} forces that many sphere factors, any other d forces loops on
-    S^(d+1); divide out and continue.  The residual past the cutoff must
-    expand to 1, otherwise the series is not canonical.
+    Bottom degrees decide the factors: d in {1,3,7} is the sphere S^d, any
+    other d is loops on S^(d+1).  Their exponents come from one divisor
+    sweep over the power sums of log s, with the S^1/S^3/S^7 sign rule.
+    The series is canonical through the cutoff exactly when no exponent is
+    negative; the lowest negative one is reported.
     """
-    coeffs = list(s.expand(cutoff))
-    if coeffs[0] != 1:
+    if s.coefficient(0) != 1:
         raise NotCanonicalP("canonical series starts with 1")
-    factors = []
-    for d in range(1, cutoff + 1):
-        c = coeffs[d]
+    factors = _canonical_factors(_bottom_counts(s, cutoff, spheres=True))
+    for factor, c in factors:
         if c < 0:
-            raise NotCanonicalP(f"negative coefficient {c} in degree {d}")
-        if c == 0:
-            continue
-        factor = sphere(d) if d in _HOPF_DIMS else loop_sphere(d + 1)
-        factors.append((factor, c))
-        coeffs = _strip_factor(coeffs, factor, c, cutoff)
-    if any(coeffs[1:]):
-        raise NotCanonicalP("residual expansion is not 1 past the factors")
+            raise NotCanonicalP(f"negative coefficient {c} in degree {factor.bottom}")
     return PProduct(s, tuple(factors), cutoff)
 
 
@@ -429,16 +418,3 @@ def divide_products(big: PProduct, small: PProduct) -> PProduct:
         if c < 0:
             raise NotADivisor(f"quotient coefficient {c} in degree {d}")
     return greedy_factorize(quotient, big.cutoff)
-
-
-def subset_residual_cells(summands, cutoff: int = DEFAULT_DEGREE) -> GradedSeries:
-    """Direct subset-sum form of the Porter residual cells, for cross-checks."""
-    series = [p.series for p in summands]
-    total = GradedSeries.zero()
-    for size in range(2, len(series) + 1):
-        for combo in itertools.combinations(series, size):
-            term = GradedSeries.from_coeffs((size - 1,))
-            for s in combo:
-                term = term * (s - 1)
-            total = total + term
-    return GradedSeries.monomial(1) * total

@@ -105,9 +105,6 @@ class HochsterTable:
     ranks: dict[int, int]
     torsion: dict[int, bool] | None = None
 
-    def max_degree_bound(self, K: SimplicialComplex) -> int:
-        return K.m + K.dim() + 1
-
 
 def hochster_table(
     K: SimplicialComplex,

@@ -12,7 +12,6 @@ and collapsing when one polynomial exactly divides the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 DEFAULT_DEGREE = 20
 
@@ -35,10 +34,6 @@ def poly_add(a, b) -> tuple[int, ...]:
 
 def poly_neg(a) -> tuple[int, ...]:
     return tuple(-c for c in a)
-
-
-def poly_sub(a, b) -> tuple[int, ...]:
-    return poly_add(a, poly_neg(b))
 
 
 def poly_mul(a, b) -> tuple[int, ...]:
@@ -91,26 +86,6 @@ def convolve_trunc(a, b, degree: int) -> list[int]:
     return out
 
 
-def binomial_expansion(step: int, sign: int, exponent: int, degree: int) -> list[int]:
-    """Coefficients of (1 + sign*t^step)^exponent through degree.
-
-    The exponent may be any integer, including huge multiplicities and
-    negative values; only the first degree//step + 1 binomials are touched.
-    """
-    if step <= 0 or sign not in (1, -1):
-        raise ValueError("need step >= 1 and sign +-1")
-    out = [0] * (degree + 1)
-    for j in range(degree // step + 1):
-        if exponent >= 0:
-            if j > exponent:
-                break
-            c = comb(exponent, j)
-        else:
-            c = (-1) ** j * comb(-exponent + j - 1, j)
-        out[j * step] = c * sign ** j
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class GradedSeries:
     """Fraction of integer polynomials with unit denominator constant term."""
@@ -154,10 +129,6 @@ class GradedSeries:
         if degree < 0:
             raise ValueError("degree must be >= 0")
         return cls((0,) * degree + (coeff,))
-
-    @classmethod
-    def from_coeffs(cls, coeffs) -> "GradedSeries":
-        return cls(tuple(coeffs))
 
     @classmethod
     def geometric(cls, step: int) -> "GradedSeries":
@@ -282,17 +253,3 @@ class GradedSeries:
         num, den = pair
         return cls(tuple(num), tuple(den))
 
-
-def series_mul(a: GradedSeries, b: GradedSeries) -> GradedSeries:
-    """Exact product; the expansion is the convolution of the expansions."""
-    return a * b
-
-
-def series_div(a: GradedSeries, b: GradedSeries) -> GradedSeries:
-    """Exact quotient q with q*b = a as rational functions."""
-    return a / b
-
-
-def series_expand(a: GradedSeries, degree: int) -> tuple[int, ...]:
-    """Expansion coefficients c_0..c_degree of a."""
-    return a.expand(degree)

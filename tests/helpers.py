@@ -5,7 +5,9 @@ checks: Lyndon words come from Duval's generation algorithm, necklace
 counts from the Moebius formula, convolution is done directly on lists.
 """
 
-from math import prod
+import itertools
+
+from loopdecomp.series import GradedSeries
 
 
 def convolve(a, b, degree):
@@ -73,8 +75,6 @@ def is_lyndon(word):
 
 def has_chordless_long_cycle(adj):
     """Brute-force chordality check: look for an induced cycle of length >= 4."""
-    import itertools
-
     vertices = sorted(adj)
     for size in range(4, len(vertices) + 1):
         for subset in itertools.combinations(vertices, size):
@@ -98,3 +98,16 @@ def _is_single_cycle(adj):
         if current in seen:
             return False
         seen.add(current)
+
+
+def subset_residual_cells(summands):
+    """Direct subset-sum form of the Porter residual cells, for cross-checks."""
+    series = [p.series for p in summands]
+    total = GradedSeries.zero()
+    for size in range(2, len(series) + 1):
+        for combo in itertools.combinations(series, size):
+            term = GradedSeries((size - 1,))
+            for s in combo:
+                term = term * (s - 1)
+            total = total + term
+    return GradedSeries.monomial(1) * total

@@ -170,6 +170,44 @@ class TestExitCodes:
     def test_missing_input_flag(self, capsys):
         assert main(["decompose"]) == EXIT_INPUT
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"m": "4", "facets": [[1, 2], [3, 4]]},
+            {"m": 4, "facets": 5},
+            [[1, 2], [3, 4]],
+            {"m": 2, "facets": [1, 2]},
+            {"m": True, "facets": [[1]]},
+        ],
+        ids=["string-m", "int-facets", "top-level-list", "flat-facets", "bool-m"],
+    )
+    def test_malformed_complex_document(self, tmp_path, capsys, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["decompose", "--input", str(path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error[BadDocument]") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "doc",
+        [[[2], [3]], {"suspensions": 3}, {"suspensions": [["a"], [2]]}],
+        ids=["top-level-list", "int-suspensions", "string-dim"],
+    )
+    def test_malformed_pairs_document(self, square_json, tmp_path, capsys, doc):
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["decompose", "--input", square_json, "--pairs", f"custom:{path}"])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error[BadDocument]")
+
+    @pytest.mark.parametrize("cutoff", ["0", "-3"])
+    def test_bad_cutoff(self, square_json, capsys, cutoff):
+        rc = main(["decompose", "--input", square_json, "--cutoff", cutoff])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == "error[ValueError]: cutoff must be >= 1\n"
+
 
 class TestPairsResolution:
     def test_moment_angle(self):

@@ -1,3 +1,4 @@
+from math import comb
 from random import Random
 
 import pytest
@@ -21,13 +22,17 @@ from loopdecomp.homotopy import (
     pproduct_mul,
     reduced_cells,
     sphere,
-    subset_residual_cells,
     suspension_splitting,
 )
 from loopdecomp.randomgen import random_canonical_product
-from loopdecomp.series import GradedSeries, binomial_expansion, convolve_trunc
+from loopdecomp.series import GradedSeries
 
-from helpers import graded_lyndon_counts, necklace_lyndon_count
+from helpers import (
+    convolve,
+    graded_lyndon_counts,
+    necklace_lyndon_count,
+    subset_residual_cells,
+)
 
 
 def gs(num, den=(1,)):
@@ -37,6 +42,16 @@ def gs(num, den=(1,)):
 T = GradedSeries.monomial(1)
 CIRCLE = CellSeries(T)
 LOOP_S3_CELLS = CellSeries(gs([0, 0, 1], [1, 0, -1]))  # reduced Omega S^3
+
+
+def random_deep_product(rng, cutoff):
+    """A canonical product whose factors have bottoms spread up to cutoff."""
+    factors = []
+    for _ in range(rng.randint(2, 6)):
+        d = rng.randint(1, cutoff)
+        factor = sphere(d) if d in (1, 3, 7) else loop_sphere(d + 1)
+        factors.append((factor, rng.randint(1, 3)))
+    return PProduct.from_factors(factors, cutoff)
 
 
 class TestPFactor:
@@ -106,6 +121,11 @@ class TestLyndon:
         assert counts == {1: 2, 2: 1, 3: 2, 4: 3, 5: 6, 6: 9}
         for n in range(1, 7):
             assert counts.get(n, 0) == necklace_lyndon_count(2, n)
+        # deep degrees, and a three-letter alphabet, against Witt's formula
+        for q, degree in ((2, 200), (3, 120)):
+            counts = lyndon_counts(gs([0, q]), degree)
+            for n in range(1, degree + 1):
+                assert counts[n] == necklace_lyndon_count(q, n), (q, n)
 
     def test_mixed_degrees(self):
         assert lyndon_counts(gs([0, 1, 1]), 4) == {1: 1, 2: 1, 3: 1, 4: 1}
@@ -142,9 +162,10 @@ class TestLyndon:
         counts = lyndon_counts(f, degree)
         current = [1] + [0] * degree
         for n, l in counts.items():
-            current = convolve_trunc(
-                current, binomial_expansion(n, -1, l, degree), degree
-            )
+            factor = [0] * (degree + 1)  # (1-t^n)^l by the binomial theorem
+            for j in range(min(l, degree // n) + 1):
+                factor[j * n] = (-1) ** j * comb(l, j)
+            current = convolve(current, factor, degree)
         expected = [1] + [-c for c in f.expand(degree)[1:]]
         assert current == expected
 
@@ -227,7 +248,7 @@ class TestPorter:
         rng = Random(2)
         for _ in range(10):
             summands = [random_canonical_product(rng, 12) for _ in range(rng.randint(2, 4))]
-            direct = subset_residual_cells(summands, 12)
+            direct = subset_residual_cells(summands)
             series = [p.series for p in summands]
             total = GradedSeries.one()
             for s in series:
@@ -273,6 +294,9 @@ class TestGreedy:
         for _ in range(100):
             p = random_canonical_product(rng, 15)
             assert greedy_factorize(p.series, 15).factors == p.factors
+        for _ in range(5):
+            p = random_deep_product(rng, 120)
+            assert greedy_factorize(p.series, 120).factors == p.factors
 
     def test_rejects_negative(self):
         with pytest.raises(NotCanonicalP):
@@ -289,6 +313,16 @@ class TestGreedy:
         broken = PProduct(p.series, ((sphere(1), 1),), 10)
         with pytest.raises(NotCanonicalP):
             broken.check_canonical()
+        # one multiplicity off by one, deep in a high-cutoff product
+        rng = Random(5)
+        for _ in range(5):
+            p = random_deep_product(rng, 120)
+            p.check_canonical()
+            factors = list(p.factors)
+            i = rng.randrange(len(factors))
+            factors[i] = (factors[i][0], factors[i][1] + rng.choice([-1, 1]))
+            with pytest.raises(NotCanonicalP):
+                PProduct(p.series, tuple(factors), 120).check_canonical()
 
 
 class TestDivide:
