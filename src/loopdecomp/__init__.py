@@ -12,13 +12,13 @@ from .complexes import (
     BadIndex,
     Classification,
     DominatingVertex,
+    FlagSkeleton,
     GhostVertex,
     PushoutSplit,
     SimplicialComplex,
     classify_input,
     empty_complex,
     full_subcomplex,
-    neighbors_and_domination,
     pushout_split,
     validate_complex,
 )

@@ -1,17 +1,22 @@
 """Simplicial-complex combinatorics on the vertex set {1..m}.
 
-Complexes are stored by their facets with the downward closure derived on
-demand; everything here assumes desk-scale inputs (m up to about 12).
-Vertices are 1-based.  Every vertex must appear in some facet: ghost
-vertices are rejected rather than interpreted, because each vertex carries
-a space pair in the intended application.
+Input complexes are stored by their facets.  The downward closure, which
+can be exponentially larger, is derived on demand for the face-level
+checks: full subcomplexes for the Hochster oracle, minimal non-faces,
+equality.  A k-skeleton of a flag complex is carried as its 1-skeleton
+plus k (`FlagSkeleton`), where a full subcomplex is the induced subgraph
+with the same k, so classification and the decomposition recursion
+enumerate no faces and no vertex subsets.  Vertices are 1-based.
+Every vertex must appear in some facet: ghost vertices are rejected rather
+than interpreted, because each vertex carries a space pair in the intended
+application.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from typing import NamedTuple
 
 
 class BadIndex(ValueError):
@@ -58,13 +63,16 @@ class SimplicialComplex:
 
     def dim(self) -> int:
         """Dimension, -1 for the empty complex."""
-        return max((len(f) for f in self.faces()), default=0) - 1
+        return max((len(f) for f in self.facets), default=0) - 1
 
     def vertices(self) -> tuple[int, ...]:
         return tuple(range(1, self.m + 1))
 
     def edges(self) -> frozenset[frozenset[int]]:
-        return frozenset(f for f in self.faces() if len(f) == 2)
+        # from the facets: the face closure can be exponentially larger
+        return frozenset(
+            frozenset(e) for f in self.facets for e in itertools.combinations(f, 2)
+        )
 
     def adjacency(self) -> dict[int, set[int]]:
         adj = {v: set() for v in self.vertices()}
@@ -74,16 +82,13 @@ class SimplicialComplex:
             adj[b].add(a)
         return adj
 
-    def canonical_key(self):
-        return (self.m, self.faces())
-
     def __eq__(self, other):
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
         return self.m == other.m and self.faces() == other.faces()
 
     def __hash__(self):
-        return hash(self.canonical_key())
+        return hash((self.m, self.faces()))
 
     def to_doc(self) -> dict:
         return {"m": self.m, "facets": [list(f) for f in self.facets]}
@@ -120,17 +125,19 @@ def validate_complex(raw_facets, m: int) -> SimplicialComplex:
         if fs:
             facets.append(fs)
             seen.update(fs)
-    missing = set(range(1, m + 1)) - seen
-    if missing:
-        raise GhostVertex(f"vertices {sorted(missing)} lie in no facet")
+    if len(seen) < m:
+        # name a few: m may be far larger than the facet list
+        missing = m - len(seen)
+        first = list(itertools.islice((v for v in range(1, m + 1) if v not in seen), 5))
+        more = f" and {missing - len(first)} more" if missing > len(first) else ""
+        raise GhostVertex(f"vertices {first}{more} lie in no facet")
     return _from_faces(m, facets)
 
 
 def full_subcomplex(K: SimplicialComplex, S) -> SimplicialComplex:
     """Faces of K contained in S, relabeled to 1..|S| by sorted order.
 
-    An empty S yields the empty complex (needed by the pushout when the
-    split vertex is isolated).
+    An empty S yields the empty complex.
     """
     S = sorted(set(S))
     if any(not 1 <= v <= K.m for v in S):
@@ -144,6 +151,92 @@ def full_subcomplex(K: SimplicialComplex, S) -> SimplicialComplex:
     return _from_faces(len(S), faces)
 
 
+def _indices(mask: int):
+    """Positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class FlagSkeleton(NamedTuple):
+    """The k-skeleton of the flag complex of a graph on {1..m}.
+
+    adj[i] is the bitmask of the neighbours of vertex i + 1 (bit j stands
+    for vertex j + 1).  The faces are the cliques of at most k + 1 vertices.
+    """
+
+    adj: tuple[int, ...]
+    k: int
+
+    @classmethod
+    def of(cls, K: SimplicialComplex) -> "FlagSkeleton":
+        """K's 1-skeleton with k = dim K: the same complex as K exactly when
+        K is the k-skeleton of a flag complex, which classify_input tests."""
+        adj = K.adjacency()
+        return cls(
+            tuple(sum(1 << (u - 1) for u in adj[v]) for v in K.vertices()),
+            max(K.dim(), 0),
+        )
+
+    @property
+    def m(self) -> int:
+        return len(self.adj)
+
+    def induced(self, vertices) -> "FlagSkeleton":
+        """The full subcomplex on the ascending vertices, relabelled 1..len."""
+        bits = [1 << (v - 1) for v in vertices]
+        return FlagSkeleton(
+            tuple(
+                sum(1 << j for j, bit in enumerate(bits) if self.adj[v - 1] & bit)
+                for v in vertices
+            ),
+            self.k,
+        )
+
+    def simplex_skeleton_dim(self) -> int | None:
+        """d when the complex is the d-skeleton of the (m-1)-simplex, else None.
+
+        That is a complete graph (d = min(k, m - 1)) or, with no edges at
+        all, the 0-skeleton.
+        """
+        if all(row.bit_count() == self.m - 1 for row in self.adj):
+            return min(self.k, self.m - 1)
+        if not any(self.adj):
+            return 0
+        return None
+
+    def facets(self) -> tuple[tuple[int, ...], ...]:
+        """Facets in validate_complex's order: the maximal cliques of at most
+        k + 1 vertices and the (k + 1)-subsets of the larger ones.
+
+        Maximal cliques come from Bron-Kerbosch with pivoting on bitmasks.
+        """
+        adj, size = self.adj, self.k + 1
+        found = set()
+
+        def expand(clique, candidates, excluded):
+            if not candidates:
+                if not excluded and clique:
+                    members = tuple(i + 1 for i in _indices(clique))
+                    if len(members) > size:
+                        found.update(itertools.combinations(members, size))
+                    else:
+                        found.add(members)
+                return
+            pivot = max(
+                _indices(candidates | excluded),
+                key=lambda u: (candidates & adj[u]).bit_count(),
+            )
+            for u in _indices(candidates & ~adj[pivot]):
+                expand(clique | 1 << u, candidates & adj[u], excluded & adj[u])
+                candidates &= ~(1 << u)
+                excluded |= 1 << u
+
+        expand(0, (1 << self.m) - 1, 0)
+        return tuple(sorted(found))
+
+
 @dataclass(frozen=True)
 class Classification:
     flag: bool
@@ -153,6 +246,9 @@ class Classification:
 
 
 def minimal_non_faces(K: SimplicialComplex) -> list[frozenset[int]]:
+    """Minimal non-faces, by a scan of all 2^m vertex subsets.  The
+    decomposition never calls it; it is an independent check on
+    classify_input."""
     faces = K.faces()
     out = []
     verts = K.vertices()
@@ -166,38 +262,23 @@ def minimal_non_faces(K: SimplicialComplex) -> list[frozenset[int]]:
     return out
 
 
-def _cliques(adj: dict[int, set[int]]) -> set[frozenset[int]]:
-    verts = sorted(adj)
-    found = {frozenset()}
-    for v in verts:
-        new = set()
-        for c in found:
-            if all(u in adj[v] for u in c):
-                new.add(c | {v})
-        found |= new
-    found.discard(frozenset())
-    return found
-
-
 def classify_input(K: SimplicialComplex) -> Classification:
-    """Flag / skeleton-of-flag / skeleton-of-simplex / chordality report."""
+    """Flag / skeleton-of-flag / skeleton-of-simplex / chordality report.
+
+    With k = dim K, K is the k-skeleton of a flag complex when its facets
+    are those of its graph form, and flag when they are the maximal cliques
+    of its 1-skeleton.  A k-skeleton of the simplex is admissible, so only
+    an admissible K can be one.
+    """
     if K.m == 0:
         raise ValueError("classification needs at least one vertex")
-    k = K.dim()
-    flag = all(len(f) == 2 for f in minimal_non_faces(K))
-
-    cliques = _cliques(K.adjacency())
-    skel = {c for c in cliques if len(c) <= k + 1}
-    skel.update(frozenset({v}) for v in K.vertices())
-    k_flag = k if skel == set(K.nonempty_faces()) else None
-
-    n_faces = len(K.nonempty_faces())
-    simplex = (K.m, k) if n_faces == sum(comb(K.m, j) for j in range(1, k + 2)) else None
-
+    G = FlagSkeleton.of(K)
+    admissible = G.facets() == K.facets
+    simplex = admissible and G.simplex_skeleton_dim() is not None
     return Classification(
-        flag=flag,
-        k_skeleton_of_flag=k_flag,
-        skeleton_of_simplex=simplex,
+        flag=FlagSkeleton(G.adj, K.m).facets() == K.facets,
+        k_skeleton_of_flag=G.k if admissible else None,
+        skeleton_of_simplex=(K.m, G.k) if simplex else None,
         chordal_1_skeleton=is_chordal(K.adjacency()),
     )
 
@@ -237,48 +318,28 @@ def is_chordal(adj: dict[int, set[int]]) -> bool:
 
 
 @dataclass(frozen=True)
-class VertexInfo:
-    neighbors: frozenset[int]
-    dominating: bool
-
-
-def neighbors_and_domination(K: SimplicialComplex) -> dict[int, VertexInfo]:
-    adj = K.adjacency()
-    return {
-        v: VertexInfo(frozenset(adj[v]), len(adj[v]) == K.m - 1)
-        for v in K.vertices()
-    }
-
-
-@dataclass(frozen=True)
 class PushoutSplit:
     """K = K1 cup_L K2 split at a non-dominating vertex.
 
     The vertex tuples map local indices (position + 1) back to K's labels.
     """
 
-    k1: SimplicialComplex
-    l: SimplicialComplex
-    k2: SimplicialComplex
+    k1: FlagSkeleton
+    l: FlagSkeleton
+    k2: FlagSkeleton
     k1_vertices: tuple[int, ...]
     l_vertices: tuple[int, ...]
     k2_vertices: tuple[int, ...]
 
 
-def pushout_split(K: SimplicialComplex, v: int) -> PushoutSplit:
+def pushout_split(K: FlagSkeleton, v: int) -> PushoutSplit:
     """Split K at v into the star side, its link boundary and the deletion."""
     if not 1 <= v <= K.m:
         raise BadIndex(f"vertex {v} outside 1..{K.m}")
-    nbrs = sorted(K.adjacency()[v])
-    if len(nbrs) == K.m - 1:
+    row = K.adj[v - 1]
+    if row.bit_count() == K.m - 1:
         raise DominatingVertex(f"vertex {v} is dominating")
-    s1 = sorted({v, *nbrs})
-    s2 = [u for u in K.vertices() if u != v]
-    return PushoutSplit(
-        k1=full_subcomplex(K, s1),
-        l=full_subcomplex(K, nbrs),
-        k2=full_subcomplex(K, s2),
-        k1_vertices=tuple(s1),
-        l_vertices=tuple(nbrs),
-        k2_vertices=tuple(s2),
-    )
+    nbrs = tuple(u + 1 for u in _indices(row))
+    s1 = tuple(sorted((v, *nbrs)))
+    s2 = tuple(u for u in range(1, K.m + 1) if u != v)
+    return PushoutSplit(K.induced(s1), K.induced(nbrs), K.induced(s2), s1, nbrs, s2)

@@ -15,12 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
-from .complexes import (
-    SimplicialComplex,
-    classify_input,
-    neighbors_and_domination,
-    pushout_split,
-)
+from .complexes import FlagSkeleton, SimplicialComplex, classify_input, pushout_split
 from .homotopy import (
     CellSeries,
     PProduct,
@@ -151,14 +146,6 @@ def skeleton_simplex_wedge(m: int, k: int, pairs: PairSpec) -> SphereWedge:
     return SphereWedge(CellSeries(GradedSeries.monomial(k + 1) * cells))
 
 
-def _pick_vertex(K: SimplicialComplex) -> int:
-    info = neighbors_and_domination(K)
-    candidates = [(len(rec.neighbors), v) for v, rec in info.items() if not rec.dominating]
-    if not candidates:
-        raise NotFlagSkeleton("no non-dominating vertex and not a simplex skeleton")
-    return min(candidates)[1]
-
-
 def decompose_loop(
     K: SimplicialComplex,
     pairs: PairSpec,
@@ -167,40 +154,45 @@ def decompose_loop(
 ) -> tuple[PProduct, TraceNode]:
     """Canonical product decomposition of Omega (CA,A)^K with its trace.
 
-    K must be the k-skeleton of a flag complex.  `split_vertex` forces the
-    top-level pushout vertex (the output never depends on the choice, only
-    the shape of the derivation does).
+    K must be the k-skeleton of a flag complex.  It is classified once;
+    the recursion then runs on its 1-skeleton and k.  `split_vertex` forces
+    the top-level pushout vertex (the output never depends on the choice,
+    only the shape of the derivation does).
     """
     if K.m != pairs.m:
         raise ValueError("pair data must cover all vertices of K")
     if K.m > 1 and classify_input(K).k_skeleton_of_flag is None:
         raise NotFlagSkeleton("K is not the k-skeleton of a flag complex")
-    return _decompose(K, pairs, cutoff, {}, split_vertex)
+    return _decompose(FlagSkeleton.of(K), pairs, cutoff, {}, split_vertex)
 
 
-def _decompose(K, pairs, cutoff, memo, forced=None):
-    key = (K.canonical_key(), pairs.key(), cutoff)
+def _decompose(K: FlagSkeleton, pairs, cutoff, memo, forced=None):
+    key = (K.adj, K.k, pairs.key(), cutoff)
     if forced is None and key in memo:
         return memo[key]
 
     if K.m <= 1:
         product = PProduct.trivial(cutoff)
-        node = TraceNode("contractible", K.m, K.facets, product.series)
+        node = TraceNode("contractible", K.m, K.facets(), product.series)
     else:
-        cls = classify_input(K)
-        if cls.skeleton_of_simplex is not None:
-            m, k = cls.skeleton_of_simplex
-            wedge = skeleton_simplex_wedge(m, k, pairs)
+        k = K.simplex_skeleton_dim()
+        if k is not None:
+            wedge = skeleton_simplex_wedge(K.m, k, pairs)
             product = hilton_milnor(wedge, cutoff)
             node = TraceNode(
                 "simplex_skeleton",
                 K.m,
-                K.facets,
+                K.facets(),
                 product.series,
                 data={"k": k, "vertex_cells": pairs.cells},
             )
         else:
-            v = forced if forced is not None else _pick_vertex(K)
+            # unless forced: the least degree among the non-dominating vertices
+            v = forced if forced is not None else min(
+                (row.bit_count(), u)
+                for u, row in enumerate(K.adj, 1)
+                if row.bit_count() < K.m - 1
+            )[1]
             split = pushout_split(K, v)
             p1, n1 = _decompose(split.k1, pairs.restrict(split.k1_vertices), cutoff, memo)
             p2, n2 = _decompose(split.k2, pairs.restrict(split.k2_vertices), cutoff, memo)
@@ -208,7 +200,7 @@ def _decompose(K, pairs, cutoff, memo, forced=None):
             g = divide_products(p1, pl)
             h = divide_products(p2, pl)
             a = CellSeries(pairs.vertex(v))
-            outside = [u for u in K.vertices() if u != v and u not in split.l_vertices]
+            outside = [u for u in split.k2_vertices if u not in split.l_vertices]
             a_prime = pairs.product_cells(outside)
             s_join = hilton_milnor(join_cells(a, a_prime), cutoff)
             s_g = loop_half_smash(a_prime, g)
@@ -218,7 +210,7 @@ def _decompose(K, pairs, cutoff, memo, forced=None):
             node = TraceNode(
                 "pushout",
                 K.m,
-                K.facets,
+                K.facets(),
                 product.series,
                 vertex=v,
                 data={

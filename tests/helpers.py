@@ -6,6 +6,10 @@ counts from the Moebius formula, convolution is done directly on lists.
 """
 
 import itertools
+from dataclasses import dataclass
+from random import Random
+
+from hypothesis import strategies as st
 
 from loopdecomp.series import GradedSeries
 
@@ -111,3 +115,41 @@ def subset_residual_cells(summands):
                 term = term * (s - 1)
             total = total + term
     return GradedSeries.monomial(1) * total
+
+
+@dataclass(frozen=True)
+class VertexInfo:
+    neighbors: frozenset[int]
+    dominating: bool
+
+
+def neighbors_and_domination(K):
+    """Neighbours of each vertex of a SimplicialComplex, and whether the
+    vertex is adjacent to all others."""
+    adj = K.adjacency()
+    return {
+        v: VertexInfo(frozenset(adj[v]), len(adj[v]) == K.m - 1)
+        for v in K.vertices()
+    }
+
+
+@st.composite
+def graph_and_k(draw, max_m=9):
+    """(m, edges, k): a graph on 1..m of a random edge density, and a
+    skeleton dimension k <= 4, so both flag complexes and proper skeleta
+    of them are common."""
+    rng = Random(draw(st.integers(0, 2**32 - 1)))
+    m, density = rng.randint(1, max_m), rng.random()
+    pairs = itertools.combinations(range(1, m + 1), 2)
+    return m, [e for e in pairs if rng.random() < density], rng.randint(0, 4)
+
+
+def clique_faces(m, edges, k):
+    """All cliques of at most k + 1 vertices, found by testing every subset."""
+    edge_set = {frozenset(e) for e in edges}
+    return [
+        list(c)
+        for size in range(1, min(k + 1, m) + 1)
+        for c in itertools.combinations(range(1, m + 1), size)
+        if all(frozenset(p) in edge_set for p in itertools.combinations(c, 2))
+    ]

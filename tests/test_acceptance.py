@@ -8,7 +8,7 @@ import time
 from contextlib import contextmanager
 from random import Random
 
-from loopdecomp.complexes import neighbors_and_domination, validate_complex
+from loopdecomp.complexes import validate_complex
 from loopdecomp.engine import PairSpec, check_trace, decompose_loop, skeleton_simplex_wedge
 from loopdecomp.homotopy import (
     NotADivisor,
@@ -37,6 +37,8 @@ from loopdecomp.randomgen import (
     skeleton,
 )
 from loopdecomp.series import GradedSeries
+
+from helpers import neighbors_and_domination
 
 
 @contextmanager

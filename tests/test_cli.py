@@ -159,6 +159,12 @@ class TestExitCodes:
         path = write_complex(tmp_path, "ghost.json", 3, [[1, 2]])
         assert main(["decompose", "--input", path]) == EXIT_INPUT
 
+    def test_ghost_vertices_of_a_large_m(self, tmp_path, capsys):
+        path = write_complex(tmp_path, "ghost.json", 10**6, [[1]])
+        assert main(["decompose", "--input", path]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 200, err[:300]
+
     def test_not_flag_skeleton(self, tmp_path, capsys):
         path = write_complex(tmp_path, "bad.json", 4, [[1, 2, 3], [3, 4], [1, 4]])
         assert main(["decompose", "--input", path]) == EXIT_INADMISSIBLE

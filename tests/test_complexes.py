@@ -1,24 +1,32 @@
 import itertools
+from math import comb
 from random import Random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopdecomp.complexes import (
     BadIndex,
     DominatingVertex,
+    FlagSkeleton,
     GhostVertex,
+    SimplicialComplex,
     classify_input,
     empty_complex,
     full_subcomplex,
     is_chordal,
     minimal_non_faces,
-    neighbors_and_domination,
     pushout_split,
     validate_complex,
 )
 
-from helpers import has_chordless_long_cycle
+from helpers import (
+    clique_faces,
+    graph_and_k,
+    has_chordless_long_cycle,
+    neighbors_and_domination,
+)
 
 
 def square():
@@ -27,6 +35,10 @@ def square():
 
 def path3():
     return validate_complex([[1, 2], [2, 3]], 3)
+
+
+def as_complex(G):
+    return SimplicialComplex(G.m, G.facets())
 
 
 class TestValidate:
@@ -132,6 +144,11 @@ class TestClassify:
         cls = classify_input(K)
         assert not cls.flag
         assert cls.k_skeleton_of_flag is None
+        # a complete 1-skeleton with one of its four triangles
+        cls = classify_input(validate_complex([[1, 2, 3], [1, 4], [2, 4], [3, 4]], 4))
+        assert not cls.flag
+        assert cls.k_skeleton_of_flag is None
+        assert cls.skeleton_of_simplex is None
 
     def test_relabeling_invariance(self):
         rng = Random(5)
@@ -179,31 +196,31 @@ class TestNeighbors:
 
 class TestPushout:
     def test_square(self):
-        split = pushout_split(square(), 1)
+        split = pushout_split(FlagSkeleton.of(square()), 1)
         assert split.k1_vertices == (1, 2, 4)
         assert split.l_vertices == (2, 4)
         assert split.k2_vertices == (2, 3, 4)
-        assert split.l.nonempty_faces() == frozenset(
+        assert as_complex(split.l).nonempty_faces() == frozenset(
             {frozenset({1}), frozenset({2})}
         )
-        assert len(split.k1.edges()) == 2  # the path 4-1-2
+        assert len(as_complex(split.k1).edges()) == 2  # the path 4-1-2
 
     def test_path(self):
-        split = pushout_split(path3(), 1)
-        assert split.k1.facets == ((1, 2),)
-        assert split.l.facets == ((1,),)
-        assert split.k2.m == 2 and split.k2.facets == ((1, 2),)
+        split = pushout_split(FlagSkeleton.of(path3()), 1)
+        assert split.k1.facets() == ((1, 2),)
+        assert split.l.facets() == ((1,),)
+        assert split.k2.m == 2 and split.k2.facets() == ((1, 2),)
 
     def test_two_points(self):
         K = validate_complex([[1], [2]], 2)
-        split = pushout_split(K, 1)
+        split = pushout_split(FlagSkeleton.of(K), 1)
         assert split.k1.m == 1
         assert split.l.m == 0
         assert split.k2.m == 1
 
     def test_dominating_vertex_rejected(self):
         with pytest.raises(DominatingVertex):
-            pushout_split(validate_complex([[1, 2, 3]], 3), 1)
+            pushout_split(FlagSkeleton.of(validate_complex([[1, 2, 3]], 3)), 1)
 
     def test_reassembly(self):
         rng = Random(3)
@@ -216,15 +233,61 @@ class TestPushout:
             if not options:
                 continue
             v = rng.choice(options)
-            split = pushout_split(K, v)
+            split = pushout_split(FlagSkeleton.of(K), v)
             back = lambda sub, verts: {
-                frozenset(verts[i - 1] for i in f) for f in sub.nonempty_faces()
+                frozenset(verts[i - 1] for i in f) for f in as_complex(sub).nonempty_faces()
             }
             k1 = back(split.k1, split.k1_vertices)
             k2 = back(split.k2, split.k2_vertices)
             l = back(split.l, split.l_vertices)
             assert k1 | k2 == set(K.nonempty_faces())
             assert k1 & k2 == l
+
+
+@st.composite
+def complexes(draw):
+    """k-skeleta of flag complexes, and such skeleta less every face that
+    contains a chosen face, or with a few random faces added."""
+    m, edges, k = draw(graph_and_k())
+    faces = [set(f) for f in clique_faces(m, edges, k)]
+    change = draw(st.sampled_from(["none", "hole", "extra"]))
+    big = [f for f in faces if len(f) >= 2]
+    if change == "hole" and big:
+        hole = draw(st.sampled_from(big))
+        faces = [f for f in faces if not hole <= f] + [{v} for v in hole]
+    elif change == "extra":
+        faces += draw(st.lists(st.sets(st.integers(1, m), min_size=1, max_size=4), max_size=3))
+    return validate_complex([sorted(f) for f in faces], m)
+
+
+class TestGraphForm:
+    @settings(max_examples=150, deadline=None)
+    @given(complexes())
+    def test_classification_matches_minimal_non_faces(self, K):
+        cls = classify_input(K)
+        k = K.dim()
+        sizes = {len(f) for f in minimal_non_faces(K)}
+        assert cls.flag == all(size == 2 for size in sizes)
+        # a k-skeleton of a flag complex also misses the cliques of k + 2 vertices
+        admissible = sizes <= {2, k + 2}
+        assert cls.k_skeleton_of_flag == (k if admissible else None)
+        simplex = len(K.nonempty_faces()) == sum(comb(K.m, j) for j in range(1, k + 2))
+        assert cls.skeleton_of_simplex == ((K.m, k) if simplex else None)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph_and_k(), st.data())
+    def test_facets_and_induced_match_the_complex(self, graph, data):
+        m, edges, k = graph
+        K = validate_complex(clique_faces(m, edges, k), m)
+        adj = [0] * m
+        for a, b in edges:
+            adj[a - 1] |= 1 << (b - 1)
+            adj[b - 1] |= 1 << (a - 1)
+        G = FlagSkeleton(tuple(adj), k)
+        assert G.facets() == K.facets
+        assert FlagSkeleton.of(K).facets() == K.facets
+        S = sorted(data.draw(st.sets(st.integers(1, m))))
+        assert as_complex(G.induced(S)) == full_subcomplex(K, S)
 
 
 class TestChordality:

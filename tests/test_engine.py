@@ -1,8 +1,9 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings
 
-from loopdecomp.complexes import neighbors_and_domination, validate_complex
+from loopdecomp.complexes import validate_complex
 from loopdecomp.engine import (
     NotFlagSkeleton,
     PairSpec,
@@ -19,6 +20,8 @@ from loopdecomp.homotopy import PProduct, loop_sphere, sphere
 from loopdecomp.oracle import hochster_table
 from loopdecomp.randomgen import random_flag_skeleton, relabel
 from loopdecomp.series import GradedSeries
+
+from helpers import clique_faces, graph_and_k, neighbors_and_domination
 
 
 def gs(num, den=(1,)):
@@ -126,6 +129,12 @@ class TestDecompose:
         with pytest.raises(NotFlagSkeleton):
             decompose_loop(K, PairSpec.moment_angle(4))
 
+    def test_face_closure_is_never_built(self):
+        # the simplex on 12 vertices has 4095 faces and one facet
+        for K in (square(), validate_complex([list(range(1, 13))], 12)):
+            product, _ = decompose_loop(K, PairSpec.moment_angle(K.m))
+            assert K._faces is None
+
     def test_pair_count_must_match(self):
         with pytest.raises(ValueError):
             decompose_loop(square(), PairSpec.moment_angle(3))
@@ -151,6 +160,19 @@ class TestDecompose:
                 alt, _ = decompose_loop(K, pairs, split_vertex=v)
                 assert alt.factors == base.factors, (K.facets, v)
                 assert alt.series == base.series, (K.facets, v)
+
+    @settings(max_examples=20, deadline=None)
+    @given(graph_and_k())
+    def test_every_split_vertex_gives_the_product(self, graph):
+        m, edges, k = graph
+        K = validate_complex(clique_faces(m, edges, k), m)
+        pairs = PairSpec.moment_angle(m)
+        base, _ = decompose_loop(K, pairs, 12)
+        for v, rec in neighbors_and_domination(K).items():
+            if not rec.dominating:
+                alt, trace = decompose_loop(K, pairs, 12, split_vertex=v)
+                assert (alt.factors, alt.series) == (base.factors, base.series), v
+                assert check_trace(trace) == []
 
     def test_relabeling_invariance(self):
         rng = Random(6)

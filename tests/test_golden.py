@@ -1,21 +1,25 @@
 """Byte-identity guard: the CLI output for a fixed set of runs must not change.
 
-Each case runs `decompose --trace` on an admissible complex of the catalog in
-scripts/decompose_catalog.py and compares the SHA-256 of the output file with
-a digest recorded in golden_digests.json.  A refactor that is meant to keep
+Each case runs `decompose --trace` on an admissible complex and compares the
+SHA-256 of the output file with a digest recorded in golden_digests.json.
+The complexes are those of the catalog in scripts/decompose_catalog.py, and
+a few larger ones (m = 12..16) where the recursion has many nodes.  A refactor that is meant to keep
 behaviour must keep every digest.  To re-record after a deliberate change of
 output, run `PYTHONPATH=src python tests/test_golden.py`.
 """
 
 import hashlib
 import importlib.util
+import itertools
 import json
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from random import Random
 
+import networkx as nx
 import pytest
 
 from loopdecomp import classify_input, validate_complex
@@ -39,12 +43,42 @@ def _catalog():
     ]
 
 
+def _random_graph(m, seed):
+    rng = Random(seed)
+    graph = nx.Graph()
+    graph.add_nodes_from(range(1, m + 1))
+    graph.add_edges_from(
+        e for e in itertools.combinations(range(1, m + 1), 2) if rng.random() < 0.5
+    )
+    return graph
+
+
+def _larger():
+    """Complexes on 12..16 vertices, moment-angle pairs at the default cutoff."""
+    cycles = [
+        (f"C{n}", n, [[i, i % n + 1] for i in range(1, n + 1)]) for n in (12, 16)
+    ]
+    # boundary of the cross-polytope: one vertex of each pair {i, i+6} per facet
+    cross = [
+        [i + 6 * side for i, side in zip(range(1, 7), sides)]
+        for sides in itertools.product((0, 1), repeat=6)
+    ]
+    flag = _random_graph(14, 14)
+    graph = _random_graph(12, 12)
+    assert any(len(c) >= 3 for c in nx.find_cliques(graph))  # not flag as a graph
+    return cycles + [
+        ("cross-polytope boundary m=12", 12, cross),
+        ("random flag m=14 seed 14", 14, [sorted(c) for c in nx.find_cliques(flag)]),
+        ("1-skeleton of random flag m=12 seed 12", 12, [sorted(e) for e in graph.edges]),
+    ]
+
+
 CASES = [
     (name, m, facets, pairs, cutoff)
     for name, m, facets in _catalog()
     for pairs in PAIRS
     for cutoff in CUTOFFS
-]
+] + [(name, m, facets, "moment-angle", 20) for name, m, facets in _larger()]
 
 
 def _key(name, pairs, cutoff):
