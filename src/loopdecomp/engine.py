@@ -54,7 +54,7 @@ class PairSpec:
 
     def __post_init__(self):
         for s in self.cells:
-            coeffs = s.expand(DEFAULT_DEGREE)
+            coeffs = s.checkable_coeffs(DEFAULT_DEGREE)
             if s.is_zero() or coeffs[0] != 0 or any(c < 0 for c in coeffs):
                 raise ValueError("vertex cell series must be reduced and non-negative")
 

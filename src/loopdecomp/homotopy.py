@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .series import DEFAULT_DEGREE, GradedSeries, convolve_trunc
+from .series import DEFAULT_DEGREE, GradedSeries, convolve_trunc, poly_add, poly_mul, poly_neg
 
 
 class NotSimplyConnectedOutput(ValueError):
@@ -44,8 +44,9 @@ _HOPF_DIMS = (1, 3, 7)
 class CellSeries:
     """Reduced-homology rank series of a path connected space.
 
-    The degree-0 coefficient is 0 and coefficients are non-negative through
-    the default working degree.  The zero series is the point.
+    The degree-0 coefficient is 0 and coefficients are non-negative: all
+    of them for a polynomial, through the default working degree for a
+    fraction.  The zero series is the point.
     """
 
     reduced: GradedSeries
@@ -53,7 +54,7 @@ class CellSeries:
     def __post_init__(self):
         if self.reduced.is_zero():
             return
-        coeffs = self.reduced.expand(DEFAULT_DEGREE)
+        coeffs = self.reduced.checkable_coeffs(DEFAULT_DEGREE)
         if coeffs[0] != 0:
             raise ValueError("reduced series must have zero constant term")
         if any(c < 0 for c in coeffs):
@@ -312,7 +313,12 @@ def lyndon_counts(f: GradedSeries, degree: int) -> dict[int, int]:
     """
     if f.coefficient(0) != 0:
         raise ValueError("letter generating function needs zero constant term")
-    counts = _bottom_counts(1 / (1 - f), degree, spheres=False)
+    return _loop_counts(1 / (1 - f), degree)
+
+
+def _loop_counts(series: GradedSeries, degree: int) -> dict[int, int]:
+    """The Lyndon counts of f, given series = 1/(1-f) already built."""
+    counts = _bottom_counts(series, degree, spheres=False)
     for n, l_n in enumerate(counts):
         if l_n < 0:
             raise NoSolution(f"negative count {l_n} in degree {n}")
@@ -333,7 +339,7 @@ def hilton_milnor(w: SphereWedge, cutoff: int = DEFAULT_DEGREE) -> PProduct:
     letters = GradedSeries(cells.num[1:], cells.den)  # cells/t, exact
     series = 1 / (1 - letters)
     factors = []
-    for n, count in lyndon_counts(letters, cutoff).items():
+    for n, count in _loop_counts(series, cutoff).items():
         if n in _HOPF_DIMS:
             factors.append((sphere(n), count))
             if 2 * n <= cutoff:
@@ -346,11 +352,21 @@ def hilton_milnor(w: SphereWedge, cutoff: int = DEFAULT_DEGREE) -> PProduct:
 def loop_half_smash(x: CellSeries, y_loop: PProduct) -> PProduct:
     """Loops on a half-smash X |x Y: Omega(X * Omega Y) x Omega Y.
 
-    The right-handed case G x| A is the same computation with the roles
-    swapped, so callers pass the factors accordingly.
+    The factors are those of Omega Y and of Hilton-Milnor on the join.
+    The series y/(1 - x(y-1)) is built in closed form: with y = N/D and
+    x = p/q it is q N / ((q+p) D - p N), so no denominator is carried
+    twice.  The right-handed case G x| A is the same computation with the
+    roles swapped, so callers pass the factors accordingly.
     """
-    w = join_cells(x, reduced_cells(y_loop))
-    return pproduct_mul(hilton_milnor(w, y_loop.cutoff), y_loop)
+    join = hilton_milnor(join_cells(x, reduced_cells(y_loop)), y_loop.cutoff)
+    if join.is_trivial():
+        return y_loop
+    p, q = x.reduced.num, x.reduced.den
+    n, d = y_loop.series.num, y_loop.series.den
+    series = GradedSeries(
+        poly_mul(q, n), poly_add(poly_mul(poly_add(q, p), d), poly_neg(poly_mul(p, n)))
+    )
+    return PProduct(series, _merge_factors(join.factors, y_loop.factors), y_loop.cutoff)
 
 
 def porter_loop_wedge(summands, cutoff: int = DEFAULT_DEGREE) -> PProduct:
@@ -358,9 +374,10 @@ def porter_loop_wedge(summands, cutoff: int = DEFAULT_DEGREE) -> PProduct:
 
     Result is prod Omega X_i times the loops of the residual wedge whose
     cell series is sum over subsets T with |T| >= 2 of (|T|-1) * t *
-    prod_{i in T} (series_i - 1).  The subset sum is evaluated through the
-    identity  sum_T (|T|-1) prod u_i = B - A + 1  with A = prod s_i and
-    B = sum_i u_i prod_{j != i} s_j, which avoids 2^m fraction additions.
+    prod_{i in T} (s_i - 1).  That subset sum is 1 - A R with A = prod s_i
+    and R = sum 1/s_i - (n-1), the identity 1/P(Omega(X v Y)) =
+    1/P(Omega X) + 1/P(Omega Y) - 1 iterated over the summands, so one pass
+    over them builds it: O(n) fraction operations, not 2^n or n^2.
     """
     summands = list(summands)
     if not summands:
@@ -369,18 +386,12 @@ def porter_loop_wedge(summands, cutoff: int = DEFAULT_DEGREE) -> PProduct:
         raise ValueError("summand cutoffs must match the requested cutoff")
     if len(summands) == 1:
         return summands[0]
-    series = [p.series for p in summands]
     total = GradedSeries.one()
-    for s in series:
-        total = total * s
-    cross = GradedSeries.zero()
-    for i, s_i in enumerate(series):
-        rest = GradedSeries.one()
-        for j, s_j in enumerate(series):
-            if j != i:
-                rest = rest * s_j
-        cross = cross + (s_i - 1) * rest
-    residual_cells = GradedSeries.monomial(1) * (cross - total + 1)
+    reciprocals = GradedSeries((1 - len(summands),))
+    for p in summands:
+        total = total * p.series
+        reciprocals = reciprocals + 1 / p.series
+    residual_cells = GradedSeries.monomial(1) * (1 - total * reciprocals)
     wedge = SphereWedge(CellSeries(residual_cells))
     result = hilton_milnor(wedge, cutoff)
     for p in summands:

@@ -173,6 +173,11 @@ class GradedSeries:
             object.__setattr__(self, "_coeffs", coeffs)
         return tuple(coeffs[: degree + 1])
 
+    def checkable_coeffs(self, degree: int) -> tuple[int, ...]:
+        """What a validity check can read: every coefficient of a
+        polynomial, a fraction's (infinite) expansion through degree."""
+        return self.num if self.den == (1,) else self.expand(degree)
+
     def coefficient(self, n: int) -> int:
         return self.expand(n)[n]
 

@@ -28,6 +28,9 @@ def gs(num, den=(1,)):
     return GradedSeries(tuple(num), tuple(den))
 
 
+T = GradedSeries.monomial(1)
+
+
 def square():
     return validate_complex([[1, 2], [2, 3], [3, 4], [1, 4]], 4)
 
@@ -61,6 +64,13 @@ class TestPairSpec:
         cells = pairs.product_cells([1, 2])
         assert cells.reduced == gs([0, 2, 1])
         assert pairs.product_cells([]).is_trivial()
+
+    def test_polynomial_checked_past_working_degree(self):
+        # t - t^25 is negative only in degree 25, beyond DEFAULT_DEGREE
+        with pytest.raises(ValueError):
+            PairSpec.from_cells([T - GradedSeries.monomial(25), T, T])
+        # a fraction is still checked through the working degree only
+        PairSpec.from_cells([cp_pair_fiber_cells(2, 0), T])
 
     def test_restrict(self):
         pairs = PairSpec.from_suspension_dims([[2], [3], [4]])

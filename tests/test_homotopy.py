@@ -2,7 +2,11 @@ from math import comb
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from loopdecomp import homotopy, series
+from loopdecomp.complexes import validate_complex
+from loopdecomp.engine import PairSpec, cp_pair_fiber_cells, decompose_loop
 from loopdecomp.homotopy import (
     CellSeries,
     NoSolution,
@@ -52,6 +56,30 @@ def random_deep_product(rng, cutoff):
         factor = sphere(d) if d in (1, 3, 7) else loop_sphere(d + 1)
         factors.append((factor, rng.randint(1, 3)))
     return PProduct.from_factors(factors, cutoff)
+
+
+CP_PAIRS = [(n, m) for n in (None, 1, 2, 3) for m in (None, *range(n or 3))]
+
+
+@st.composite
+def half_smash_x(draw):
+    """Cells of X: a finite wedge (a polynomial), or the fibre of a
+    projective pair (mostly a fraction)."""
+    if draw(st.booleans()):
+        return CellSeries(gs([0] + draw(st.lists(st.integers(0, 2), max_size=5))))
+    return CellSeries(cp_pair_fiber_cells(*draw(st.sampled_from(CP_PAIRS))))
+
+
+@st.composite
+def half_smash_y(draw, cutoff=12):
+    """Omega Y from Hilton-Milnor on a wedge, or a quotient of two such
+    products, as `divide_products` hands it to the half-smash."""
+    dims = draw(st.lists(st.integers(2, 6), min_size=1, max_size=4))
+    whole = hilton_milnor(SphereWedge.from_dims(dims), cutoff)
+    if len(dims) == 1 or draw(st.booleans()):
+        return whole
+    part = hilton_milnor(SphereWedge.from_dims(dims[: len(dims) // 2]), cutoff)
+    return divide_products(whole, part)
 
 
 class TestPFactor:
@@ -224,6 +252,14 @@ class TestLoopHalfSmash:
         assert p.multiplicity(loop_sphere(3)) == 1
         assert p.multiplicity(sphere(3)) == 1  # Omega S^4 partner, canonicalized
 
+    @settings(max_examples=60, deadline=None)
+    @given(half_smash_x(), half_smash_y())
+    def test_closed_form_matches_composition(self, x, y):
+        composed = pproduct_mul(hilton_milnor(join_cells(x, reduced_cells(y)), y.cutoff), y)
+        p = loop_half_smash(x, y)
+        assert p.series == composed.series
+        assert p.factors == composed.factors
+
 
 class TestPorter:
     def test_single_summand(self):
@@ -262,6 +298,21 @@ class TestPorter:
                 cross = cross + (s_i - 1) * rest
             shortcut = GradedSeries.monomial(1) * (cross - total + 1)
             assert direct == shortcut
+        # 3 and 4 summands, one of them a fraction that is not 1/polynomial
+        whole = hilton_milnor(SphereWedge.from_dims([3, 3, 4]), 12)
+        fraction = divide_products(whole, hilton_milnor(SphereWedge.from_dims([3]), 12))
+        assert fraction.series.num != (1,) and fraction.series.den != (1,)
+        for size in (3, 4):
+            for _ in range(4):
+                summands = [random_canonical_product(rng, 12) for _ in range(size - 1)]
+                summands.insert(rng.randint(0, size - 1), fraction)
+                direct = subset_residual_cells(summands)
+                expected = hilton_milnor(SphereWedge(CellSeries(direct)), 12)
+                for p in summands:
+                    expected = pproduct_mul(expected, p)
+                via = porter_loop_wedge(summands, 12)
+                assert via.series == expected.series
+                assert via.factors == expected.factors
 
     def test_path_independence_random_wedges(self):
         rng = Random(9)
@@ -347,6 +398,30 @@ class TestDivide:
         small = PProduct.from_factors([(loop_sphere(3), 1)])
         with pytest.raises(NotADivisor):
             divide_products(big, small)
+
+
+def test_cell_series_polynomial_checked_at_every_degree():
+    # negative only in degree 25, beyond the working degree
+    with pytest.raises(ValueError):
+        CellSeries(T - GradedSeries.monomial(25))
+    CellSeries(LOOP_S3_CELLS.reduced)  # a fraction: checked through degree 20
+
+
+def test_fractions_stay_short(monkeypatch):
+    """No polynomial product in a deep recursion has long operands: the
+    half-smash and Porter series are built without repeated denominators."""
+    longest = [0]
+    poly_mul = series.poly_mul
+
+    def measured(a, b):
+        longest[0] = max(longest[0], len(a), len(b))
+        return poly_mul(a, b)
+
+    monkeypatch.setattr(series, "poly_mul", measured)
+    monkeypatch.setattr(homotopy, "poly_mul", measured)
+    c16 = validate_complex([[i, i % 16 + 1] for i in range(1, 17)], 16)
+    decompose_loop(c16, PairSpec.moment_angle(16), 20)
+    assert 0 < longest[0] <= 80
 
 
 def test_reduced_cells_of_product():
