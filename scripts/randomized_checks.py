@@ -21,7 +21,7 @@ def sweep_engine(count, rng, cutoff):
     for _ in range(count):
         K = random_flag_skeleton(rng.randint(2, 7), rng)
         product, trace = decompose_loop(K, PairSpec.moment_angle(K.m), cutoff)
-        assert check_trace(trace) == []
+        assert check_trace(trace, cutoff) == []
         assert greedy_factorize(product.series, cutoff).factors == product.factors
         try:
             predicted = predicted_loop_series(K)

@@ -27,10 +27,7 @@ from .engine import (
     PairSpec,
     TraceNode,
     check_trace,
-    cp_fiber_pairs,
-    decompose_general_pair,
     decompose_loop,
-    loops_of_cp,
     skeleton_simplex_wedge,
     trace_to_doc,
 )
@@ -54,7 +51,6 @@ from .homotopy import (
     pproduct_mul,
     reduced_cells,
     sphere,
-    suspension_splitting,
 )
 from .intlinalg import (
     BezoutCertificate,
@@ -63,7 +59,6 @@ from .intlinalg import (
     ZeroVector,
     idempotent_split,
     primitive_bezout,
-    verify_column_fixed,
 )
 from .oracle import (
     HochsterTable,

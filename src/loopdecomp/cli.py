@@ -155,7 +155,14 @@ def _linalg_report(job: JobSpec) -> dict:
     doc = {"command": "verify", "mode": "linalg"}
     if job.input_path:
         with open(job.input_path) as handle:
-            matrices = json.load(handle)["matrices"]
+            matrices = json.load(handle)
+        matrices = matrices.get("matrices") if isinstance(matrices, dict) else None
+        if not isinstance(matrices, list) or not all(
+            isinstance(a, list)
+            and all(isinstance(row, list) and all(type(x) is int for x in row) for row in a)
+            for a in matrices
+        ):
+            raise BadDocument("matrices must be a list of integer matrices")
         doc["matrices"] = len(matrices)
         for index, matrix in enumerate(matrices):
             entry = _split_idempotent_entry(index, matrix)

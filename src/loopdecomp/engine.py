@@ -2,12 +2,15 @@
 
 For K the k-skeleton of a flag complex and per-vertex spaces A_i whose
 suspensions are sphere wedges, the loop space of (CA,A)^K is a finite-type
-product of spheres and loops on spheres.  The engine mechanizes the proof:
-skeleta of simplices are the base case (an explicit sphere wedge), and
-otherwise K splits as a pushout at a non-dominating vertex, whose pieces
-are handled by the half-smash, join and wedge splittings and reassembled
-with exact Poincare-series arithmetic.  Every step is recorded in a
-derivation trace whose nodes can be re-checked as rational identities.
+product of spheres and loops on spheres.  Each node of the recursion
+carries u = 1/P for its loop space's Poincare series P: a skeleton of a
+simplex has u = 1 - c/t for the cells c of its sphere wedge, and a split
+at a non-dominating vertex v into the star side K1, the link L and the
+deletion K2 has u = (1 + a') u_K1 + (1 + a) u_K2 - (1 + a)(1 + a') u_L,
+with a the cells of A_v and 1 + a' the product of the 1 + a_i over K2 - L.
+Only the root is factorised.  `check_trace`, run by `verify`, certifies the
+trace: it rebuilds each node's P-form by the proof's half-smash, join and
+wedge splittings, which check membership in P.
 """
 
 from __future__ import annotations
@@ -21,13 +24,12 @@ from .homotopy import (
     PProduct,
     SphereWedge,
     divide_products,
+    greedy_factorize,
     hilton_milnor,
     join_cells,
     loop_half_smash,
-    loop_sphere,
     porter_loop_wedge,
     pproduct_mul,
-    sphere,
 )
 from .series import DEFAULT_DEGREE, GradedSeries
 
@@ -163,175 +165,105 @@ def decompose_loop(
         raise ValueError("pair data must cover all vertices of K")
     if K.m > 1 and classify_input(K).k_skeleton_of_flag is None:
         raise NotFlagSkeleton("K is not the k-skeleton of a flag complex")
-    return _decompose(FlagSkeleton.of(K), pairs, cutoff, {}, split_vertex)
+    _, node = _decompose(FlagSkeleton.of(K), pairs, {}, split_vertex)
+    return greedy_factorize(node.series, cutoff), node
 
 
-def _decompose(K: FlagSkeleton, pairs, cutoff, memo, forced=None):
-    key = (K.adj, K.k, pairs.key(), cutoff)
+def _decompose(K: FlagSkeleton, pairs, memo, forced=None):
+    """(u, trace node) for K; u = 1/P does not depend on any cutoff."""
+    key = (K.adj, K.k, pairs.key())
     if forced is None and key in memo:
         return memo[key]
 
+    rule, v, data, children = "contractible", None, {}, []
     if K.m <= 1:
-        product = PProduct.trivial(cutoff)
-        node = TraceNode("contractible", K.m, K.facets(), product.series)
+        u = GradedSeries.one()
+    elif (k := K.simplex_skeleton_dim()) is not None:
+        cells = skeleton_simplex_wedge(K.m, k, pairs).cells.reduced
+        u = 1 - GradedSeries(cells.num[1:], cells.den)  # 1 - cells/t
+        rule, data = "simplex_skeleton", {"k": k, "vertex_cells": pairs.cells}
     else:
-        k = K.simplex_skeleton_dim()
-        if k is not None:
-            wedge = skeleton_simplex_wedge(K.m, k, pairs)
-            product = hilton_milnor(wedge, cutoff)
-            node = TraceNode(
-                "simplex_skeleton",
-                K.m,
-                K.facets(),
-                product.series,
-                data={"k": k, "vertex_cells": pairs.cells},
-            )
-        else:
-            # unless forced: the least degree among the non-dominating vertices
-            v = forced if forced is not None else min(
-                (row.bit_count(), u)
-                for u, row in enumerate(K.adj, 1)
-                if row.bit_count() < K.m - 1
-            )[1]
-            split = pushout_split(K, v)
-            p1, n1 = _decompose(split.k1, pairs.restrict(split.k1_vertices), cutoff, memo)
-            p2, n2 = _decompose(split.k2, pairs.restrict(split.k2_vertices), cutoff, memo)
-            pl, nl = _decompose(split.l, pairs.restrict(split.l_vertices), cutoff, memo)
-            g = divide_products(p1, pl)
-            h = divide_products(p2, pl)
-            a = CellSeries(pairs.vertex(v))
-            outside = [u for u in split.k2_vertices if u not in split.l_vertices]
-            a_prime = pairs.product_cells(outside)
-            s_join = hilton_milnor(join_cells(a, a_prime), cutoff)
-            s_g = loop_half_smash(a_prime, g)
-            s_h = loop_half_smash(a, h)
-            wedge_loops = porter_loop_wedge([s_join, s_g, s_h], cutoff)
-            product = pproduct_mul(pl, wedge_loops)
-            node = TraceNode(
-                "pushout",
-                K.m,
-                K.facets(),
-                product.series,
-                vertex=v,
-                data={
-                    "k1_vertices": split.k1_vertices,
-                    "l_vertices": split.l_vertices,
-                    "k2_vertices": split.k2_vertices,
-                    "l_empty": split.l.m == 0,
-                    "a_cells": a.reduced,
-                    "a_prime_cells": a_prime.reduced,
-                },
-                children=[n1, n2, nl],
-            )
+        # unless forced: the least degree among the non-dominating vertices
+        v = forced if forced is not None else min(
+            (row.bit_count(), w)
+            for w, row in enumerate(K.adj, 1)
+            if row.bit_count() < K.m - 1
+        )[1]
+        split = pushout_split(K, v)
+        u1, n1 = _decompose(split.k1, pairs.restrict(split.k1_vertices), memo)
+        u2, n2 = _decompose(split.k2, pairs.restrict(split.k2_vertices), memo)
+        ul, nl = _decompose(split.l, pairs.restrict(split.l_vertices), memo)
+        a = pairs.vertex(v)
+        outside = [w for w in split.k2_vertices if w not in split.l_vertices]
+        a_prime = pairs.product_cells(outside).reduced
+        u = (1 + a_prime) * u1 + (1 + a) * u2 - (1 + a) * (1 + a_prime) * ul
+        rule, children = "pushout", [n1, n2, nl]
+        data = {
+            "k1_vertices": split.k1_vertices,
+            "l_vertices": split.l_vertices,
+            "k2_vertices": split.k2_vertices,
+            "l_empty": split.l.m == 0,
+            "a_cells": a,
+            "a_prime_cells": a_prime,
+        }
 
+    node = TraceNode(rule, K.m, K.facets(), 1 / u, v, data, children)
     if forced is None:
-        memo[key] = (product, node)
-    return product, node
-
-
-def decompose_general_pair(
-    K: SimplicialComplex,
-    loops_of_x,
-    fibers: PairSpec,
-    cutoff: int = DEFAULT_DEGREE,
-) -> PProduct:
-    """Omega (X,A)^K = prod Omega X_i x Omega (CY,Y)^K with Y_i the fiber
-    of A_i into X_i; the caller supplies the loop products of the X_i and
-    the fiber suspension data."""
-    loops_of_x = list(loops_of_x)
-    if len(loops_of_x) != K.m:
-        raise ValueError("need one loop product per vertex")
-    product, _ = decompose_loop(K, fibers, cutoff)
-    for p in loops_of_x:
-        product = pproduct_mul(product, p)
-    return product
-
-
-# --------------------------------------------------------------------------
-# complex projective presets
-
-
-def loops_of_cp(n: int | None, cutoff: int = DEFAULT_DEGREE) -> PProduct:
-    """Omega CP^n = S^1 x Omega S^(2n+1); n = None means CP^infinity."""
-    s1 = GradedSeries((1, 1))
-    if n is None:
-        return PProduct(s1, ((sphere(1), 1),), cutoff)
-    if n < 1:
-        raise ValueError("need n >= 1")
-    series = s1 * GradedSeries.geometric(2 * n)
-    factors = [(sphere(1), 1)]
-    if 2 * n <= cutoff:
-        factors.append((loop_sphere(2 * n + 1), 1))
-    return PProduct(series, tuple(factors), cutoff)
-
-
-def cp_pair_fiber_cells(n: int | None, m: int | None) -> GradedSeries:
-    """Reduced series of the homotopy fiber of the pair (CP^n, CP^m).
-
-    m = None is the basepoint pair, whose fiber is Omega CP^n itself; for
-    m >= 0 the fiber is S^(2m+1) x Omega S^(2n+1) (just the sphere when
-    n is infinite).  The suspension of such a product is a sphere wedge,
-    so the fiber enters PairSpec through its exact series.
-    """
-    if m is None:
-        return loops_of_cp(n).series - 1
-    if m < 0 or (n is not None and m >= n):
-        raise ValueError("need 0 <= m < n")
-    bottom = GradedSeries.monomial(2 * m + 1) + 1
-    if n is None:
-        return bottom - 1
-    return bottom * GradedSeries.geometric(2 * n) - 1
-
-
-def cp_fiber_pairs(pairs_spec) -> PairSpec:
-    """PairSpec for a list of (n, m) projective pairs, m = None for basepoint."""
-    return PairSpec.from_cells(
-        tuple(cp_pair_fiber_cells(n, m) for n, m in pairs_spec)
-    )
+        memo[key] = (u, node)
+    return u, node
 
 
 # --------------------------------------------------------------------------
 # trace checking and serialization
 
 
-def _recompute(node: TraceNode) -> GradedSeries:
+def _rebuild(node: TraceNode, children: list[PProduct], cutoff: int) -> PProduct:
+    """A node's P-form from its children's; each step checks membership in P."""
+    data = node.data
     if node.rule == "contractible":
-        return GradedSeries.one()
-    if node.rule == "simplex_skeleton":
-        pairs = PairSpec(node.data["vertex_cells"])
-        wedge = skeleton_simplex_wedge(node.m, node.data["k"], pairs)
-        cells = wedge.cells.reduced
-        if cells.is_zero():
-            return GradedSeries.one()
-        return 1 / (1 - GradedSeries(cells.num[1:], cells.den))
-    if node.rule == "pushout":
-        k1, k2, l = (child.series for child in node.children)
-        g = k1 / l
-        h = k2 / l
-        a = node.data["a_cells"]
-        a_prime = node.data["a_prime_cells"]
-        s1 = 1 / (1 - a * a_prime)
-        s2 = (1 / (1 - a_prime * (g - 1))) * g
-        s3 = (1 / (1 - a * (h - 1))) * h
-        total = s1 * s2 * s3
-        cross = (
-            (s1 - 1) * s2 * s3
-            + (s2 - 1) * s1 * s3
-            + (s3 - 1) * s1 * s2
-        )
-        return l * total / (total - cross)
-    raise ValueError(f"unknown trace rule {node.rule!r}")
+        product = PProduct.trivial(cutoff)
+    elif node.rule == "simplex_skeleton":
+        wedge = skeleton_simplex_wedge(node.m, data["k"], PairSpec(data["vertex_cells"]))
+        product = hilton_milnor(wedge, cutoff)
+    elif node.rule == "pushout":
+        sizes = tuple(len(data[f"{side}_vertices"]) for side in ("k1", "k2", "l"))
+        if tuple(child.m for child in node.children) != sizes:
+            raise ValueError("children do not match the split's vertex sets")
+        p1, p2, pl = children
+        a, a_prime = CellSeries(data["a_cells"]), CellSeries(data["a_prime_cells"])
+        s_join = hilton_milnor(join_cells(a, a_prime), cutoff)
+        s_g = loop_half_smash(a_prime, divide_products(p1, pl))
+        s_h = loop_half_smash(a, divide_products(p2, pl))
+        product = pproduct_mul(pl, porter_loop_wedge([s_join, s_g, s_h], cutoff))
+    else:
+        raise ValueError(f"unknown trace rule {node.rule!r}")
+    if product.series != node.series:
+        raise ValueError("the rebuilt series is not the recorded one")
+    return product
 
 
-def check_trace(node: TraceNode) -> list[str]:
-    """Re-derive every node's series from its rule; list the mismatches."""
+def check_trace(node: TraceNode, cutoff: int) -> list[str]:
+    """Certify a trace: rebuild each node's P-form from its children's.
+
+    Each shared node is visited once, children first; the nodes above a
+    failing one are not checked.  Returns one message per failing node.
+    """
     failures = []
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        if _recompute(current) != current.series:
-            failures.append(f"{current.rule} node on m={current.m} fails its identity")
-        stack.extend(current.children)
+    products: dict[int, PProduct | None] = {}
+
+    def visit(current: TraceNode) -> PProduct | None:
+        if id(current) not in products:
+            children = [visit(child) for child in current.children]
+            products[id(current)] = None
+            if None not in children:
+                try:
+                    products[id(current)] = _rebuild(current, children, cutoff)
+                except (ArithmeticError, KeyError, ValueError) as exc:
+                    where = f"{current.rule} node on m={current.m}"
+                    failures.append(f"{where}: {type(exc).__name__}: {exc}")
+        return products[id(current)]
+
+    visit(node)
     return failures
 
 

@@ -294,12 +294,6 @@ def join_cells(a: CellSeries, b: CellSeries) -> SphereWedge:
     return SphereWedge(CellSeries(cells))
 
 
-def suspension_splitting(p: PProduct) -> SphereWedge:
-    """Suspension of a product of spheres and loop spaces, as a sphere wedge:
-    cells t * (series - 1)."""
-    return SphereWedge(CellSeries(GradedSeries.monomial(1) * (p.series - 1)))
-
-
 def lyndon_counts(f: GradedSeries, degree: int) -> dict[int, int]:
     """Graded basic-product counts l_n with prod (1-t^n)^(l_n) = 1 - f(t).
 

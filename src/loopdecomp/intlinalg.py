@@ -183,14 +183,6 @@ class IdempotentSplit:
     determinant: int
 
 
-def _check_idempotent(a: Matrix) -> None:
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix must be square")
-    if mat_mul(a, a) != [list(row) for row in a]:
-        raise NotIdempotent("A*A != A")
-
-
 def idempotent_split(a: Matrix) -> IdempotentSplit:
     """Split Z^n as N(A) + C(A) for idempotent A, with certificates.
 
@@ -198,8 +190,11 @@ def idempotent_split(a: Matrix) -> IdempotentSplit:
     the transform at zero rows span the kernel.  Idempotency makes each
     column-basis vector a fixed point, which is asserted.
     """
-    _check_idempotent(a)
     n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix must be square")
+    if mat_mul(a, a) != [list(row) for row in a]:
+        raise NotIdempotent("A*A != A")
     h, u = hermite_normal_form(transpose(a))
     col_basis = [tuple(row) for row in h if any(row)]
     null_basis = [tuple(u[i]) for i in range(n) if not any(h[i])]
@@ -214,27 +209,6 @@ def idempotent_split(a: Matrix) -> IdempotentSplit:
     if det not in (1, -1):
         raise AssertionError(f"basis concatenation has determinant {det}")
     return IdempotentSplit(tuple(null_basis), tuple(col_basis), det)
-
-
-def verify_column_fixed(a: Matrix, x) -> bool:
-    """Decide x in C(A) by solving A x' = x over Z through the Hermite form;
-    whenever the answer is yes, A x = x is asserted."""
-    _check_idempotent(a)
-    h, _ = hermite_normal_form(transpose(a))
-    basis = [row for row in h if any(row)]
-    residue = list(x)
-    for row in basis:
-        j = next(k for k, v in enumerate(row) if v)
-        if residue[j] % row[j]:
-            return False
-        q = residue[j] // row[j]
-        if q:
-            residue = [r - q * v for r, v in zip(residue, row)]
-    if any(residue):
-        return False
-    if mat_vec(a, list(x)) != list(x):
-        raise AssertionError("member of C(A) not fixed by idempotent A")
-    return True
 
 
 @dataclass(frozen=True)

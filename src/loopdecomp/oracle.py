@@ -216,7 +216,7 @@ def verify_against_oracle(
         )
     )
 
-    failures = check_trace(trace)
+    failures = check_trace(trace, cutoff)
     checks.append(
         CheckResult(
             "trace_identities",

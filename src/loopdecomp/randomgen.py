@@ -11,7 +11,6 @@ from __future__ import annotations
 from random import Random
 
 from .complexes import SimplicialComplex, validate_complex
-from .homotopy import PFactor, PProduct, loop_sphere, sphere
 
 
 def random_graph_complex(m: int, rng: Random, edge_prob: float = 0.5) -> SimplicialComplex:
@@ -76,21 +75,3 @@ def random_chordal_flag_complex(m: int, rng: Random) -> SimplicialComplex:
 def relabel(K: SimplicialComplex, perm: dict[int, int]) -> SimplicialComplex:
     facets = [[perm[v] for v in f] for f in K.facets]
     return validate_complex(facets, K.m)
-
-
-_LOOP_DIM_CHOICES = [d for d in range(3, 17) if d not in (4, 8)]
-
-
-def random_canonical_factors(rng: Random, max_bottom: int = 15) -> list[tuple[PFactor, int]]:
-    factors: dict[PFactor, int] = {}
-    for _ in range(rng.randint(1, 5)):
-        if rng.random() < 0.4:
-            f = sphere(rng.choice([1, 3, 7]))
-        else:
-            f = loop_sphere(rng.choice([d for d in _LOOP_DIM_CHOICES if d - 1 <= max_bottom]))
-        factors[f] = factors.get(f, 0) + rng.randint(1, 3)
-    return sorted(factors.items())
-
-
-def random_canonical_product(rng: Random, cutoff: int = 15) -> PProduct:
-    return PProduct.from_factors(random_canonical_factors(rng, cutoff), cutoff)

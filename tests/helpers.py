@@ -3,6 +3,8 @@
 Everything here is deliberately separate from the library code paths it
 checks: Lyndon words come from Duval's generation algorithm, necklace
 counts from the Moebius formula, convolution is done directly on lists.
+The projective-pair presets, the general-pair (X, A) decomposition and
+the other constructions below have no caller outside the tests.
 """
 
 import itertools
@@ -11,7 +13,18 @@ from random import Random
 
 from hypothesis import strategies as st
 
-from loopdecomp.series import GradedSeries
+from loopdecomp.engine import PairSpec, decompose_loop
+from loopdecomp.homotopy import (
+    CellSeries,
+    PFactor,
+    PProduct,
+    SphereWedge,
+    loop_sphere,
+    pproduct_mul,
+    sphere,
+)
+from loopdecomp.intlinalg import idempotent_split, mat_vec
+from loopdecomp.series import DEFAULT_DEGREE, GradedSeries
 
 
 def convolve(a, b, degree):
@@ -153,3 +166,100 @@ def clique_faces(m, edges, k):
         for c in itertools.combinations(range(1, m + 1), size)
         if all(frozenset(p) in edge_set for p in itertools.combinations(c, 2))
     ]
+
+
+def suspension_splitting(p):
+    """Suspension of a product of spheres and loop spaces, as a sphere wedge:
+    cells t * (series - 1)."""
+    return SphereWedge(CellSeries(GradedSeries.monomial(1) * (p.series - 1)))
+
+
+_LOOP_DIM_CHOICES = [d for d in range(3, 17) if d not in (4, 8)]
+
+
+def random_canonical_factors(rng, max_bottom=15):
+    factors: dict[PFactor, int] = {}
+    for _ in range(rng.randint(1, 5)):
+        if rng.random() < 0.4:
+            f = sphere(rng.choice([1, 3, 7]))
+        else:
+            f = loop_sphere(rng.choice([d for d in _LOOP_DIM_CHOICES if d - 1 <= max_bottom]))
+        factors[f] = factors.get(f, 0) + rng.randint(1, 3)
+    return sorted(factors.items())
+
+
+def random_canonical_product(rng, cutoff=15):
+    return PProduct.from_factors(random_canonical_factors(rng, cutoff), cutoff)
+
+
+def verify_column_fixed(a, x):
+    """Decide x in C(A) by solving A x' = x over Z through the Hermite-form
+    column basis of `idempotent_split` (which rejects a non-idempotent A);
+    whenever the answer is yes, A x = x is asserted."""
+    residue = list(x)
+    for row in idempotent_split(a).col_basis:
+        j = next(k for k, v in enumerate(row) if v)
+        if residue[j] % row[j]:
+            return False
+        q = residue[j] // row[j]
+        if q:
+            residue = [r - q * v for r, v in zip(residue, row)]
+    if any(residue):
+        return False
+    if mat_vec(a, list(x)) != list(x):
+        raise AssertionError("member of C(A) not fixed by idempotent A")
+    return True
+
+
+# --------------------------------------------------------------------------
+# general pairs (X, A) and the complex projective presets
+
+
+def decompose_general_pair(K, loops_of_x, fibers, cutoff=DEFAULT_DEGREE):
+    """Omega (X,A)^K = prod Omega X_i x Omega (CY,Y)^K with Y_i the fiber
+    of A_i into X_i; the caller supplies the loop products of the X_i and
+    the fiber suspension data."""
+    loops_of_x = list(loops_of_x)
+    if len(loops_of_x) != K.m:
+        raise ValueError("need one loop product per vertex")
+    product, _ = decompose_loop(K, fibers, cutoff)
+    for p in loops_of_x:
+        product = pproduct_mul(product, p)
+    return product
+
+
+def loops_of_cp(n, cutoff=DEFAULT_DEGREE):
+    """Omega CP^n = S^1 x Omega S^(2n+1); n = None means CP^infinity."""
+    s1 = GradedSeries((1, 1))
+    if n is None:
+        return PProduct(s1, ((sphere(1), 1),), cutoff)
+    if n < 1:
+        raise ValueError("need n >= 1")
+    series = s1 * GradedSeries.geometric(2 * n)
+    factors = [(sphere(1), 1)]
+    if 2 * n <= cutoff:
+        factors.append((loop_sphere(2 * n + 1), 1))
+    return PProduct(series, tuple(factors), cutoff)
+
+
+def cp_pair_fiber_cells(n, m):
+    """Reduced series of the homotopy fiber of the pair (CP^n, CP^m).
+
+    m = None is the basepoint pair, whose fiber is Omega CP^n itself; for
+    m >= 0 the fiber is S^(2m+1) x Omega S^(2n+1) (just the sphere when
+    n is infinite).  The suspension of such a product is a sphere wedge,
+    so the fiber enters PairSpec through its exact series.
+    """
+    if m is None:
+        return loops_of_cp(n).series - 1
+    if m < 0 or (n is not None and m >= n):
+        raise ValueError("need 0 <= m < n")
+    bottom = GradedSeries.monomial(2 * m + 1) + 1
+    if n is None:
+        return bottom - 1
+    return bottom * GradedSeries.geometric(2 * n) - 1
+
+
+def cp_fiber_pairs(pairs_spec):
+    """PairSpec for a list of (n, m) projective pairs, m = None for basepoint."""
+    return PairSpec.from_cells(tuple(cp_pair_fiber_cells(n, m) for n, m in pairs_spec))

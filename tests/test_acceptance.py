@@ -29,7 +29,6 @@ from loopdecomp.intlinalg import (
 )
 from loopdecomp.oracle import hochster_table, predicted_loop_series
 from loopdecomp.randomgen import (
-    random_canonical_product,
     random_chordal_flag_complex,
     random_flag_complex,
     random_flag_skeleton,
@@ -38,7 +37,7 @@ from loopdecomp.randomgen import (
 )
 from loopdecomp.series import GradedSeries
 
-from helpers import neighbors_and_domination
+from helpers import neighbors_and_domination, random_canonical_product
 
 
 @contextmanager
@@ -205,5 +204,5 @@ def test_criterion_10_membership_witnessed_constructively():
                     product, trace = decompose_loop(K, PairSpec.moment_angle(K.m), 20)
                 except (NotCanonicalP, NotADivisor) as exc:
                     raise AssertionError(f"engine failed on {K.facets}: {exc}")
-                assert check_trace(trace) == [], K.facets
+                assert check_trace(trace, 20) == [], K.facets
                 product.check_canonical()

@@ -207,6 +207,18 @@ class TestExitCodes:
         assert rc == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error[BadDocument]")
 
+    @pytest.mark.parametrize(
+        "doc",
+        [[[[1]]], {"matrices": "abc"}, {"matrices": [[["a"]]]}, 5, {"matrices": [[[True]]]}],
+        ids=["top-level-list", "string-matrices", "string-entry", "bare-number", "bool-entry"],
+    )
+    def test_malformed_matrices_document(self, tmp_path, capsys, doc):
+        path = tmp_path / "mats.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "--linalg", "--input", str(path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error[BadDocument]") and err.count("\n") == 1
+
     @pytest.mark.parametrize("cutoff", ["0", "-3"])
     def test_bad_cutoff(self, square_json, capsys, cutoff):
         rc = main(["decompose", "--input", square_json, "--cutoff", cutoff])

@@ -1,27 +1,33 @@
+import copy
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings, strategies as st
 
+from loopdecomp import engine
 from loopdecomp.complexes import validate_complex
 from loopdecomp.engine import (
     NotFlagSkeleton,
     PairSpec,
     check_trace,
-    cp_fiber_pairs,
-    cp_pair_fiber_cells,
-    decompose_general_pair,
     decompose_loop,
-    loops_of_cp,
     skeleton_simplex_wedge,
     trace_to_doc,
 )
 from loopdecomp.homotopy import PProduct, loop_sphere, sphere
 from loopdecomp.oracle import hochster_table
 from loopdecomp.randomgen import random_flag_skeleton, relabel
-from loopdecomp.series import GradedSeries
+from loopdecomp.series import DEFAULT_DEGREE, GradedSeries
 
-from helpers import clique_faces, graph_and_k, neighbors_and_domination
+from helpers import (
+    clique_faces,
+    cp_fiber_pairs,
+    cp_pair_fiber_cells,
+    decompose_general_pair,
+    graph_and_k,
+    loops_of_cp,
+    neighbors_and_domination,
+)
 
 
 def gs(num, den=(1,)):
@@ -120,7 +126,7 @@ class TestDecompose:
         assert product.factors == ((loop_sphere(3), 2),)
         assert product.series == gs([1], [1, 0, -2, 0, 1])
         assert product.series.to_pair() == ([1], [1, 0, -2, 0, 1])
-        assert check_trace(trace) == []
+        assert check_trace(trace, DEFAULT_DEGREE) == []
 
     def test_single_vertex(self):
         K = validate_complex([[1]], 1)
@@ -152,7 +158,7 @@ class TestDecompose:
     def test_c5_trace_root_is_pushout(self):
         product, trace = decompose_loop(c5(), PairSpec.moment_angle(5))
         assert trace.rule == "pushout"
-        assert check_trace(trace) == []
+        assert check_trace(trace, DEFAULT_DEGREE) == []
         doc = trace_to_doc(trace)
         assert doc["rule"] == "pushout"
         assert doc["children"]
@@ -182,7 +188,7 @@ class TestDecompose:
             if not rec.dominating:
                 alt, trace = decompose_loop(K, pairs, 12, split_vertex=v)
                 assert (alt.factors, alt.series) == (base.factors, base.series), v
-                assert check_trace(trace) == []
+                assert check_trace(trace, 12) == []
 
     def test_relabeling_invariance(self):
         rng = Random(6)
@@ -221,6 +227,85 @@ class TestDecompose:
             assert node.series.expand(5)
             stack.extend(node.children)
         assert seen >= 4
+
+
+class TestRootOnlyFactorisation:
+    def test_one_factorisation_and_no_proof_steps(self, monkeypatch):
+        calls = {}
+        for name in (
+            "greedy_factorize",
+            "divide_products",
+            "loop_half_smash",
+            "porter_loop_wedge",
+            "hilton_milnor",
+        ):
+            original = getattr(engine, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(engine, name, counted)
+        K = validate_complex([[i, i % 8 + 1] for i in range(1, 9)], 8)
+        product, trace = decompose_loop(K, PairSpec.moment_angle(8), 20)
+        assert calls == {"greedy_factorize": 1}
+        assert product.factors
+        # the proof steps run in the certificate instead
+        assert check_trace(trace, 20) == []
+        assert calls["divide_products"] and calls["porter_loop_wedge"]
+
+
+def _unique_nodes(trace):
+    seen, stack = {}, [trace]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.children)
+    return list(seen.values())
+
+
+class TestCheckTraceMutations:
+    """Each edit of a valid trace must make its certificate fail."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(graph_and_k(max_m=8), st.integers(1, 12), st.randoms(use_true_random=False))
+    @example((5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)], 1), 3, Random(0))
+    def test_mutations_are_rejected(self, graph, j, rng):
+        m, edges, k = graph
+        K = validate_complex(clique_faces(m, edges, k), m)
+        _, trace = decompose_loop(K, PairSpec.moment_angle(m), 12)
+        assert check_trace(trace, 12) == []
+        nodes = _unique_nodes(trace)
+
+        def copy_with(index):
+            """A deep copy of the trace and its node at the given position."""
+            mutated = copy.deepcopy(trace)
+            return mutated, _unique_nodes(mutated)[index]
+
+        mutated, node = copy_with(rng.randrange(len(nodes)))
+        node.series = node.series * (1 + GradedSeries.monomial(j))
+        assert check_trace(mutated, 12)
+
+        pushouts = [i for i, n in enumerate(nodes) if n.rule == "pushout"]
+        if not pushouts:
+            return
+        index = rng.choice(pushouts)
+
+        mutated, node = copy_with(index)
+        node.children[0], node.children[2] = node.children[2], node.children[0]
+        assert check_trace(mutated, 12)
+
+        mutated, node = copy_with(index)
+        node.data["a_prime_cells"] = node.data["a_prime_cells"] + GradedSeries.monomial(j)
+        assert check_trace(mutated, 12)
+
+    def test_failure_names_the_node(self):
+        _, trace = decompose_loop(c5(), PairSpec.moment_angle(5))
+        trace.series = trace.series * (1 + T)
+        assert check_trace(trace, DEFAULT_DEGREE) == [
+            "pushout node on m=5: ValueError: the rebuilt series is not the recorded one"
+        ]
 
 
 class TestGeneralPair:
@@ -266,7 +351,7 @@ class TestGeneralPair:
         fibers = cp_fiber_pairs([(2, 0)] * 3)
         result = decompose_general_pair(K, loops, fibers)
         base, trace = decompose_loop(K, fibers)
-        assert check_trace(trace) == []
+        assert check_trace(trace, DEFAULT_DEGREE) == []
         expect = base.series
         for p in loops:
             expect = expect * p.series

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from loopdecomp import homotopy, series
 from loopdecomp.complexes import validate_complex
-from loopdecomp.engine import PairSpec, cp_pair_fiber_cells, decompose_loop
+from loopdecomp.engine import PairSpec, check_trace, decompose_loop
 from loopdecomp.homotopy import (
     CellSeries,
     NoSolution,
@@ -26,16 +26,17 @@ from loopdecomp.homotopy import (
     pproduct_mul,
     reduced_cells,
     sphere,
-    suspension_splitting,
 )
-from loopdecomp.randomgen import random_canonical_product
 from loopdecomp.series import GradedSeries
 
 from helpers import (
     convolve,
+    cp_pair_fiber_cells,
     graded_lyndon_counts,
     necklace_lyndon_count,
+    random_canonical_product,
     subset_residual_cells,
+    suspension_splitting,
 )
 
 
@@ -420,7 +421,8 @@ def test_fractions_stay_short(monkeypatch):
     monkeypatch.setattr(series, "poly_mul", measured)
     monkeypatch.setattr(homotopy, "poly_mul", measured)
     c16 = validate_complex([[i, i % 16 + 1] for i in range(1, 17)], 16)
-    decompose_loop(c16, PairSpec.moment_angle(16), 20)
+    _, trace = decompose_loop(c16, PairSpec.moment_angle(16), 20)
+    assert check_trace(trace, 20) == []
     assert 0 < longest[0] <= 80
 
 

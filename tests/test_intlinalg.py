@@ -14,8 +14,9 @@ from loopdecomp.intlinalg import (
     random_idempotent,
     random_unimodular,
     smith_invariant_factors,
-    verify_column_fixed,
 )
+
+from helpers import verify_column_fixed
 
 
 class TestHermite:
