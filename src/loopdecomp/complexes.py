@@ -2,8 +2,7 @@
 
 Input complexes are stored by their facets.  The downward closure, which
 can be exponentially larger, is derived on demand for the face-level
-checks: full subcomplexes for the Hochster oracle, minimal non-faces,
-equality.  A k-skeleton of a flag complex is carried as its 1-skeleton
+checks: the Hochster oracle's faces, minimal non-faces, equality.  A k-skeleton of a flag complex is carried as its 1-skeleton
 plus k (`FlagSkeleton`), where a full subcomplex is the induced subgraph
 with the same k, so classification and the decomposition recursion
 enumerate no faces and no vertex subsets.  Vertices are 1-based.

@@ -1,19 +1,23 @@
 """Independent verification oracles.
 
-Reduced simplicial homology ranks over the rationals by boundary-matrix
-ranks, the Hochster-style rank table for the moment-angle complex Z_K
-(reduced cohomology of full subcomplexes, shifted by |S|+1, empty subset
-excluded), and the predicted loop-space series 1/(1 - sum r_j t^(j-1)) in
-the cases where Z_K is known to be a wedge of spheres, namely flag or
-1-dimensional K with chordal 1-skeleton.
+Reduced simplicial homology ranks over the rationals by exact ranks of
+boundary matrices, the Hochster-style rank table for the moment-angle
+complex Z_K (reduced cohomology of full subcomplexes, shifted by |S|+1,
+empty subset excluded), and the predicted loop-space series
+1/(1 - sum r_j t^(j-1)) in the cases where Z_K is known to be a wedge of
+spheres, namely flag or 1-dimensional K with chordal 1-skeleton.
+
+Faces are vertex bitmasks (bit v - 1 for vertex v), so the Hochster table
+restricts K's faces to a vertex set S by a mask test, without relabelling.
+`verify_against_oracle` applies the table's vertex bound before it
+decomposes, so an oversized input exits before any exponential work.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
-from .complexes import SimplicialComplex, classify_input, full_subcomplex
+from .complexes import SimplicialComplex, classify_input
 from .engine import PairSpec, check_trace, decompose_loop
 from .homotopy import greedy_factorize
 from .intlinalg import smith_invariant_factors
@@ -53,49 +57,53 @@ def _rank(matrix: list[list[int]]) -> int:
     return rank
 
 
-def _faces_by_dim(K: SimplicialComplex) -> list[list[tuple[int, ...]]]:
-    by_dim: dict[int, list[tuple[int, ...]]] = {}
+def _face_layers(K: SimplicialComplex) -> list[list[int]]:
+    """K's nonempty faces as vertex bitmasks (bit v - 1 for vertex v), by
+    dimension."""
+    layers: list[list[int]] = [[] for _ in range(K.dim() + 1)]
     for f in K.nonempty_faces():
-        by_dim.setdefault(len(f) - 1, []).append(tuple(sorted(f)))
-    return [sorted(by_dim.get(d, [])) for d in range(max(by_dim, default=-1) + 1)]
+        layers[len(f) - 1].append(sum(1 << (v - 1) for v in f))
+    return [sorted(layer) for layer in layers]
 
 
-def _boundary_matrix(lower: list[tuple[int, ...]], upper: list[tuple[int, ...]]):
+def _boundary_matrix(lower: list[int], upper: list[int]) -> list[list[int]]:
+    """Boundary of the upper faces in the lower ones: dropping the k-th
+    vertex, ascending, of a face has sign (-1)^k."""
     index = {f: i for i, f in enumerate(lower)}
     matrix = [[0] * len(upper) for _ in lower]
     for j, face in enumerate(upper):
-        for k in range(len(face)):
-            sub = face[:k] + face[k + 1 :]
-            matrix[index[sub]][j] = (-1) ** k
+        sign, rest = 1, face
+        while rest:
+            low = rest & -rest
+            matrix[index[face ^ low]][j] = sign
+            sign, rest = -sign, rest ^ low
     return matrix
+
+
+def _homology(layers: list[list[int]], with_torsion: bool = False):
+    """Reduced homology ranks over Q of the complex with these nonempty face
+    layers (none empty), and the degrees j with torsion in H_j(K; Z) when
+    with_torsion is set."""
+    boundaries = [_boundary_matrix(layers[d - 1], layers[d]) for d in range(1, len(layers))]
+    boundary_ranks = [1, *map(_rank, boundaries), 0]  # augmentation C_0 -> Z has rank 1
+    ranks = {}
+    for d, faces in enumerate(layers):
+        r = len(faces) - boundary_ranks[d] - boundary_ranks[d + 1]
+        if r:
+            ranks[d] = r
+    torsion = {
+        d
+        for d, matrix in enumerate(boundaries)
+        if with_torsion and any(f > 1 for f in smith_invariant_factors(matrix))
+    }
+    return ranks, torsion
 
 
 def simplicial_homology_ranks(K: SimplicialComplex) -> dict[int, int]:
     """Reduced homology ranks over Q; empty map for the empty complex."""
     if K.m == 0:
         return {}
-    layers = _faces_by_dim(K)
-    boundary_ranks = [1]  # augmentation C_0 -> Z has rank 1
-    for d in range(1, len(layers)):
-        boundary_ranks.append(_rank(_boundary_matrix(layers[d - 1], layers[d])))
-    boundary_ranks.append(0)
-    out = {}
-    for d, faces in enumerate(layers):
-        r = len(faces) - boundary_ranks[d] - boundary_ranks[d + 1]
-        if r:
-            out[d] = r
-    return out
-
-
-def _torsion_degrees(K: SimplicialComplex) -> set[int]:
-    """Degrees j with torsion in H_j(K; Z), from Smith forms of boundaries."""
-    layers = _faces_by_dim(K)
-    torsion = set()
-    for d in range(1, len(layers)):
-        invariants = smith_invariant_factors(_boundary_matrix(layers[d - 1], layers[d]))
-        if any(f > 1 for f in invariants):
-            torsion.add(d - 1)
-    return torsion
+    return _homology(_face_layers(K))[0]
 
 
 @dataclass(frozen=True)
@@ -106,27 +114,62 @@ class HochsterTable:
     torsion: dict[int, bool] | None = None
 
 
+def _check_vertex_bound(m: int, max_vertices: int = HOCHSTER_VERTEX_BOUND) -> None:
+    if m > max_vertices:
+        raise TooLarge(f"m = {m} exceeds the bound {max_vertices}")
+
+
 def hochster_table(
     K: SimplicialComplex,
     with_torsion: bool = False,
     max_vertices: int = HOCHSTER_VERTEX_BOUND,
 ) -> HochsterTable:
-    """Sum reduced subcomplex homology over all nonempty vertex subsets."""
-    if K.m > max_vertices:
-        raise TooLarge(f"m = {K.m} exceeds the bound {max_vertices}")
+    """Sum reduced subcomplex homology over all nonempty vertex subsets.
+
+    K's faces are enumerated once, as bitmasks; the full subcomplex on a
+    vertex set S is the faces f with f & ~S == 0.  Homology ignores labels,
+    so nothing is relabelled.
+    """
+    _check_vertex_bound(K.m, max_vertices)
+    layers = _face_layers(K)
     ranks: dict[int, int] = {}
     torsion: dict[int, bool] = {}
-    for size in range(1, K.m + 1):
-        for subset in itertools.combinations(K.vertices(), size):
-            ks = full_subcomplex(K, subset)
-            for j, r in simplicial_homology_ranks(ks).items():
-                degree = j + size + 1
-                ranks[degree] = ranks.get(degree, 0) + r
-            if with_torsion:
-                for j in _torsion_degrees(ks):
-                    # UCT: torsion of H_j lands in H^(j+1)
-                    torsion[(j + 1) + size + 1] = True
-    return HochsterTable(dict(sorted(ranks.items())), torsion if with_torsion else None)
+    for subset in range(1, 1 << K.m):
+        outside = ~subset
+        restricted = []
+        for layer in layers:
+            faces = [f for f in layer if not f & outside]
+            if not faces:
+                break
+            restricted.append(faces)
+        shift = subset.bit_count() + 1
+        sub_ranks, sub_torsion = _homology(restricted, with_torsion)
+        for j, r in sub_ranks.items():
+            ranks[j + shift] = ranks.get(j + shift, 0) + r
+        for j in sub_torsion:
+            # UCT: torsion of H_j lands in H^(j+1)
+            torsion[j + 1 + shift] = True
+    return HochsterTable(
+        dict(sorted(ranks.items())), dict(sorted(torsion.items())) if with_torsion else None
+    )
+
+
+def _wedge_obstruction(K: SimplicialComplex) -> str | None:
+    """Why Z_K is not known to be a wedge of spheres, or None when it is:
+    K flag, or a graph, with chordal 1-skeleton."""
+    cls = classify_input(K)
+    if not (cls.flag or K.dim() <= 1):
+        return "K is neither flag nor 1-dimensional"
+    if not cls.chordal_1_skeleton:
+        return "1-skeleton is not chordal, Z_K is not a wedge"
+    return None
+
+
+def _wedge_loop_series(ranks: dict[int, int]) -> GradedSeries:
+    den = [1] + [0] * (max((j - 1 for j in ranks), default=0))
+    for j, r in ranks.items():
+        den[j - 1] -= r
+    return GradedSeries((1,), tuple(den))
 
 
 def predicted_loop_series(K: SimplicialComplex) -> GradedSeries:
@@ -135,16 +178,10 @@ def predicted_loop_series(K: SimplicialComplex) -> GradedSeries:
     Applicable when K is flag, or a graph, with chordal 1-skeleton; these
     are exactly the cases where the wedge decomposition of Z_K is known.
     """
-    cls = classify_input(K)
-    if not (cls.flag or K.dim() <= 1):
-        raise NotApplicable("K is neither flag nor 1-dimensional")
-    if not cls.chordal_1_skeleton:
-        raise NotApplicable("1-skeleton is not chordal, Z_K is not a wedge")
-    ranks = hochster_table(K).ranks
-    den = [1] + [0] * (max((j - 1 for j in ranks), default=0))
-    for j, r in ranks.items():
-        den[j - 1] -= r
-    return GradedSeries((1,), tuple(den))
+    obstruction = _wedge_obstruction(K)
+    if obstruction is not None:
+        raise NotApplicable(obstruction)
+    return _wedge_loop_series(hochster_table(K).ranks)
 
 
 def _is_four_cycle(K: SimplicialComplex) -> bool:
@@ -197,6 +234,10 @@ def verify_against_oracle(
     """Run the engine and re-check it: trace identities, greedy round trip,
     and (when applicable) the independent homology prediction."""
     checks: list[CheckResult] = []
+    wedge = pairs.is_moment_angle() and _wedge_obstruction(K) is None
+    if wedge:
+        # the Hochster table is 2^m work: refuse before decomposing
+        _check_vertex_bound(K.m)
     try:
         product, trace = decompose_loop(K, pairs, cutoff)
     except Exception as exc:  # reported, not raised: failures are entries
@@ -242,27 +283,25 @@ def verify_against_oracle(
         checks.append(CheckResult("oracle_series", "NOTE", "no moment-angle oracle for these pairs"))
         return VerificationReport(checks)
 
-    try:
-        predicted = predicted_loop_series(K)
-    except NotApplicable:
-        predicted = _FOUR_CYCLE_LOOP_SERIES if _is_four_cycle(K) else None
-        source = "known answer for the 4-cycle" if predicted is not None else None
-    else:
+    if wedge:
+        predicted = _wedge_loop_series(hochster_table(K).ranks)
         source = "Hochster prediction"
-    if predicted is None:
-        checks.append(CheckResult("oracle_series", "NOTE", "no independent oracle"))
+    elif _is_four_cycle(K):
+        predicted, source = _FOUR_CYCLE_LOOP_SERIES, "known answer for the 4-cycle"
     else:
-        want = list(predicted.expand(cutoff))
-        diverge = _first_divergence(expansion, want)
-        checks.append(
-            CheckResult(
-                "oracle_series",
-                "PASS" if diverge is None else "FAIL",
-                source if diverge is None else f"{source}: first divergent degree {diverge}",
-                {"expected_expansion": want}
-                | ({} if diverge is None else {"first_divergent_degree": diverge}),
-            )
+        checks.append(CheckResult("oracle_series", "NOTE", "no independent oracle"))
+        return VerificationReport(checks)
+    want = list(predicted.expand(cutoff))
+    diverge = _first_divergence(expansion, want)
+    checks.append(
+        CheckResult(
+            "oracle_series",
+            "PASS" if diverge is None else "FAIL",
+            source if diverge is None else f"{source}: first divergent degree {diverge}",
+            {"expected_expansion": want}
+            | ({} if diverge is None else {"first_divergent_degree": diverge}),
         )
+    )
     return VerificationReport(checks)
 
 

@@ -23,7 +23,7 @@ from loopdecomp.homotopy import (
     pproduct_mul,
     sphere,
 )
-from loopdecomp.intlinalg import idempotent_split, mat_vec
+from loopdecomp.intlinalg import idempotent_split, mat_vec, smith_invariant_factors
 from loopdecomp.series import DEFAULT_DEGREE, GradedSeries
 
 
@@ -166,6 +166,34 @@ def clique_faces(m, edges, k):
         for c in itertools.combinations(range(1, m + 1), size)
         if all(frozenset(p) in edge_set for p in itertools.combinations(c, 2))
     ]
+
+
+def tuple_face_homology(K):
+    """Reduced integral homology of K from boundary matrices on its faces as
+    sorted tuples: (ranks over Q by degree, the degrees j with torsion in
+    H_j).  Each boundary's rank is the number of its Smith invariant factors."""
+    by_dim = {}
+    for f in K.nonempty_faces():
+        by_dim.setdefault(len(f) - 1, []).append(tuple(sorted(f)))
+    layers = [sorted(by_dim[d]) for d in range(len(by_dim))]
+    boundary_ranks, torsion = [1], set()  # augmentation C_0 -> Z has rank 1
+    for d in range(1, len(layers)):
+        index = {f: i for i, f in enumerate(layers[d - 1])}
+        matrix = [[0] * len(layers[d]) for _ in layers[d - 1]]
+        for j, face in enumerate(layers[d]):
+            for k in range(len(face)):
+                matrix[index[face[:k] + face[k + 1 :]]][j] = (-1) ** k
+        factors = smith_invariant_factors(matrix)
+        boundary_ranks.append(len(factors))
+        if any(f > 1 for f in factors):
+            torsion.add(d - 1)
+    boundary_ranks.append(0)
+    ranks = {}
+    for d, faces in enumerate(layers):
+        r = len(faces) - boundary_ranks[d] - boundary_ranks[d + 1]
+        if r:
+            ranks[d] = r
+    return ranks, torsion
 
 
 def suspension_splitting(p):

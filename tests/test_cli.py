@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from loopdecomp import oracle
 from loopdecomp.cli import (
     EXIT_INADMISSIBLE,
     EXIT_INPUT,
@@ -164,6 +165,33 @@ class TestExitCodes:
         assert main(["decompose", "--input", path]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and len(err) < 200, err[:300]
+
+    def test_verify_gates_the_hochster_table_before_decomposing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("decompose_loop ran before the vertex bound")
+
+        monkeypatch.setattr(oracle, "decompose_loop", refuse)
+        path = write_complex(tmp_path, "p13.json", 13, [[v, v + 1] for v in range(1, 13)])
+        assert main(["verify", "--input", path]) == EXIT_INADMISSIBLE
+        assert capsys.readouterr().err == "error[TooLarge]: m = 13 exceeds the bound 12\n"
+
+    @pytest.mark.parametrize(
+        "pairs, facets",
+        [
+            ("disks:3", [[v, v + 1] for v in range(1, 13)]),
+            ("moment-angle", [[v, v % 13 + 1] for v in range(1, 14)]),
+        ],
+        ids=["path-with-disks", "non-chordal-cycle"],
+    )
+    def test_verify_without_a_hochster_prediction_is_not_gated(
+        self, tmp_path, capsys, pairs, facets
+    ):
+        path = write_complex(tmp_path, "k13.json", 13, facets)
+        assert main(["verify", "--input", path, "--pairs", pairs]) == EXIT_OK
+        oracle_check = json.loads(capsys.readouterr().out)["checks"][-1]
+        assert oracle_check["name"] == "oracle_series" and oracle_check["status"] == "NOTE"
 
     def test_not_flag_skeleton(self, tmp_path, capsys):
         path = write_complex(tmp_path, "bad.json", 4, [[1, 2, 3], [3, 4], [1, 4]])

@@ -3,9 +3,12 @@
 Each case runs `decompose --trace` on an admissible complex and compares the
 SHA-256 of the output file with a digest recorded in golden_digests.json.
 The complexes are those of the catalog in scripts/decompose_catalog.py, and
-a few larger ones (m = 12..16) where the recursion has many nodes.  A refactor that is meant to keep
-behaviour must keep every digest.  To re-record after a deliberate change of
-output, run `PYTHONPATH=src python tests/test_golden.py`.
+a few larger ones (m = 12..16) where the recursion has many nodes.  The
+`verify` cases run `verify --pairs moment-angle --cutoff 20` on the same
+catalog and on seeded chordal flag complexes with m = 9..11, where the
+Hochster oracle sums over every vertex subset.  A refactor that is meant to
+keep behaviour must keep every digest.  To re-record after a deliberate
+change of output, run `PYTHONPATH=src python tests/test_golden.py`.
 """
 
 import hashlib
@@ -73,6 +76,20 @@ def _larger():
     ]
 
 
+def _chordal_flag(m, seed):
+    """Clique complex of a chordal graph grown by simplicial vertices: each
+    new vertex joins a random subset of a random maximal clique."""
+    rng = Random(seed)
+    graph = nx.Graph()
+    graph.add_node(1)
+    for v in range(2, m + 1):
+        clique = rng.choice(sorted(sorted(c) for c in nx.find_cliques(graph)))
+        graph.add_node(v)
+        graph.add_edges_from((u, v) for u in clique if rng.random() < 0.7)
+    assert nx.is_chordal(graph)
+    return sorted(sorted(c) for c in nx.find_cliques(graph))
+
+
 CASES = [
     (name, m, facets, pairs, cutoff)
     for name, m, facets in _catalog()
@@ -81,36 +98,45 @@ CASES = [
 ] + [(name, m, facets, "moment-angle", 20) for name, m, facets in _larger()]
 
 
+VERIFY_CASES = [(name, m, facets) for name, m, facets in _catalog()] + [
+    (f"chordal flag m={m} seed {seed}", m, _chordal_flag(m, seed))
+    for m in (9, 10, 11)
+    for seed in range(3)
+]
+
+
 def _key(name, pairs, cutoff):
     return f"{name}|{pairs}|{cutoff}"
 
 
-def _digest(workdir: Path, m, facets, pairs, cutoff) -> str:
-    """SHA-256 of the decompose output, run with workdir as the current
-    directory so the relative custom-pairs path in the output is fixed."""
+def _verify_key(name):
+    return f"verify|{name}|moment-angle|20"
+
+
+def _run(workdir: Path, m, facets, args) -> str:
+    """SHA-256 of the output of one CLI run on the complex, run with workdir
+    as the current directory so the relative custom-pairs path in the output
+    is fixed."""
     (workdir / "complex.json").write_text(json.dumps({"m": m, "facets": facets}))
     (workdir / "pairs.json").write_text(json.dumps({"suspensions": [[2, 3]] * m}))
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
-        rc = main(
-            [
-                "decompose",
-                "--input",
-                "complex.json",
-                "--pairs",
-                pairs,
-                "--cutoff",
-                str(cutoff),
-                "--trace",
-                "--output",
-                "out.json",
-            ]
-        )
+        rc = main([*args, "--input", "complex.json", "--output", "out.json"])
     finally:
         os.chdir(cwd)
     assert rc == 0
     return hashlib.sha256((workdir / "out.json").read_bytes()).hexdigest()
+
+
+def _digest(workdir: Path, m, facets, pairs, cutoff) -> str:
+    args = ["decompose", "--pairs", pairs, "--cutoff", str(cutoff), "--trace"]
+    return _run(workdir, m, facets, args)
+
+
+def _verify_digest(workdir: Path, m, facets) -> str:
+    args = ["verify", "--pairs", "moment-angle", "--cutoff", "20"]
+    return _run(workdir, m, facets, args)
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +145,10 @@ def recorded():
 
 
 def test_recorded_cases_match_the_case_list(recorded):
-    assert sorted(recorded) == sorted(_key(n, p, c) for n, _, _, p, c in CASES)
+    assert sorted(recorded) == sorted(
+        [_key(n, p, c) for n, _, _, p, c in CASES]
+        + [_verify_key(n) for n, _, _ in VERIFY_CASES]
+    )
 
 
 @pytest.mark.parametrize(
@@ -131,6 +160,13 @@ def test_decompose_output_is_byte_identical(
     tmp_path, recorded, name, m, facets, pairs, cutoff
 ):
     assert _digest(tmp_path, m, facets, pairs, cutoff) == recorded[_key(name, pairs, cutoff)]
+
+
+@pytest.mark.parametrize(
+    "name, m, facets", VERIFY_CASES, ids=[_verify_key(n) for n, _, _ in VERIFY_CASES]
+)
+def test_verify_output_is_byte_identical(tmp_path, recorded, name, m, facets):
+    assert _verify_digest(tmp_path, m, facets) == recorded[_verify_key(name)]
 
 
 @pytest.mark.parametrize(
@@ -157,6 +193,9 @@ if __name__ == "__main__":
         digests = {
             _key(name, pairs, cutoff): _digest(Path(tmp), m, facets, pairs, cutoff)
             for name, m, facets, pairs, cutoff in CASES
+        } | {
+            _verify_key(name): _verify_digest(Path(tmp), m, facets)
+            for name, m, facets in VERIFY_CASES
         }
     DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(digests)} digests in {DIGESTS}")

@@ -1,9 +1,13 @@
 import itertools
+from collections import Counter
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from loopdecomp.complexes import full_subcomplex, validate_complex
+from helpers import tuple_face_homology
+from loopdecomp import complexes, oracle
+from loopdecomp.complexes import SimplicialComplex, full_subcomplex, validate_complex
 from loopdecomp.engine import PairSpec, decompose_loop
 from loopdecomp.oracle import (
     NotApplicable,
@@ -132,6 +136,55 @@ class TestHochster:
     def test_no_torsion_for_square(self):
         table = hochster_table(square(), with_torsion=True)
         assert table.torsion == {}
+
+
+@st.composite
+def facet_lists(draw, max_m=8):
+    """Complexes from arbitrary facet lists on m <= 8 vertices, flag or not,
+    admissible or not."""
+    m = draw(st.integers(1, max_m))
+    facets = draw(st.lists(st.sets(st.integers(1, m), min_size=1, max_size=5), max_size=8))
+    return validate_complex([sorted(f) for f in facets] + [[v] for v in range(1, m + 1)], m)
+
+
+class TestHochsterRestriction:
+    @settings(max_examples=40, deadline=None)
+    @given(facet_lists())
+    @example(validate_complex(RP2_FACETS, 6))
+    @example(validate_complex(RP2_FACETS + [[7]], 7))
+    def test_matches_subset_by_subset_homology(self, K):
+        ranks, torsion = Counter(), set()
+        for size in range(1, K.m + 1):
+            for subset in itertools.combinations(K.vertices(), size):
+                restricted = full_subcomplex(K, subset)
+                sub_ranks, sub_torsion = tuple_face_homology(restricted)
+                assert simplicial_homology_ranks(restricted) == sub_ranks
+                ranks.update({j + size + 1: r for j, r in sub_ranks.items()})
+                # UCT: torsion of H_j lands in H^(j+1)
+                torsion.update(j + 1 + size + 1 for j in sub_torsion)
+        table = hochster_table(K, with_torsion=True)
+        assert table.ranks == dict(ranks)
+        assert table.torsion == dict.fromkeys(torsion, True)
+
+    def test_faces_are_built_once_and_never_restricted_by_relabelling(self, monkeypatch):
+        K = random_chordal_flag_complex(10, Random(3))
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        full = counted("full_subcomplex", complexes.full_subcomplex)
+        monkeypatch.setattr(complexes, "full_subcomplex", full)
+        # a by-name import in oracle would bypass the module attribute
+        monkeypatch.setattr(oracle, "full_subcomplex", full, raising=False)
+        monkeypatch.setattr(SimplicialComplex, "faces", counted("faces", SimplicialComplex.faces))
+        assert K.m == 10 and hochster_table(K).ranks
+        assert calls["full_subcomplex"] == 0
+        assert calls["faces"] <= 1
 
 
 class TestPrediction:
