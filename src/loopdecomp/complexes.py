@@ -43,6 +43,7 @@ class SimplicialComplex:
 
     def __post_init__(self):
         object.__setattr__(self, "_faces", None)
+        object.__setattr__(self, "_classification", None)
 
     # -- derived data --------------------------------------------------------
 
@@ -193,6 +194,14 @@ class FlagSkeleton(NamedTuple):
             self.k,
         )
 
+    def edges(self) -> list[tuple[int, int]]:
+        """The edges (i, j), i < j, in ascending order."""
+        return [
+            (i + 1, j + 1)
+            for i, row in enumerate(self.adj)
+            for j in _indices(row >> (i + 1) << (i + 1))
+        ]
+
     def simplex_skeleton_dim(self) -> int | None:
         """d when the complex is the d-skeleton of the (m-1)-simplex, else None.
 
@@ -267,19 +276,23 @@ def classify_input(K: SimplicialComplex) -> Classification:
     With k = dim K, K is the k-skeleton of a flag complex when its facets
     are those of its graph form, and flag when they are the maximal cliques
     of its 1-skeleton.  A k-skeleton of the simplex is admissible, so only
-    an admissible K can be one.
+    an admissible K can be one.  The result is kept on K, so the oracle's
+    gate and the decomposition classify it once.
     """
-    if K.m == 0:
-        raise ValueError("classification needs at least one vertex")
-    G = FlagSkeleton.of(K)
-    admissible = G.facets() == K.facets
-    simplex = admissible and G.simplex_skeleton_dim() is not None
-    return Classification(
-        flag=FlagSkeleton(G.adj, K.m).facets() == K.facets,
-        k_skeleton_of_flag=G.k if admissible else None,
-        skeleton_of_simplex=(K.m, G.k) if simplex else None,
-        chordal_1_skeleton=is_chordal(K.adjacency()),
-    )
+    if K._classification is None:
+        if K.m == 0:
+            raise ValueError("classification needs at least one vertex")
+        G = FlagSkeleton.of(K)
+        admissible = G.facets() == K.facets
+        simplex = admissible and G.simplex_skeleton_dim() is not None
+        classification = Classification(
+            flag=FlagSkeleton(G.adj, K.m).facets() == K.facets,
+            k_skeleton_of_flag=G.k if admissible else None,
+            skeleton_of_simplex=(K.m, G.k) if simplex else None,
+            chordal_1_skeleton=is_chordal(K.adjacency()),
+        )
+        object.__setattr__(K, "_classification", classification)
+    return K._classification
 
 
 def lex_bfs_order(adj: dict[int, set[int]]) -> list[int]:

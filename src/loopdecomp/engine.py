@@ -118,12 +118,15 @@ class TraceNode:
     """One derivation step: which rule fired, on what, with what series."""
 
     rule: str
-    m: int
-    facets: tuple
+    graph: FlagSkeleton
     series: GradedSeries
     vertex: int | None = None
     data: dict = field(default_factory=dict)
     children: list["TraceNode"] = field(default_factory=list)
+
+    @property
+    def m(self) -> int:
+        return self.graph.m
 
 
 def skeleton_simplex_wedge(m: int, k: int, pairs: PairSpec) -> SphereWedge:
@@ -207,7 +210,7 @@ def _decompose(K: FlagSkeleton, pairs, memo, forced=None):
             "a_prime_cells": a_prime,
         }
 
-    node = TraceNode(rule, K.m, K.facets(), 1 / u, v, data, children)
+    node = TraceNode(rule, K, 1 / u, v, data, children)
     if forced is None:
         memo[key] = (u, node)
     return u, node
@@ -268,18 +271,34 @@ def check_trace(node: TraceNode, cutoff: int) -> list[str]:
 
 
 def trace_to_doc(node: TraceNode) -> dict:
-    num, den = node.series.to_pair()
+    """The trace as a node table: each distinct node once, children first
+    (in k1, k2, l order), with a node's id its position in the list."""
+    ids: dict[int, int] = {}
+    nodes: list[dict] = []
+
+    def visit(current: TraceNode) -> int:
+        if id(current) not in ids:
+            children = [visit(child) for child in current.children]
+            ids[id(current)] = len(nodes)
+            nodes.append(_node_doc(current, children))
+        return ids[id(current)]
+
+    return {"root": visit(node), "nodes": nodes}
+
+
+def _node_doc(node: TraceNode, children: list[int]) -> dict:
+    graph = node.graph
     doc = {
         "rule": node.rule,
-        "complex": {"m": node.m, "facets": [list(f) for f in node.facets]},
-        "series": {"num": num, "den": den},
+        "graph": {"m": graph.m, "k": graph.k, "edges": [list(e) for e in graph.edges()]},
+        "series": _doc_value(node.series),
     }
     if node.vertex is not None:
         doc["vertex"] = node.vertex
     if node.data:
         doc["data"] = {k: _doc_value(v) for k, v in node.data.items()}
-    if node.children:
-        doc["children"] = [trace_to_doc(c) for c in node.children]
+    if children:
+        doc["children"] = children
     return doc
 
 

@@ -156,7 +156,10 @@ def hochster_table(
 
 def _wedge_obstruction(K: SimplicialComplex) -> str | None:
     """Why Z_K is not known to be a wedge of spheres, or None when it is:
-    K flag, or a graph, with chordal 1-skeleton."""
+    K flag, or a graph, with chordal 1-skeleton.  The empty complex gives
+    a point, the empty wedge."""
+    if K.m == 0:
+        return None
     cls = classify_input(K)
     if not (cls.flag or K.dim() <= 1):
         return "K is neither flag nor 1-dimensional"

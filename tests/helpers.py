@@ -13,6 +13,7 @@ from random import Random
 
 from hypothesis import strategies as st
 
+from loopdecomp.complexes import FlagSkeleton
 from loopdecomp.engine import PairSpec, decompose_loop
 from loopdecomp.homotopy import (
     CellSeries,
@@ -166,6 +167,26 @@ def clique_faces(m, edges, k):
         for c in itertools.combinations(range(1, m + 1), size)
         if all(frozenset(p) in edge_set for p in itertools.combinations(c, 2))
     ]
+
+
+def expand_trace(table):
+    """The tree form of a `trace_to_doc` node table: each node written out
+    under every parent, with its complex as {"m", "facets"} in place of its
+    graph.  This is the trace document of the tree writer it replaced."""
+    trees = {}
+    for i, node in enumerate(table["nodes"]):
+        graph = node["graph"]
+        adj = [0] * graph["m"]
+        for a, b in graph["edges"]:
+            adj[a - 1] |= 1 << (b - 1)
+            adj[b - 1] |= 1 << (a - 1)
+        facets = FlagSkeleton(tuple(adj), graph["k"]).facets()
+        tree = {"rule": node["rule"], "complex": {"m": graph["m"], "facets": facets}}
+        tree.update((key, value) for key, value in node.items() if key not in ("rule", "graph"))
+        if "children" in node:
+            tree["children"] = [trees[child] for child in node["children"]]
+        trees[i] = tree
+    return trees[table["root"]]
 
 
 def tuple_face_homology(K):

@@ -78,9 +78,10 @@ class TestDecompose:
         )
         assert rc == EXIT_OK
         doc = json.loads(out.read_text())
-        assert doc["trace"]["rule"] == "pushout"
-        assert len(doc["trace"]["children"]) == 3
-        assert "vertex" in doc["trace"]
+        root = doc["trace"]["nodes"][doc["trace"]["root"]]
+        assert root["rule"] == "pushout"
+        assert len(root["children"]) == 3
+        assert "vertex" in root
 
     def test_deterministic_output(self, square_json, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -121,6 +122,16 @@ class TestVerify:
         assert main(["verify", "--input", square_json]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["status"] == "PASS"
+
+    @pytest.mark.parametrize("pairs", ["moment-angle", "disks:3"])
+    def test_empty_complex(self, tmp_path, capsys, pairs):
+        # Z_K is a point: the Hochster prediction is the series 1
+        path = write_complex(tmp_path, "empty.json", 0, [])
+        assert main(["verify", "--input", path, "--pairs", pairs]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["status"] == "PASS"
+        assert {c["name"]: c["status"] for c in doc["checks"]}["oracle_series"] == "PASS"
+        assert doc["checks"][0]["expansion"] == [1] + [0] * 20
 
     def test_linalg(self, capsys):
         rc = main(["verify", "--linalg", "--random", "80", "--seed", "7"])

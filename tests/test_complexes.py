@@ -285,6 +285,7 @@ class TestGraphForm:
             adj[b - 1] |= 1 << (a - 1)
         G = FlagSkeleton(tuple(adj), k)
         assert G.facets() == K.facets
+        assert G.edges() == sorted(edges)
         assert FlagSkeleton.of(K).facets() == K.facets
         S = sorted(data.draw(st.sets(st.integers(1, m))))
         assert as_complex(G.induced(S)) == full_subcomplex(K, S)

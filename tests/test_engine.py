@@ -1,11 +1,13 @@
 import copy
+import itertools
+import json
 from random import Random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from loopdecomp import engine
-from loopdecomp.complexes import validate_complex
+from loopdecomp.complexes import FlagSkeleton, validate_complex
 from loopdecomp.engine import (
     NotFlagSkeleton,
     PairSpec,
@@ -160,8 +162,9 @@ class TestDecompose:
         assert trace.rule == "pushout"
         assert check_trace(trace, DEFAULT_DEGREE) == []
         doc = trace_to_doc(trace)
-        assert doc["rule"] == "pushout"
-        assert doc["children"]
+        root = doc["nodes"][doc["root"]]
+        assert root["rule"] == "pushout"
+        assert root["children"]
 
     def test_heuristic_independence(self):
         rng = Random(4)
@@ -306,6 +309,65 @@ class TestCheckTraceMutations:
         assert check_trace(trace, DEFAULT_DEGREE) == [
             "pushout node on m=5: ValueError: the rebuilt series is not the recorded one"
         ]
+
+
+class TestTraceTable:
+    """trace_to_doc writes each distinct node once, children first."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(graph_and_k())
+    def test_node_table(self, graph):
+        m, edges, k = graph
+        K = validate_complex(clique_faces(m, edges, k), m)
+        _, trace = decompose_loop(K, PairSpec.moment_angle(m), 12)
+        doc = trace_to_doc(trace)
+        nodes = doc["nodes"]
+        assert len(nodes) == len(_unique_nodes(trace))
+        assert doc["root"] == len(nodes) - 1
+        referenced = [child for node in nodes for child in node.get("children", [])]
+        for i, node in enumerate(nodes):
+            assert all(child < i for child in node.get("children", []))
+        # every node but the root is some node's child; with moment-angle
+        # pairs, distinct nodes have distinct graphs, so no node is repeated
+        assert set(referenced) | {doc["root"]} == set(range(len(nodes)))
+        graphs = [json.dumps(node["graph"]) for node in nodes]
+        assert len(set(graphs)) == len(graphs)
+        root_edges = [list(e) for e in sorted(edges)] if k >= 1 else []
+        assert nodes[doc["root"]]["graph"] == {"m": m, "k": K.dim(), "edges": root_edges}
+        _, again = decompose_loop(K, PairSpec.moment_angle(m), 12)
+        assert json.dumps(trace_to_doc(again)) == json.dumps(doc)
+
+    def test_facets_only_from_classification(self, monkeypatch):
+        # the boundary of the cross-polytope, m = 12: one vertex of each
+        # pair {i, i + 6} per facet
+        K = validate_complex(
+            [
+                [i + 6 * side for i, side in zip(range(1, 7), sides)]
+                for sides in itertools.product((0, 1), repeat=6)
+            ],
+            12,
+        )
+        calls = {"all": 0, "classifying": 0}
+        classifying = [False]
+        facets, classify = FlagSkeleton.facets, engine.classify_input
+
+        def counted_facets(self):
+            calls["all"] += 1
+            calls["classifying"] += classifying[0]
+            return facets(self)
+
+        def flagged_classify(complex_):
+            classifying[0] = True
+            try:
+                return classify(complex_)
+            finally:
+                classifying[0] = False
+
+        monkeypatch.setattr(FlagSkeleton, "facets", counted_facets)
+        monkeypatch.setattr(engine, "classify_input", flagged_classify)
+        _, trace = decompose_loop(K, PairSpec.moment_angle(12))
+        assert len(_unique_nodes(trace)) > 20
+        assert 0 < calls["all"] == calls["classifying"]
 
 
 class TestGeneralPair:

@@ -2,6 +2,9 @@
 
 Each case runs `decompose --trace` on an admissible complex and compares the
 SHA-256 of the output file with a digest recorded in golden_digests.json.
+The trace is compared in the tree form the digests were recorded from:
+`helpers.expand_trace` writes the node table back out as that tree and the
+document is re-encoded as the CLI encodes it.
 The complexes are those of the catalog in scripts/decompose_catalog.py, and
 a few larger ones (m = 12..16) where the recursion has many nodes.  The
 `verify` cases run `verify --pairs moment-angle --cutoff 20` on the same
@@ -27,6 +30,8 @@ import pytest
 
 from loopdecomp import classify_input, validate_complex
 from loopdecomp.cli import main
+
+from helpers import expand_trace
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = Path(__file__).with_name("golden_digests.json")
@@ -113,10 +118,10 @@ def _verify_key(name):
     return f"verify|{name}|moment-angle|20"
 
 
-def _run(workdir: Path, m, facets, args) -> str:
-    """SHA-256 of the output of one CLI run on the complex, run with workdir
-    as the current directory so the relative custom-pairs path in the output
-    is fixed."""
+def _run(workdir: Path, m, facets, args) -> bytes:
+    """The output of one CLI run on the complex, run with workdir as the
+    current directory so the relative custom-pairs path in the output is
+    fixed."""
     (workdir / "complex.json").write_text(json.dumps({"m": m, "facets": facets}))
     (workdir / "pairs.json").write_text(json.dumps({"suspensions": [[2, 3]] * m}))
     cwd = os.getcwd()
@@ -126,17 +131,25 @@ def _run(workdir: Path, m, facets, args) -> str:
     finally:
         os.chdir(cwd)
     assert rc == 0
-    return hashlib.sha256((workdir / "out.json").read_bytes()).hexdigest()
+    return (workdir / "out.json").read_bytes()
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def _digest(workdir: Path, m, facets, pairs, cutoff) -> str:
     args = ["decompose", "--pairs", pairs, "--cutoff", str(cutoff), "--trace"]
-    return _run(workdir, m, facets, args)
+    raw = _run(workdir, m, facets, args).decode()
+    doc = json.loads(raw)
+    assert raw == json.dumps(doc, indent=2) + "\n"  # so re-encoding keeps bytes
+    doc["trace"] = expand_trace(doc["trace"])
+    return _sha256((json.dumps(doc, indent=2) + "\n").encode())
 
 
 def _verify_digest(workdir: Path, m, facets) -> str:
     args = ["verify", "--pairs", "moment-angle", "--cutoff", "20"]
-    return _run(workdir, m, facets, args)
+    return _sha256(_run(workdir, m, facets, args))
 
 
 @pytest.fixture(scope="module")

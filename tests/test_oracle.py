@@ -252,6 +252,20 @@ class TestVerify:
         assert report.checks[0].name == "decompose"
         assert report.checks[0].status == "FAIL"
 
+    def test_classifies_once(self, monkeypatch):
+        # the oracle's gate and decompose_loop share K's classification
+        calls = Counter()
+
+        def counted(adj):
+            calls["is_chordal"] += 1
+            return chordal(adj)
+
+        chordal = complexes.is_chordal
+        monkeypatch.setattr(complexes, "is_chordal", counted)
+        K = random_chordal_flag_complex(8, Random(5))
+        assert verify_against_oracle(K, PairSpec.moment_angle(K.m)).passed
+        assert calls["is_chordal"] == 1
+
     def test_report_document_shape(self):
         K = validate_complex([[1, 2], [2, 3]], 3)
         doc = verify_against_oracle(K, PairSpec.moment_angle(3)).to_doc()
