@@ -68,20 +68,6 @@ class SimplicialComplex:
     def vertices(self) -> tuple[int, ...]:
         return tuple(range(1, self.m + 1))
 
-    def edges(self) -> frozenset[frozenset[int]]:
-        # from the facets: the face closure can be exponentially larger
-        return frozenset(
-            frozenset(e) for f in self.facets for e in itertools.combinations(f, 2)
-        )
-
-    def adjacency(self) -> dict[int, set[int]]:
-        adj = {v: set() for v in self.vertices()}
-        for e in self.edges():
-            a, b = sorted(e)
-            adj[a].add(b)
-            adj[b].add(a)
-        return adj
-
     def __eq__(self, other):
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
@@ -172,12 +158,14 @@ class FlagSkeleton(NamedTuple):
     @classmethod
     def of(cls, K: SimplicialComplex) -> "FlagSkeleton":
         """K's 1-skeleton with k = dim K: the same complex as K exactly when
-        K is the k-skeleton of a flag complex, which classify_input tests."""
-        adj = K.adjacency()
-        return cls(
-            tuple(sum(1 << (u - 1) for u in adj[v]) for v in K.vertices()),
-            max(K.dim(), 0),
-        )
+        K is the k-skeleton of a flag complex, which classify_input tests.
+        Read from the facets: the face closure can be exponentially larger."""
+        rows = [0] * K.m
+        for facet in K.facets:
+            mask = sum(1 << (v - 1) for v in facet)
+            for v in facet:
+                rows[v - 1] |= mask & ~(1 << (v - 1))
+        return cls(tuple(rows), max(K.dim(), 0))
 
     @property
     def m(self) -> int:
@@ -289,43 +277,23 @@ def classify_input(K: SimplicialComplex) -> Classification:
             flag=FlagSkeleton(G.adj, K.m).facets() == K.facets,
             k_skeleton_of_flag=G.k if admissible else None,
             skeleton_of_simplex=(K.m, G.k) if simplex else None,
-            chordal_1_skeleton=is_chordal(K.adjacency()),
+            chordal_1_skeleton=is_chordal(G),
         )
         object.__setattr__(K, "_classification", classification)
     return K._classification
 
 
-def lex_bfs_order(adj: dict[int, set[int]]) -> list[int]:
-    """Lexicographic BFS ordering; ties break to the smallest vertex."""
-    labels = {v: [] for v in adj}
-    order = []
-    remaining = set(adj)
-    counter = len(adj)
-    while remaining:
-        v = max(remaining, key=lambda u: (labels[u], -u))
-        order.append(v)
-        remaining.discard(v)
-        for u in adj[v]:
-            if u in remaining:
-                labels[u].append(counter)
-        counter -= 1
-    return order
-
-
-def is_chordal(adj: dict[int, set[int]]) -> bool:
-    """Chordality via a perfect elimination ordering from LexBFS."""
-    if len(adj) <= 2:
-        return True
-    order = lex_bfs_order(adj)
-    elimination = list(reversed(order))
-    position = {v: i for i, v in enumerate(elimination)}
-    for v in elimination:
-        later = [u for u in adj[v] if position[u] > position[v]]
-        if not later:
-            continue
-        parent = min(later, key=position.__getitem__)
-        if any(u != parent and u not in adj[parent] for u in later):
+def is_chordal(G: FlagSkeleton) -> bool:
+    """Chordality by maximum cardinality search: the graph is chordal exactly
+    when each vertex's neighbours visited before it form a clique (Tarjan and
+    Yannakakis)."""
+    visited, unvisited = 0, (1 << G.m) - 1
+    while unvisited:
+        v = max(_indices(unvisited), key=lambda u: (G.adj[u] & visited).bit_count())
+        earlier = G.adj[v] & visited
+        if any(earlier & ~G.adj[u] != 1 << u for u in _indices(earlier)):
             return False
+        visited, unvisited = visited | 1 << v, unvisited & ~(1 << v)
     return True
 
 

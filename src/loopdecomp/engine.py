@@ -10,7 +10,8 @@ deletion K2 has u = (1 + a') u_K1 + (1 + a) u_K2 - (1 + a)(1 + a') u_L,
 with a the cells of A_v and 1 + a' the product of the 1 + a_i over K2 - L.
 Only the root is factorised.  `check_trace`, run by `verify`, certifies the
 trace: it rebuilds each node's P-form by the proof's half-smash, join and
-wedge splittings, which check membership in P.
+wedge splittings, which check membership in P, and at the root compares the
+rebuilt factors with the listed ones.
 """
 
 from __future__ import annotations
@@ -245,45 +246,63 @@ def _rebuild(node: TraceNode, children: list[PProduct], cutoff: int) -> PProduct
     return product
 
 
-def check_trace(node: TraceNode, cutoff: int) -> list[str]:
-    """Certify a trace: rebuild each node's P-form from its children's.
+def unique_nodes(root: TraceNode) -> list[TraceNode]:
+    """Each distinct node of the trace once, children first (in k1, k2, l
+    order), so the root is last; a node's position is its id."""
+    order: list[TraceNode] = []
+    seen: set[int] = set()
 
-    Each shared node is visited once, children first; the nodes above a
-    failing one are not checked.  Returns one message per failing node.
+    def visit(node: TraceNode) -> None:
+        if id(node) not in seen:
+            seen.add(id(node))
+            for child in node.children:
+                visit(child)
+            order.append(node)
+
+    visit(root)
+    return order
+
+
+def check_trace(node: TraceNode, cutoff: int) -> list[str]:
+    """Certify a trace: rebuild each node's P-form from its children's, and
+    at the root compare the rebuilt factors with the listed ones, those of
+    `greedy_factorize(node.series, cutoff)`.
+
+    Each node is checked once, children first; the nodes above a failing
+    one are not checked.  Returns one message per failing node, naming its id.
     """
     failures = []
     products: dict[int, PProduct | None] = {}
-
-    def visit(current: TraceNode) -> PProduct | None:
-        if id(current) not in products:
-            children = [visit(child) for child in current.children]
-            products[id(current)] = None
-            if None not in children:
-                try:
-                    products[id(current)] = _rebuild(current, children, cutoff)
-                except (ArithmeticError, KeyError, ValueError) as exc:
-                    where = f"{current.rule} node on m={current.m}"
-                    failures.append(f"{where}: {type(exc).__name__}: {exc}")
-        return products[id(current)]
-
-    visit(node)
+    for i, current in enumerate(unique_nodes(node)):
+        children = [products[id(child)] for child in current.children]
+        products[id(current)] = None
+        if None in children:
+            continue
+        try:
+            product = _rebuild(current, children, cutoff)
+            if current is node:
+                listed = greedy_factorize(node.series, cutoff).factors
+                if product.factors != listed:
+                    raise ValueError("the rebuilt factors are not the listed ones")
+            products[id(current)] = product
+        except (ArithmeticError, KeyError, ValueError) as exc:
+            where = f"node {i} ({current.rule}, m={current.m})"
+            failures.append(f"{where}: {type(exc).__name__}: {exc}")
     return failures
 
 
 def trace_to_doc(node: TraceNode) -> dict:
-    """The trace as a node table: each distinct node once, children first
-    (in k1, k2, l order), with a node's id its position in the list."""
-    ids: dict[int, int] = {}
-    nodes: list[dict] = []
-
-    def visit(current: TraceNode) -> int:
-        if id(current) not in ids:
-            children = [visit(child) for child in current.children]
-            ids[id(current)] = len(nodes)
-            nodes.append(_node_doc(current, children))
-        return ids[id(current)]
-
-    return {"root": visit(node), "nodes": nodes}
+    """The trace as a node table: unique_nodes' list, a node's id its
+    position in it."""
+    nodes = unique_nodes(node)
+    ids = {id(current): i for i, current in enumerate(nodes)}
+    return {
+        "root": len(nodes) - 1,
+        "nodes": [
+            _node_doc(current, [ids[id(child)] for child in current.children])
+            for current in nodes
+        ],
+    }
 
 
 def _node_doc(node: TraceNode, children: list[int]) -> dict:

@@ -371,7 +371,8 @@ def porter_loop_wedge(summands, cutoff: int = DEFAULT_DEGREE) -> PProduct:
     prod_{i in T} (s_i - 1).  That subset sum is 1 - A R with A = prod s_i
     and R = sum 1/s_i - (n-1), the identity 1/P(Omega(X v Y)) =
     1/P(Omega X) + 1/P(Omega Y) - 1 iterated over the summands, so one pass
-    over them builds it: O(n) fraction operations, not 2^n or n^2.
+    over them builds it: O(n) fraction operations, not 2^n or n^2.  The
+    residual's series is 1/(A R), so the whole product's is 1/R.
     """
     summands = list(summands)
     if not summands:
@@ -386,11 +387,9 @@ def porter_loop_wedge(summands, cutoff: int = DEFAULT_DEGREE) -> PProduct:
         total = total * p.series
         reciprocals = reciprocals + 1 / p.series
     residual_cells = GradedSeries.monomial(1) * (1 - total * reciprocals)
-    wedge = SphereWedge(CellSeries(residual_cells))
-    result = hilton_milnor(wedge, cutoff)
-    for p in summands:
-        result = pproduct_mul(result, p)
-    return result
+    residual = hilton_milnor(SphereWedge(CellSeries(residual_cells)), cutoff)
+    factors = _merge_factors(residual.factors, *(p.factors for p in summands))
+    return PProduct(1 / reciprocals, factors, cutoff)
 
 
 def greedy_factorize(s: GradedSeries, cutoff: int = DEFAULT_DEGREE) -> PProduct:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from random import Random
 
-from .complexes import SimplicialComplex, validate_complex
+from .complexes import FlagSkeleton, SimplicialComplex, validate_complex
 
 
 def random_graph_complex(m: int, rng: Random, edge_prob: float = 0.5) -> SimplicialComplex:
@@ -23,7 +23,7 @@ def random_graph_complex(m: int, rng: Random, edge_prob: float = 0.5) -> Simplic
 
 
 def clique_complex(graph: SimplicialComplex) -> SimplicialComplex:
-    adj = graph.adjacency()
+    adj = FlagSkeleton.of(graph).adj
     cliques = [frozenset({v}) for v in graph.vertices()]
     found = set(cliques)
     frontier = list(cliques)
@@ -32,7 +32,7 @@ def clique_complex(graph: SimplicialComplex) -> SimplicialComplex:
         for c in frontier:
             top = max(c)
             for v in range(top + 1, graph.m + 1):
-                if all(u in adj[v] for u in c):
+                if all(adj[v - 1] >> (u - 1) & 1 for u in c):
                     bigger = c | {v}
                     if bigger not in found:
                         found.add(bigger)

@@ -140,10 +140,13 @@ class VertexInfo:
 def neighbors_and_domination(K):
     """Neighbours of each vertex of a SimplicialComplex, and whether the
     vertex is adjacent to all others."""
-    adj = K.adjacency()
+    rows = FlagSkeleton.of(K).adj
     return {
-        v: VertexInfo(frozenset(adj[v]), len(adj[v]) == K.m - 1)
-        for v in K.vertices()
+        v: VertexInfo(
+            frozenset(u for u in K.vertices() if row >> (u - 1) & 1),
+            row.bit_count() == K.m - 1,
+        )
+        for v, row in zip(K.vertices(), rows)
     }
 
 

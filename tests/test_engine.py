@@ -307,7 +307,21 @@ class TestCheckTraceMutations:
         _, trace = decompose_loop(c5(), PairSpec.moment_angle(5))
         trace.series = trace.series * (1 + T)
         assert check_trace(trace, DEFAULT_DEGREE) == [
-            "pushout node on m=5: ValueError: the rebuilt series is not the recorded one"
+            "node 6 (pushout, m=5): ValueError: the rebuilt series is not the recorded one"
+        ]
+
+    def test_lost_factor_fails_at_the_root(self, monkeypatch):
+        # every series still matches: only the root's factor check sees it
+        _, trace = decompose_loop(c5(), PairSpec.moment_angle(5))
+        hilton_milnor = engine.hilton_milnor
+
+        def drop_one(wedge, cutoff):
+            product = hilton_milnor(wedge, cutoff)
+            return PProduct(product.series, product.factors[1:], cutoff)
+
+        monkeypatch.setattr(engine, "hilton_milnor", drop_one)
+        assert check_trace(trace, DEFAULT_DEGREE) == [
+            "node 6 (pushout, m=5): ValueError: the rebuilt factors are not the listed ones"
         ]
 
 

@@ -221,7 +221,6 @@ class TestVerify:
         names = {c.name: c.status for c in report.checks}
         assert names["oracle_series"] == "PASS"
         assert names["trace_identities"] == "PASS"
-        assert names["greedy_round_trip"] == "PASS"
 
     def test_square_uses_known_answer(self):
         report = verify_against_oracle(square(), PairSpec.moment_angle(4))
