@@ -43,6 +43,7 @@ class SimplicialComplex:
 
     def __post_init__(self):
         object.__setattr__(self, "_faces", None)
+        object.__setattr__(self, "_graph", None)
         object.__setattr__(self, "_classification", None)
 
     # -- derived data --------------------------------------------------------
@@ -159,13 +160,17 @@ class FlagSkeleton(NamedTuple):
     def of(cls, K: SimplicialComplex) -> "FlagSkeleton":
         """K's 1-skeleton with k = dim K: the same complex as K exactly when
         K is the k-skeleton of a flag complex, which classify_input tests.
-        Read from the facets: the face closure can be exponentially larger."""
-        rows = [0] * K.m
-        for facet in K.facets:
-            mask = sum(1 << (v - 1) for v in facet)
-            for v in facet:
-                rows[v - 1] |= mask & ~(1 << (v - 1))
-        return cls(tuple(rows), max(K.dim(), 0))
+        Read from the facets: the face closure can be exponentially larger.
+        Built once and kept on K, so classification, the decomposition and
+        the oracle share it."""
+        if K._graph is None:
+            rows = [0] * K.m
+            for facet in K.facets:
+                mask = sum(1 << (v - 1) for v in facet)
+                for v in facet:
+                    rows[v - 1] |= mask & ~(1 << (v - 1))
+            object.__setattr__(K, "_graph", cls(tuple(rows), max(K.dim(), 0)))
+        return K._graph
 
     @property
     def m(self) -> int:
@@ -204,21 +209,17 @@ class FlagSkeleton(NamedTuple):
 
     def facets(self) -> tuple[tuple[int, ...], ...]:
         """Facets in validate_complex's order: the maximal cliques of at most
-        k + 1 vertices and the (k + 1)-subsets of the larger ones.
+        k + 1 vertices and the (k + 1)-subsets of the larger ones."""
+        return _skeleton_facets(self.maximal_cliques(), self.k + 1)
 
-        Maximal cliques come from Bron-Kerbosch with pivoting on bitmasks.
-        """
-        adj, size = self.adj, self.k + 1
-        found = set()
+    def maximal_cliques(self) -> list[int]:
+        """The maximal cliques as vertex masks, by Bron-Kerbosch with pivoting."""
+        adj, found = self.adj, []
 
         def expand(clique, candidates, excluded):
             if not candidates:
                 if not excluded and clique:
-                    members = tuple(i + 1 for i in _indices(clique))
-                    if len(members) > size:
-                        found.update(itertools.combinations(members, size))
-                    else:
-                        found.add(members)
+                    found.append(clique)
                 return
             pivot = max(
                 _indices(candidates | excluded),
@@ -230,7 +231,20 @@ class FlagSkeleton(NamedTuple):
                 excluded |= 1 << u
 
         expand(0, (1 << self.m) - 1, 0)
-        return tuple(sorted(found))
+        return found
+
+
+def _skeleton_facets(cliques, size: int) -> tuple[tuple[int, ...], ...]:
+    """The facets of the (size - 1)-skeleton of a clique complex, from its
+    maximal cliques as masks, in validate_complex's order."""
+    found = set()
+    for clique in cliques:
+        members = tuple(i + 1 for i in _indices(clique))
+        if len(members) > size:
+            found.update(itertools.combinations(members, size))
+        else:
+            found.add(members)
+    return tuple(sorted(found))
 
 
 @dataclass(frozen=True)
@@ -263,18 +277,21 @@ def classify_input(K: SimplicialComplex) -> Classification:
 
     With k = dim K, K is the k-skeleton of a flag complex when its facets
     are those of its graph form, and flag when they are the maximal cliques
-    of its 1-skeleton.  A k-skeleton of the simplex is admissible, so only
-    an admissible K can be one.  The result is kept on K, so the oracle's
-    gate and the decomposition classify it once.
+    of its 1-skeleton: when it is admissible and no maximal clique has more
+    than k + 1 vertices.  Both come from one list of maximal cliques.  A
+    k-skeleton of the simplex is admissible, so only an admissible K can be
+    one.  The result is kept on K, so the oracle's gate and the
+    decomposition classify it once.
     """
     if K._classification is None:
         if K.m == 0:
             raise ValueError("classification needs at least one vertex")
         G = FlagSkeleton.of(K)
-        admissible = G.facets() == K.facets
+        cliques = G.maximal_cliques()
+        admissible = _skeleton_facets(cliques, G.k + 1) == K.facets
         simplex = admissible and G.simplex_skeleton_dim() is not None
         classification = Classification(
-            flag=FlagSkeleton(G.adj, K.m).facets() == K.facets,
+            flag=admissible and max(c.bit_count() for c in cliques) <= G.k + 1,
             k_skeleton_of_flag=G.k if admissible else None,
             skeleton_of_simplex=(K.m, G.k) if simplex else None,
             chordal_1_skeleton=is_chordal(G),

@@ -8,10 +8,18 @@ simplex has u = 1 - c/t for the cells c of its sphere wedge, and a split
 at a non-dominating vertex v into the star side K1, the link L and the
 deletion K2 has u = (1 + a') u_K1 + (1 + a) u_K2 - (1 + a)(1 + a') u_L,
 with a the cells of A_v and 1 + a' the product of the 1 + a_i over K2 - L.
-Only the root is factorised.  `check_trace`, run by `verify`, certifies the
-trace: it rebuilds each node's P-form by the proof's half-smash, join and
-wedge splittings, which check membership in P, and at the root compares the
-rebuilt factors with the listed ones.
+A node with a dominating vertex v is the cone v * L on the rest, when it is
+flag (no clique has more than k + 1 vertices): then (CA,A)^K is
+CA_v x (CA,A)^L, and CA_v is contractible, so u_K = u_L.  The cone rule
+drops every dominating vertex at once, so a pushout's star side costs one
+node, whose child is the link's memo entry.  It fires only under a flag
+root, whose full subcomplexes are all flag with the same k: in a non-flag
+k-skeleton a (k + 1)-clique of the rest is a face but its join with v is
+not, so v * L is not K.  Only the root is factorised.  `check_trace`, run
+by `verify`, certifies the trace: it rebuilds each node's P-form by the
+proof's half-smash, join and wedge splittings, which check membership in
+P, checks each cone's domination and flagness, and at the root compares
+the rebuilt factors with the listed ones.
 """
 
 from __future__ import annotations
@@ -169,12 +177,14 @@ def decompose_loop(
         raise ValueError("pair data must cover all vertices of K")
     if K.m > 1 and classify_input(K).k_skeleton_of_flag is None:
         raise NotFlagSkeleton("K is not the k-skeleton of a flag complex")
-    _, node = _decompose(FlagSkeleton.of(K), pairs, {}, split_vertex)
+    cones = K.m > 1 and classify_input(K).flag
+    _, node = _decompose(FlagSkeleton.of(K), pairs, {}, cones, split_vertex)
     return greedy_factorize(node.series, cutoff), node
 
 
-def _decompose(K: FlagSkeleton, pairs, memo, forced=None):
-    """(u, trace node) for K; u = 1/P does not depend on any cutoff."""
+def _decompose(K: FlagSkeleton, pairs, memo, cones, forced=None):
+    """(u, trace node) for K; u = 1/P does not depend on any cutoff.  The
+    cone rule applies when `cones` is set, which needs a flag root."""
     key = (K.adj, K.k, pairs.key())
     if forced is None and key in memo:
         return memo[key]
@@ -186,17 +196,18 @@ def _decompose(K: FlagSkeleton, pairs, memo, forced=None):
         cells = skeleton_simplex_wedge(K.m, k, pairs).cells.reduced
         u = 1 - GradedSeries(cells.num[1:], cells.den)  # 1 - cells/t
         rule, data = "simplex_skeleton", {"k": k, "vertex_cells": pairs.cells}
+    elif cones and forced is None and len(rest := _non_dominating(K)) < K.m:
+        u, child = _decompose(K.induced(rest), pairs.restrict(rest), memo, cones)
+        rule, data, children = "cone", {"rest_vertices": rest}, [child]
     else:
         # unless forced: the least degree among the non-dominating vertices
         v = forced if forced is not None else min(
-            (row.bit_count(), w)
-            for w, row in enumerate(K.adj, 1)
-            if row.bit_count() < K.m - 1
-        )[1]
+            _non_dominating(K), key=lambda w: (K.adj[w - 1].bit_count(), w)
+        )
         split = pushout_split(K, v)
-        u1, n1 = _decompose(split.k1, pairs.restrict(split.k1_vertices), memo)
-        u2, n2 = _decompose(split.k2, pairs.restrict(split.k2_vertices), memo)
-        ul, nl = _decompose(split.l, pairs.restrict(split.l_vertices), memo)
+        u1, n1 = _decompose(split.k1, pairs.restrict(split.k1_vertices), memo, cones)
+        u2, n2 = _decompose(split.k2, pairs.restrict(split.k2_vertices), memo, cones)
+        ul, nl = _decompose(split.l, pairs.restrict(split.l_vertices), memo, cones)
         a = pairs.vertex(v)
         outside = [w for w in split.k2_vertices if w not in split.l_vertices]
         a_prime = pairs.product_cells(outside).reduced
@@ -217,6 +228,11 @@ def _decompose(K: FlagSkeleton, pairs, memo, forced=None):
     return u, node
 
 
+def _non_dominating(K: FlagSkeleton) -> tuple[int, ...]:
+    """The vertices not adjacent to every other vertex, ascending."""
+    return tuple(w for w, row in enumerate(K.adj, 1) if row.bit_count() < K.m - 1)
+
+
 # --------------------------------------------------------------------------
 # trace checking and serialization
 
@@ -229,6 +245,19 @@ def _rebuild(node: TraceNode, children: list[PProduct], cutoff: int) -> PProduct
     elif node.rule == "simplex_skeleton":
         wedge = skeleton_simplex_wedge(node.m, data["k"], PairSpec(data["vertex_cells"]))
         product = hilton_milnor(wedge, cutoff)
+    elif node.rule == "cone":
+        rest, graph = data["rest_vertices"], node.graph
+        removed = set(range(1, node.m + 1)).difference(rest)
+        if not removed or len(removed) + len(rest) != node.m:
+            raise ValueError("the rest is not a proper subset of the vertices")
+        if any(graph.adj[w - 1].bit_count() != node.m - 1 for w in removed):
+            raise ValueError("a removed vertex does not dominate")
+        largest = max(c.bit_count() for c in graph.maximal_cliques())
+        if largest > graph.k + 1:
+            raise ValueError(f"the node is not flag: it has a clique of {largest} vertices")
+        if [child.m for child in node.children] != [len(rest)]:
+            raise ValueError("the child does not match the rest's vertex set")
+        (product,) = children
     elif node.rule == "pushout":
         sizes = tuple(len(data[f"{side}_vertices"]) for side in ("k1", "k2", "l"))
         if tuple(child.m for child in node.children) != sizes:

@@ -195,6 +195,8 @@ class GradedSeries:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den == other.den == (1,):
+            return GradedSeries(poly_add(self.num, other.num))
         num = poly_add(poly_mul(self.num, other.den), poly_mul(other.num, self.den))
         return GradedSeries(num, poly_mul(self.den, other.den))
 

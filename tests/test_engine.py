@@ -232,6 +232,49 @@ class TestDecompose:
         assert seen >= 4
 
 
+class TestConeRule:
+    """A flag node with a dominating vertex v is the cone v * L: u_K = u_L."""
+
+    def test_cone_has_the_links_answer(self):
+        # the cone on the pentagon, as a flag complex: v = 6 joins each edge
+        pentagon = [[i, i % 5 + 1] for i in range(1, 6)]
+        K = validate_complex([edge + [6] for edge in pentagon], 6)
+        product, trace = decompose_loop(K, PairSpec.moment_angle(6))
+        link, _ = decompose_loop(c5(), PairSpec.moment_angle(5))
+        assert trace.rule == "cone"
+        assert trace.data == {"rest_vertices": (1, 2, 3, 4, 5)}
+        assert (product.factors, product.series) == (link.factors, link.series)
+        assert check_trace(trace, DEFAULT_DEGREE) == []
+
+    def test_star_costs_one_node(self):
+        # C5's star side is the cone on its link, which is the memo's entry
+        _, trace = decompose_loop(c5(), PairSpec.moment_angle(5))
+        k1, _, link = trace.children
+        assert k1.rule == "cone" and k1.children == [link]
+
+    def test_not_on_a_non_flag_skeleton(self):
+        # the 1-skeleton of v * (triangle + point): v = 1 dominates, but the
+        # 2-simplex {2, 3, 4} of the link is not a face, so K is no cone
+        edges = [[1, 2], [1, 3], [1, 4], [1, 5], [2, 3], [2, 4], [3, 4]]
+        K = validate_complex(edges, 5)
+        pairs = PairSpec.moment_angle(5)
+        base, trace = decompose_loop(K, pairs)
+        assert all(node.rule != "cone" for node in engine.unique_nodes(trace))
+        assert check_trace(trace, DEFAULT_DEGREE) == []
+        for v in range(2, 6):
+            alt, alt_trace = decompose_loop(K, pairs, split_vertex=v)
+            assert (alt.factors, alt.series) == (base.factors, base.series), v
+            assert check_trace(alt_trace, DEFAULT_DEGREE) == []
+        link = validate_complex([[1, 2], [1, 3], [2, 3], [4]], 4)
+        assert decompose_loop(link, PairSpec.moment_angle(4))[0].series != base.series
+
+    def test_forced_split_is_a_pushout(self):
+        K = validate_complex([[1, 2, 6], [2, 3, 6], [3, 4, 6], [4, 5, 6], [1, 5, 6]], 6)
+        _, trace = decompose_loop(K, PairSpec.moment_angle(6), split_vertex=1)
+        assert trace.rule == "pushout"
+        assert check_trace(trace, DEFAULT_DEGREE) == []
+
+
 class TestRootOnlyFactorisation:
     def test_one_factorisation_and_no_proof_steps(self, monkeypatch):
         calls = {}
@@ -303,6 +346,55 @@ class TestCheckTraceMutations:
         node.data["a_prime_cells"] = node.data["a_prime_cells"] + GradedSeries.monomial(j)
         assert check_trace(mutated, 12)
 
+    @settings(max_examples=30, deadline=None)
+    @given(graph_and_k(max_m=8), st.integers(1, 12), st.randoms(use_true_random=False))
+    @example((5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)], 1), 3, Random(0))
+    def test_cone_mutations_are_rejected(self, graph, j, rng):
+        m, edges, _ = graph
+        K = validate_complex(clique_faces(m, edges, m), m)  # flag
+        _, trace = decompose_loop(K, PairSpec.moment_angle(m), 12)
+        cones = [i for i, n in enumerate(engine.unique_nodes(trace)) if n.rule == "cone"]
+        if not cones:
+            return
+        index = rng.choice(cones)
+        _, point = decompose_loop(validate_complex([[1]], 1), PairSpec.moment_angle(1))
+
+        def fails(mutate, message):
+            mutated = copy.deepcopy(trace)
+            node = engine.unique_nodes(mutated)[index]
+            mutate(node)
+            # a new child moves the ids
+            i = next(i for i, n in enumerate(engine.unique_nodes(mutated)) if n is node)
+            assert check_trace(mutated, 12) == [f"node {i} (cone, m={node.m}): ValueError: {message}"]
+
+        def drop_an_edge(node):
+            rest = node.data["rest_vertices"]
+            w = rng.choice([v for v in range(1, node.m + 1) if v not in rest])
+            x = rng.choice([v for v in range(1, node.m + 1) if v != w])
+            adj = list(node.graph.adj)
+            adj[w - 1] &= ~(1 << (x - 1))
+            adj[x - 1] &= ~(1 << (w - 1))
+            node.graph = FlagSkeleton(tuple(adj), node.graph.k)
+
+        def lower_k(node):
+            # below the clique number, so some clique is not a face
+            node.graph = FlagSkeleton(node.graph.adj, clique_number(node) - 2)
+
+        def clique_number(node):
+            return max(map(len, clique_faces(node.m, node.graph.edges(), node.m)))
+
+        def multiply_series(node):
+            node.series = node.series * (1 + GradedSeries.monomial(j))
+
+        fails(drop_an_edge, "a removed vertex does not dominate")
+        node = engine.unique_nodes(trace)[index]
+        fails(lower_k, f"the node is not flag: it has a clique of {clique_number(node)} vertices")
+        fails(
+            lambda node: setattr(node, "children", [point]),
+            "the child does not match the rest's vertex set",
+        )
+        fails(multiply_series, "the rebuilt series is not the recorded one")
+
     def test_failure_names_the_node(self):
         _, trace = decompose_loop(c5(), PairSpec.moment_angle(5))
         trace.series = trace.series * (1 + T)
@@ -363,12 +455,7 @@ class TestTraceTable:
         )
         calls = {"all": 0, "classifying": 0}
         classifying = [False]
-        facets, classify = FlagSkeleton.facets, engine.classify_input
-
-        def counted_facets(self):
-            calls["all"] += 1
-            calls["classifying"] += classifying[0]
-            return facets(self)
+        classify = engine.classify_input
 
         def flagged_classify(complex_):
             classifying[0] = True
@@ -377,11 +464,20 @@ class TestTraceTable:
             finally:
                 classifying[0] = False
 
-        monkeypatch.setattr(FlagSkeleton, "facets", counted_facets)
+        maximal_cliques = FlagSkeleton.maximal_cliques
+
+        def counted_cliques(self):
+            calls["all"] += 1
+            calls["classifying"] += classifying[0]
+            return maximal_cliques(self)
+
+        # the one clique search, which check_trace's cone test also runs
+        monkeypatch.setattr(FlagSkeleton, "maximal_cliques", counted_cliques)
         monkeypatch.setattr(engine, "classify_input", flagged_classify)
         _, trace = decompose_loop(K, PairSpec.moment_angle(12))
-        assert len(_unique_nodes(trace)) > 20
-        assert 0 < calls["all"] == calls["classifying"]
+        # a recursion of many steps; cone nodes keep it at 16
+        assert len(_unique_nodes(trace)) >= 16
+        assert 0 < calls["all"] == calls["classifying"] == 1
 
 
 class TestGeneralPair:
