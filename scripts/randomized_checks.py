@@ -17,20 +17,30 @@ from loopdecomp.randomgen import (
 
 
 def sweep_engine(count, rng, cutoff):
+    """Decompose and certify random flag skeleta, the pairs rotating through
+    moment-angle, disks:3 and seeded suspension dims that differ by vertex,
+    where the certificate's derived cells differ by vertex too."""
     checked = oracle_hits = 0
-    for _ in range(count):
+    for i in range(count):
         K = random_flag_skeleton(rng.randint(2, 7), rng)
-        product, trace = decompose_loop(K, PairSpec.moment_angle(K.m), cutoff)
+        if i % 3 == 0:
+            pairs = PairSpec.moment_angle(K.m)
+        elif i % 3 == 1:
+            pairs = PairSpec.disks(3, K.m)
+        else:
+            pairs = PairSpec.from_suspension_dims([[rng.randint(2, 4)] for _ in range(K.m)])
+        product, trace = decompose_loop(K, pairs, cutoff)
         assert check_trace(trace, cutoff) == []
         assert greedy_factorize(product.series, cutoff).factors == product.factors
+        checked += 1
+        if not pairs.is_moment_angle():
+            continue
         try:
             predicted = predicted_loop_series(K)
         except NotApplicable:
-            pass
-        else:
-            assert product.series.expand(cutoff) == predicted.expand(cutoff)
-            oracle_hits += 1
-        checked += 1
+            continue
+        assert product.series.expand(cutoff) == predicted.expand(cutoff)
+        oracle_hits += 1
     return checked, oracle_hits
 
 
@@ -65,7 +75,8 @@ def main():
     start = time.monotonic()
     checked, oracle_hits = sweep_engine(args.complexes, rng, args.cutoff)
     print(
-        f"engine sweep: {checked} random flag skeleta decomposed, traces exact, "
+        f"engine sweep: {checked} random flag skeleta decomposed under three kinds "
+        f"of pairs, traces exact, "
         f"{oracle_hits} with independent homology confirmation"
     )
     chordal = sweep_chordal(args.complexes // 2, rng, args.cutoff)

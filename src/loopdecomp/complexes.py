@@ -321,6 +321,7 @@ class PushoutSplit:
     The vertex tuples map local indices (position + 1) back to K's labels.
     """
 
+    vertex: int
     k1: FlagSkeleton
     l: FlagSkeleton
     k2: FlagSkeleton
@@ -339,4 +340,4 @@ def pushout_split(K: FlagSkeleton, v: int) -> PushoutSplit:
     nbrs = tuple(u + 1 for u in _indices(row))
     s1 = tuple(sorted((v, *nbrs)))
     s2 = tuple(u for u in range(1, K.m + 1) if u != v)
-    return PushoutSplit(K.induced(s1), K.induced(nbrs), K.induced(s2), s1, nbrs, s2)
+    return PushoutSplit(v, K.induced(s1), K.induced(nbrs), K.induced(s2), s1, nbrs, s2)

@@ -15,11 +15,13 @@ drops every dominating vertex at once, so a pushout's star side costs one
 node, whose child is the link's memo entry.  It fires only under a flag
 root, whose full subcomplexes are all flag with the same k: in a non-flag
 k-skeleton a (k + 1)-clique of the rest is a face but its join with v is
-not, so v * L is not K.  Only the root is factorised.  `check_trace`, run
-by `verify`, certifies the trace: it rebuilds each node's P-form by the
-proof's half-smash, join and wedge splittings, which check membership in
-P, checks each cone's domination and flagness, and at the root compares
-the rebuilt factors with the listed ones.
+not, so v * L is not K.  Only the root is factorised.  The trace records
+choices only: each node's rule, a pushout's vertex, the series and the
+children.  `_pieces` and `_pushout_cells` derive the rest, for the recursion
+and for `check_trace`, run by `verify`: it checks each rule's precondition
+and that the children are the pieces it derives, rebuilds each P-form by
+the proof's splittings, which check membership in P, and at the root
+compares the rebuilt factors with the listed ones.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .homotopy import (
     porter_loop_wedge,
     pproduct_mul,
 )
-from .series import DEFAULT_DEGREE, GradedSeries
+from .series import DEFAULT_DEGREE, GradedSeries, poly_add, poly_mul, poly_neg
 
 
 class NotFlagSkeleton(ValueError):
@@ -98,10 +100,6 @@ class PairSpec:
             cells.append(total)
         return cls(tuple(cells))
 
-    @classmethod
-    def from_cells(cls, cells) -> "PairSpec":
-        return cls(tuple(cells))
-
     def is_moment_angle(self) -> bool:
         return all(s == _T for s in self.cells)
 
@@ -109,14 +107,10 @@ class PairSpec:
         return self.cells[v - 1]
 
     def restrict(self, vertices) -> "PairSpec":
-        return PairSpec(tuple(self.cells[v - 1] for v in vertices))
-
-    def product_cells(self, vertices) -> CellSeries:
-        """Reduced series of the product of the A_i over the given vertices."""
-        total = GradedSeries.one()
-        for v in vertices:
-            total = total * (self.cells[v - 1] + 1)
-        return CellSeries(total - 1)
+        """The pairs on the vertices, relabelled 1..len: this spec's cells, unchecked."""
+        spec = object.__new__(PairSpec)
+        object.__setattr__(spec, "cells", tuple(self.cells[v - 1] for v in vertices))
+        return spec
 
     def key(self):
         return tuple((s.num, s.den) for s in self.cells)
@@ -124,13 +118,14 @@ class PairSpec:
 
 @dataclass
 class TraceNode:
-    """One derivation step: which rule fired, on what, with what series."""
+    """One derivation step: a rule on a graph and its pairs, a pushout's
+    vertex, the series, and the children, the pieces the rule derives."""
 
     rule: str
     graph: FlagSkeleton
+    pairs: PairSpec
     series: GradedSeries
     vertex: int | None = None
-    data: dict = field(default_factory=dict)
     children: list["TraceNode"] = field(default_factory=list)
 
     @property
@@ -146,6 +141,10 @@ def skeleton_simplex_wedge(m: int, k: int, pairs: PairSpec) -> SphereWedge:
     symmetric polynomials in the vertex series, built by the usual DP.
     The full simplex (k = m-1) gives the empty wedge.
     """
+    return SphereWedge(CellSeries(_skeleton_cells(m, k, pairs)))
+
+
+def _skeleton_cells(m: int, k: int, pairs: PairSpec) -> GradedSeries:
     if not 0 <= k <= m - 1:
         raise ValueError("need 0 <= k <= m-1")
     if pairs.m != m:
@@ -157,7 +156,7 @@ def skeleton_simplex_wedge(m: int, k: int, pairs: PairSpec) -> SphereWedge:
     cells = GradedSeries.zero()
     for j in range(k + 2, m + 1):
         cells = cells + comb(j - 1, k + 1) * elementary[j]
-    return SphereWedge(CellSeries(GradedSeries.monomial(k + 1) * cells))
+    return GradedSeries.monomial(k + 1) * cells
 
 
 def decompose_loop(
@@ -182,50 +181,55 @@ def decompose_loop(
     return greedy_factorize(node.series, cutoff), node
 
 
-def _decompose(K: FlagSkeleton, pairs, memo, cones, forced=None):
+def _decompose(K: FlagSkeleton, pairs: PairSpec, memo, cones, forced=None):
     """(u, trace node) for K; u = 1/P does not depend on any cutoff.  The
     cone rule applies when `cones` is set, which needs a flag root."""
     key = (K.adj, K.k, pairs.key())
     if forced is None and key in memo:
         return memo[key]
 
-    rule, v, data, children = "contractible", None, {}, []
+    rule, v, children = "contractible", None, []
     if K.m <= 1:
         u = GradedSeries.one()
     elif (k := K.simplex_skeleton_dim()) is not None:
-        cells = skeleton_simplex_wedge(K.m, k, pairs).cells.reduced
+        cells = _skeleton_cells(K.m, k, pairs)
         u = 1 - GradedSeries(cells.num[1:], cells.den)  # 1 - cells/t
-        rule, data = "simplex_skeleton", {"k": k, "vertex_cells": pairs.cells}
+        rule = "simplex_skeleton"
     elif cones and forced is None and len(rest := _non_dominating(K)) < K.m:
         u, child = _decompose(K.induced(rest), pairs.restrict(rest), memo, cones)
-        rule, data, children = "cone", {"rest_vertices": rest}, [child]
+        rule, children = "cone", [child]
     else:
         # unless forced: the least degree among the non-dominating vertices
         v = forced if forced is not None else min(
             _non_dominating(K), key=lambda w: (K.adj[w - 1].bit_count(), w)
         )
         split = pushout_split(K, v)
-        u1, n1 = _decompose(split.k1, pairs.restrict(split.k1_vertices), memo, cones)
-        u2, n2 = _decompose(split.k2, pairs.restrict(split.k2_vertices), memo, cones)
-        ul, nl = _decompose(split.l, pairs.restrict(split.l_vertices), memo, cones)
-        a = pairs.vertex(v)
-        outside = [w for w in split.k2_vertices if w not in split.l_vertices]
-        a_prime = pairs.product_cells(outside).reduced
+        (u1, n1), (u2, n2), (ul, nl) = (
+            _decompose(graph, pairs.restrict(vertices), memo, cones)
+            for graph, vertices in _pieces(split)
+        )
+        a, a_prime = _pushout_cells(split, pairs)
         u = (1 + a_prime) * u1 + (1 + a) * u2 - (1 + a) * (1 + a_prime) * ul
         rule, children = "pushout", [n1, n2, nl]
-        data = {
-            "k1_vertices": split.k1_vertices,
-            "l_vertices": split.l_vertices,
-            "k2_vertices": split.k2_vertices,
-            "l_empty": split.l.m == 0,
-            "a_cells": a,
-            "a_prime_cells": a_prime,
-        }
 
-    node = TraceNode(rule, K, 1 / u, v, data, children)
+    node = TraceNode(rule, K, pairs, 1 / u, v, children)
     if forced is None:
         memo[key] = (u, node)
     return u, node
+
+
+def _pieces(split):
+    """(graph, vertices) of the star side, the deletion and the link."""
+    graphs = (split.k1, split.k2, split.l)
+    return list(zip(graphs, (split.k1_vertices, split.k2_vertices, split.l_vertices)))
+
+
+def _pushout_cells(split, pairs: PairSpec) -> tuple[GradedSeries, GradedSeries]:
+    """a, A_v's cells, and a' = prod (n_w + d_w) / prod d_w - 1 over K2 - L, a_w = n_w/d_w."""
+    num = den = (1,)
+    for c in (pairs.vertex(w) for w in split.k2_vertices if w not in split.l_vertices):
+        num, den = poly_mul(num, poly_add(c.num, c.den)), poly_mul(den, c.den)
+    return pairs.vertex(split.vertex), GradedSeries(poly_add(num, poly_neg(den)), den)
 
 
 def _non_dominating(K: FlagSkeleton) -> tuple[int, ...]:
@@ -238,41 +242,53 @@ def _non_dominating(K: FlagSkeleton) -> tuple[int, ...]:
 
 
 def _rebuild(node: TraceNode, children: list[PProduct], cutoff: int) -> PProduct:
-    """A node's P-form from its children's; each step checks membership in P."""
-    data = node.data
-    if node.rule == "contractible":
+    """A node's P-form from its children's, which must be the pieces its
+    rule derives from its graph; each step checks membership in P."""
+    graph, pairs, rule = node.graph, node.pairs, node.rule
+    if (node.vertex is not None) != (rule == "pushout"):
+        raise ValueError("a pushout, and only a pushout, has a vertex")
+    if rule == "contractible":
+        if node.m > 1:
+            raise ValueError(f"a contractible node has {node.m} vertices")
+        _check_children(node, [])
         product = PProduct.trivial(cutoff)
-    elif node.rule == "simplex_skeleton":
-        wedge = skeleton_simplex_wedge(node.m, data["k"], PairSpec(data["vertex_cells"]))
-        product = hilton_milnor(wedge, cutoff)
-    elif node.rule == "cone":
-        rest, graph = data["rest_vertices"], node.graph
-        removed = set(range(1, node.m + 1)).difference(rest)
-        if not removed or len(removed) + len(rest) != node.m:
-            raise ValueError("the rest is not a proper subset of the vertices")
-        if any(graph.adj[w - 1].bit_count() != node.m - 1 for w in removed):
-            raise ValueError("a removed vertex does not dominate")
+    elif rule == "simplex_skeleton":
+        if (k := graph.simplex_skeleton_dim()) is None:
+            raise ValueError("the graph is not a skeleton of a simplex")
+        _check_children(node, [])
+        product = hilton_milnor(skeleton_simplex_wedge(node.m, k, pairs), cutoff)
+    elif rule == "cone":
+        rest = _non_dominating(graph)
+        if len(rest) == node.m:
+            raise ValueError("no vertex dominates")
         largest = max(c.bit_count() for c in graph.maximal_cliques())
         if largest > graph.k + 1:
             raise ValueError(f"the node is not flag: it has a clique of {largest} vertices")
-        if [child.m for child in node.children] != [len(rest)]:
-            raise ValueError("the child does not match the rest's vertex set")
+        _check_children(node, [(graph.induced(rest), rest)])
         (product,) = children
-    elif node.rule == "pushout":
-        sizes = tuple(len(data[f"{side}_vertices"]) for side in ("k1", "k2", "l"))
-        if tuple(child.m for child in node.children) != sizes:
-            raise ValueError("children do not match the split's vertex sets")
+    elif rule == "pushout":
+        split = pushout_split(graph, node.vertex)
+        _check_children(node, _pieces(split))
         p1, p2, pl = children
-        a, a_prime = CellSeries(data["a_cells"]), CellSeries(data["a_prime_cells"])
+        a, a_prime = (CellSeries(cells) for cells in _pushout_cells(split, pairs))
         s_join = hilton_milnor(join_cells(a, a_prime), cutoff)
         s_g = loop_half_smash(a_prime, divide_products(p1, pl))
         s_h = loop_half_smash(a, divide_products(p2, pl))
         product = pproduct_mul(pl, porter_loop_wedge([s_join, s_g, s_h], cutoff))
     else:
-        raise ValueError(f"unknown trace rule {node.rule!r}")
+        raise ValueError(f"unknown trace rule {rule!r}")
     if product.series != node.series:
         raise ValueError("the rebuilt series is not the recorded one")
     return product
+
+
+def _check_children(node: TraceNode, pieces) -> None:
+    """Each child must be its (graph, vertices) piece, with the pairs restricted."""
+    if len(node.children) != len(pieces):
+        raise ValueError(f"the rule derives {len(pieces)} children, not {len(node.children)}")
+    for j, (child, (graph, vertices)) in enumerate(zip(node.children, pieces)):
+        if child.graph != graph or child.pairs.key() != node.pairs.restrict(vertices).key():
+            raise ValueError(f"child {j} is not the piece the rule derives")
 
 
 def unique_nodes(root: TraceNode) -> list[TraceNode]:
@@ -293,9 +309,10 @@ def unique_nodes(root: TraceNode) -> list[TraceNode]:
 
 
 def check_trace(node: TraceNode, cutoff: int) -> list[str]:
-    """Certify a trace: rebuild each node's P-form from its children's, and
-    at the root compare the rebuilt factors with the listed ones, those of
-    `greedy_factorize(node.series, cutoff)`.
+    """Certify a trace: check each node's rule and children against its
+    graph and pairs, rebuild its P-form from its children's, and at the root
+    compare the rebuilt factors with those of `greedy_factorize(node.series,
+    cutoff)`, the listed ones.
 
     Each node is checked once, children first; the nodes above a failing
     one are not checked.  Returns one message per failing node, naming its id.
@@ -314,7 +331,7 @@ def check_trace(node: TraceNode, cutoff: int) -> list[str]:
                 if product.factors != listed:
                     raise ValueError("the rebuilt factors are not the listed ones")
             products[id(current)] = product
-        except (ArithmeticError, KeyError, ValueError) as exc:
+        except (ArithmeticError, LookupError, ValueError) as exc:
             where = f"node {i} ({current.rule}, m={current.m})"
             failures.append(f"{where}: {type(exc).__name__}: {exc}")
     return failures
@@ -322,38 +339,20 @@ def check_trace(node: TraceNode, cutoff: int) -> list[str]:
 
 def trace_to_doc(node: TraceNode) -> dict:
     """The trace as a node table: unique_nodes' list, a node's id its
-    position in it."""
+    position in it.  Only the root has its graph: the others' follow from
+    it by the rules, as check_trace derives them."""
     nodes = unique_nodes(node)
     ids = {id(current): i for i, current in enumerate(nodes)}
-    return {
-        "root": len(nodes) - 1,
-        "nodes": [
-            _node_doc(current, [ids[id(child)] for child in current.children])
-            for current in nodes
-        ],
-    }
-
-
-def _node_doc(node: TraceNode, children: list[int]) -> dict:
-    graph = node.graph
-    doc = {
-        "rule": node.rule,
-        "graph": {"m": graph.m, "k": graph.k, "edges": [list(e) for e in graph.edges()]},
-        "series": _doc_value(node.series),
-    }
-    if node.vertex is not None:
-        doc["vertex"] = node.vertex
-    if node.data:
-        doc["data"] = {k: _doc_value(v) for k, v in node.data.items()}
-    if children:
-        doc["children"] = children
-    return doc
-
-
-def _doc_value(value):
-    if isinstance(value, GradedSeries):
-        num, den = value.to_pair()
-        return {"num": num, "den": den}
-    if isinstance(value, tuple):
-        return [_doc_value(v) for v in value]
-    return value
+    docs = []
+    for current in nodes:
+        num, den = current.series.to_pair()
+        doc = {"rule": current.rule, "series": {"num": num, "den": den}}
+        if current is node:
+            edges = [list(e) for e in node.graph.edges()]
+            doc["graph"] = {"m": node.m, "k": node.graph.k, "edges": edges}
+        if current.vertex is not None:
+            doc["vertex"] = current.vertex
+        if current.children:
+            doc["children"] = [ids[id(child)] for child in current.children]
+        docs.append(doc)
+    return {"root": len(nodes) - 1, "nodes": docs}

@@ -60,13 +60,6 @@ class CellSeries:
         if any(c < 0 for c in coeffs):
             raise ValueError("reduced series must be non-negative")
 
-    def is_trivial(self) -> bool:
-        return self.reduced.is_zero()
-
-    @classmethod
-    def trivial(cls) -> "CellSeries":
-        return cls(GradedSeries.zero())
-
 
 @dataclass(frozen=True)
 class SphereWedge:
@@ -78,20 +71,6 @@ class SphereWedge:
         order = self.cells.reduced.order()
         if order is not None and order < 2:
             raise NotSimplyConnectedOutput(f"wedge has cells in degree {order}")
-
-    def is_trivial(self) -> bool:
-        return self.cells.is_trivial()
-
-    @classmethod
-    def trivial(cls) -> "SphereWedge":
-        return cls(CellSeries.trivial())
-
-    @classmethod
-    def from_dims(cls, dims) -> "SphereWedge":
-        total = GradedSeries.zero()
-        for d in dims:
-            total = total + GradedSeries.monomial(d)
-        return cls(CellSeries(total))
 
 
 @dataclass(frozen=True, order=True)
@@ -120,11 +99,6 @@ class PFactor:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "bottom", bottom)
-
-    def poincare(self) -> GradedSeries:
-        if self.kind == "sphere":
-            return GradedSeries.monomial(self.dim) + 1
-        return GradedSeries.geometric(self.dim - 1)
 
     def label(self) -> str:
         return f"S^{self.dim}" if self.kind == "sphere" else f"OmegaS^{self.dim}"
@@ -181,32 +155,6 @@ class PProduct:
     def trivial(cls, cutoff: int = DEFAULT_DEGREE) -> "PProduct":
         return cls(GradedSeries.one(), (), cutoff)
 
-    @classmethod
-    def from_factors(cls, factors, cutoff: int = DEFAULT_DEGREE) -> "PProduct":
-        """Exact product of explicitly listed factors (all bottoms <= cutoff)."""
-        merged = _merge_factors(factors)
-        series = GradedSeries.one()
-        for factor, mult in merged:
-            fs = factor.poincare()
-            for _ in range(mult):
-                series = series * fs
-        return cls(series, merged, cutoff)
-
-    def check_canonical(self) -> None:
-        """Raise NotCanonicalP unless the listed factors are the factorisation
-        of the series through the cutoff.
-
-        The series is re-factorised by the power-sum divisor sweep of
-        `_bottom_counts`; since that factorisation is unique, it must give
-        exactly the listed factors, with no negative exponent.
-        """
-        counts = _bottom_counts(self.series, self.cutoff, spheres=True)
-        if tuple(_canonical_factors(counts)) != self.factors:
-            raise NotCanonicalP("series does not match listed factors below cutoff")
-
-    def multiplicity(self, factor: PFactor) -> int:
-        return dict(self.factors).get(factor, 0)
-
     def to_doc(self) -> dict:
         num, den = self.series.to_pair()
         return {
@@ -216,15 +164,6 @@ class PProduct:
             "series": {"num": num, "den": den},
             "cutoff": self.cutoff,
         }
-
-    @classmethod
-    def from_doc(cls, doc) -> "PProduct":
-        factors = tuple(
-            (PFactor(entry["kind"], entry["dim"]), entry["mult"])
-            for entry in doc["factors"]
-        )
-        series = GradedSeries.from_pair((doc["series"]["num"], doc["series"]["den"]))
-        return cls(series, factors, doc["cutoff"])
 
 
 def _bottom_counts(s: GradedSeries, degree: int, spheres: bool) -> list[int]:

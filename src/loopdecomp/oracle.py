@@ -230,8 +230,8 @@ def verify_against_oracle(
     K: SimplicialComplex, pairs: PairSpec, cutoff: int = 20
 ) -> VerificationReport:
     """Run the engine and re-check it: the trace certificate, which also
-    checks the listed factors, and (when applicable) the independent
-    homology prediction."""
+    checks the listed factors, against a root that must be K with the
+    pairs, and (when applicable) the independent homology prediction."""
     checks: list[CheckResult] = []
     wedge = pairs.is_moment_angle() and _wedge_obstruction(K) is None
     if wedge:
@@ -256,12 +256,16 @@ def verify_against_oracle(
         )
     )
 
-    failures = check_trace(trace, cutoff)
+    # the certificate derives every node from the root: it must be K and the pairs
+    nodes, failures = len(unique_nodes(trace)), check_trace(trace, cutoff)
+    if trace.graph != FlagSkeleton.of(K) or trace.pairs.key() != pairs.key():
+        root = f"node {nodes - 1} ({trace.rule}, m={trace.m})"
+        failures.append(f"{root}: the root is not the complex and pairs asked")
     checks.append(
         CheckResult(
             "trace_identities",
             "PASS" if not failures else "FAIL",
-            "; ".join(failures) if failures else f"all {len(unique_nodes(trace))} nodes exact",
+            "; ".join(failures) if failures else f"all {nodes} nodes exact",
         )
     )
 

@@ -255,8 +255,3 @@ class GradedSeries:
     def to_pair(self) -> tuple[list[int], list[int]]:
         return (list(self.num) or [0], list(self.den))
 
-    @classmethod
-    def from_pair(cls, pair) -> "GradedSeries":
-        num, den = pair
-        return cls(tuple(num), tuple(den))
-

@@ -13,13 +13,16 @@ from random import Random
 
 from hypothesis import strategies as st
 
-from loopdecomp.complexes import FlagSkeleton
+from loopdecomp.complexes import FlagSkeleton, pushout_split
+from loopdecomp import engine
 from loopdecomp.engine import PairSpec, decompose_loop
 from loopdecomp.homotopy import (
     CellSeries,
+    NotCanonicalP,
     PFactor,
     PProduct,
     SphereWedge,
+    greedy_factorize,
     loop_sphere,
     pproduct_mul,
     sphere,
@@ -172,24 +175,71 @@ def clique_faces(m, edges, k):
     ]
 
 
-def expand_trace(table):
+def expand_trace(table, pairs):
     """The tree form of a `trace_to_doc` node table: each node written out
-    under every parent, with its complex as {"m", "facets"} in place of its
-    graph.  This is the trace document of the tree writer it replaced."""
+    under every parent, with its complex as {"m", "facets"} and the rule's
+    inputs as `data`.  Both are derived from the root's graph and the pairs
+    by the rules, as `check_trace` derives them.  This is the trace document
+    of the tree writer the table replaced, which recorded them per node."""
+    nodes, root = table["nodes"], table["root"]
+    graph = nodes[root]["graph"]
+    adj = [0] * graph["m"]
+    for a, b in graph["edges"]:
+        adj[a - 1] |= 1 << (b - 1)
+        adj[b - 1] |= 1 << (a - 1)
+    derived = {root: (FlagSkeleton(tuple(adj), graph["k"]), pairs.cells)}
+    data = {}
+    for i in range(root, -1, -1):  # every parent has a larger id than its children
+        graph, cells = derived[i]
+        pieces, data[i] = _rule_inputs(nodes[i], graph, cells)
+        for child, (piece, vertices) in zip(nodes[i].get("children", []), pieces):
+            derived.setdefault(child, (piece, tuple(cells[v - 1] for v in vertices)))
     trees = {}
-    for i, node in enumerate(table["nodes"]):
-        graph = node["graph"]
-        adj = [0] * graph["m"]
-        for a, b in graph["edges"]:
-            adj[a - 1] |= 1 << (b - 1)
-            adj[b - 1] |= 1 << (a - 1)
-        facets = FlagSkeleton(tuple(adj), graph["k"]).facets()
-        tree = {"rule": node["rule"], "complex": {"m": graph["m"], "facets": facets}}
-        tree.update((key, value) for key, value in node.items() if key not in ("rule", "graph"))
+    for i, node in enumerate(nodes):
+        graph = derived[i][0]
+        tree = {"rule": node["rule"], "complex": {"m": graph.m, "facets": graph.facets()}}
+        tree["series"] = node["series"]
+        if "vertex" in node:
+            tree["vertex"] = node["vertex"]
+        if data[i]:
+            tree["data"] = data[i]
         if "children" in node:
             tree["children"] = [trees[child] for child in node["children"]]
         trees[i] = tree
-    return trees[table["root"]]
+    return trees[root]
+
+
+def _series_doc(s):
+    num, den = s.to_pair()
+    return {"num": num, "den": den}
+
+
+def _rule_inputs(node, graph, cells):
+    """The pieces a node's rule derives, as (graph, vertices), and the data
+    the tree writer recorded for it, in its key order."""
+    rule, m = node["rule"], graph.m
+    if rule == "simplex_skeleton":
+        k = graph.simplex_skeleton_dim()
+        return [], {"k": k, "vertex_cells": [_series_doc(c) for c in cells]}
+    if rule == "cone":
+        rest = tuple(v for v in range(1, m + 1) if graph.adj[v - 1].bit_count() < m - 1)
+        return [(graph.induced(rest), rest)], {"rest_vertices": list(rest)}
+    if rule == "pushout":
+        v = node["vertex"]
+        split = pushout_split(graph, v)
+        a_prime = GradedSeries.one()
+        for w in split.k2_vertices:
+            if w not in split.l_vertices:
+                a_prime = a_prime * (cells[w - 1] + 1)
+        return engine._pieces(split), {
+            "k1_vertices": list(split.k1_vertices),
+            "l_vertices": list(split.l_vertices),
+            "k2_vertices": list(split.k2_vertices),
+            "l_empty": split.l.m == 0,
+            "a_cells": _series_doc(cells[v - 1]),
+            "a_prime_cells": _series_doc(a_prime - 1),
+        }
+    return [], {}
 
 
 def tuple_face_homology(K):
@@ -241,7 +291,7 @@ def random_canonical_factors(rng, max_bottom=15):
 
 
 def random_canonical_product(rng, cutoff=15):
-    return PProduct.from_factors(random_canonical_factors(rng, cutoff), cutoff)
+    return product_of(random_canonical_factors(rng, cutoff), cutoff)
 
 
 def verify_column_fixed(a, x):
@@ -314,4 +364,58 @@ def cp_pair_fiber_cells(n, m):
 
 def cp_fiber_pairs(pairs_spec):
     """PairSpec for a list of (n, m) projective pairs, m = None for basepoint."""
-    return PairSpec.from_cells(tuple(cp_pair_fiber_cells(n, m) for n, m in pairs_spec))
+    return PairSpec(tuple(cp_pair_fiber_cells(n, m) for n, m in pairs_spec))
+
+
+# --------------------------------------------------------------------------
+# constructors and checks of the W/P calculus that only the tests use
+
+POINT = CellSeries(GradedSeries.zero())
+
+
+def wedge_of_spheres(dims):
+    """The wedge of the spheres S^d, d in dims."""
+    total = GradedSeries.zero()
+    for d in dims:
+        total = total + GradedSeries.monomial(d)
+    return SphereWedge(CellSeries(total))
+
+
+def is_point(w):
+    """Whether a sphere wedge is the empty wedge, a point."""
+    return w.cells.reduced.is_zero()
+
+
+def factor_series(factor):
+    """Poincare series of one factor: 1 + t^d for S^d, 1/(1 - t^(d-1)) for
+    loops on S^d."""
+    if factor.kind == "sphere":
+        return GradedSeries.monomial(factor.dim) + 1
+    return GradedSeries.geometric(factor.dim - 1)
+
+
+def product_of(factors, cutoff=DEFAULT_DEGREE):
+    """The exact product of explicitly listed factors (all bottoms <= cutoff)."""
+    series = GradedSeries.one()
+    for factor, mult in factors:
+        for _ in range(mult):
+            series = series * factor_series(factor)
+    return PProduct(series, tuple(factors), cutoff)
+
+
+def product_from_doc(doc):
+    """The PProduct that `PProduct.to_doc` wrote."""
+    factors = tuple((PFactor(e["kind"], e["dim"]), e["mult"]) for e in doc["factors"])
+    series = GradedSeries(tuple(doc["series"]["num"]), tuple(doc["series"]["den"]))
+    return PProduct(series, factors, doc["cutoff"])
+
+
+def check_canonical(p):
+    """Raise NotCanonicalP unless the listed factors are those greedy
+    factorisation reads from the series through the cutoff."""
+    if greedy_factorize(p.series, p.cutoff).factors != p.factors:
+        raise NotCanonicalP("series does not match listed factors below cutoff")
+
+
+def multiplicity(p, factor):
+    return dict(p.factors).get(factor, 0)

@@ -13,7 +13,6 @@ from loopdecomp.engine import PairSpec, check_trace, decompose_loop, skeleton_si
 from loopdecomp.homotopy import (
     NotADivisor,
     NotCanonicalP,
-    SphereWedge,
     divide_products,
     greedy_factorize,
     hilton_milnor,
@@ -37,7 +36,12 @@ from loopdecomp.randomgen import (
 )
 from loopdecomp.series import GradedSeries
 
-from helpers import neighbors_and_domination, random_canonical_product
+from helpers import (
+    check_canonical,
+    neighbors_and_domination,
+    random_canonical_product,
+    wedge_of_spheres,
+)
 
 
 @contextmanager
@@ -127,8 +131,8 @@ def test_criterion_4_path_independence():
 
 def test_criterion_5_hilton_milnor_vs_porter():
     with criterion(5, "Omega(S^3 v S^3) agrees along both pipelines"):
-        direct = hilton_milnor(SphereWedge.from_dims([3, 3]), 20)
-        s3 = hilton_milnor(SphereWedge.from_dims([3]), 20)
+        direct = hilton_milnor(wedge_of_spheres([3, 3]), 20)
+        s3 = hilton_milnor(wedge_of_spheres([3]), 20)
         via = porter_loop_wedge([s3, s3], 20)
         expected = GradedSeries((1,), (1, 0, -2))
         assert direct.series == expected
@@ -205,4 +209,4 @@ def test_criterion_10_membership_witnessed_constructively():
                 except (NotCanonicalP, NotADivisor) as exc:
                     raise AssertionError(f"engine failed on {K.facets}: {exc}")
                 assert check_trace(trace, 20) == [], K.facets
-                product.check_canonical()
+                check_canonical(product)

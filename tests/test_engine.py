@@ -1,13 +1,14 @@
 import copy
 import itertools
 import json
+import re
 from random import Random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from loopdecomp import engine
-from loopdecomp.complexes import FlagSkeleton, validate_complex
+from loopdecomp.complexes import FlagSkeleton, pushout_split, validate_complex
 from loopdecomp.engine import (
     NotFlagSkeleton,
     PairSpec,
@@ -27,7 +28,9 @@ from helpers import (
     cp_pair_fiber_cells,
     decompose_general_pair,
     graph_and_k,
+    is_point,
     loops_of_cp,
+    multiplicity,
     neighbors_and_domination,
 )
 
@@ -68,22 +71,39 @@ class TestPairSpec:
             PairSpec.from_suspension_dims([[]])
 
     def test_product_cells(self):
-        pairs = PairSpec.moment_angle(3)
-        cells = pairs.product_cells([1, 2])
-        assert cells.reduced == gs([0, 2, 1])
-        assert pairs.product_cells([]).is_trivial()
+        # a of vertex 1, and a' of the product over K2 - L = {3, 4} when the
+        # only edge is {1, 2}
+        split = pushout_split(FlagSkeleton((0b10, 0b1, 0, 0), 1), 1)
+        assert engine._pushout_cells(split, PairSpec.moment_angle(4)) == (T, gs([0, 2, 1]))
 
     def test_polynomial_checked_past_working_degree(self):
         # t - t^25 is negative only in degree 25, beyond DEFAULT_DEGREE
         with pytest.raises(ValueError):
-            PairSpec.from_cells([T - GradedSeries.monomial(25), T, T])
+            PairSpec((T - GradedSeries.monomial(25), T, T))
         # a fraction is still checked through the working degree only
-        PairSpec.from_cells([cp_pair_fiber_cells(2, 0), T])
+        PairSpec((cp_pair_fiber_cells(2, 0), T))
 
     def test_restrict(self):
         pairs = PairSpec.from_suspension_dims([[2], [3], [4]])
         sub = pairs.restrict((1, 3))
         assert sub.cells == (gs([0, 1]), gs([0, 0, 0, 1]))
+
+    def test_only_the_roots_cells_are_checked(self, monkeypatch):
+        # restricted specs and the pushout cells are built unchecked: on C8
+        # the one check of each vertex series is the root spec's
+        checked = []
+        checkable = GradedSeries.checkable_coeffs
+
+        def counted(self, degree):
+            checked.append(self)
+            return checkable(self, degree)
+
+        monkeypatch.setattr(GradedSeries, "checkable_coeffs", counted)
+        pairs = varied_pairs(8)
+        c8 = validate_complex([[i, i % 8 + 1] for i in range(1, 9)], 8)
+        _, trace = decompose_loop(c8, pairs)
+        assert [id(s) for s in checked] == [id(s) for s in pairs.cells]
+        assert len(engine.unique_nodes(trace)) > 8
 
 
 class TestSkeletonWedge:
@@ -98,7 +118,7 @@ class TestSkeletonWedge:
     def test_full_simplex_contractible(self):
         for m in range(1, 5):
             w = skeleton_simplex_wedge(m, m - 1, PairSpec.moment_angle(m))
-            assert w.is_trivial()
+            assert is_point(w)
 
     def test_triangle_boundary_is_s5(self):
         w = skeleton_simplex_wedge(3, 1, PairSpec.moment_angle(3))
@@ -242,7 +262,8 @@ class TestConeRule:
         product, trace = decompose_loop(K, PairSpec.moment_angle(6))
         link, _ = decompose_loop(c5(), PairSpec.moment_angle(5))
         assert trace.rule == "cone"
-        assert trace.data == {"rest_vertices": (1, 2, 3, 4, 5)}
+        (child,) = trace.children
+        assert (child.graph.adj, child.pairs.m) == (FlagSkeleton.of(c5()).adj, 5)
         assert (product.factors, product.series) == (link.factors, link.series)
         assert check_trace(trace, DEFAULT_DEGREE) == []
 
@@ -311,6 +332,22 @@ def _unique_nodes(trace):
     return list(seen.values())
 
 
+def varied_pairs(m):
+    """Pairs that differ by vertex: Sigma A_v = S^(2 + v mod 3).  Under
+    moment-angle pairs a wrong vertex set of the right size has the same
+    pairs, so only its graph could tell it apart."""
+    return PairSpec.from_suspension_dims([[2 + v % 3] for v in range(1, m + 1)])
+
+
+def failures_name_nodes(failures):
+    """The certificate fails, and each message names a node by its id."""
+    return bool(failures) and all(re.match(r"node \d+ \(\w+, m=\d+\): ", f) for f in failures)
+
+
+def _position(trace, node):
+    return next(i for i, n in enumerate(engine.unique_nodes(trace)) if n is node)
+
+
 class TestCheckTraceMutations:
     """Each edit of a valid trace must make its certificate fail."""
 
@@ -320,31 +357,131 @@ class TestCheckTraceMutations:
     def test_mutations_are_rejected(self, graph, j, rng):
         m, edges, k = graph
         K = validate_complex(clique_faces(m, edges, k), m)
-        _, trace = decompose_loop(K, PairSpec.moment_angle(m), 12)
+        _, trace = decompose_loop(K, varied_pairs(m), 12)
         assert check_trace(trace, 12) == []
-        nodes = _unique_nodes(trace)
+        nodes = engine.unique_nodes(trace)
 
         def copy_with(index):
             """A deep copy of the trace and its node at the given position."""
             mutated = copy.deepcopy(trace)
-            return mutated, _unique_nodes(mutated)[index]
+            return mutated, engine.unique_nodes(mutated)[index]
 
         mutated, node = copy_with(rng.randrange(len(nodes)))
         node.series = node.series * (1 + GradedSeries.monomial(j))
-        assert check_trace(mutated, 12)
+        assert failures_name_nodes(check_trace(mutated, 12))
 
         pushouts = [i for i, n in enumerate(nodes) if n.rule == "pushout"]
         if not pushouts:
             return
         index = rng.choice(pushouts)
+        where = f"node {index} (pushout, m={nodes[index].m}): ValueError: "
 
         mutated, node = copy_with(index)
         node.children[0], node.children[2] = node.children[2], node.children[0]
-        assert check_trace(mutated, 12)
+        assert check_trace(mutated, 12) == [where + "child 0 is not the piece the rule derives"]
 
+        # a' changes with the cells of a vertex of K2 - L, which the node's
+        # children, or the parent's restriction, no longer match
         mutated, node = copy_with(index)
-        node.data["a_prime_cells"] = node.data["a_prime_cells"] + GradedSeries.monomial(j)
-        assert check_trace(mutated, 12)
+        split = pushout_split(node.graph, node.vertex)
+        w = rng.choice([w for w in split.k2_vertices if w not in split.l_vertices])
+        cells = list(node.pairs.cells)
+        cells[w - 1] = cells[w - 1] + GradedSeries.monomial(j)
+        node.pairs = PairSpec(tuple(cells))
+        assert failures_name_nodes(check_trace(mutated, 12))
+
+    @settings(max_examples=30, deadline=None)
+    @given(graph_and_k(max_m=8), st.randoms(use_true_random=False))
+    @example((5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)], 1), Random(0))
+    def test_derivation_mutations_are_rejected(self, graph, rng):
+        """Each recorded choice is checked against what its rule derives:
+        the vertex, the children and their order, the children's pairs and
+        graphs, and each rule's precondition."""
+        m, edges, k = graph
+        K = validate_complex(clique_faces(m, edges, k), m)
+        _, trace = decompose_loop(K, varied_pairs(m), 12)
+        nodes = engine.unique_nodes(trace)
+        pushouts = [i for i, n in enumerate(nodes) if n.rule == "pushout"]
+        if not pushouts:
+            return
+        index = rng.choice(pushouts)
+        node = nodes[index]
+        where = f"node {index} (pushout, m={node.m}): ValueError: "
+
+        def mutated(edit):
+            copied = copy.deepcopy(trace)
+            edit(engine.unique_nodes(copied)[index])
+            return copied
+
+        # another non-dominating vertex, unless its split has the same pieces
+        def pieces(v):
+            split = pushout_split(node.graph, v)
+            return [(g, node.pairs.restrict(vs).key()) for g, vs in engine._pieces(split)]
+
+        others = [
+            w
+            for w in engine._non_dominating(node.graph)
+            if w != node.vertex and pieces(w) != pieces(node.vertex)
+        ]
+        if others:
+            failures = check_trace(mutated(lambda n: setattr(n, "vertex", rng.choice(others))), 12)
+            assert len(failures) == 1 and failures[0].startswith(where + "child ")
+
+        # a child with its pairs permuted, or with one edge less
+        varied = [c for c in range(3) if len(set(node.children[c].pairs.key())) > 1]
+        if varied:
+            c = rng.choice(varied)
+
+            def permute(n):
+                cells = n.children[c].pairs.cells
+                n.children[c].pairs = PairSpec(cells[1:] + cells[:1])
+
+            assert failures_name_nodes(check_trace(mutated(permute), 12))
+        with_edges = [c for c in range(3) if any(node.children[c].graph.adj)]
+        if with_edges:
+            c = rng.choice(with_edges)
+
+            def drop_edge(n):
+                child = n.children[c].graph
+                a, b = rng.choice(child.edges())
+                adj = list(child.adj)
+                adj[a - 1] &= ~(1 << (b - 1))
+                adj[b - 1] &= ~(1 << (a - 1))
+                n.children[c].graph = FlagSkeleton(tuple(adj), child.k)
+
+            assert failures_name_nodes(check_trace(mutated(drop_edge), 12))
+
+        def fails_at(index, edit, message):
+            """The edit of the node at index fails there, with the message."""
+            copied = copy.deepcopy(trace)
+            edited = engine.unique_nodes(copied)[index]
+            edit(edited)
+            i = _position(copied, edited)  # a child dropped or added moves the ids
+            where = f"node {i} ({edited.rule}, m={edited.m}): ValueError: "
+            assert check_trace(copied, 12) == [where + message]
+
+        # a leaf rule on a node whose graph breaks its precondition: a
+        # pushout's graph is neither complete nor edgeless, and has m > 1
+        def leaf(rule):
+            def edit(n):
+                n.rule, n.vertex, n.children = rule, None, []
+
+            return edit
+
+        fails_at(index, leaf("simplex_skeleton"), "the graph is not a skeleton of a simplex")
+        fails_at(index, leaf("contractible"), f"a contractible node has {node.m} vertices")
+        # a pushout without its vertex or with a child too few, and a leaf
+        # with a vertex or a child
+        only_pushouts = "a pushout, and only a pushout, has a vertex"
+        fails_at(index, lambda n: setattr(n, "vertex", None), only_pushouts)
+        fails_at(index, lambda n: n.children.pop(), "the rule derives 3 children, not 2")
+        first_leaf = next(i for i, n in enumerate(nodes) if not n.children)
+        fails_at(first_leaf, lambda n: setattr(n, "vertex", 1), only_pushouts)
+        fails_at(
+            first_leaf,
+            lambda n: setattr(n, "children", [copy.deepcopy(n)]),
+            "the rule derives 0 children, not 1",
+        )
 
     @settings(max_examples=30, deadline=None)
     @given(graph_and_k(max_m=8), st.integers(1, 12), st.randoms(use_true_random=False))
@@ -352,7 +489,7 @@ class TestCheckTraceMutations:
     def test_cone_mutations_are_rejected(self, graph, j, rng):
         m, edges, _ = graph
         K = validate_complex(clique_faces(m, edges, m), m)  # flag
-        _, trace = decompose_loop(K, PairSpec.moment_angle(m), 12)
+        _, trace = decompose_loop(K, varied_pairs(m), 12)
         cones = [i for i, n in enumerate(engine.unique_nodes(trace)) if n.rule == "cone"]
         if not cones:
             return
@@ -363,14 +500,17 @@ class TestCheckTraceMutations:
             mutated = copy.deepcopy(trace)
             node = engine.unique_nodes(mutated)[index]
             mutate(node)
-            # a new child moves the ids
-            i = next(i for i, n in enumerate(engine.unique_nodes(mutated)) if n is node)
+            i = _position(mutated, node)  # a new child moves the ids
             assert check_trace(mutated, 12) == [f"node {i} (cone, m={node.m}): ValueError: {message}"]
 
+        def dominating(graph):
+            return [v for v in range(1, graph.m + 1) if graph.adj[v - 1].bit_count() == graph.m - 1]
+
+        node = engine.unique_nodes(trace)[index]
+        w = rng.choice(dominating(node.graph))
+        x = rng.choice([v for v in range(1, node.m + 1) if v != w])
+
         def drop_an_edge(node):
-            rest = node.data["rest_vertices"]
-            w = rng.choice([v for v in range(1, node.m + 1) if v not in rest])
-            x = rng.choice([v for v in range(1, node.m + 1) if v != w])
             adj = list(node.graph.adj)
             adj[w - 1] &= ~(1 << (x - 1))
             adj[x - 1] &= ~(1 << (w - 1))
@@ -386,12 +526,19 @@ class TestCheckTraceMutations:
         def multiply_series(node):
             node.series = node.series * (1 + GradedSeries.monomial(j))
 
-        fails(drop_an_edge, "a removed vertex does not dominate")
-        node = engine.unique_nodes(trace)[index]
+        # w and x join the rest the certificate derives, unless none is left
+        edited = copy.copy(node)
+        drop_an_edge(edited)
+        fails(
+            drop_an_edge,
+            "child 0 is not the piece the rule derives"
+            if dominating(edited.graph)
+            else "no vertex dominates",
+        )
         fails(lower_k, f"the node is not flag: it has a clique of {clique_number(node)} vertices")
         fails(
             lambda node: setattr(node, "children", [point]),
-            "the child does not match the rest's vertex set",
+            "child 0 is not the piece the rule derives",
         )
         fails(multiply_series, "the rebuilt series is not the recorded one")
 
@@ -436,10 +583,13 @@ class TestTraceTable:
         # every node but the root is some node's child; with moment-angle
         # pairs, distinct nodes have distinct graphs, so no node is repeated
         assert set(referenced) | {doc["root"]} == set(range(len(nodes)))
-        graphs = [json.dumps(node["graph"]) for node in nodes]
+        graphs = [node.graph for node in engine.unique_nodes(trace)]
         assert len(set(graphs)) == len(graphs)
+        # only the root has its graph, from which the others are derived
         root_edges = [list(e) for e in sorted(edges)] if k >= 1 else []
         assert nodes[doc["root"]]["graph"] == {"m": m, "k": K.dim(), "edges": root_edges}
+        for node in nodes[:-1]:
+            assert {"rule", "series"} <= set(node) <= {"rule", "series", "vertex", "children"}
         _, again = decompose_loop(K, PairSpec.moment_angle(m), 12)
         assert json.dumps(trace_to_doc(again)) == json.dumps(doc)
 
@@ -491,7 +641,7 @@ class TestGeneralPair:
         base, _ = decompose_loop(K, PairSpec.moment_angle(3))
         circle = gs([1, 1])
         assert result.series == base.series * circle * circle * circle
-        assert result.multiplicity(sphere(1)) == 3
+        assert multiplicity(result, sphere(1)) == 3
 
     def test_cp_pair_fiber_cells(self):
         # fiber of (CP^2, CP^0) is S^1 x Omega S^5
@@ -528,4 +678,4 @@ class TestGeneralPair:
         for p in loops:
             expect = expect * p.series
         assert result.series == expect
-        assert result.multiplicity(sphere(1)) == 3 + base.multiplicity(sphere(1))
+        assert multiplicity(result, sphere(1)) == 3 + multiplicity(base, sphere(1))

@@ -3,8 +3,9 @@
 Each case runs `decompose --trace` on an admissible complex and compares the
 SHA-256 of the output file with a digest recorded in golden_digests.json.
 The trace is compared in the tree form the digests were recorded from:
-`helpers.expand_trace` writes the node table back out as that tree and the
-document is re-encoded as the CLI encodes it.
+`helpers.expand_trace` writes the node table back out as that tree, each
+node's complex and rule inputs derived from the root's graph and the pairs,
+and the document is re-encoded as the CLI encodes it.
 The complexes are those of the catalog in scripts/decompose_catalog.py, and
 a few larger ones (m = 12..16) where the recursion has many nodes.  The
 `verify` cases run `verify --pairs moment-angle --cutoff 20` on the same
@@ -22,6 +23,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 from random import Random
 
@@ -29,7 +31,7 @@ import networkx as nx
 import pytest
 
 from loopdecomp import classify_input, validate_complex
-from loopdecomp.cli import main
+from loopdecomp.cli import main, resolve_pairs
 
 from helpers import expand_trace
 
@@ -118,18 +120,24 @@ def _verify_key(name):
     return f"verify|{name}|moment-angle|20"
 
 
-def _run(workdir: Path, m, facets, args) -> bytes:
-    """The output of one CLI run on the complex, run with workdir as the
-    current directory so the relative custom-pairs path in the output is
-    fixed."""
-    (workdir / "complex.json").write_text(json.dumps({"m": m, "facets": facets}))
-    (workdir / "pairs.json").write_text(json.dumps({"suspensions": [[2, 3]] * m}))
+@contextmanager
+def _inside(workdir: Path):
+    """Run with workdir as the current directory, so the relative
+    custom-pairs path in the output is fixed."""
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
-        rc = main([*args, "--input", "complex.json", "--output", "out.json"])
+        yield
     finally:
         os.chdir(cwd)
+
+
+def _run(workdir: Path, m, facets, args) -> bytes:
+    """The output of one CLI run on the complex, inside workdir."""
+    (workdir / "complex.json").write_text(json.dumps({"m": m, "facets": facets}))
+    (workdir / "pairs.json").write_text(json.dumps({"suspensions": [[2, 3]] * m}))
+    with _inside(workdir):
+        rc = main([*args, "--input", "complex.json", "--output", "out.json"])
     assert rc == 0
     return (workdir / "out.json").read_bytes()
 
@@ -143,7 +151,8 @@ def _digest(workdir: Path, m, facets, pairs, cutoff) -> str:
     raw = _run(workdir, m, facets, args).decode()
     doc = json.loads(raw)
     assert raw == json.dumps(doc, indent=2) + "\n"  # so re-encoding keeps bytes
-    doc["trace"] = expand_trace(doc["trace"])
+    with _inside(workdir):
+        doc["trace"] = expand_trace(doc["trace"], resolve_pairs(pairs, m))
     return _sha256((json.dumps(doc, indent=2) + "\n").encode())
 
 

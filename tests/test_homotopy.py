@@ -30,13 +30,21 @@ from loopdecomp.homotopy import (
 from loopdecomp.series import GradedSeries
 
 from helpers import (
+    POINT,
+    check_canonical,
     convolve,
     cp_pair_fiber_cells,
+    factor_series,
     graded_lyndon_counts,
+    is_point,
+    multiplicity,
     necklace_lyndon_count,
+    product_from_doc,
+    product_of,
     random_canonical_product,
     subset_residual_cells,
     suspension_splitting,
+    wedge_of_spheres,
 )
 
 
@@ -56,7 +64,7 @@ def random_deep_product(rng, cutoff):
         d = rng.randint(1, cutoff)
         factor = sphere(d) if d in (1, 3, 7) else loop_sphere(d + 1)
         factors.append((factor, rng.randint(1, 3)))
-    return PProduct.from_factors(factors, cutoff)
+    return product_of(factors, cutoff)
 
 
 CP_PAIRS = [(n, m) for n in (None, 1, 2, 3) for m in (None, *range(n or 3))]
@@ -76,10 +84,10 @@ def half_smash_y(draw, cutoff=12):
     """Omega Y from Hilton-Milnor on a wedge, or a quotient of two such
     products, as `divide_products` hands it to the half-smash."""
     dims = draw(st.lists(st.integers(2, 6), min_size=1, max_size=4))
-    whole = hilton_milnor(SphereWedge.from_dims(dims), cutoff)
+    whole = hilton_milnor(wedge_of_spheres(dims), cutoff)
     if len(dims) == 1 or draw(st.booleans()):
         return whole
-    part = hilton_milnor(SphereWedge.from_dims(dims[: len(dims) // 2]), cutoff)
+    part = hilton_milnor(wedge_of_spheres(dims[: len(dims) // 2]), cutoff)
     return divide_products(whole, part)
 
 
@@ -100,8 +108,8 @@ class TestPFactor:
         assert not spheres & loops
 
     def test_poincare(self):
-        assert sphere(3).poincare() == gs([1, 0, 0, 1])
-        assert loop_sphere(3).poincare() == GradedSeries.geometric(2)
+        assert factor_series(sphere(3)) == gs([1, 0, 0, 1])
+        assert factor_series(loop_sphere(3)) == GradedSeries.geometric(2)
 
 
 class TestJoin:
@@ -116,8 +124,7 @@ class TestJoin:
             SphereWedge(CIRCLE)
 
     def test_join_with_point_is_trivial(self):
-        w = join_cells(CIRCLE, CellSeries.trivial())
-        assert w.is_trivial()
+        assert is_point(join_cells(CIRCLE, POINT))
 
     def test_circle_join_loop_s3(self):
         w = join_cells(CIRCLE, LOOP_S3_CELLS)
@@ -128,17 +135,17 @@ class TestJoin:
 
 class TestSuspension:
     def test_loop_s3(self):
-        p = hilton_milnor(SphereWedge.from_dims([3]))
+        p = hilton_milnor(wedge_of_spheres([3]))
         w = suspension_splitting(p)
         assert w.cells.reduced == gs([0, 0, 0, 1], [1, 0, -1])
 
     def test_product_of_two_s3(self):
-        p = PProduct.from_factors([(sphere(3), 2)])
+        p = product_of([(sphere(3), 2)])
         w = suspension_splitting(p)
         assert w.cells.reduced == gs([0, 0, 0, 0, 2, 0, 0, 1])
 
     def test_trivial(self):
-        assert suspension_splitting(PProduct.trivial()).is_trivial()
+        assert is_point(suspension_splitting(PProduct.trivial()))
 
 
 class TestLyndon:
@@ -201,17 +208,17 @@ class TestLyndon:
 
 class TestHiltonMilnor:
     def test_single_s3(self):
-        p = hilton_milnor(SphereWedge.from_dims([3]))
+        p = hilton_milnor(wedge_of_spheres([3]))
         assert p.factors == ((loop_sphere(3), 1),)
         assert p.series == GradedSeries.geometric(2)
 
     def test_single_s2_canonicalizes(self):
-        p = hilton_milnor(SphereWedge.from_dims([2]))
+        p = hilton_milnor(wedge_of_spheres([2]))
         assert p.factors == ((sphere(1), 1), (loop_sphere(3), 1))
         assert p.series == gs([1], [1, -1])
 
     def test_two_s2_at_low_cutoff(self):
-        p = hilton_milnor(SphereWedge.from_dims([2, 2]), 3)
+        p = hilton_milnor(wedge_of_spheres([2, 2]), 3)
         assert p.series == gs([1], [1, -2])
         assert p.factors == (
             (sphere(1), 2),
@@ -220,11 +227,11 @@ class TestHiltonMilnor:
         )
 
     def test_trivial_wedge(self):
-        assert hilton_milnor(SphereWedge.trivial()).is_trivial()
+        assert hilton_milnor(SphereWedge(POINT)).is_trivial()
 
     def test_series_law(self):
         # the exact series is 1/(1 - cells/t) independent of the cutoff
-        w = SphereWedge.from_dims([3, 4, 4, 6])
+        w = wedge_of_spheres([3, 4, 4, 6])
         p = hilton_milnor(w, 8)
         assert p.series == 1 / (1 - gs([0, 0, 1, 2, 0, 1]))
 
@@ -238,20 +245,20 @@ class TestHiltonMilnor:
 
 class TestLoopHalfSmash:
     def test_trivial_x(self):
-        y = hilton_milnor(SphereWedge.from_dims([3]))
-        assert loop_half_smash(CellSeries.trivial(), y) == y
+        y = hilton_milnor(wedge_of_spheres([3]))
+        assert loop_half_smash(POINT, y) == y
 
     def test_trivial_y(self):
         assert loop_half_smash(CIRCLE, PProduct.trivial()).is_trivial()
 
     def test_circle_on_loop_s3(self):
-        y = hilton_milnor(SphereWedge.from_dims([3]))
+        y = hilton_milnor(wedge_of_spheres([3]))
         p = loop_half_smash(CIRCLE, y)
         # series (1/(1 - t^3/(1-t^2))) * 1/(1-t^2), composed independently
         join_part = 1 / (1 - gs([0, 0, 0, 1], [1, 0, -1]))
         assert p.series == join_part * GradedSeries.geometric(2)
-        assert p.multiplicity(loop_sphere(3)) == 1
-        assert p.multiplicity(sphere(3)) == 1  # Omega S^4 partner, canonicalized
+        assert multiplicity(p, loop_sphere(3)) == 1
+        assert multiplicity(p, sphere(3)) == 1  # Omega S^4 partner, canonicalized
 
     @settings(max_examples=60, deadline=None)
     @given(half_smash_x(), half_smash_y())
@@ -264,18 +271,18 @@ class TestLoopHalfSmash:
 
 class TestPorter:
     def test_single_summand(self):
-        p = hilton_milnor(SphereWedge.from_dims([5]))
+        p = hilton_milnor(wedge_of_spheres([5]))
         assert porter_loop_wedge([p]) == p
 
     def test_trivial_summand_dropped(self):
-        s3 = hilton_milnor(SphereWedge.from_dims([3]))
+        s3 = hilton_milnor(wedge_of_spheres([3]))
         with_trivial = porter_loop_wedge([s3, PProduct.trivial()])
         assert with_trivial.series == s3.series
         assert with_trivial.factors == s3.factors
 
     def test_path_independence_for_two_s3(self):
-        s3 = hilton_milnor(SphereWedge.from_dims([3]))
-        direct = hilton_milnor(SphereWedge.from_dims([3, 3]))
+        s3 = hilton_milnor(wedge_of_spheres([3]))
+        direct = hilton_milnor(wedge_of_spheres([3, 3]))
         via = porter_loop_wedge([s3, s3])
         assert direct.series == gs([1], [1, 0, -2])
         assert via.series == direct.series
@@ -300,8 +307,8 @@ class TestPorter:
             shortcut = GradedSeries.monomial(1) * (cross - total + 1)
             assert direct == shortcut
         # 3 and 4 summands, one of them a fraction that is not 1/polynomial
-        whole = hilton_milnor(SphereWedge.from_dims([3, 3, 4]), 12)
-        fraction = divide_products(whole, hilton_milnor(SphereWedge.from_dims([3]), 12))
+        whole = hilton_milnor(wedge_of_spheres([3, 3, 4]), 12)
+        fraction = divide_products(whole, hilton_milnor(wedge_of_spheres([3]), 12))
         assert fraction.series.num != (1,) and fraction.series.den != (1,)
         for size in (3, 4):
             for _ in range(4):
@@ -320,9 +327,9 @@ class TestPorter:
         for _ in range(8):
             dims = [rng.randint(2, 6) for _ in range(rng.randint(2, 4))]
             split = rng.randint(1, len(dims) - 1)
-            direct = hilton_milnor(SphereWedge.from_dims(dims), 12)
-            left = hilton_milnor(SphereWedge.from_dims(dims[:split]), 12)
-            right = hilton_milnor(SphereWedge.from_dims(dims[split:]), 12)
+            direct = hilton_milnor(wedge_of_spheres(dims), 12)
+            left = hilton_milnor(wedge_of_spheres(dims[:split]), 12)
+            right = hilton_milnor(wedge_of_spheres(dims[split:]), 12)
             via = porter_loop_wedge([left, right], 12)
             assert via.series == direct.series
             assert via.factors == direct.factors
@@ -360,31 +367,31 @@ class TestGreedy:
             greedy_factorize(gs([1, 0, 1]), 10)
 
     def test_check_canonical(self):
-        p = PProduct.from_factors([(sphere(1), 1), (loop_sphere(5), 2)], 10)
-        p.check_canonical()
+        p = product_of([(sphere(1), 1), (loop_sphere(5), 2)], 10)
+        check_canonical(p)
         broken = PProduct(p.series, ((sphere(1), 1),), 10)
         with pytest.raises(NotCanonicalP):
-            broken.check_canonical()
+            check_canonical(broken)
         # one multiplicity off by one, deep in a high-cutoff product
         rng = Random(5)
         for _ in range(5):
             p = random_deep_product(rng, 120)
-            p.check_canonical()
+            check_canonical(p)
             factors = list(p.factors)
             i = rng.randrange(len(factors))
             factors[i] = (factors[i][0], factors[i][1] + rng.choice([-1, 1]))
             with pytest.raises(NotCanonicalP):
-                PProduct(p.series, tuple(factors), 120).check_canonical()
+                check_canonical(PProduct(p.series, tuple(factors), 120))
 
 
 class TestDivide:
     def test_divide_off_one_factor(self):
-        big = PProduct.from_factors([(loop_sphere(3), 2)])
-        small = PProduct.from_factors([(loop_sphere(3), 1)])
+        big = product_of([(loop_sphere(3), 2)])
+        small = product_of([(loop_sphere(3), 1)])
         assert divide_products(big, small).factors == ((loop_sphere(3), 1),)
 
     def test_divide_by_trivial(self):
-        big = PProduct.from_factors([(sphere(3), 1)])
+        big = product_of([(sphere(3), 1)])
         assert divide_products(big, PProduct.trivial()) == big
 
     def test_random_recovery(self):
@@ -395,8 +402,8 @@ class TestDivide:
             assert divide_products(pproduct_mul(p, q), p).factors == q.factors
 
     def test_not_a_divisor(self):
-        big = PProduct.from_factors([(sphere(1), 1)])
-        small = PProduct.from_factors([(loop_sphere(3), 1)])
+        big = product_of([(sphere(1), 1)])
+        small = product_of([(loop_sphere(3), 1)])
         with pytest.raises(NotADivisor):
             divide_products(big, small)
 
@@ -427,11 +434,11 @@ def test_fractions_stay_short(monkeypatch):
 
 
 def test_reduced_cells_of_product():
-    p = PProduct.from_factors([(sphere(3), 1), (loop_sphere(5), 1)])
+    p = product_of([(sphere(3), 1), (loop_sphere(5), 1)])
     cells = reduced_cells(p)
     assert cells.reduced == (gs([1, 0, 0, 1]) * GradedSeries.geometric(4)) - 1
 
 
 def test_pproduct_serialization_round_trip():
-    p = PProduct.from_factors([(sphere(1), 2), (loop_sphere(6), 1)], 12)
-    assert PProduct.from_doc(p.to_doc()) == p
+    p = product_of([(sphere(1), 2), (loop_sphere(6), 1)], 12)
+    assert product_from_doc(p.to_doc()) == p

@@ -244,6 +244,22 @@ class TestVerify:
         oracle = next(c for c in report.checks if c.name == "oracle_series")
         assert oracle.status == "NOTE"
 
+    def test_trace_root_must_be_the_problem(self, monkeypatch):
+        # a valid trace of another complex, or of other pairs, certifies
+        # node by node, but its root is not the problem asked
+        path4 = validate_complex([[1, 2], [2, 3], [3, 4]], 4)
+        decompose = oracle.decompose_loop
+        for K, pairs in ((path4, PairSpec.moment_angle(4)), (square(), PairSpec.disks(3, 4))):
+            monkeypatch.setattr(oracle, "decompose_loop", lambda _K, _p, c: decompose(K, pairs, c))
+            report = verify_against_oracle(square(), PairSpec.moment_angle(4))
+            _, trace = decompose(K, pairs, 20)
+            root = len(oracle.unique_nodes(trace)) - 1
+            check = next(c for c in report.checks if c.name == "trace_identities")
+            assert (check.status, check.detail) == (
+                "FAIL",
+                f"node {root} (pushout, m=4): the root is not the complex and pairs asked",
+            )
+
     def test_inadmissible_input_reports_failure(self):
         K = validate_complex([[1, 2, 3], [3, 4], [1, 4]], 4)
         report = verify_against_oracle(K, PairSpec.moment_angle(4))

@@ -89,7 +89,7 @@ def test_order():
 
 def test_serialization_round_trip():
     s = gs([0, 1, 2], [1, 0, -1])
-    assert GradedSeries.from_pair(s.to_pair()) == s
+    assert gs(*s.to_pair()) == s
     assert GradedSeries.zero().to_pair() == ([0], [1])
 
 
