@@ -33,11 +33,14 @@ CATALOG = [
 ]
 
 
+def label(entry):
+    """S^n or OmegaS^n, raised to its multiplicity, from a `to_doc` factor."""
+    name = ("S^" if entry["kind"] == "sphere" else "OmegaS^") + str(entry["dim"])
+    return f"({name})^{entry['mult']}" if entry["mult"] > 1 else name
+
+
 def describe(product, cutoff, limit=6):
-    shown = [
-        f"({f.label()})^{m}" if m > 1 else f.label()
-        for f, m in product.factors[:limit]
-    ]
+    shown = [label(entry) for entry in product.to_doc()["factors"][:limit]]
     if len(product.factors) > limit:
         shown.append("...")
     if not shown:

@@ -37,7 +37,6 @@ from .homotopy import (
     NotADivisor,
     NotCanonicalP,
     NotSimplyConnectedOutput,
-    PFactor,
     PProduct,
     SphereWedge,
     divide_products,

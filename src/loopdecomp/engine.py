@@ -18,8 +18,9 @@ k-skeleton a (k + 1)-clique of the rest is a face but its join with v is
 not, so v * L is not K.  Only the root is factorised.  The trace records
 choices only: each node's rule, a pushout's vertex, the series and the
 children.  `_pieces` and `_pushout_cells` derive the rest, for the recursion
-and for `check_trace`, run by `verify`: it checks each rule's precondition
-and that the children are the pieces it derives, rebuilds each P-form by
+and for `check_trace`, run by `verify`: it checks that each node's pairs
+cover its vertices, each rule's precondition and that the children are the
+pieces it derives, rebuilds each P-form by
 the proof's splittings, which check membership in P, and at the root
 compares the rebuilt factors with the listed ones.
 """
@@ -245,6 +246,8 @@ def _rebuild(node: TraceNode, children: list[PProduct], cutoff: int) -> PProduct
     """A node's P-form from its children's, which must be the pieces its
     rule derives from its graph; each step checks membership in P."""
     graph, pairs, rule = node.graph, node.pairs, node.rule
+    if pairs.m != node.m:
+        raise ValueError(f"the pairs cover {pairs.m} vertices, the graph {node.m}")
     if (node.vertex is not None) != (rule == "pushout"):
         raise ValueError("a pushout, and only a pushout, has a vertex")
     if rule == "contractible":

@@ -8,7 +8,9 @@ whose bottom homology degree is at most a cutoff D.  By Hopf invariant one
 the only sphere factors are S^1, S^3, S^7, and loops on S^2, S^4, S^8 are
 always rewritten through Omega S^n ~ S^(n-1) x Omega S^(2n-1); this makes
 the bottom degrees of sphere factors {1,3,7} and of loop factors disjoint
-from them, which is what makes greedy factorization unambiguous.
+from them, which is what makes greedy factorization unambiguous: each
+bottom degree d >= 1 names exactly one canonical factor, and a factor is
+written as its d.
 
 Factors beyond the cutoff are never listed individually; the series is the
 lossless record of their aggregate.
@@ -73,80 +75,53 @@ class SphereWedge:
             raise NotSimplyConnectedOutput(f"wedge has cells in degree {order}")
 
 
-@dataclass(frozen=True, order=True)
-class PFactor:
-    """One indecomposable factor: a sphere or loops on a sphere.
-
-    Canonical form: sphere dims in {1,3,7} only; loop dims >= 3, not 4 or 8.
-    Ordering is by bottom homology degree, then kind, for stable output.
-    """
-
-    bottom: int
-    kind: str
-    dim: int
-
-    def __init__(self, kind: str, dim: int):
-        if kind == "sphere":
-            if dim not in _HOPF_DIMS:
-                raise ValueError(f"sphere factor dimension {dim} not in 1,3,7")
-            bottom = dim
-        elif kind == "loop_sphere":
-            if dim < 3 or dim in (4, 8):
-                raise ValueError(f"loop factor on S^{dim} is not canonical")
-            bottom = dim - 1
-        else:
-            raise ValueError(f"unknown factor kind {kind!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "bottom", bottom)
-
-    def label(self) -> str:
-        return f"S^{self.dim}" if self.kind == "sphere" else f"OmegaS^{self.dim}"
+def sphere(dim: int) -> int:
+    """The factor S^dim, canonical for dim in {1,3,7}, as its bottom degree."""
+    if dim not in _HOPF_DIMS:
+        raise ValueError(f"sphere factor dimension {dim} not in 1,3,7")
+    return dim
 
 
-def sphere(dim: int) -> PFactor:
-    return PFactor("sphere", dim)
-
-
-def loop_sphere(dim: int) -> PFactor:
-    return PFactor("loop_sphere", dim)
-
-
-def _merge_factors(*groups) -> tuple[tuple[PFactor, int], ...]:
-    counts: dict[PFactor, int] = {}
-    for group in groups:
-        for factor, mult in group:
-            if mult < 0:
-                raise ValueError("factor multiplicity must be >= 0")
-            if mult:
-                counts[factor] = counts.get(factor, 0) + mult
-    return tuple(sorted(counts.items()))
+def loop_sphere(dim: int) -> int:
+    """The factor Omega S^dim, canonical for dim >= 3 but not 4 or 8, as its
+    bottom degree dim - 1."""
+    if dim < 3 or dim in (4, 8):
+        raise ValueError(f"loop factor on S^{dim} is not canonical")
+    return dim - 1
 
 
 @dataclass(frozen=True)
 class PProduct:
     """Product of spheres and loop spaces, up to a bottom-degree cutoff.
 
-    `series` is the exact unreduced Poincare series of the whole product;
-    `factors` lists (factor, multiplicity) for factors with bottom degree
-    <= cutoff, in canonical ascending order.
+    `series` is the exact unreduced Poincare series of the whole product.
+    A canonical factor is its bottom degree d: S^d for d in {1,3,7}, else
+    Omega S^(d+1).  `factors` lists (d, multiplicity) for d <= cutoff in
+    ascending order; the constructor merges the groups it is given, so
+    operations pass their factors concatenated.
     """
 
     series: GradedSeries
-    factors: tuple[tuple[PFactor, int], ...]
+    factors: tuple[tuple[int, int], ...]
     cutoff: int
 
     def __post_init__(self):
         if self.cutoff < 1:
             raise ValueError("cutoff must be >= 1")
-        object.__setattr__(self, "factors", _merge_factors(self.factors))
+        counts: dict[int, int] = {}
+        for d, mult in self.factors:
+            if mult < 0:
+                raise ValueError("factor multiplicity must be >= 0")
+            if mult:
+                counts[d] = counts.get(d, 0) + mult
+        object.__setattr__(self, "factors", tuple(sorted(counts.items())))
         coeffs = self.series.expand(self.cutoff)
         if coeffs[0] != 1:
             raise ValueError("Poincare series of a product starts with 1")
         if any(c < 0 for c in coeffs):
             raise ValueError("Poincare series must be non-negative")
-        if any(f.bottom > self.cutoff for f, _ in self.factors):
-            raise ValueError("listed factor beyond the cutoff")
+        if any(not 1 <= d <= self.cutoff for d in counts):
+            raise ValueError("listed factor outside bottom degrees 1..cutoff")
 
     def is_trivial(self) -> bool:
         return self.series.is_one()
@@ -159,7 +134,10 @@ class PProduct:
         num, den = self.series.to_pair()
         return {
             "factors": [
-                {"kind": f.kind, "dim": f.dim, "mult": mult} for f, mult in self.factors
+                {"kind": "sphere", "dim": d, "mult": mult}
+                if d in _HOPF_DIMS
+                else {"kind": "loop_sphere", "dim": d + 1, "mult": mult}
+                for d, mult in self.factors
             ],
             "series": {"num": num, "den": den},
             "cutoff": self.cutoff,
@@ -191,15 +169,6 @@ def _bottom_counts(s: GradedSeries, degree: int, spheres: bool) -> list[int]:
     return counts
 
 
-def _canonical_factors(counts: list[int]) -> list[tuple[PFactor, int]]:
-    """The (factor, exponent) pairs of the nonzero sphere-rule counts."""
-    return [
-        (sphere(d) if d in _HOPF_DIMS else loop_sphere(d + 1), c)
-        for d, c in enumerate(counts)
-        if c
-    ]
-
-
 def pproduct_mul(a: PProduct, b: PProduct) -> PProduct:
     """Product of products: series multiply, factor multisets union."""
     if a.cutoff != b.cutoff:
@@ -208,7 +177,7 @@ def pproduct_mul(a: PProduct, b: PProduct) -> PProduct:
         return b
     if b.is_trivial():
         return a
-    return PProduct(a.series * b.series, _merge_factors(a.factors, b.factors), a.cutoff)
+    return PProduct(a.series * b.series, a.factors + b.factors, a.cutoff)
 
 
 def reduced_cells(p: PProduct) -> CellSeries:
@@ -223,14 +192,11 @@ def reduced_cells(p: PProduct) -> CellSeries:
 def join_cells(a: CellSeries, b: CellSeries) -> SphereWedge:
     """Join X * Y ~ Sigma(X ^ Y): cell series t * a * b.
 
-    The caller guarantees the join lies in W; joining with a point gives the
+    The caller guarantees the join lies in W (SphereWedge raises
+    NotSimplyConnectedOutput otherwise); joining with a point gives the
     trivial wedge.
     """
-    cells = GradedSeries.monomial(1) * a.reduced * b.reduced
-    order = cells.order()
-    if order is not None and order < 2:
-        raise NotSimplyConnectedOutput(f"join cells start in degree {order}")
-    return SphereWedge(CellSeries(cells))
+    return SphereWedge(CellSeries(GradedSeries.monomial(1) * a.reduced * b.reduced))
 
 
 def lyndon_counts(f: GradedSeries, degree: int) -> dict[int, int]:
@@ -262,8 +228,9 @@ def hilton_milnor(w: SphereWedge, cutoff: int = DEFAULT_DEGREE) -> PProduct:
     """Loop space of a wedge of spheres as a product of loops on spheres.
 
     A generator S^n of the wedge contributes a letter of degree n-1; each
-    basic product of degree n gives a factor Omega S^(n+1), rewritten into
-    canonical form when n+1 is 2, 4 or 8.  The exact series is
+    basic product of degree n gives a factor Omega S^(n+1), of bottom
+    degree n; when n+1 is 2, 4 or 8 it is S^n x Omega S^(2n+1), which adds
+    the bottom degree 2n.  The exact series is
     1/(1 - cells/t) regardless of the cutoff.
     """
     cells = w.cells.reduced
@@ -273,12 +240,9 @@ def hilton_milnor(w: SphereWedge, cutoff: int = DEFAULT_DEGREE) -> PProduct:
     series = 1 / (1 - letters)
     factors = []
     for n, count in _loop_counts(series, cutoff).items():
-        if n in _HOPF_DIMS:
-            factors.append((sphere(n), count))
-            if 2 * n <= cutoff:
-                factors.append((loop_sphere(2 * n + 1), count))
-        else:
-            factors.append((loop_sphere(n + 1), count))
+        factors.append((n, count))
+        if n in _HOPF_DIMS and 2 * n <= cutoff:
+            factors.append((2 * n, count))
     return PProduct(series, tuple(factors), cutoff)
 
 
@@ -299,7 +263,7 @@ def loop_half_smash(x: CellSeries, y_loop: PProduct) -> PProduct:
     series = GradedSeries(
         poly_mul(q, n), poly_add(poly_mul(poly_add(q, p), d), poly_neg(poly_mul(p, n)))
     )
-    return PProduct(series, _merge_factors(join.factors, y_loop.factors), y_loop.cutoff)
+    return PProduct(series, join.factors + y_loop.factors, y_loop.cutoff)
 
 
 def porter_loop_wedge(summands, cutoff: int = DEFAULT_DEGREE) -> PProduct:
@@ -327,7 +291,7 @@ def porter_loop_wedge(summands, cutoff: int = DEFAULT_DEGREE) -> PProduct:
         reciprocals = reciprocals + 1 / p.series
     residual_cells = GradedSeries.monomial(1) * (1 - total * reciprocals)
     residual = hilton_milnor(SphereWedge(CellSeries(residual_cells)), cutoff)
-    factors = _merge_factors(residual.factors, *(p.factors for p in summands))
+    factors = residual.factors + tuple(f for p in summands for f in p.factors)
     return PProduct(1 / reciprocals, factors, cutoff)
 
 
@@ -342,11 +306,11 @@ def greedy_factorize(s: GradedSeries, cutoff: int = DEFAULT_DEGREE) -> PProduct:
     """
     if s.coefficient(0) != 1:
         raise NotCanonicalP("canonical series starts with 1")
-    factors = _canonical_factors(_bottom_counts(s, cutoff, spheres=True))
-    for factor, c in factors:
+    counts = _bottom_counts(s, cutoff, spheres=True)
+    for d, c in enumerate(counts):
         if c < 0:
-            raise NotCanonicalP(f"negative coefficient {c} in degree {factor.bottom}")
-    return PProduct(s, tuple(factors), cutoff)
+            raise NotCanonicalP(f"negative coefficient {c} in degree {d}")
+    return PProduct(s, tuple((d, c) for d, c in enumerate(counts) if c), cutoff)
 
 
 def divide_products(big: PProduct, small: PProduct) -> PProduct:

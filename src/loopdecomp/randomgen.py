@@ -23,22 +23,9 @@ def random_graph_complex(m: int, rng: Random, edge_prob: float = 0.5) -> Simplic
 
 
 def clique_complex(graph: SimplicialComplex) -> SimplicialComplex:
-    adj = FlagSkeleton.of(graph).adj
-    cliques = [frozenset({v}) for v in graph.vertices()]
-    found = set(cliques)
-    frontier = list(cliques)
-    while frontier:
-        nxt = []
-        for c in frontier:
-            top = max(c)
-            for v in range(top + 1, graph.m + 1):
-                if all(adj[v - 1] >> (u - 1) & 1 for u in c):
-                    bigger = c | {v}
-                    if bigger not in found:
-                        found.add(bigger)
-                        nxt.append(bigger)
-        frontier = nxt
-    return validate_complex([sorted(c) for c in found], graph.m)
+    """The flag complex of graph's 1-skeleton: its maximal cliques as facets."""
+    g = FlagSkeleton.of(graph)
+    return validate_complex(g._replace(k=g.m).facets(), g.m)
 
 
 def skeleton(K: SimplicialComplex, k: int) -> SimplicialComplex:

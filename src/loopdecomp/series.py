@@ -130,13 +130,6 @@ class GradedSeries:
             raise ValueError("degree must be >= 0")
         return cls((0,) * degree + (coeff,))
 
-    @classmethod
-    def geometric(cls, step: int) -> "GradedSeries":
-        """1/(1 - t^step)."""
-        if step < 1:
-            raise ValueError("step must be >= 1")
-        return cls((1,), (1,) + (0,) * (step - 1) + (-1,))
-
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -153,24 +146,17 @@ class GradedSeries:
         return None
 
     def expand(self, degree: int) -> tuple[int, ...]:
-        """Expansion coefficients c_0..c_degree; exact and cached.
-
-        The cache is extended on a private snapshot and published in one
-        assignment, so concurrent readers always see a correct prefix.
-        """
+        """Expansion coefficients c_0..c_degree; exact and cached."""
         if degree < 0:
             raise ValueError("degree must be >= 0")
         coeffs = self._coeffs
-        if len(coeffs) <= degree:
-            coeffs = list(coeffs)
-            num, den = self.num, self.den
-            while len(coeffs) <= degree:
-                n = len(coeffs)
-                c = num[n] if n < len(num) else 0
-                for k in range(1, min(n, len(den) - 1) + 1):
-                    c -= den[k] * coeffs[n - k]
-                coeffs.append(c)
-            object.__setattr__(self, "_coeffs", coeffs)
+        num, den = self.num, self.den
+        while len(coeffs) <= degree:
+            n = len(coeffs)
+            c = num[n] if n < len(num) else 0
+            for k in range(1, min(n, len(den) - 1) + 1):
+                c -= den[k] * coeffs[n - k]
+            coeffs.append(c)
         return tuple(coeffs[: degree + 1])
 
     def checkable_coeffs(self, degree: int) -> tuple[int, ...]:

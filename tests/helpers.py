@@ -19,7 +19,6 @@ from loopdecomp.engine import PairSpec, decompose_loop
 from loopdecomp.homotopy import (
     CellSeries,
     NotCanonicalP,
-    PFactor,
     PProduct,
     SphereWedge,
     greedy_factorize,
@@ -280,7 +279,7 @@ _LOOP_DIM_CHOICES = [d for d in range(3, 17) if d not in (4, 8)]
 
 
 def random_canonical_factors(rng, max_bottom=15):
-    factors: dict[PFactor, int] = {}
+    factors: dict[int, int] = {}
     for _ in range(rng.randint(1, 5)):
         if rng.random() < 0.4:
             f = sphere(rng.choice([1, 3, 7]))
@@ -337,7 +336,7 @@ def loops_of_cp(n, cutoff=DEFAULT_DEGREE):
         return PProduct(s1, ((sphere(1), 1),), cutoff)
     if n < 1:
         raise ValueError("need n >= 1")
-    series = s1 * GradedSeries.geometric(2 * n)
+    series = s1 * geometric(2 * n)
     factors = [(sphere(1), 1)]
     if 2 * n <= cutoff:
         factors.append((loop_sphere(2 * n + 1), 1))
@@ -359,7 +358,7 @@ def cp_pair_fiber_cells(n, m):
     bottom = GradedSeries.monomial(2 * m + 1) + 1
     if n is None:
         return bottom - 1
-    return bottom * GradedSeries.geometric(2 * n) - 1
+    return bottom * geometric(2 * n) - 1
 
 
 def cp_fiber_pairs(pairs_spec):
@@ -386,12 +385,19 @@ def is_point(w):
     return w.cells.reduced.is_zero()
 
 
-def factor_series(factor):
-    """Poincare series of one factor: 1 + t^d for S^d, 1/(1 - t^(d-1)) for
-    loops on S^d."""
-    if factor.kind == "sphere":
-        return GradedSeries.monomial(factor.dim) + 1
-    return GradedSeries.geometric(factor.dim - 1)
+def geometric(step):
+    """1/(1 - t^step)."""
+    if step < 1:
+        raise ValueError("step must be >= 1")
+    return GradedSeries((1,), (1,) + (0,) * (step - 1) + (-1,))
+
+
+def factor_series(d):
+    """Poincare series of the factor of bottom degree d: 1 + t^d for the
+    sphere S^d (d in 1, 3, 7), else 1/(1 - t^d) for loops on S^(d+1)."""
+    if d in (1, 3, 7):
+        return GradedSeries.monomial(d) + 1
+    return geometric(d)
 
 
 def product_of(factors, cutoff=DEFAULT_DEGREE):
@@ -405,7 +411,8 @@ def product_of(factors, cutoff=DEFAULT_DEGREE):
 
 def product_from_doc(doc):
     """The PProduct that `PProduct.to_doc` wrote."""
-    factors = tuple((PFactor(e["kind"], e["dim"]), e["mult"]) for e in doc["factors"])
+    kinds = {"sphere": sphere, "loop_sphere": loop_sphere}
+    factors = tuple((kinds[e["kind"]](e["dim"]), e["mult"]) for e in doc["factors"])
     series = GradedSeries(tuple(doc["series"]["num"]), tuple(doc["series"]["den"]))
     return PProduct(series, factors, doc["cutoff"])
 

@@ -290,6 +290,22 @@ class TestGraphForm:
         S = sorted(data.draw(st.sets(st.integers(1, m))))
         assert as_complex(G.induced(S)) == full_subcomplex(K, S)
 
+    def test_clique_complex_matches_subset_search(self):
+        """randomgen's clique complexes, built from the one Bron-Kerbosch,
+        have the facets that testing every vertex subset finds."""
+        from loopdecomp.randomgen import clique_complex, random_chordal_graph, random_graph_complex
+
+        rng = Random(13)
+        for trial in range(300):
+            m = rng.randint(1, 11)
+            if trial % 2:
+                graph = random_graph_complex(m, rng, rng.random())
+            else:
+                graph = random_chordal_graph(m, rng)
+            edges = [f for f in graph.facets if len(f) == 2]
+            expected = validate_complex(clique_faces(m, edges, m), m)
+            assert clique_complex(graph) == expected
+
 
 class TestChordality:
     def test_square_not_chordal(self):

@@ -27,6 +27,7 @@ from helpers import (
     cp_fiber_pairs,
     cp_pair_fiber_cells,
     decompose_general_pair,
+    geometric,
     graph_and_k,
     is_point,
     loops_of_cp,
@@ -160,7 +161,7 @@ class TestDecompose:
         K = validate_complex([[1, 2], [2, 3]], 3)
         product, _ = decompose_loop(K, PairSpec.moment_angle(3))
         assert product.factors == ((loop_sphere(3), 1),)
-        assert product.series == GradedSeries.geometric(2)
+        assert product.series == geometric(2)
 
     def test_not_flag_skeleton(self):
         K = validate_complex([[1, 2, 3], [3, 4], [1, 4]], 4)
@@ -237,7 +238,7 @@ class TestDecompose:
         K = validate_complex([[1, 2], [2, 3], [1, 3]], 3)
         product, _ = decompose_loop(K, PairSpec.disks(3, 3))
         assert product.factors == ((sphere(7), 1), (loop_sphere(15), 1))
-        assert product.series == GradedSeries.geometric(7)
+        assert product.series == geometric(7)
 
     def test_trace_node_series_are_recorded(self):
         product, trace = decompose_loop(c5(), PairSpec.moment_angle(5))
@@ -549,6 +550,15 @@ class TestCheckTraceMutations:
             "node 6 (pushout, m=5): ValueError: the rebuilt series is not the recorded one"
         ]
 
+    def test_root_pairs_must_cover_its_graph(self):
+        # the rules read only the first m cells, and no parent restricts the
+        # root's pairs: only the vertex count tells the extra pair apart
+        _, trace = decompose_loop(c5(), PairSpec.moment_angle(5))
+        trace.pairs = PairSpec.moment_angle(6)
+        assert check_trace(trace, DEFAULT_DEGREE) == [
+            "node 6 (pushout, m=5): ValueError: the pairs cover 6 vertices, the graph 5"
+        ]
+
     def test_lost_factor_fails_at_the_root(self, monkeypatch):
         # every series still matches: only the root's factor check sees it
         _, trace = decompose_loop(c5(), PairSpec.moment_angle(5))
@@ -646,7 +656,7 @@ class TestGeneralPair:
     def test_cp_pair_fiber_cells(self):
         # fiber of (CP^2, CP^0) is S^1 x Omega S^5
         cells = cp_pair_fiber_cells(2, 0)
-        assert cells == (gs([1, 1]) * GradedSeries.geometric(4)) - 1
+        assert cells == (gs([1, 1]) * geometric(4)) - 1
         # infinite ambient space leaves just the sphere
         assert cp_pair_fiber_cells(None, 1) == GradedSeries.monomial(3)
         with pytest.raises(ValueError):
@@ -655,7 +665,7 @@ class TestGeneralPair:
     def test_loops_of_cp(self):
         p = loops_of_cp(2)
         assert p.factors == ((sphere(1), 1), (loop_sphere(5), 1))
-        assert p.series == gs([1, 1]) * GradedSeries.geometric(4)
+        assert p.series == gs([1, 1]) * geometric(4)
         assert loops_of_cp(None).factors == ((sphere(1), 1),)
 
     def test_trivial_ambient_reduces_to_decompose_loop(self):

@@ -12,7 +12,6 @@ from loopdecomp.homotopy import (
     NoSolution,
     NotADivisor,
     NotCanonicalP,
-    PFactor,
     PProduct,
     SphereWedge,
     divide_products,
@@ -35,6 +34,7 @@ from helpers import (
     convolve,
     cp_pair_fiber_cells,
     factor_series,
+    geometric,
     graded_lyndon_counts,
     is_point,
     multiplicity,
@@ -103,13 +103,22 @@ class TestPFactor:
                 loop_sphere(bad)
 
     def test_bottom_degrees_disjoint(self):
-        spheres = {1, 3, 7}
-        loops = {d - 1 for d in range(3, 30) if d not in (4, 8)}
+        # a canonical factor is its bottom degree: each d >= 1 names one
+        spheres = {sphere(d) for d in (1, 3, 7)}
+        loops = {loop_sphere(d) for d in range(3, 30) if d not in (4, 8)}
         assert not spheres & loops
+        assert spheres | loops == set(range(1, 29))
+
+    def test_product_merges_and_checks_degrees(self):
+        one = GradedSeries.one()
+        assert PProduct(one, ((3, 1), (2, 1), (3, 2), (1, 0)), 5).factors == ((2, 1), (3, 3))
+        for bad in (((0, 1),), ((6, 1),), ((2, -1),)):
+            with pytest.raises(ValueError):
+                PProduct(one, bad, 5)
 
     def test_poincare(self):
         assert factor_series(sphere(3)) == gs([1, 0, 0, 1])
-        assert factor_series(loop_sphere(3)) == GradedSeries.geometric(2)
+        assert factor_series(loop_sphere(3)) == geometric(2)
 
 
 class TestJoin:
@@ -210,7 +219,7 @@ class TestHiltonMilnor:
     def test_single_s3(self):
         p = hilton_milnor(wedge_of_spheres([3]))
         assert p.factors == ((loop_sphere(3), 1),)
-        assert p.series == GradedSeries.geometric(2)
+        assert p.series == geometric(2)
 
     def test_single_s2_canonicalizes(self):
         p = hilton_milnor(wedge_of_spheres([2]))
@@ -238,8 +247,8 @@ class TestHiltonMilnor:
     def test_canonicalization_soundness(self):
         # Omega S^n = S^(n-1) x Omega S^(2n-1) at the level of series
         for n in (2, 4, 8):
-            lhs = GradedSeries.geometric(n - 1)
-            rhs = (GradedSeries.monomial(n - 1) + 1) * GradedSeries.geometric(2 * n - 2)
+            lhs = geometric(n - 1)
+            rhs = (GradedSeries.monomial(n - 1) + 1) * geometric(2 * n - 2)
             assert lhs == rhs
 
 
@@ -256,7 +265,7 @@ class TestLoopHalfSmash:
         p = loop_half_smash(CIRCLE, y)
         # series (1/(1 - t^3/(1-t^2))) * 1/(1-t^2), composed independently
         join_part = 1 / (1 - gs([0, 0, 0, 1], [1, 0, -1]))
-        assert p.series == join_part * GradedSeries.geometric(2)
+        assert p.series == join_part * geometric(2)
         assert multiplicity(p, loop_sphere(3)) == 1
         assert multiplicity(p, sphere(3)) == 1  # Omega S^4 partner, canonicalized
 
@@ -337,7 +346,7 @@ class TestPorter:
 
 class TestGreedy:
     def test_two_loop_s3(self):
-        g2 = GradedSeries.geometric(2)
+        g2 = geometric(2)
         p = greedy_factorize(g2 * g2, 10)
         assert p.factors == ((loop_sphere(3), 2),)
 
@@ -436,7 +445,7 @@ def test_fractions_stay_short(monkeypatch):
 def test_reduced_cells_of_product():
     p = product_of([(sphere(3), 1), (loop_sphere(5), 1)])
     cells = reduced_cells(p)
-    assert cells.reduced == (gs([1, 0, 0, 1]) * GradedSeries.geometric(4)) - 1
+    assert cells.reduced == (gs([1, 0, 0, 1]) * geometric(4)) - 1
 
 
 def test_pproduct_serialization_round_trip():

@@ -5,7 +5,7 @@ from random import Random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import tuple_face_homology
+from helpers import geometric, tuple_face_homology
 from loopdecomp import complexes, oracle
 from loopdecomp.complexes import SimplicialComplex, full_subcomplex, validate_complex
 from loopdecomp.engine import PairSpec, decompose_loop
@@ -190,7 +190,7 @@ class TestHochsterRestriction:
 class TestPrediction:
     def test_path3(self):
         K = validate_complex([[1, 2], [2, 3]], 3)
-        assert predicted_loop_series(K) == GradedSeries.geometric(2)
+        assert predicted_loop_series(K) == geometric(2)
 
     def test_path4(self):
         K = validate_complex([[1, 2], [2, 3], [3, 4]], 4)

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from loopdecomp.series import DivisionUndefined, GradedSeries
 
-from helpers import convolve
+from helpers import convolve, geometric
 
 
 def gs(num, den=(1,)):
@@ -15,14 +15,14 @@ class TestMul:
         assert gs([1, 1]) * gs([1, -1]) == gs([1, 0, -1])
 
     def test_fraction_product(self):
-        a = GradedSeries.geometric(2)
+        a = geometric(2)
         sq = a * a
         assert sq == gs([1], [1, 0, -2, 0, 1])
 
     def test_expansion_is_convolution(self):
         # (1+t^3) * 1/(1-t^2) through t^5, against a direct convolution
         a = gs([1, 0, 0, 1])
-        b = GradedSeries.geometric(2)
+        b = geometric(2)
         expected = convolve(list(a.expand(5)), list(b.expand(5)), 5)
         assert expected == [1, 0, 1, 1, 1, 1]
         assert list((a * b).expand(5)) == expected
@@ -33,12 +33,12 @@ class TestDiv:
         assert gs([1, 0, -1]) / gs([1, 1]) == gs([1, -1])
 
     def test_fraction_quotient(self):
-        g2 = GradedSeries.geometric(2)
+        g2 = geometric(2)
         assert g2 * g2 / g2 == g2
 
     def test_cross_multiplied(self):
         q = gs([1], [1, -1]) / gs([1, 1])
-        assert q == GradedSeries.geometric(2)
+        assert q == geometric(2)
         assert q * gs([1, 1]) == gs([1], [1, -1])
 
     def test_zero_divisor(self):
@@ -48,7 +48,7 @@ class TestDiv:
 
 class TestExpand:
     def test_geometric_even(self):
-        assert GradedSeries.geometric(2).expand(6) == (1, 0, 1, 0, 1, 0, 1)
+        assert geometric(2).expand(6) == (1, 0, 1, 0, 1, 0, 1)
 
     def test_doubling(self):
         assert gs([1], [1, -2]).expand(4) == (1, 2, 4, 8, 16)
