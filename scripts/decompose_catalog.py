@@ -39,9 +39,10 @@ def label(entry):
     return f"({name})^{entry['mult']}" if entry["mult"] > 1 else name
 
 
-def describe(product, cutoff, limit=6):
-    shown = [label(entry) for entry in product.to_doc()["factors"][:limit]]
-    if len(product.factors) > limit:
+def describe(product):
+    """The first six factors' labels, joined by x."""
+    shown = [label(entry) for entry in product.to_doc()["factors"][:6]]
+    if len(product.factors) > 6:
         shown.append("...")
     if not shown:
         shown = ["trivial"]
@@ -62,7 +63,7 @@ def main():
             print(f"{name:34}{'no':12}-")
             continue
         product, _ = decompose_loop(K, PairSpec.moment_angle(m), args.cutoff)
-        print(f"{name:34}{'yes':12}{describe(product, args.cutoff)}")
+        print(f"{name:34}{'yes':12}{describe(product)}")
         num, den = product.series.to_pair()
         note = ""
         try:
@@ -75,7 +76,7 @@ def main():
     print("disk pairs (D^3, S^2) on the pentagon:")
     K = validate_complex([[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]], 5)
     product, _ = decompose_loop(K, PairSpec.disks(3, 5), args.cutoff)
-    print("  ", describe(product, args.cutoff))
+    print("  ", describe(product))
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 All input and output documents are single JSON files.  Input complexes are
 {"m": int, "facets": [[int, ...], ...]}; custom pair data is
 {"suspensions": [[dims...] per vertex]}.  Exit codes: 0 success, 1 input
-error, 2 inadmissible complex, 3 internal-check failure.
+error (a malformed command line too), 2 inadmissible complex, 3
+internal-check failure; each error is one line on stderr.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from random import Random
 
 from .complexes import (
@@ -42,23 +42,6 @@ EXIT_INTERNAL = 3
 _INPUT_ERRORS = (BadDocument, BadIndex, GhostVertex, json.JSONDecodeError, OSError, KeyError)
 _INADMISSIBLE_ERRORS = (NotFlagSkeleton, NotApplicable, DominatingVertex, TooLarge)
 _INTERNAL_ERRORS = (NotCanonicalP, NotADivisor, NoSolution)
-
-
-@dataclass
-class JobSpec:
-    command: str
-    input_path: str | None = None
-    pairs: str = "moment-angle"
-    cutoff: int = DEFAULT_DEGREE
-    trace: bool = False
-    output_path: str | None = None
-    linalg: bool = False
-    random_count: int = 100
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.cutoff < 1:
-            raise ValueError("cutoff must be >= 1")
 
 
 def load_complex(path: str) -> SimplicialComplex:
@@ -101,8 +84,8 @@ def _emit(doc: dict, output_path: str | None) -> None:
         print(text)
 
 
-def cmd_check(job: JobSpec) -> int:
-    K = load_complex(job.input_path)
+def cmd_check(args: argparse.Namespace) -> int:
+    K = load_complex(args.input_path)
     cls = classify_input(K)
     _emit(
         {
@@ -116,26 +99,26 @@ def cmd_check(job: JobSpec) -> int:
             "chordal_1_skeleton": cls.chordal_1_skeleton,
             "admissible": cls.k_skeleton_of_flag is not None,
         },
-        job.output_path,
+        args.output_path,
     )
     return EXIT_OK
 
 
-def cmd_decompose(job: JobSpec) -> int:
-    K = load_complex(job.input_path)
-    pairs = resolve_pairs(job.pairs, K.m)
-    product, trace = decompose_loop(K, pairs, job.cutoff)
+def cmd_decompose(args: argparse.Namespace) -> int:
+    K = load_complex(args.input_path)
+    pairs = resolve_pairs(args.pairs, K.m)
+    product, trace = decompose_loop(K, pairs, args.cutoff)
     doc = {
         "command": "decompose",
         "input": K.to_doc(),
-        "pairs": job.pairs,
-        "cutoff": job.cutoff,
+        "pairs": args.pairs,
+        "cutoff": args.cutoff,
         **product.to_doc(),
-        "expansion": list(product.series.expand(job.cutoff)),
+        "expansion": list(product.series.expand(args.cutoff)),
     }
-    if job.trace:
+    if args.trace:
         doc["trace"] = trace_to_doc(trace)
-    _emit(doc, job.output_path)
+    _emit(doc, args.output_path)
     return EXIT_OK
 
 
@@ -150,11 +133,11 @@ def _split_idempotent_entry(index, matrix) -> dict | None:
     return None if ok else {"index": index, "status": "FAIL"}
 
 
-def _linalg_report(job: JobSpec) -> dict:
+def _linalg_report(args: argparse.Namespace) -> dict:
     checks = []
     doc = {"command": "verify", "mode": "linalg"}
-    if job.input_path:
-        with open(job.input_path) as handle:
+    if args.input_path:
+        with open(args.input_path) as handle:
             matrices = json.load(handle)
         matrices = matrices.get("matrices") if isinstance(matrices, dict) else None
         if not isinstance(matrices, list) or not all(
@@ -169,10 +152,10 @@ def _linalg_report(job: JobSpec) -> dict:
             if entry:
                 checks.append(entry)
     else:
-        rng = Random(job.seed)
-        doc["random"] = job.random_count
-        doc["seed"] = job.seed
-        for index in range(job.random_count):
+        rng = Random(args.seed)
+        doc["random"] = args.random_count
+        doc["seed"] = args.seed
+        for index in range(args.random_count):
             n = rng.randint(1, 6)
             entry = _split_idempotent_entry(index, random_idempotent(n, rng))
             if entry:
@@ -190,22 +173,29 @@ def _linalg_report(job: JobSpec) -> dict:
     return doc
 
 
-def cmd_verify(job: JobSpec) -> int:
-    if job.linalg:
-        doc = _linalg_report(job)
-        _emit(doc, job.output_path)
+def cmd_verify(args: argparse.Namespace) -> int:
+    if args.linalg:
+        doc = _linalg_report(args)
+        _emit(doc, args.output_path)
         return EXIT_OK if doc["status"] == "PASS" else EXIT_INTERNAL
-    K = load_complex(job.input_path)
-    pairs = resolve_pairs(job.pairs, K.m)
-    report = verify_against_oracle(K, pairs, job.cutoff)
-    doc = {"command": "verify", "input": K.to_doc(), "pairs": job.pairs, "cutoff": job.cutoff}
+    K = load_complex(args.input_path)
+    pairs = resolve_pairs(args.pairs, K.m)
+    report = verify_against_oracle(K, pairs, args.cutoff)
+    doc = {"command": "verify", "input": K.to_doc(), "pairs": args.pairs, "cutoff": args.cutoff}
     doc.update(report.to_doc())
-    _emit(doc, job.output_path)
+    _emit(doc, args.output_path)
     return EXIT_OK if report.passed else EXIT_INTERNAL
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line through main's one error path."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="loopdecomp",
         description="Loop space decompositions of polyhedral products over "
         "skeleta of flag complexes.",
@@ -227,29 +217,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command != "verify" and args.input_path is None:
-        print("error: --input is required", file=sys.stderr)
-        return EXIT_INPUT
-    if args.command == "verify" and not args.linalg and args.input_path is None:
-        print("error: --input is required without --linalg", file=sys.stderr)
-        return EXIT_INPUT
-    handler = {"check": cmd_check, "decompose": cmd_decompose, "verify": cmd_verify}[
-        args.command
-    ]
+    handlers = {"check": cmd_check, "decompose": cmd_decompose, "verify": cmd_verify}
     try:
-        return handler(JobSpec(**vars(args)))
-    except _INADMISSIBLE_ERRORS as exc:
+        args = build_parser().parse_args(argv)
+        if args.input_path is None and args.command != "verify":
+            raise ValueError("--input is required")
+        if args.input_path is None and not args.linalg:
+            raise ValueError("--input is required without --linalg")
+        if args.cutoff < 1:
+            raise ValueError("cutoff must be >= 1")
+        if args.command == "verify" and args.random_count < 0:
+            raise ValueError("random must be >= 0")
+        return handlers[args.command](args)
+    except (*_INPUT_ERRORS, ValueError) as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
-    except _INTERNAL_ERRORS as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except _INPUT_ERRORS as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
+        if isinstance(exc, _INADMISSIBLE_ERRORS):
+            return EXIT_INADMISSIBLE
+        if isinstance(exc, _INTERNAL_ERRORS):
+            return EXIT_INTERNAL
         return EXIT_INPUT
 
 

@@ -284,14 +284,12 @@ def classify_input(K: SimplicialComplex) -> Classification:
     decomposition classify it once.
     """
     if K._classification is None:
-        if K.m == 0:
-            raise ValueError("classification needs at least one vertex")
         G = FlagSkeleton.of(K)
         cliques = G.maximal_cliques()
         admissible = _skeleton_facets(cliques, G.k + 1) == K.facets
         simplex = admissible and G.simplex_skeleton_dim() is not None
         classification = Classification(
-            flag=admissible and max(c.bit_count() for c in cliques) <= G.k + 1,
+            flag=admissible and max((c.bit_count() for c in cliques), default=0) <= G.k + 1,
             k_skeleton_of_flag=G.k if admissible else None,
             skeleton_of_simplex=(K.m, G.k) if simplex else None,
             chordal_1_skeleton=is_chordal(G),

@@ -68,9 +68,9 @@ class PairSpec:
 
     def __post_init__(self):
         for s in self.cells:
-            coeffs = s.checkable_coeffs(DEFAULT_DEGREE)
-            if s.is_zero() or coeffs[0] != 0 or any(c < 0 for c in coeffs):
-                raise ValueError("vertex cell series must be reduced and non-negative")
+            if s.is_zero():
+                raise ValueError("a vertex's cell series must not be zero")
+            CellSeries(s)
 
     @property
     def m(self) -> int:
@@ -161,32 +161,28 @@ def _skeleton_cells(m: int, k: int, pairs: PairSpec) -> GradedSeries:
 
 
 def decompose_loop(
-    K: SimplicialComplex,
-    pairs: PairSpec,
-    cutoff: int = DEFAULT_DEGREE,
-    split_vertex: int | None = None,
+    K: SimplicialComplex, pairs: PairSpec, cutoff: int = DEFAULT_DEGREE
 ) -> tuple[PProduct, TraceNode]:
     """Canonical product decomposition of Omega (CA,A)^K with its trace.
 
     K must be the k-skeleton of a flag complex.  It is classified once;
-    the recursion then runs on its 1-skeleton and k.  `split_vertex` forces
-    the top-level pushout vertex (the output never depends on the choice,
-    only the shape of the derivation does).
+    the recursion then runs on its 1-skeleton and k.  The output does not
+    depend on the pushout vertices chosen, only the shape of the
+    derivation does.
     """
     if K.m != pairs.m:
         raise ValueError("pair data must cover all vertices of K")
-    if K.m > 1 and classify_input(K).k_skeleton_of_flag is None:
+    if classify_input(K).k_skeleton_of_flag is None:
         raise NotFlagSkeleton("K is not the k-skeleton of a flag complex")
-    cones = K.m > 1 and classify_input(K).flag
-    _, node = _decompose(FlagSkeleton.of(K), pairs, {}, cones, split_vertex)
+    _, node = _decompose(FlagSkeleton.of(K), pairs, {}, classify_input(K).flag)
     return greedy_factorize(node.series, cutoff), node
 
 
-def _decompose(K: FlagSkeleton, pairs: PairSpec, memo, cones, forced=None):
+def _decompose(K: FlagSkeleton, pairs: PairSpec, memo, cones):
     """(u, trace node) for K; u = 1/P does not depend on any cutoff.  The
     cone rule applies when `cones` is set, which needs a flag root."""
     key = (K.adj, K.k, pairs.key())
-    if forced is None and key in memo:
+    if key in memo:
         return memo[key]
 
     rule, v, children = "contractible", None, []
@@ -196,14 +192,12 @@ def _decompose(K: FlagSkeleton, pairs: PairSpec, memo, cones, forced=None):
         cells = _skeleton_cells(K.m, k, pairs)
         u = 1 - GradedSeries(cells.num[1:], cells.den)  # 1 - cells/t
         rule = "simplex_skeleton"
-    elif cones and forced is None and len(rest := _non_dominating(K)) < K.m:
+    elif len(rest := _non_dominating(K)) < K.m and cones:
         u, child = _decompose(K.induced(rest), pairs.restrict(rest), memo, cones)
         rule, children = "cone", [child]
     else:
-        # unless forced: the least degree among the non-dominating vertices
-        v = forced if forced is not None else min(
-            _non_dominating(K), key=lambda w: (K.adj[w - 1].bit_count(), w)
-        )
+        # the least degree among the non-dominating vertices
+        v = min(rest, key=lambda w: (K.adj[w - 1].bit_count(), w))
         split = pushout_split(K, v)
         (u1, n1), (u2, n2), (ul, nl) = (
             _decompose(graph, pairs.restrict(vertices), memo, cones)
@@ -214,8 +208,7 @@ def _decompose(K: FlagSkeleton, pairs: PairSpec, memo, cones, forced=None):
         rule, children = "pushout", [n1, n2, nl]
 
     node = TraceNode(rule, K, pairs, 1 / u, v, children)
-    if forced is None:
-        memo[key] = (u, node)
+    memo[key] = (u, node)
     return u, node
 
 

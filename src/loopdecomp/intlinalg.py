@@ -244,13 +244,13 @@ def primitive_bezout(v) -> BezoutCertificate:
     return BezoutCertificate(g, tuple(coeffs), primitive, odd)
 
 
-def random_unimodular(n: int, rng: Random, shears: int | None = None) -> tuple[Matrix, Matrix]:
-    """Random unimodular U with its exact inverse, built from bounded shears."""
+def random_unimodular(n: int, rng: Random) -> tuple[Matrix, Matrix]:
+    """Random unimodular U with its exact inverse, built from 2n bounded elementary operations."""
     u = identity(n)
     inv = identity(n)
     if n < 2:
         return u, inv
-    for _ in range(shears if shears is not None else 2 * n):
+    for _ in range(2 * n):
         i, j = rng.sample(range(n), 2)
         k = rng.choice([-2, -1, 1, 2])
         for row in range(n):

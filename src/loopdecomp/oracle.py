@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from .complexes import FlagSkeleton, SimplicialComplex, classify_input
 from .engine import PairSpec, check_trace, decompose_loop, unique_nodes
 from .intlinalg import smith_invariant_factors
-from .series import GradedSeries
+from .series import DEFAULT_DEGREE, GradedSeries
 
 
 class TooLarge(ValueError):
@@ -153,8 +153,6 @@ def _wedge_obstruction(K: SimplicialComplex) -> str | None:
     """Why Z_K is not known to be a wedge of spheres, or None when it is:
     K flag, or a graph, with chordal 1-skeleton.  The empty complex gives
     a point, the empty wedge."""
-    if K.m == 0:
-        return None
     cls = classify_input(K)
     if not (cls.flag or K.dim() <= 1):
         return "K is neither flag nor 1-dimensional"
@@ -227,7 +225,7 @@ def _first_divergence(a, b) -> int | None:
 
 
 def verify_against_oracle(
-    K: SimplicialComplex, pairs: PairSpec, cutoff: int = 20
+    K: SimplicialComplex, pairs: PairSpec, cutoff: int = DEFAULT_DEGREE
 ) -> VerificationReport:
     """Run the engine and re-check it: the trace certificate, which also
     checks the listed factors, against a root that must be K with the

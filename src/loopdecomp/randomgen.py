@@ -33,12 +33,12 @@ def skeleton(K: SimplicialComplex, k: int) -> SimplicialComplex:
     return validate_complex(faces, K.m)
 
 
-def random_flag_complex(m: int, rng: Random, edge_prob: float = 0.5) -> SimplicialComplex:
-    return clique_complex(random_graph_complex(m, rng, edge_prob))
+def random_flag_complex(m: int, rng: Random) -> SimplicialComplex:
+    return clique_complex(random_graph_complex(m, rng))
 
 
-def random_flag_skeleton(m: int, rng: Random, edge_prob: float = 0.5) -> SimplicialComplex:
-    flag = random_flag_complex(m, rng, edge_prob)
+def random_flag_skeleton(m: int, rng: Random) -> SimplicialComplex:
+    flag = random_flag_complex(m, rng)
     return skeleton(flag, rng.randint(0, max(flag.dim(), 0)))
 
 

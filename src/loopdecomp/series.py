@@ -125,10 +125,10 @@ class GradedSeries:
         return cls((1,))
 
     @classmethod
-    def monomial(cls, degree: int, coeff: int = 1) -> "GradedSeries":
+    def monomial(cls, degree: int) -> "GradedSeries":
         if degree < 0:
             raise ValueError("degree must be >= 0")
-        return cls((0,) * degree + (coeff,))
+        return cls((0,) * degree + (1,))
 
     # -- basic queries -----------------------------------------------------
 

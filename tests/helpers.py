@@ -13,7 +13,7 @@ from random import Random
 
 from hypothesis import strategies as st
 
-from loopdecomp.complexes import FlagSkeleton, pushout_split
+from loopdecomp.complexes import FlagSkeleton, classify_input, pushout_split
 from loopdecomp import engine
 from loopdecomp.engine import PairSpec, decompose_loop
 from loopdecomp.homotopy import (
@@ -150,6 +150,22 @@ def neighbors_and_domination(K):
         )
         for v, row in zip(K.vertices(), rows)
     }
+
+
+def forced_split(K, pairs, v):
+    """A trace for K whose root is the pushout at v, which need not be the
+    vertex the engine picks.  The root claims the engine's series for K;
+    its children are the engine's nodes for the pieces of the split at v,
+    so check_trace certifies the claim, and the factors listed for it, by
+    rebuilding the root from them through the P-calculus."""
+    _, trace = decompose_loop(K, pairs)
+    G = FlagSkeleton.of(K)
+    memo, cones = {}, classify_input(K).flag
+    children = [
+        engine._decompose(piece, pairs.restrict(vertices), memo, cones)[1]
+        for piece, vertices in engine._pieces(pushout_split(G, v))
+    ]
+    return engine.TraceNode("pushout", G, pairs, trace.series, v, children)
 
 
 @st.composite

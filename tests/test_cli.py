@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,10 +11,11 @@ from loopdecomp.cli import (
     EXIT_INADMISSIBLE,
     EXIT_INPUT,
     EXIT_OK,
-    JobSpec,
     main,
     resolve_pairs,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_complex(tmp_path, name, m, facets):
@@ -103,6 +108,15 @@ class TestCheck:
         assert doc["k_skeleton_of_flag"] == 1
         assert doc["chordal_1_skeleton"] is False
         assert doc["admissible"] is True
+
+    def test_empty_complex(self, tmp_path, capsys):
+        path = write_complex(tmp_path, "empty.json", 0, [])
+        assert main(["check", "--input", path]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["flag"] is True and doc["admissible"] is True
+        assert doc["k_skeleton_of_flag"] == 0
+        assert doc["skeleton_of_simplex"] == [0, 0]
+        assert doc["chordal_1_skeleton"] is True
 
     def test_inadmissible_complex_reported(self, tmp_path, capsys):
         path = write_complex(tmp_path, "bad.json", 4, [[1, 2, 3], [3, 4], [1, 4]])
@@ -214,6 +228,31 @@ class TestExitCodes:
 
     def test_missing_input_flag(self, capsys):
         assert main(["decompose"]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error[ValueError]: --input is required\n"
+
+    def test_missing_input_flag_without_linalg(self, capsys):
+        assert main(["verify"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == "error[ValueError]: --input is required without --linalg\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["decompose", "--cutoff", "abc"], "argument --cutoff: invalid int value: 'abc'"),
+            (["frob"], "argument command: invalid choice: 'frob'"),
+            (["decompose", "--input", "k.json", "--frob"], "unrecognized arguments: --frob"),
+        ],
+        ids=["bad-int", "unknown-command", "unknown-flag"],
+    )
+    def test_malformed_command_line(self, capsys, argv, message):
+        # an input error like any other: exit 1 and one line, not usage and exit 2
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[ValueError]: {message}") and err.count("\n") == 1, err
+
+    def test_negative_random_count(self, capsys):
+        assert main(["verify", "--linalg", "--random", "-3"]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error[ValueError]: random must be >= 0\n"
 
     @pytest.mark.parametrize(
         "doc",
@@ -266,6 +305,27 @@ class TestExitCodes:
         assert err == "error[ValueError]: cutoff must be >= 1\n"
 
 
+class TestModuleEntryPoint:
+    """`python -m loopdecomp.cli` exits with main's code."""
+
+    def run(self, *argv):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        return subprocess.run(
+            [sys.executable, "-m", "loopdecomp.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    def test_malformed_command_line(self):
+        done = self.run("decompose", "--cutoff", "abc")
+        assert done.returncode == EXIT_INPUT
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error["), done.stderr
+
+    def test_help(self):
+        done = self.run("--help")
+        assert done.returncode == EXIT_OK and "decompose" in done.stdout
+
+
 class TestPairsResolution:
     def test_moment_angle(self):
         assert resolve_pairs("moment-angle", 3).is_moment_angle()
@@ -285,8 +345,3 @@ class TestPairsResolution:
         path.write_text(json.dumps({"suspensions": [[2]]}))
         with pytest.raises(ValueError):
             resolve_pairs(f"custom:{path}", 2)
-
-
-def test_jobspec_validates_cutoff():
-    with pytest.raises(ValueError):
-        JobSpec(command="decompose", cutoff=0)

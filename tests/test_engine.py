@@ -2,6 +2,7 @@ import copy
 import itertools
 import json
 import re
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -27,6 +28,7 @@ from helpers import (
     cp_fiber_pairs,
     cp_pair_fiber_cells,
     decompose_general_pair,
+    forced_split,
     geometric,
     graph_and_k,
     is_point,
@@ -188,31 +190,33 @@ class TestDecompose:
         assert root["children"]
 
     def test_heuristic_independence(self):
+        # a split at any non-dominating vertex rebuilds the engine's series
+        # and factors, which check_trace compares at the root
         rng = Random(4)
         for K in [square(), c5()] + [random_flag_skeleton(rng.randint(3, 6), rng) for _ in range(6)]:
             pairs = PairSpec.moment_angle(K.m)
             info = neighbors_and_domination(K)
-            options = [v for v, rec in info.items() if not rec.dominating]
-            if not options:
-                continue
-            base, _ = decompose_loop(K, pairs)
-            for v in options:
-                alt, _ = decompose_loop(K, pairs, split_vertex=v)
-                assert alt.factors == base.factors, (K.facets, v)
-                assert alt.series == base.series, (K.facets, v)
+            for v in (v for v, rec in info.items() if not rec.dominating):
+                root = forced_split(K, pairs, v)
+                assert check_trace(root, DEFAULT_DEGREE) == [], (K.facets, v)
 
     @settings(max_examples=20, deadline=None)
-    @given(graph_and_k())
-    def test_every_split_vertex_gives_the_product(self, graph):
+    @given(graph_and_k(), st.integers(1, 12))
+    @example((5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)], 1), 3)
+    def test_every_split_vertex_gives_the_product(self, graph, j):
         m, edges, k = graph
         K = validate_complex(clique_faces(m, edges, k), m)
         pairs = PairSpec.moment_angle(m)
-        base, _ = decompose_loop(K, pairs, 12)
         for v, rec in neighbors_and_domination(K).items():
             if not rec.dominating:
-                alt, trace = decompose_loop(K, pairs, 12, split_vertex=v)
-                assert (alt.factors, alt.series) == (base.factors, base.series), v
-                assert check_trace(trace, 12) == []
+                root = forced_split(K, pairs, v)
+                assert check_trace(root, 12) == [], v
+                # a wrong claim at the forced root fails there, and only there
+                wrong = replace(root, series=root.series * (1 + GradedSeries.monomial(j)))
+                where = f"node {len(engine.unique_nodes(root)) - 1} (pushout, m={m})"
+                assert check_trace(wrong, 12) == [
+                    f"{where}: ValueError: the rebuilt series is not the recorded one"
+                ], v
 
     def test_relabeling_invariance(self):
         rng = Random(6)
@@ -284,17 +288,17 @@ class TestConeRule:
         assert all(node.rule != "cone" for node in engine.unique_nodes(trace))
         assert check_trace(trace, DEFAULT_DEGREE) == []
         for v in range(2, 6):
-            alt, alt_trace = decompose_loop(K, pairs, split_vertex=v)
-            assert (alt.factors, alt.series) == (base.factors, base.series), v
-            assert check_trace(alt_trace, DEFAULT_DEGREE) == []
+            root = forced_split(K, pairs, v)
+            assert all(node.rule != "cone" for node in engine.unique_nodes(root)), v
+            assert check_trace(root, DEFAULT_DEGREE) == [], v
         link = validate_complex([[1, 2], [1, 3], [2, 3], [4]], 4)
         assert decompose_loop(link, PairSpec.moment_angle(4))[0].series != base.series
 
     def test_forced_split_is_a_pushout(self):
+        # the engine takes the cone rule at this root; a pushout is valid too
         K = validate_complex([[1, 2, 6], [2, 3, 6], [3, 4, 6], [4, 5, 6], [1, 5, 6]], 6)
-        _, trace = decompose_loop(K, PairSpec.moment_angle(6), split_vertex=1)
-        assert trace.rule == "pushout"
-        assert check_trace(trace, DEFAULT_DEGREE) == []
+        root = forced_split(K, PairSpec.moment_angle(6), 1)
+        assert check_trace(root, DEFAULT_DEGREE) == []
 
 
 class TestRootOnlyFactorisation:
