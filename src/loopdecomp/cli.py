@@ -49,6 +49,9 @@ def load_complex(path: str) -> SimplicialComplex:
         doc = json.load(handle)
     if not isinstance(doc, dict):
         raise BadDocument("a complex is a JSON object {\"m\": ..., \"facets\": ...}")
+    for key in ("m", "facets"):
+        if key not in doc:
+            raise BadDocument(f"a complex needs the key {key!r}")
     facets = doc["facets"]
     if not isinstance(facets, list) or not all(isinstance(f, list) for f in facets):
         raise BadDocument("facets must be a list of vertex lists")
@@ -59,12 +62,15 @@ def resolve_pairs(spec: str, m: int) -> PairSpec:
     if spec == "moment-angle":
         return PairSpec.moment_angle(m)
     if spec.startswith("disks:"):
-        dim = int(spec.split(":", 1)[1])
+        try:
+            dim = int(spec.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"pair spec {spec!r} needs an integer disk dimension") from None
         return PairSpec.disks(dim, m)
     if spec.startswith("custom:"):
         with open(spec.split(":", 1)[1]) as handle:
             doc = json.load(handle)
-        dims = doc["suspensions"] if isinstance(doc, dict) else None
+        dims = doc.get("suspensions") if isinstance(doc, dict) else None
         if not isinstance(dims, list) or not all(
             isinstance(ds, list) and all(type(d) is int for d in ds) for ds in dims
         ):

@@ -7,14 +7,18 @@ empty subset excluded), and the predicted loop-space series
 1/(1 - sum r_j t^(j-1)) in the cases where Z_K is known to be a wedge of
 spheres, namely flag or 1-dimensional K with chordal 1-skeleton.
 
-Faces are vertex bitmasks (bit v - 1 for vertex v), so the Hochster table
-restricts K's faces to a vertex set S by a mask test, without relabelling.
+Faces are vertex bitmasks (bit v - 1 for vertex v).  The Hochster table is
+one depth-first walk over the vertex subsets: each subset adds to its
+parent's faces those of its top vertex that it contains, and merges its
+parent's components by that vertex's edges, so rank d_1 is read off the
+components and no face is relabelled.
 `verify_against_oracle` applies the table's vertex bound before it
 decomposes, so an oversized input exits before any exponential work.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .complexes import FlagSkeleton, SimplicialComplex, classify_input
@@ -34,11 +38,9 @@ class NotApplicable(ValueError):
 HOCHSTER_VERTEX_BOUND = 12
 
 
-def _rank(matrix: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free elimination."""
-    if not matrix or not matrix[0]:
-        return 0
-    a = [row[:] for row in matrix]
+def _rank(a: list[list[int]]) -> int:
+    """Rank of a nonempty integer matrix by fraction-free elimination, in
+    place."""
     rows, cols = len(a), len(a[0])
     rank = 0
     for col in range(cols):
@@ -56,13 +58,32 @@ def _rank(matrix: list[list[int]]) -> int:
     return rank
 
 
-def _face_layers(K: SimplicialComplex) -> list[list[int]]:
-    """K's nonempty faces as vertex bitmasks (bit v - 1 for vertex v), by
-    dimension."""
-    layers: list[list[int]] = [[] for _ in range(K.dim() + 1)]
-    for f in K.nonempty_faces():
-        layers[len(f) - 1].append(sum(1 << (v - 1) for v in f))
-    return [sorted(layer) for layer in layers]
+def _faces_by_top(K: SimplicialComplex) -> list[tuple[list[list[int]], int]]:
+    """K's nonempty faces as vertex bitmasks (bit v - 1 for vertex v), grouped
+    by their top vertex and then by dimension, each group with the mask of
+    its top vertex's lower neighbours.  A group's dimensions stop at its
+    largest face."""
+    groups: list[list[list[int]]] = [[] for _ in range(K.m)]
+    for face in sorted(sum(1 << (v - 1) for v in f) for f in K.nonempty_faces()):
+        faces, d = groups[face.bit_length() - 1], face.bit_count() - 1
+        faces.extend([] for _ in range(d + 1 - len(faces)))
+        faces[d].append(face)
+    return [
+        (faces, sum(e ^ (1 << i) for e in faces[1]) if len(faces) > 1 else 0)
+        for i, faces in enumerate(groups)
+    ]
+
+
+def _join(components: list[int], vertex: int, neighbours: int) -> list[int]:
+    """Components, as vertex masks, once a vertex joins them by edges to
+    its neighbours."""
+    joined, rest = vertex, []
+    for component in components:
+        if component & neighbours:
+            joined |= component
+        else:
+            rest.append(component)
+    return [*rest, joined]
 
 
 def _boundary_matrix(lower: list[int], upper: list[int]) -> list[list[int]]:
@@ -79,22 +100,28 @@ def _boundary_matrix(lower: list[int], upper: list[int]) -> list[list[int]]:
     return matrix
 
 
-def _homology(layers: list[list[int]], with_torsion: bool = False):
-    """Reduced homology ranks over Q of the complex with these nonempty face
-    layers (none empty), and the degrees j with torsion in H_j(K; Z) when
-    with_torsion is set."""
-    boundaries = [_boundary_matrix(layers[d - 1], layers[d]) for d in range(1, len(layers))]
-    boundary_ranks = [1, *map(_rank, boundaries), 0]  # augmentation C_0 -> Z has rank 1
+def _homology(layers: list[list[int]], components: list[int], with_torsion: bool = False):
+    """Reduced homology ranks over Q of the nonempty complex with these face
+    layers (any empty ones last) and components, and the degrees j with
+    torsion in H_j(K; Z) when with_torsion is set.
+
+    rank d_1 is the vertex count less the component count, so d_1 is never
+    built; H_0 is free, so only d_2 and up can show torsion.
+    """
+    layers = list(itertools.takewhile(bool, layers))
+    boundary_ranks = [1, len(layers[0]) - len(components)]  # augmentation C_0 -> Z has rank 1
+    torsion = set()
+    for d in range(2, len(layers)):
+        matrix = _boundary_matrix(layers[d - 1], layers[d])
+        if with_torsion and any(f > 1 for f in smith_invariant_factors(matrix)):
+            torsion.add(d - 1)
+        boundary_ranks.append(_rank(matrix))
+    boundary_ranks.append(0)
     ranks = {}
     for d, faces in enumerate(layers):
         r = len(faces) - boundary_ranks[d] - boundary_ranks[d + 1]
         if r:
             ranks[d] = r
-    torsion = {
-        d
-        for d, matrix in enumerate(boundaries)
-        if with_torsion and any(f > 1 for f in smith_invariant_factors(matrix))
-    }
     return ranks, torsion
 
 
@@ -102,7 +129,13 @@ def simplicial_homology_ranks(K: SimplicialComplex) -> dict[int, int]:
     """Reduced homology ranks over Q; empty map for the empty complex."""
     if K.m == 0:
         return {}
-    return _homology(_face_layers(K))[0]
+    layers: list[list[int]] = [[] for _ in range(K.dim() + 1)]
+    components: list[int] = []
+    for i, (faces, neighbours) in enumerate(_faces_by_top(K)):
+        for layer, new in zip(layers, faces):
+            layer += new
+        components = _join(components, 1 << i, neighbours)
+    return _homology(layers, components)[0]
 
 
 @dataclass(frozen=True)
@@ -121,29 +154,41 @@ def _check_vertex_bound(m: int) -> None:
 def hochster_table(K: SimplicialComplex, with_torsion: bool = False) -> HochsterTable:
     """Sum reduced subcomplex homology over all nonempty vertex subsets.
 
-    K's faces are enumerated once, as bitmasks; the full subcomplex on a
-    vertex set S is the faces f with f & ~S == 0.  Homology ignores labels,
-    so nothing is relabelled.
+    One depth-first walk visits each subset S once, grown from S less its
+    top vertex v.  The full subcomplex on S is its parent's faces plus the
+    faces with top vertex v that lie in S (f & ~S == 0), appended to one
+    set of face layers and cut back after S's own subtree.  Its components
+    are its parent's, merged by v's edges.  Homology ignores labels, so
+    nothing is relabelled.
     """
     _check_vertex_bound(K.m)
-    layers = _face_layers(K)
+    groups = _faces_by_top(K)
+    layers: list[list[int]] = [[] for _ in range(K.dim() + 1)]
     ranks: dict[int, int] = {}
     torsion: dict[int, bool] = {}
-    for subset in range(1, 1 << K.m):
-        outside = ~subset
-        restricted = []
-        for layer in layers:
-            faces = [f for f in layer if not f & outside]
-            if not faces:
-                break
-            restricted.append(faces)
-        shift = subset.bit_count() + 1
-        sub_ranks, sub_torsion = _homology(restricted, with_torsion)
-        for j, r in sub_ranks.items():
-            ranks[j + shift] = ranks.get(j + shift, 0) + r
-        for j in sub_torsion:
-            # UCT: torsion of H_j lands in H^(j+1)
-            torsion[j + 1 + shift] = True
+
+    def walk(subset: int, components: list[int], top: int) -> None:
+        for i in range(top + 1, K.m):
+            grown = subset | 1 << i
+            outside = ~grown
+            faces, neighbours = groups[i]
+            sizes = []
+            for layer, new in zip(layers, faces):
+                sizes.append(len(layer))
+                layer += [f for f in new if not f & outside]
+            joined = _join(components, 1 << i, neighbours)
+            sub_ranks, sub_torsion = _homology(layers, joined, with_torsion)
+            shift = grown.bit_count() + 1
+            for j, r in sub_ranks.items():
+                ranks[j + shift] = ranks.get(j + shift, 0) + r
+            for j in sub_torsion:
+                # UCT: torsion of H_j lands in H^(j+1)
+                torsion[j + 1 + shift] = True
+            walk(grown, joined, i)
+            for layer, size in zip(layers, sizes):
+                del layer[size:]
+
+    walk(0, [], -1)
     return HochsterTable(
         dict(sorted(ranks.items())), dict(sorted(torsion.items())) if with_torsion else None
     )
@@ -241,16 +286,13 @@ def verify_against_oracle(
         checks.append(CheckResult("decompose", "FAIL", f"{type(exc).__name__}: {exc}"))
         return VerificationReport(checks)
     expansion = list(product.series.expand(cutoff))
+    doc = product.to_doc()
     checks.append(
         CheckResult(
             "decompose",
             "PASS",
             "engine produced a canonical product",
-            {
-                "factors": product.to_doc()["factors"],
-                "series": product.to_doc()["series"],
-                "expansion": expansion,
-            },
+            {"factors": doc["factors"], "series": doc["series"], "expansion": expansion},
         )
     )
 

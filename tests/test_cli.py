@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from loopdecomp import oracle
 from loopdecomp.cli import (
@@ -274,9 +278,23 @@ class TestExitCodes:
         assert err.startswith("error[BadDocument]") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "doc, key", [({"m": 4}, "facets"), ({"facets": [[1]]}, "m")], ids=["no-facets", "no-m"]
+    )
+    def test_complex_document_without_a_key(self, tmp_path, capsys, doc, key):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["decompose", "--input", str(path)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error[BadDocument]: a complex needs the key '{key}'\n"
+
+    def test_non_integer_disk_dimension(self, square_json, capsys):
+        assert main(["decompose", "--input", square_json, "--pairs", "disks:x"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == "error[ValueError]: pair spec 'disks:x' needs an integer disk dimension\n"
+
+    @pytest.mark.parametrize(
         "doc",
-        [[[2], [3]], {"suspensions": 3}, {"suspensions": [["a"], [2]]}],
-        ids=["top-level-list", "int-suspensions", "string-dim"],
+        [[[2], [3]], {"suspensions": 3}, {"suspensions": [["a"], [2]]}, {"dims": [[2]] * 4}],
+        ids=["top-level-list", "int-suspensions", "string-dim", "no-suspensions"],
     )
     def test_malformed_pairs_document(self, square_json, tmp_path, capsys, doc):
         path = tmp_path / "pairs.json"
@@ -303,6 +321,59 @@ class TestExitCodes:
         assert rc == EXIT_INPUT
         err = capsys.readouterr().err
         assert err == "error[ValueError]: cutoff must be >= 1\n"
+
+
+_junk = st.none() | st.booleans() | st.floats(allow_nan=False) | st.text(max_size=3)
+
+
+@st.composite
+def complex_docs(draw):
+    """JSON documents read as complexes on m <= 8 vertices, so that nothing
+    exponential starts: mostly well formed, else with a key missing, a value
+    of another type, a vertex out of range, or no object at all."""
+    m = draw(st.integers(0, 8))
+    vertices = st.integers(1, max(m, 1))
+    facets = draw(st.lists(st.lists(vertices, min_size=1, max_size=4), max_size=6 if m else 0))
+    if draw(st.integers(0, 3)):
+        facets += [[v] for v in range(1, m + 1)]
+    doc = {"m": m, "facets": facets}
+    edit = draw(st.sampled_from(["none", "none", "none", "drop", "retype", "vertex", "other"]))
+    if edit == "drop":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif edit == "retype":
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(_junk | st.lists(_junk, max_size=3))
+    elif edit == "vertex" and facets:
+        vertex = st.integers(-2, 0) | st.integers(m + 1, 12) | _junk | st.lists(st.integers(1, 8))
+        draw(st.sampled_from(facets)).append(draw(vertex))
+    elif edit == "other":
+        return draw(_junk | st.integers() | st.lists(st.lists(st.integers(1, 8)), max_size=3))
+    return doc
+
+
+class TestDocumentFuzz:
+    """Any JSON document as a complex: a documented exit code, and at most one
+    stderr line, an `error[...]` one, which an input error always writes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(complex_docs(), st.sampled_from(["check", "decompose", "verify"]))
+    @example({"m": 4}, "check")
+    @example({"facets": [[1]]}, "decompose")
+    # verify reports an engine failure on stdout and exits 3
+    @example({"m": 4, "facets": [[1, 2, 3], [3, 4], [1, 4]]}, "verify")
+    def test_exit_code_and_one_line(self, doc, command):
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "k.json")
+            with open(path, "w") as handle:
+                json.dump(doc, handle)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main([command, "--input", path])
+        message = err.getvalue()
+        assert rc in (0, 1, 2, 3)
+        assert message.count("\n") <= 1 and message[-1:] in ("", "\n"), message
+        if message or rc in (1, 2):
+            assert rc and message.startswith("error["), message
+        assert "Traceback" not in message and "KeyError" not in message, message
 
 
 class TestModuleEntryPoint:

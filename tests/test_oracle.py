@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import Counter
 from random import Random
 
@@ -92,6 +93,11 @@ class TestHochster:
         K = validate_complex([[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]], 5)
         assert hochster_table(K).ranks == {3: 5, 4: 5, 7: 1}
 
+    def test_discrete_complex_at_the_bound(self):
+        # s points have reduced H_0 of rank s - 1: each subset counts once
+        K = validate_complex([[v] for v in range(1, 13)], 12)
+        assert hochster_table(K).ranks == {s + 1: math.comb(12, s) * (s - 1) for s in range(2, 13)}
+
     def test_too_large(self):
         facets = [[v] for v in range(1, 14)]
         K = validate_complex(facets, 13)
@@ -152,6 +158,8 @@ class TestHochsterRestriction:
     @given(facet_lists())
     @example(validate_complex(RP2_FACETS, 6))
     @example(validate_complex(RP2_FACETS + [[7]], 7))
+    @example(random_chordal_flag_complex(10, Random(3)))
+    @example(validate_complex(RP2_FACETS + [[v] for v in range(7, 11)], 10))
     def test_matches_subset_by_subset_homology(self, K):
         ranks, torsion = Counter(), set()
         for size in range(1, K.m + 1):
