@@ -1,6 +1,6 @@
 """Randomized verification sweeps, seed-reproducible.
 
-Usage: python scripts/randomized_checks.py [--seed N] [--complexes N] [--matrices N]
+Usage: python scripts/randomized_checks.py [--seed N] [--complexes N]
 """
 
 import argparse
@@ -8,7 +8,6 @@ import time
 from random import Random
 
 from loopdecomp import PairSpec, check_trace, decompose_loop, greedy_factorize
-from loopdecomp.intlinalg import idempotent_split, mat_vec, random_idempotent
 from loopdecomp.oracle import NotApplicable, predicted_loop_series
 from loopdecomp.randomgen import (
     random_chordal_flag_complex,
@@ -53,21 +52,10 @@ def sweep_chordal(count, rng, cutoff):
     return count
 
 
-def sweep_idempotents(count, rng):
-    for _ in range(count):
-        n = rng.randint(1, 6)
-        a = random_idempotent(n, rng)
-        split = idempotent_split(a)
-        assert split.determinant in (1, -1)
-        assert all(mat_vec(a, list(y)) == list(y) for y in split.col_basis)
-    return count
-
-
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--complexes", type=int, default=40)
-    parser.add_argument("--matrices", type=int, default=200)
     parser.add_argument("--cutoff", type=int, default=20)
     args = parser.parse_args()
 
@@ -81,8 +69,6 @@ def main():
     )
     chordal = sweep_chordal(args.complexes // 2, rng, args.cutoff)
     print(f"chordal sweep: {chordal} chordal flag complexes match the prediction")
-    mats = sweep_idempotents(args.matrices, rng)
-    print(f"idempotent sweep: {mats} random splits certified")
     print(f"total {time.monotonic() - start:.1f}s, seed {args.seed}")
 
 

@@ -51,14 +51,6 @@ from .homotopy import (
     reduced_cells,
     sphere,
 )
-from .intlinalg import (
-    BezoutCertificate,
-    IdempotentSplit,
-    NotIdempotent,
-    ZeroVector,
-    idempotent_split,
-    primitive_bezout,
-)
 from .oracle import (
     HochsterTable,
     NotApplicable,

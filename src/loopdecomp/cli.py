@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from random import Random
 
 from .complexes import (
     BadDocument,
@@ -25,12 +24,6 @@ from .complexes import (
 )
 from .engine import NotFlagSkeleton, PairSpec, decompose_loop, trace_to_doc
 from .homotopy import NoSolution, NotADivisor, NotCanonicalP
-from .intlinalg import (
-    NotIdempotent,
-    idempotent_split,
-    primitive_bezout,
-    random_idempotent,
-)
 from .oracle import NotApplicable, TooLarge, verify_against_oracle
 from .series import DEFAULT_DEGREE
 
@@ -38,6 +31,10 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INADMISSIBLE = 2
 EXIT_INTERNAL = 3
+
+# a sphere of dimension n in a pair gives a cell series of n terms, and
+# every series the recursion builds from it grows with n
+PAIR_DIM_BOUND = 1000
 
 _INPUT_ERRORS = (BadDocument, BadIndex, GhostVertex, json.JSONDecodeError, OSError, KeyError)
 _INADMISSIBLE_ERRORS = (NotFlagSkeleton, NotApplicable, DominatingVertex, TooLarge)
@@ -59,15 +56,16 @@ def load_complex(path: str) -> SimplicialComplex:
 
 
 def resolve_pairs(spec: str, m: int) -> PairSpec:
+    """The pairs a --pairs spec names; a sphere dimension above
+    PAIR_DIM_BOUND is refused before any series is built."""
     if spec == "moment-angle":
         return PairSpec.moment_angle(m)
     if spec.startswith("disks:"):
         try:
-            dim = int(spec.split(":", 1)[1])
+            dims = [[int(spec.split(":", 1)[1])]]
         except ValueError:
             raise ValueError(f"pair spec {spec!r} needs an integer disk dimension") from None
-        return PairSpec.disks(dim, m)
-    if spec.startswith("custom:"):
+    elif spec.startswith("custom:"):
         with open(spec.split(":", 1)[1]) as handle:
             doc = json.load(handle)
         dims = doc.get("suspensions") if isinstance(doc, dict) else None
@@ -77,8 +75,14 @@ def resolve_pairs(spec: str, m: int) -> PairSpec:
             raise BadDocument("suspensions must be a list of integer lists")
         if len(dims) != m:
             raise ValueError(f"custom pairs cover {len(dims)} vertices, need {m}")
-        return PairSpec.from_suspension_dims(dims)
-    raise ValueError(f"unknown pair spec {spec!r}")
+    else:
+        raise ValueError(f"unknown pair spec {spec!r}")
+    top = max((d for ds in dims for d in ds), default=0)
+    if top > PAIR_DIM_BOUND:
+        raise TooLarge(f"pair dimension {top} exceeds the bound {PAIR_DIM_BOUND}")
+    if spec.startswith("disks:"):
+        return PairSpec.disks(dims[0][0], m)
+    return PairSpec.from_suspension_dims(dims)
 
 
 def _emit(doc: dict, output_path: str | None) -> None:
@@ -128,62 +132,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _split_idempotent_entry(index, matrix) -> dict | None:
-    try:
-        split = idempotent_split(matrix)
-    except NotIdempotent as exc:
-        return {"index": index, "status": "FAIL", "detail": str(exc)}
-    ok = split.determinant in (1, -1) and len(split.null_basis) + len(
-        split.col_basis
-    ) == len(matrix)
-    return None if ok else {"index": index, "status": "FAIL"}
-
-
-def _linalg_report(args: argparse.Namespace) -> dict:
-    checks = []
-    doc = {"command": "verify", "mode": "linalg"}
-    if args.input_path:
-        with open(args.input_path) as handle:
-            matrices = json.load(handle)
-        matrices = matrices.get("matrices") if isinstance(matrices, dict) else None
-        if not isinstance(matrices, list) or not all(
-            isinstance(a, list)
-            and all(isinstance(row, list) and all(type(x) is int for x in row) for row in a)
-            for a in matrices
-        ):
-            raise BadDocument("matrices must be a list of integer matrices")
-        doc["matrices"] = len(matrices)
-        for index, matrix in enumerate(matrices):
-            entry = _split_idempotent_entry(index, matrix)
-            if entry:
-                checks.append(entry)
-    else:
-        rng = Random(args.seed)
-        doc["random"] = args.random_count
-        doc["seed"] = args.seed
-        for index in range(args.random_count):
-            n = rng.randint(1, 6)
-            entry = _split_idempotent_entry(index, random_idempotent(n, rng))
-            if entry:
-                checks.append(entry)
-            vector = [rng.randint(-9, 9) for _ in range(n)]
-            if any(vector):
-                cert = primitive_bezout(vector)
-                ok = sum(c * x for c, x in zip(cert.coefficients, vector)) == cert.gcd
-                if cert.primitive:
-                    ok = ok and cert.odd_component
-                if not ok:
-                    checks.append({"index": index, "status": "FAIL"})
-    doc["failures"] = checks
-    doc["status"] = "PASS" if not checks else "FAIL"
-    return doc
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.linalg:
-        doc = _linalg_report(args)
-        _emit(doc, args.output_path)
-        return EXIT_OK if doc["status"] == "PASS" else EXIT_INTERNAL
     K = load_complex(args.input_path)
     pairs = resolve_pairs(args.pairs, K.m)
     report = verify_against_oracle(K, pairs, args.cutoff)
@@ -215,10 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", dest="output_path")
         if name == "decompose":
             p.add_argument("--trace", action="store_true")
-        if name == "verify":
-            p.add_argument("--linalg", action="store_true")
-            p.add_argument("--random", dest="random_count", type=int, default=100)
-            p.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -226,14 +171,10 @@ def main(argv=None) -> int:
     handlers = {"check": cmd_check, "decompose": cmd_decompose, "verify": cmd_verify}
     try:
         args = build_parser().parse_args(argv)
-        if args.input_path is None and args.command != "verify":
+        if args.input_path is None:
             raise ValueError("--input is required")
-        if args.input_path is None and not args.linalg:
-            raise ValueError("--input is required without --linalg")
         if args.cutoff < 1:
             raise ValueError("cutoff must be >= 1")
-        if args.command == "verify" and args.random_count < 0:
-            raise ValueError("random must be >= 0")
         return handlers[args.command](args)
     except (*_INPUT_ERRORS, ValueError) as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)

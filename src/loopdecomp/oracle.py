@@ -3,9 +3,11 @@
 Reduced simplicial homology ranks over the rationals by exact ranks of
 boundary matrices, the Hochster-style rank table for the moment-angle
 complex Z_K (reduced cohomology of full subcomplexes, shifted by |S|+1,
-empty subset excluded), and the predicted loop-space series
-1/(1 - sum r_j t^(j-1)) in the cases where Z_K is known to be a wedge of
-spheres, namely flag or 1-dimensional K with chordal 1-skeleton.
+empty subset excluded) with optional torsion flags from the Smith
+invariant factors of the same boundary matrices, and the predicted
+loop-space series 1/(1 - sum r_j t^(j-1)) in the cases where Z_K is known
+to be a wedge of spheres, namely flag or 1-dimensional K with chordal
+1-skeleton.
 
 Faces are vertex bitmasks (bit v - 1 for vertex v).  The Hochster table is
 one depth-first walk over the vertex subsets: each subset adds to its
@@ -22,13 +24,13 @@ import itertools
 from dataclasses import dataclass, field
 
 from .complexes import FlagSkeleton, SimplicialComplex, classify_input
-from .engine import PairSpec, check_trace, decompose_loop, unique_nodes
-from .intlinalg import smith_invariant_factors
+from .engine import NotFlagSkeleton, PairSpec, check_trace, decompose_loop, unique_nodes
 from .series import DEFAULT_DEGREE, GradedSeries
 
 
 class TooLarge(ValueError):
-    """Hochster tables are gated to desk-scale vertex counts."""
+    """An input past a desk-scale gate: the Hochster table's vertex count,
+    or the cell degree of a pair."""
 
 
 class NotApplicable(ValueError):
@@ -56,6 +58,63 @@ def _rank(a: list[list[int]]) -> int:
         if rank == rows:
             break
     return rank
+
+
+def smith_invariant_factors(m: list[list[int]]) -> list[int]:
+    """Positive invariant factors d_1 | d_2 | ... of an integer matrix."""
+    a = [list(row) for row in m]
+    rows = len(a)
+    cols = len(a[0]) if a else 0
+    factors = []
+    top = 0
+    while top < min(rows, cols):
+        if all(a[i][j] == 0 for i in range(top, rows) for j in range(top, cols)):
+            break
+        # move a minimal nonzero entry to the corner
+        i0, j0 = min(
+            (
+                (i, j)
+                for i in range(top, rows)
+                for j in range(top, cols)
+                if a[i][j] != 0
+            ),
+            key=lambda ij: abs(a[ij[0]][ij[1]]),
+        )
+        a[top], a[i0] = a[i0], a[top]
+        for row in a:
+            row[top], row[j0] = row[j0], row[top]
+        p = a[top][top]
+        dirty = False
+        for i in range(top + 1, rows):
+            q = a[i][top] // p
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], a[top])]
+            if a[i][top]:
+                dirty = True
+        for j in range(top + 1, cols):
+            q = a[top][j] // p
+            if q:
+                for i in range(rows):
+                    a[i][j] -= q * a[i][top]
+            if a[top][j]:
+                dirty = True
+        if dirty:
+            continue
+        # ensure divisibility of the remaining block
+        offender = None
+        for i in range(top + 1, rows):
+            for j in range(top + 1, cols):
+                if a[i][j] % p:
+                    offender = i
+                    break
+            if offender:
+                break
+        if offender is not None:
+            a[top] = [x + y for x, y in zip(a[top], a[offender])]
+            continue
+        factors.append(abs(p))
+        top += 1
+    return factors
 
 
 def _faces_by_top(K: SimplicialComplex) -> list[tuple[list[list[int]], int]]:
@@ -282,6 +341,8 @@ def verify_against_oracle(
         _check_vertex_bound(K.m)
     try:
         product, trace = decompose_loop(K, pairs, cutoff)
+    except NotFlagSkeleton:
+        raise  # an inadmissible input is refused, as decompose refuses it
     except Exception as exc:  # reported, not raised: failures are entries
         checks.append(CheckResult("decompose", "FAIL", f"{type(exc).__name__}: {exc}"))
         return VerificationReport(checks)

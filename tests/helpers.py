@@ -26,7 +26,7 @@ from loopdecomp.homotopy import (
     pproduct_mul,
     sphere,
 )
-from loopdecomp.intlinalg import idempotent_split, mat_vec, smith_invariant_factors
+from loopdecomp.oracle import smith_invariant_factors
 from loopdecomp.series import DEFAULT_DEGREE, GradedSeries
 
 
@@ -307,25 +307,6 @@ def random_canonical_factors(rng, max_bottom=15):
 
 def random_canonical_product(rng, cutoff=15):
     return product_of(random_canonical_factors(rng, cutoff), cutoff)
-
-
-def verify_column_fixed(a, x):
-    """Decide x in C(A) by solving A x' = x over Z through the Hermite-form
-    column basis of `idempotent_split` (which rejects a non-idempotent A);
-    whenever the answer is yes, A x = x is asserted."""
-    residue = list(x)
-    for row in idempotent_split(a).col_basis:
-        j = next(k for k, v in enumerate(row) if v)
-        if residue[j] % row[j]:
-            return False
-        q = residue[j] // row[j]
-        if q:
-            residue = [r - q * v for r, v in zip(residue, row)]
-    if any(residue):
-        return False
-    if mat_vec(a, list(x)) != list(x):
-        raise AssertionError("member of C(A) not fixed by idempotent A")
-    return True
 
 
 # --------------------------------------------------------------------------

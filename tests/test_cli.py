@@ -15,9 +15,11 @@ from loopdecomp.cli import (
     EXIT_INADMISSIBLE,
     EXIT_INPUT,
     EXIT_OK,
+    PAIR_DIM_BOUND,
     main,
     resolve_pairs,
 )
+from loopdecomp.series import GradedSeries
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -151,30 +153,6 @@ class TestVerify:
         assert {c["name"]: c["status"] for c in doc["checks"]}["oracle_series"] == "PASS"
         assert doc["checks"][0]["expansion"] == [1] + [0] * 20
 
-    def test_linalg(self, capsys):
-        rc = main(["verify", "--linalg", "--random", "80", "--seed", "7"])
-        assert rc == EXIT_OK
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["status"] == "PASS"
-        assert doc["seed"] == 7
-
-    def test_linalg_matrices_file(self, tmp_path, capsys):
-        path = tmp_path / "mats.json"
-        path.write_text(
-            json.dumps({"matrices": [[[1, 1], [0, 0]], [[1, 0], [0, 1]]]})
-        )
-        assert main(["verify", "--linalg", "--input", str(path)]) == EXIT_OK
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["status"] == "PASS" and doc["matrices"] == 2
-
-    def test_linalg_matrices_file_rejects_non_idempotent(self, tmp_path, capsys):
-        path = tmp_path / "mats.json"
-        path.write_text(json.dumps({"matrices": [[[2, 0], [0, 0]]]}))
-        rc = main(["verify", "--linalg", "--input", str(path)])
-        assert rc != EXIT_OK
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["status"] == "FAIL"
-
 
 class TestExitCodes:
     def test_parse_error(self, tmp_path, capsys):
@@ -226,18 +204,22 @@ class TestExitCodes:
         path = write_complex(tmp_path, "bad.json", 4, [[1, 2, 3], [3, 4], [1, 4]])
         assert main(["decompose", "--input", path]) == EXIT_INADMISSIBLE
 
+    def test_verify_refuses_a_non_flag_skeleton(self, tmp_path, capsys):
+        # as decompose does: exit 2 and one error line, no report
+        path = write_complex(tmp_path, "bad.json", 4, [[1, 2, 3], [3, 4], [1, 4]])
+        assert main(["verify", "--input", path]) == EXIT_INADMISSIBLE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error[NotFlagSkeleton]: K is not the k-skeleton of a flag complex\n"
+
     def test_bad_pairs(self, square_json, capsys):
         assert main(["decompose", "--input", square_json, "--pairs", "disks:1"]) == EXIT_INPUT
         assert main(["decompose", "--input", square_json, "--pairs", "what"]) == EXIT_INPUT
 
-    def test_missing_input_flag(self, capsys):
-        assert main(["decompose"]) == EXIT_INPUT
+    @pytest.mark.parametrize("command", ["check", "decompose", "verify"])
+    def test_missing_input_flag(self, capsys, command):
+        assert main([command]) == EXIT_INPUT
         assert capsys.readouterr().err == "error[ValueError]: --input is required\n"
-
-    def test_missing_input_flag_without_linalg(self, capsys):
-        assert main(["verify"]) == EXIT_INPUT
-        err = capsys.readouterr().err
-        assert err == "error[ValueError]: --input is required without --linalg\n"
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -245,18 +227,15 @@ class TestExitCodes:
             (["decompose", "--cutoff", "abc"], "argument --cutoff: invalid int value: 'abc'"),
             (["frob"], "argument command: invalid choice: 'frob'"),
             (["decompose", "--input", "k.json", "--frob"], "unrecognized arguments: --frob"),
+            (["verify", "--linalg"], "unrecognized arguments: --linalg"),
         ],
-        ids=["bad-int", "unknown-command", "unknown-flag"],
+        ids=["bad-int", "unknown-command", "unknown-flag", "no-linalg-flag"],
     )
     def test_malformed_command_line(self, capsys, argv, message):
         # an input error like any other: exit 1 and one line, not usage and exit 2
         assert main(argv) == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith(f"error[ValueError]: {message}") and err.count("\n") == 1, err
-
-    def test_negative_random_count(self, capsys):
-        assert main(["verify", "--linalg", "--random", "-3"]) == EXIT_INPUT
-        assert capsys.readouterr().err == "error[ValueError]: random must be >= 0\n"
 
     @pytest.mark.parametrize(
         "doc",
@@ -286,6 +265,25 @@ class TestExitCodes:
         assert main(["decompose", "--input", str(path)]) == EXIT_INPUT
         assert capsys.readouterr().err == f"error[BadDocument]: a complex needs the key '{key}'\n"
 
+    @pytest.mark.parametrize(
+        "pairs, doc",
+        [("disks:200000", None), ("custom:pairs.json", {"suspensions": [[200000], [2]]})],
+        ids=["disks", "custom"],
+    )
+    def test_pair_dimension_gate(self, tmp_path, capsys, monkeypatch, pairs, doc):
+        def refuse(*args):
+            raise AssertionError("a series was built past the pair dimension gate")
+
+        monkeypatch.setattr(GradedSeries, "monomial", refuse)
+        monkeypatch.chdir(tmp_path)
+        if doc:
+            (tmp_path / "pairs.json").write_text(json.dumps(doc))
+        path = write_complex(tmp_path, "two.json", 2, [[1], [2]])
+        assert main(["decompose", "--input", path, "--pairs", pairs]) == EXIT_INADMISSIBLE
+        assert capsys.readouterr().err == (
+            f"error[TooLarge]: pair dimension 200000 exceeds the bound {PAIR_DIM_BOUND}\n"
+        )
+
     def test_non_integer_disk_dimension(self, square_json, capsys):
         assert main(["decompose", "--input", square_json, "--pairs", "disks:x"]) == EXIT_INPUT
         err = capsys.readouterr().err
@@ -302,18 +300,6 @@ class TestExitCodes:
         rc = main(["decompose", "--input", square_json, "--pairs", f"custom:{path}"])
         assert rc == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error[BadDocument]")
-
-    @pytest.mark.parametrize(
-        "doc",
-        [[[[1]]], {"matrices": "abc"}, {"matrices": [[["a"]]]}, 5, {"matrices": [[[True]]]}],
-        ids=["top-level-list", "string-matrices", "string-entry", "bare-number", "bool-entry"],
-    )
-    def test_malformed_matrices_document(self, tmp_path, capsys, doc):
-        path = tmp_path / "mats.json"
-        path.write_text(json.dumps(doc))
-        assert main(["verify", "--linalg", "--input", str(path)]) == EXIT_INPUT
-        err = capsys.readouterr().err
-        assert err.startswith("error[BadDocument]") and err.count("\n") == 1
 
     @pytest.mark.parametrize("cutoff", ["0", "-3"])
     def test_bad_cutoff(self, square_json, capsys, cutoff):
@@ -358,7 +344,7 @@ class TestDocumentFuzz:
     @given(complex_docs(), st.sampled_from(["check", "decompose", "verify"]))
     @example({"m": 4}, "check")
     @example({"facets": [[1]]}, "decompose")
-    # verify reports an engine failure on stdout and exits 3
+    # verify refuses a non-flag skeleton as decompose does: exit 2, one line
     @example({"m": 4, "facets": [[1, 2, 3], [3, 4], [1, 4]]}, "verify")
     def test_exit_code_and_one_line(self, doc, command):
         with tempfile.TemporaryDirectory() as directory:

@@ -9,13 +9,15 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import geometric, tuple_face_homology
 from loopdecomp import complexes, oracle
 from loopdecomp.complexes import SimplicialComplex, full_subcomplex, validate_complex
-from loopdecomp.engine import PairSpec, decompose_loop
+from loopdecomp.engine import NotFlagSkeleton, PairSpec, decompose_loop
+from loopdecomp.homotopy import NotCanonicalP
 from loopdecomp.oracle import (
     NotApplicable,
     TooLarge,
     hochster_table,
     predicted_loop_series,
     simplicial_homology_ranks,
+    smith_invariant_factors,
     verify_against_oracle,
 )
 from loopdecomp.randomgen import random_chordal_flag_complex, random_flag_skeleton
@@ -79,6 +81,38 @@ class TestHomology:
                 (-1) ** (len(f) - 1) for f in K.nonempty_faces()
             ) - 1
             assert homological == combinatorial
+
+
+def _cofactor_det(m):
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    total = 0
+    for j in range(n):
+        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
+        total += (-1) ** j * m[0][j] * _cofactor_det(minor)
+    return total
+
+
+class TestSmith:
+    def test_known(self):
+        assert smith_invariant_factors([[2, 4], [6, 8]]) == [2, 4]
+        assert smith_invariant_factors([[1, 0], [0, 1]]) == [1, 1]
+        assert smith_invariant_factors([[0, 0], [0, 0]]) == []
+
+    def test_product_of_factors_is_det(self):
+        rng = Random(2)
+        for _ in range(30):
+            n = rng.randint(1, 4)
+            m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            d = _cofactor_det(m)
+            factors = smith_invariant_factors(m)
+            prod = 1
+            for f in factors:
+                prod *= f
+            if d != 0:
+                assert prod == abs(d)
+                assert len(factors) == n
 
 
 class TestHochster:
@@ -268,12 +302,21 @@ class TestVerify:
                 f"node {root} (pushout, m=4): the root is not the complex and pairs asked",
             )
 
-    def test_inadmissible_input_reports_failure(self):
+    def test_inadmissible_input_is_refused(self):
+        # refused as decompose_loop refuses it, not reported as a failed check
         K = validate_complex([[1, 2, 3], [3, 4], [1, 4]], 4)
-        report = verify_against_oracle(K, PairSpec.moment_angle(4))
+        with pytest.raises(NotFlagSkeleton):
+            verify_against_oracle(K, PairSpec.moment_angle(4))
+
+    def test_engine_failure_reports_failure(self, monkeypatch):
+        def fail(*args):
+            raise NotCanonicalP("no canonical factorisation")
+
+        monkeypatch.setattr(oracle, "decompose_loop", fail)
+        report = verify_against_oracle(square(), PairSpec.moment_angle(4))
         assert not report.passed
-        assert report.checks[0].name == "decompose"
-        assert report.checks[0].status == "FAIL"
+        assert (report.checks[0].name, report.checks[0].status) == ("decompose", "FAIL")
+        assert report.checks[0].detail == "NotCanonicalP: no canonical factorisation"
 
     def test_classifies_once(self, monkeypatch):
         # the oracle's gate and decompose_loop share K's classification
