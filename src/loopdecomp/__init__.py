@@ -52,7 +52,6 @@ from .homotopy import (
     sphere,
 )
 from .oracle import (
-    HochsterTable,
     NotApplicable,
     TooLarge,
     hochster_table,

@@ -16,7 +16,6 @@ import sys
 from .complexes import (
     BadDocument,
     BadIndex,
-    DominatingVertex,
     GhostVertex,
     SimplicialComplex,
     classify_input,
@@ -24,7 +23,7 @@ from .complexes import (
 )
 from .engine import NotFlagSkeleton, PairSpec, decompose_loop, trace_to_doc
 from .homotopy import NoSolution, NotADivisor, NotCanonicalP
-from .oracle import NotApplicable, TooLarge, verify_against_oracle
+from .oracle import TooLarge, verify_against_oracle
 from .series import DEFAULT_DEGREE
 
 EXIT_OK = 0
@@ -35,15 +34,28 @@ EXIT_INTERNAL = 3
 # a sphere of dimension n in a pair gives a cell series of n terms, and
 # every series the recursion builds from it grows with n
 PAIR_DIM_BOUND = 1000
+# every series is expanded through the cutoff D, and each product of two
+# costs O(D^2): verify on the 6-cycle takes 2.3 s at D = 1000 on one core
+# of a 2-vCPU VM
+CUTOFF_BOUND = 1000
 
 _INPUT_ERRORS = (BadDocument, BadIndex, GhostVertex, json.JSONDecodeError, OSError, KeyError)
-_INADMISSIBLE_ERRORS = (NotFlagSkeleton, NotApplicable, DominatingVertex, TooLarge)
+_INADMISSIBLE_ERRORS = (NotFlagSkeleton, TooLarge)
 _INTERNAL_ERRORS = (NotCanonicalP, NotADivisor, NoSolution)
 
 
-def load_complex(path: str) -> SimplicialComplex:
+def _read_json(path: str):
+    """The JSON document in a file; one nested past the parser's recursion
+    limit is a BadDocument."""
     with open(path) as handle:
-        doc = json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise BadDocument(f"{path} nests too deeply") from None
+
+
+def load_complex(path: str) -> SimplicialComplex:
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise BadDocument("a complex is a JSON object {\"m\": ..., \"facets\": ...}")
     for key in ("m", "facets"):
@@ -66,8 +78,7 @@ def resolve_pairs(spec: str, m: int) -> PairSpec:
         except ValueError:
             raise ValueError(f"pair spec {spec!r} needs an integer disk dimension") from None
     elif spec.startswith("custom:"):
-        with open(spec.split(":", 1)[1]) as handle:
-            doc = json.load(handle)
+        doc = _read_json(spec.split(":", 1)[1])
         dims = doc.get("suspensions") if isinstance(doc, dict) else None
         if not isinstance(dims, list) or not all(
             isinstance(ds, list) and all(type(d) is int for d in ds) for ds in dims
@@ -175,6 +186,8 @@ def main(argv=None) -> int:
             raise ValueError("--input is required")
         if args.cutoff < 1:
             raise ValueError("cutoff must be >= 1")
+        if args.cutoff > CUTOFF_BOUND:
+            raise TooLarge(f"cutoff {args.cutoff} exceeds the bound {CUTOFF_BOUND}")
         return handlers[args.command](args)
     except (*_INPUT_ERRORS, ValueError) as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)

@@ -3,11 +3,9 @@
 Reduced simplicial homology ranks over the rationals by exact ranks of
 boundary matrices, the Hochster-style rank table for the moment-angle
 complex Z_K (reduced cohomology of full subcomplexes, shifted by |S|+1,
-empty subset excluded) with optional torsion flags from the Smith
-invariant factors of the same boundary matrices, and the predicted
-loop-space series 1/(1 - sum r_j t^(j-1)) in the cases where Z_K is known
-to be a wedge of spheres, namely flag or 1-dimensional K with chordal
-1-skeleton.
+empty subset excluded), and the predicted loop-space series
+1/(1 - sum r_j t^(j-1)) in the cases where Z_K is known to be a wedge of
+spheres, namely flag or 1-dimensional K with chordal 1-skeleton.
 
 Faces are vertex bitmasks (bit v - 1 for vertex v).  The Hochster table is
 one depth-first walk over the vertex subsets: each subset adds to its
@@ -30,7 +28,7 @@ from .series import DEFAULT_DEGREE, GradedSeries
 
 class TooLarge(ValueError):
     """An input past a desk-scale gate: the Hochster table's vertex count,
-    or the cell degree of a pair."""
+    the cell degree of a pair, or the cutoff."""
 
 
 class NotApplicable(ValueError):
@@ -58,63 +56,6 @@ def _rank(a: list[list[int]]) -> int:
         if rank == rows:
             break
     return rank
-
-
-def smith_invariant_factors(m: list[list[int]]) -> list[int]:
-    """Positive invariant factors d_1 | d_2 | ... of an integer matrix."""
-    a = [list(row) for row in m]
-    rows = len(a)
-    cols = len(a[0]) if a else 0
-    factors = []
-    top = 0
-    while top < min(rows, cols):
-        if all(a[i][j] == 0 for i in range(top, rows) for j in range(top, cols)):
-            break
-        # move a minimal nonzero entry to the corner
-        i0, j0 = min(
-            (
-                (i, j)
-                for i in range(top, rows)
-                for j in range(top, cols)
-                if a[i][j] != 0
-            ),
-            key=lambda ij: abs(a[ij[0]][ij[1]]),
-        )
-        a[top], a[i0] = a[i0], a[top]
-        for row in a:
-            row[top], row[j0] = row[j0], row[top]
-        p = a[top][top]
-        dirty = False
-        for i in range(top + 1, rows):
-            q = a[i][top] // p
-            if q:
-                a[i] = [x - q * y for x, y in zip(a[i], a[top])]
-            if a[i][top]:
-                dirty = True
-        for j in range(top + 1, cols):
-            q = a[top][j] // p
-            if q:
-                for i in range(rows):
-                    a[i][j] -= q * a[i][top]
-            if a[top][j]:
-                dirty = True
-        if dirty:
-            continue
-        # ensure divisibility of the remaining block
-        offender = None
-        for i in range(top + 1, rows):
-            for j in range(top + 1, cols):
-                if a[i][j] % p:
-                    offender = i
-                    break
-            if offender:
-                break
-        if offender is not None:
-            a[top] = [x + y for x, y in zip(a[top], a[offender])]
-            continue
-        factors.append(abs(p))
-        top += 1
-    return factors
 
 
 def _faces_by_top(K: SimplicialComplex) -> list[tuple[list[list[int]], int]]:
@@ -159,29 +100,24 @@ def _boundary_matrix(lower: list[int], upper: list[int]) -> list[list[int]]:
     return matrix
 
 
-def _homology(layers: list[list[int]], components: list[int], with_torsion: bool = False):
+def _homology(layers: list[list[int]], components: list[int]) -> dict[int, int]:
     """Reduced homology ranks over Q of the nonempty complex with these face
-    layers (any empty ones last) and components, and the degrees j with
-    torsion in H_j(K; Z) when with_torsion is set.
+    layers (any empty ones last) and components.
 
     rank d_1 is the vertex count less the component count, so d_1 is never
-    built; H_0 is free, so only d_2 and up can show torsion.
+    built.
     """
     layers = list(itertools.takewhile(bool, layers))
     boundary_ranks = [1, len(layers[0]) - len(components)]  # augmentation C_0 -> Z has rank 1
-    torsion = set()
     for d in range(2, len(layers)):
-        matrix = _boundary_matrix(layers[d - 1], layers[d])
-        if with_torsion and any(f > 1 for f in smith_invariant_factors(matrix)):
-            torsion.add(d - 1)
-        boundary_ranks.append(_rank(matrix))
+        boundary_ranks.append(_rank(_boundary_matrix(layers[d - 1], layers[d])))
     boundary_ranks.append(0)
     ranks = {}
     for d, faces in enumerate(layers):
         r = len(faces) - boundary_ranks[d] - boundary_ranks[d + 1]
         if r:
             ranks[d] = r
-    return ranks, torsion
+    return ranks
 
 
 def simplicial_homology_ranks(K: SimplicialComplex) -> dict[int, int]:
@@ -194,15 +130,7 @@ def simplicial_homology_ranks(K: SimplicialComplex) -> dict[int, int]:
         for layer, new in zip(layers, faces):
             layer += new
         components = _join(components, 1 << i, neighbours)
-    return _homology(layers, components)[0]
-
-
-@dataclass(frozen=True)
-class HochsterTable:
-    """Reduced-cohomology ranks of Z_K by degree, optional torsion flags."""
-
-    ranks: dict[int, int]
-    torsion: dict[int, bool] | None = None
+    return _homology(layers, components)
 
 
 def _check_vertex_bound(m: int) -> None:
@@ -210,8 +138,9 @@ def _check_vertex_bound(m: int) -> None:
         raise TooLarge(f"m = {m} exceeds the bound {HOCHSTER_VERTEX_BOUND}")
 
 
-def hochster_table(K: SimplicialComplex, with_torsion: bool = False) -> HochsterTable:
-    """Sum reduced subcomplex homology over all nonempty vertex subsets.
+def hochster_table(K: SimplicialComplex) -> dict[int, int]:
+    """Reduced-cohomology ranks of Z_K by degree, in degree order: reduced
+    subcomplex homology summed over all nonempty vertex subsets.
 
     One depth-first walk visits each subset S once, grown from S less its
     top vertex v.  The full subcomplex on S is its parent's faces plus the
@@ -224,7 +153,6 @@ def hochster_table(K: SimplicialComplex, with_torsion: bool = False) -> Hochster
     groups = _faces_by_top(K)
     layers: list[list[int]] = [[] for _ in range(K.dim() + 1)]
     ranks: dict[int, int] = {}
-    torsion: dict[int, bool] = {}
 
     def walk(subset: int, components: list[int], top: int) -> None:
         for i in range(top + 1, K.m):
@@ -236,21 +164,15 @@ def hochster_table(K: SimplicialComplex, with_torsion: bool = False) -> Hochster
                 sizes.append(len(layer))
                 layer += [f for f in new if not f & outside]
             joined = _join(components, 1 << i, neighbours)
-            sub_ranks, sub_torsion = _homology(layers, joined, with_torsion)
             shift = grown.bit_count() + 1
-            for j, r in sub_ranks.items():
+            for j, r in _homology(layers, joined).items():
                 ranks[j + shift] = ranks.get(j + shift, 0) + r
-            for j in sub_torsion:
-                # UCT: torsion of H_j lands in H^(j+1)
-                torsion[j + 1 + shift] = True
             walk(grown, joined, i)
             for layer, size in zip(layers, sizes):
                 del layer[size:]
 
     walk(0, [], -1)
-    return HochsterTable(
-        dict(sorted(ranks.items())), dict(sorted(torsion.items())) if with_torsion else None
-    )
+    return dict(sorted(ranks.items()))
 
 
 def _wedge_obstruction(K: SimplicialComplex) -> str | None:
@@ -265,13 +187,6 @@ def _wedge_obstruction(K: SimplicialComplex) -> str | None:
     return None
 
 
-def _wedge_loop_series(ranks: dict[int, int]) -> GradedSeries:
-    den = [1] + [0] * (max((j - 1 for j in ranks), default=0))
-    for j, r in ranks.items():
-        den[j - 1] -= r
-    return GradedSeries((1,), tuple(den))
-
-
 def predicted_loop_series(K: SimplicialComplex) -> GradedSeries:
     """Loop series of Z_K when Z_K is a wedge: 1/(1 - sum r_j t^(j-1)).
 
@@ -281,7 +196,11 @@ def predicted_loop_series(K: SimplicialComplex) -> GradedSeries:
     obstruction = _wedge_obstruction(K)
     if obstruction is not None:
         raise NotApplicable(obstruction)
-    return _wedge_loop_series(hochster_table(K).ranks)
+    ranks = hochster_table(K)
+    den = [1] + [0] * (max((j - 1 for j in ranks), default=0))
+    for j, r in ranks.items():
+        den[j - 1] -= r
+    return GradedSeries((1,), tuple(den))
 
 
 def _is_four_cycle(K: SimplicialComplex) -> bool:
@@ -375,7 +294,7 @@ def verify_against_oracle(
         return VerificationReport(checks)
 
     if wedge:
-        predicted = _wedge_loop_series(hochster_table(K).ranks)
+        predicted = predicted_loop_series(K)
         source = "Hochster prediction"
     elif _is_four_cycle(K):
         predicted, source = _FOUR_CYCLE_LOOP_SERIES, "known answer for the 4-cycle"

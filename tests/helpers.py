@@ -9,6 +9,7 @@ the other constructions below have no caller outside the tests.
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from random import Random
 
 from hypothesis import strategies as st
@@ -26,7 +27,6 @@ from loopdecomp.homotopy import (
     pproduct_mul,
     sphere,
 )
-from loopdecomp.oracle import smith_invariant_factors
 from loopdecomp.series import DEFAULT_DEGREE, GradedSeries
 
 
@@ -258,31 +258,44 @@ def _rule_inputs(node, graph, cells):
 
 
 def tuple_face_homology(K):
-    """Reduced integral homology of K from boundary matrices on its faces as
-    sorted tuples: (ranks over Q by degree, the degrees j with torsion in
-    H_j).  Each boundary's rank is the number of its Smith invariant factors."""
+    """Reduced homology ranks over Q of K by degree, from boundary matrices
+    on its faces as sorted tuples, each ranked by its own elimination over
+    the rationals."""
     by_dim = {}
     for f in K.nonempty_faces():
         by_dim.setdefault(len(f) - 1, []).append(tuple(sorted(f)))
     layers = [sorted(by_dim[d]) for d in range(len(by_dim))]
-    boundary_ranks, torsion = [1], set()  # augmentation C_0 -> Z has rank 1
+    boundary_ranks = [1]  # augmentation C_0 -> Z has rank 1
     for d in range(1, len(layers)):
         index = {f: i for i, f in enumerate(layers[d - 1])}
-        matrix = [[0] * len(layers[d]) for _ in layers[d - 1]]
+        matrix = [[Fraction(0)] * len(layers[d]) for _ in layers[d - 1]]
         for j, face in enumerate(layers[d]):
             for k in range(len(face)):
-                matrix[index[face[:k] + face[k + 1 :]]][j] = (-1) ** k
-        factors = smith_invariant_factors(matrix)
-        boundary_ranks.append(len(factors))
-        if any(f > 1 for f in factors):
-            torsion.add(d - 1)
+                matrix[index[face[:k] + face[k + 1 :]]][j] = Fraction((-1) ** k)
+        boundary_ranks.append(_rational_rank(matrix))
     boundary_ranks.append(0)
     ranks = {}
     for d, faces in enumerate(layers):
         r = len(faces) - boundary_ranks[d] - boundary_ranks[d + 1]
         if r:
             ranks[d] = r
-    return ranks, torsion
+    return ranks
+
+
+def _rational_rank(matrix):
+    """Rank of a matrix of Fractions by Gaussian elimination, in place."""
+    rank = 0
+    for col in range(len(matrix[0]) if matrix else 0):
+        pivot = next((i for i in range(rank, len(matrix)) if matrix[i][col]), None)
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        for i in range(rank + 1, len(matrix)):
+            ratio = matrix[i][col] / matrix[rank][col]
+            if ratio:
+                matrix[i] = [x - ratio * y for x, y in zip(matrix[i], matrix[rank])]
+        rank += 1
+    return rank
 
 
 def suspension_splitting(p):

@@ -97,7 +97,7 @@ def test_criterion_3_skeleton_wedge_vs_hochster():
                 ranks = {
                     d: c for d, c in enumerate(wedge.cells.reduced.expand(bound)) if c
                 }
-                assert ranks == hochster_table(K).ranks, (m, k)
+                assert ranks == hochster_table(K), (m, k)
         assert time.monotonic() - start < 10.0
 
 

@@ -10,10 +10,12 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from loopdecomp import oracle
+from loopdecomp import cli, oracle
 from loopdecomp.cli import (
+    CUTOFF_BOUND,
     EXIT_INADMISSIBLE,
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_OK,
     PAIR_DIM_BOUND,
     main,
@@ -307,6 +309,54 @@ class TestExitCodes:
         assert rc == EXIT_INPUT
         err = capsys.readouterr().err
         assert err == "error[ValueError]: cutoff must be >= 1\n"
+
+    @pytest.mark.parametrize("command", ["decompose", "verify"])
+    def test_cutoff_gate(self, square_json, capsys, monkeypatch, command):
+        def refuse(*args):
+            raise AssertionError("decompose_loop ran past the cutoff gate")
+
+        monkeypatch.setattr(cli, "decompose_loop", refuse)
+        monkeypatch.setattr(oracle, "decompose_loop", refuse)
+        cutoff = str(CUTOFF_BOUND + 1)
+        assert main([command, "--input", square_json, "--cutoff", cutoff]) == EXIT_INADMISSIBLE
+        assert capsys.readouterr().err == (
+            f"error[TooLarge]: cutoff {cutoff} exceeds the bound {CUTOFF_BOUND}\n"
+        )
+
+    @pytest.mark.parametrize("document", ["input", "pairs"])
+    def test_nested_document(self, tmp_path, capsys, document):
+        # far deeper than the JSON parser's recursion limit
+        nested = "[" * 200_000 + "]" * 200_000
+        path, pairs = tmp_path / "one.json", tmp_path / "pairs.json"
+        if document == "input":
+            path.write_text(f'{{"m": 1, "facets": {nested}}}')
+            argv = ["check", "--input", str(path)]
+        else:
+            write_complex(tmp_path, "one.json", 1, [[1]])
+            pairs.write_text(f'{{"suspensions": {nested}}}')
+            argv = ["decompose", "--input", str(path), "--pairs", f"custom:{pairs}"]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error[BadDocument]") and err.count("\n") == 1, err[:300]
+
+    @pytest.mark.parametrize("complex_json", ["p4", "square"])
+    def test_oracle_disagreement_exits_internal(
+        self, tmp_path, capsys, monkeypatch, square_json, complex_json
+    ):
+        # a wrong prediction, from the Hochster table or the pinned 4-cycle
+        # series, makes verify fail with the internal-check code
+        table = oracle.hochster_table
+        monkeypatch.setattr(oracle, "hochster_table", lambda K: (r := table(K)) | {3: r[3] + 1})
+        monkeypatch.setattr(
+            oracle, "_FOUR_CYCLE_LOOP_SERIES", GradedSeries((1,), (1, 0, -3, 0, 1))
+        )
+        path = square_json
+        if complex_json == "p4":
+            path = write_complex(tmp_path, "p4.json", 4, [[1, 2], [2, 3], [3, 4]])
+        assert main(["verify", "--input", path]) == EXIT_INTERNAL
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["status"] == "FAIL"
+        assert doc["checks"][-1]["first_divergent_degree"] == 2
 
 
 _junk = st.none() | st.booleans() | st.floats(allow_nan=False) | st.text(max_size=3)

@@ -142,7 +142,7 @@ class TestSkeletonWedge:
                     for d, c in enumerate(w.cells.reduced.expand(bound))
                     if c
                 }
-                assert ranks == hochster_table(K).ranks, (m, k)
+                assert ranks == hochster_table(K), (m, k)
 
 
 class TestDecompose:

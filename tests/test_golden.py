@@ -32,6 +32,7 @@ import pytest
 
 from loopdecomp import classify_input, validate_complex
 from loopdecomp.cli import main, resolve_pairs
+from loopdecomp.series import GradedSeries
 
 from helpers import expand_trace
 
@@ -41,14 +42,18 @@ PAIRS = ("moment-angle", "disks:3", "custom:pairs.json")
 CUTOFFS = (20, 60)
 
 
-def _catalog():
+def _catalog_script():
     path = ROOT / "scripts" / "decompose_catalog.py"
     spec = importlib.util.spec_from_file_location("decompose_catalog", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def _catalog():
     return [
         (name, m, facets)
-        for name, m, facets in module.CATALOG
+        for name, m, facets in _catalog_script().CATALOG
         if classify_input(validate_complex(facets, m)).k_skeleton_of_flag is not None
     ]
 
@@ -208,6 +213,20 @@ def test_script_runs(script, args):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_catalog_script_fails_on_a_wrong_prediction(monkeypatch, capsys):
+    # the point's series is 1: a prediction of 1 + t^5 differs first at degree 5
+    script = _catalog_script()
+    predicted = script.predicted_loop_series
+    monkeypatch.setattr(
+        script, "predicted_loop_series", lambda K: predicted(K) * (GradedSeries.monomial(5) + 1)
+    )
+    monkeypatch.setattr(sys, "argv", ["decompose_catalog.py"])
+    assert script.main() == 1
+    out = capsys.readouterr().out
+    assert "differs from homology prediction at degree 5" in out
+    assert "matches homology prediction" not in out
 
 
 if __name__ == "__main__":

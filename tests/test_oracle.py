@@ -17,7 +17,6 @@ from loopdecomp.oracle import (
     hochster_table,
     predicted_loop_series,
     simplicial_homology_ranks,
-    smith_invariant_factors,
     verify_against_oracle,
 )
 from loopdecomp.randomgen import random_chordal_flag_complex, random_flag_skeleton
@@ -83,54 +82,22 @@ class TestHomology:
             assert homological == combinatorial
 
 
-def _cofactor_det(m):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = 0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * _cofactor_det(minor)
-    return total
-
-
-class TestSmith:
-    def test_known(self):
-        assert smith_invariant_factors([[2, 4], [6, 8]]) == [2, 4]
-        assert smith_invariant_factors([[1, 0], [0, 1]]) == [1, 1]
-        assert smith_invariant_factors([[0, 0], [0, 0]]) == []
-
-    def test_product_of_factors_is_det(self):
-        rng = Random(2)
-        for _ in range(30):
-            n = rng.randint(1, 4)
-            m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-            d = _cofactor_det(m)
-            factors = smith_invariant_factors(m)
-            prod = 1
-            for f in factors:
-                prod *= f
-            if d != 0:
-                assert prod == abs(d)
-                assert len(factors) == n
-
-
 class TestHochster:
     def test_square(self):
-        assert hochster_table(square()).ranks == {3: 2, 6: 1}
+        assert hochster_table(square()) == {3: 2, 6: 1}
 
     def test_two_points(self):
         K = validate_complex([[1], [2]], 2)
-        assert hochster_table(K).ranks == {3: 1}
+        assert hochster_table(K) == {3: 1}
 
     def test_c5(self):
         K = validate_complex([[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]], 5)
-        assert hochster_table(K).ranks == {3: 5, 4: 5, 7: 1}
+        assert hochster_table(K) == {3: 5, 4: 5, 7: 1}
 
     def test_discrete_complex_at_the_bound(self):
         # s points have reduced H_0 of rank s - 1: each subset counts once
         K = validate_complex([[v] for v in range(1, 13)], 12)
-        assert hochster_table(K).ranks == {s + 1: math.comb(12, s) * (s - 1) for s in range(2, 13)}
+        assert hochster_table(K) == {s + 1: math.comb(12, s) * (s - 1) for s in range(2, 13)}
 
     def test_too_large(self):
         facets = [[v] for v in range(1, 14)]
@@ -140,12 +107,11 @@ class TestHochster:
 
     def test_degree_bound(self):
         K = square()
-        table = hochster_table(K)
-        assert max(table.ranks) <= K.m + K.dim() + 1
+        assert max(hochster_table(K)) <= K.m + K.dim() + 1
 
     def test_matches_direct_resummation(self):
         K = validate_complex([[1, 2], [2, 3], [3, 4], [1, 4], [4, 5]], 5)
-        table = hochster_table(K).ranks
+        table = hochster_table(K)
         direct = {}
         for size in range(1, K.m + 1):
             for subset in itertools.combinations(K.vertices(), size):
@@ -160,22 +126,11 @@ class TestHochster:
 
         rng = Random(10)
         K = validate_complex([[1, 2], [2, 3], [3, 4], [1, 4], [4, 5]], 5)
-        base = hochster_table(K).ranks
+        base = hochster_table(K)
         perm = list(range(1, 6))
         rng.shuffle(perm)
         moved = relabel(K, {i + 1: perm[i] for i in range(5)})
-        assert hochster_table(moved).ranks == base
-
-    def test_rp2_torsion_flag(self):
-        K = validate_complex(RP2_FACETS, 6)
-        table = hochster_table(K, with_torsion=True)
-        # torsion of H_1(RP^2) shows in H^2, shifted by |S|+1 = 7
-        assert table.torsion.get(9)
-        assert hochster_table(K).torsion is None
-
-    def test_no_torsion_for_square(self):
-        table = hochster_table(square(), with_torsion=True)
-        assert table.torsion == {}
+        assert hochster_table(moved) == base
 
 
 @st.composite
@@ -195,18 +150,14 @@ class TestHochsterRestriction:
     @example(random_chordal_flag_complex(10, Random(3)))
     @example(validate_complex(RP2_FACETS + [[v] for v in range(7, 11)], 10))
     def test_matches_subset_by_subset_homology(self, K):
-        ranks, torsion = Counter(), set()
+        ranks = Counter()
         for size in range(1, K.m + 1):
             for subset in itertools.combinations(K.vertices(), size):
                 restricted = full_subcomplex(K, subset)
-                sub_ranks, sub_torsion = tuple_face_homology(restricted)
+                sub_ranks = tuple_face_homology(restricted)
                 assert simplicial_homology_ranks(restricted) == sub_ranks
                 ranks.update({j + size + 1: r for j, r in sub_ranks.items()})
-                # UCT: torsion of H_j lands in H^(j+1)
-                torsion.update(j + 1 + size + 1 for j in sub_torsion)
-        table = hochster_table(K, with_torsion=True)
-        assert table.ranks == dict(ranks)
-        assert table.torsion == dict.fromkeys(torsion, True)
+        assert hochster_table(K) == dict(ranks)
 
     def test_faces_are_built_once_and_never_restricted_by_relabelling(self, monkeypatch):
         K = random_chordal_flag_complex(10, Random(3))
@@ -224,7 +175,7 @@ class TestHochsterRestriction:
         # a by-name import in oracle would bypass the module attribute
         monkeypatch.setattr(oracle, "full_subcomplex", full, raising=False)
         monkeypatch.setattr(SimplicialComplex, "faces", counted("faces", SimplicialComplex.faces))
-        assert K.m == 10 and hochster_table(K).ranks
+        assert K.m == 10 and hochster_table(K)
         assert calls["full_subcomplex"] == 0
         assert calls["faces"] <= 1
 
@@ -270,6 +221,41 @@ class TestVerify:
         oracle = next(c for c in report.checks if c.name == "oracle_series")
         assert oracle.status == "PASS"
         assert "known answer" in oracle.detail
+
+    @pytest.mark.parametrize(
+        "K",
+        [
+            validate_complex([[1, 2], [2, 3], [3, 4]], 4),
+            validate_complex([[1, 2, 3], [3, 4], [5]], 5),
+            random_chordal_flag_complex(7, Random(2)),
+        ],
+        ids=["path4", "triangle-edge-point", "chordal-flag-m7"],
+    )
+    def test_wrong_hochster_rank_fails_at_its_degree(self, monkeypatch, K):
+        # r_j is the coefficient of t^(j-1) in 1 - (loop series)^-1, so one
+        # more in r_j first changes the loop series in degree j - 1
+        table = hochster_table(K)
+        assert len(table) > 1
+        for j in table:
+            monkeypatch.setattr(oracle, "hochster_table", lambda K, j=j: {**table, j: table[j] + 1})
+            report = verify_against_oracle(K, PairSpec.moment_angle(K.m))
+            check = report.checks[-1]
+            assert not report.passed
+            assert (check.name, check.status) == ("oracle_series", "FAIL")
+            assert check.data["first_divergent_degree"] == j - 1
+            assert check.detail == f"Hochster prediction: first divergent degree {j - 1}"
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_wrong_four_cycle_answer_fails_at_its_degree(self, monkeypatch, degree):
+        den = [1, 0, -2, 0, 1]
+        den[degree] -= 1
+        monkeypatch.setattr(oracle, "_FOUR_CYCLE_LOOP_SERIES", gs([1], den))
+        report = verify_against_oracle(square(), PairSpec.moment_angle(4))
+        check = report.checks[-1]
+        assert not report.passed
+        assert (check.name, check.status) == ("oracle_series", "FAIL")
+        assert check.data["first_divergent_degree"] == degree
+        assert check.detail == f"known answer for the 4-cycle: first divergent degree {degree}"
 
     def test_c5_has_no_external_oracle(self):
         K = validate_complex([[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]], 5)
