@@ -14,6 +14,7 @@ application.
 from __future__ import annotations
 
 import itertools
+import reprlib
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -98,7 +99,7 @@ def empty_complex() -> SimplicialComplex:
 def validate_complex(raw_facets, m: int) -> SimplicialComplex:
     """Build a complex from a raw facet list, establishing all invariants."""
     if not isinstance(m, int) or isinstance(m, bool):
-        raise BadDocument(f"m must be an integer, got {m!r}")
+        raise BadDocument(f"m must be an integer, got {reprlib.repr(m)}")
     if m < 0:
         raise BadIndex("m must be >= 0")
     seen = set()
@@ -107,7 +108,7 @@ def validate_complex(raw_facets, m: int) -> SimplicialComplex:
         fs = set()
         for v in facet:
             if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= m:
-                raise BadIndex(f"vertex {v!r} outside 1..{m}")
+                raise BadIndex(f"vertex {reprlib.repr(v)} outside 1..{reprlib.repr(m)}")
             fs.add(v)
         if fs:
             facets.append(fs)
@@ -116,7 +117,7 @@ def validate_complex(raw_facets, m: int) -> SimplicialComplex:
         # name a few: m may be far larger than the facet list
         missing = m - len(seen)
         first = list(itertools.islice((v for v in range(1, m + 1) if v not in seen), 5))
-        more = f" and {missing - len(first)} more" if missing > len(first) else ""
+        more = f" and {reprlib.repr(missing - len(first))} more" if missing > len(first) else ""
         raise GhostVertex(f"vertices {first}{more} lie in no facet")
     return _from_faces(m, facets)
 

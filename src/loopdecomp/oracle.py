@@ -1,17 +1,21 @@
 """Independent verification oracles.
 
-Reduced simplicial homology ranks over the rationals by exact ranks of
-boundary matrices, the Hochster-style rank table for the moment-angle
-complex Z_K (reduced cohomology of full subcomplexes, shifted by |S|+1,
-empty subset excluded), and the predicted loop-space series
-1/(1 - sum r_j t^(j-1)) in the cases where Z_K is known to be a wedge of
-spheres, namely flag or 1-dimensional K with chordal 1-skeleton.
+Reduced simplicial homology ranks over the rationals, the Hochster-style
+rank table for the moment-angle complex Z_K (reduced cohomology of full
+subcomplexes, shifted by |S|+1, empty subset excluded), and the predicted
+loop-space series 1/(1 - sum r_j t^(j-1)) in the cases where Z_K is known
+to be a wedge of spheres, namely flag or 1-dimensional K with chordal
+1-skeleton.
 
-Faces are vertex bitmasks (bit v - 1 for vertex v).  The Hochster table is
-one depth-first walk over the vertex subsets: each subset adds to its
-parent's faces those of its top vertex that it contains, and merges its
-parent's components by that vertex's edges, so rank d_1 is read off the
-components and no face is relabelled.
+Faces are vertex bitmasks (bit v - 1 for vertex v).  A full subcomplex
+grows one top vertex v at a time.  Every face it adds contains v, so its
+mask exceeds every inherited face's: the boundary matrices gain columns
+and rows that no inherited column touches.  So each step reduces only
+the new faces' columns, exactly over Z, against the inherited pivot
+columns (persistent homology's column reduction), and reads rank d_1 off
+the components, merged by v's edges.  The Hochster table takes this step
+along one depth-first walk over the vertex subsets, cutting the pivots
+back after each subtree; K's own ranks take it along {1}, {1,2}, ..., [m].
 `verify_against_oracle` applies the table's vertex bound before it
 decomposes, so an oversized input exits before any exponential work.
 """
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import gcd
 
 from .complexes import FlagSkeleton, SimplicialComplex, classify_input
 from .engine import NotFlagSkeleton, PairSpec, check_trace, decompose_loop, unique_nodes
@@ -36,26 +41,6 @@ class NotApplicable(ValueError):
 
 
 HOCHSTER_VERTEX_BOUND = 12
-
-
-def _rank(a: list[list[int]]) -> int:
-    """Rank of a nonempty integer matrix by fraction-free elimination, in
-    place."""
-    rows, cols = len(a), len(a[0])
-    rank = 0
-    for col in range(cols):
-        piv = next((i for i in range(rank, rows) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        for i in range(rank + 1, rows):
-            if a[i][col]:
-                p, q = a[rank][col], a[i][col]
-                a[i] = [p * x - q * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
 
 
 def _faces_by_top(K: SimplicialComplex) -> list[tuple[list[list[int]], int]]:
@@ -86,51 +71,70 @@ def _join(components: list[int], vertex: int, neighbours: int) -> list[int]:
     return [*rest, joined]
 
 
-def _boundary_matrix(lower: list[int], upper: list[int]) -> list[list[int]]:
-    """Boundary of the upper faces in the lower ones: dropping the k-th
-    vertex, ascending, of a face has sign (-1)^k."""
-    index = {f: i for i, f in enumerate(lower)}
-    matrix = [[0] * len(upper) for _ in lower]
-    for j, face in enumerate(upper):
-        sign, rest = 1, face
-        while rest:
-            low = rest & -rest
-            matrix[index[face ^ low]][j] = sign
-            sign, rest = -sign, rest ^ low
-    return matrix
+def _reduce(face: int, pivots: dict[int, dict[int, int]]) -> int | None:
+    """Reduce a face's boundary column (row mask -> entry, (-1)^k for
+    dropping its k-th vertex) exactly over Z against the pivot columns,
+    keyed by their lowest (largest-mask) row: c <- p c - q pivot cancels
+    c's lowest entry, then c is divided by its content.  A nonzero result
+    becomes the pivot of its lowest row, which is returned."""
+    rows = [face ^ 1 << v for v in range(face.bit_length()) if face >> v & 1]
+    column = dict(zip(rows, itertools.cycle((1, -1))))
+    while column:
+        low = max(column)
+        pivot = pivots.get(low)
+        if pivot is None:
+            pivots[low] = column
+            return low
+        g = gcd(pivot[low], column[low])
+        p, q = pivot[low] // g, column[low] // g
+        if p != 1:
+            column = {r: p * x for r, x in column.items()}
+        for r, x in pivot.items():
+            if y := column.get(r, 0) - q * x:
+                column[r] = y
+            else:
+                del column[r]
+        g = gcd(*column.values())
+        if g > 1:
+            column = {r: x // g for r, x in column.items()}
+    return None
 
 
-def _homology(layers: list[list[int]], components: list[int]) -> dict[int, int]:
-    """Reduced homology ranks over Q of the nonempty complex with these face
-    layers (any empty ones last) and components.
-
-    rank d_1 is the vertex count less the component count, so d_1 is never
-    built.
+def _grow(
+    pivots: dict, grown: int, group: tuple, components: list[int], ranks: list[int]
+) -> tuple[list[int], list[int], list[int]]:
+    """Components, reduced ranks by dimension and added pivot rows of the
+    full subcomplex on the mask `grown`, from those of its parent without
+    its top vertex, whose faces and lower neighbours are `group`.  A new
+    d-face (d >= 2) whose column reduces to zero adds a d-cycle, any other
+    bounds a (d-1)-cycle; an edge that merges no components adds a 1-cycle.
     """
-    layers = list(itertools.takewhile(bool, layers))
-    boundary_ranks = [1, len(layers[0]) - len(components)]  # augmentation C_0 -> Z has rank 1
-    for d in range(2, len(layers)):
-        boundary_ranks.append(_rank(_boundary_matrix(layers[d - 1], layers[d])))
-    boundary_ranks.append(0)
-    ranks = {}
-    for d, faces in enumerate(layers):
-        r = len(faces) - boundary_ranks[d] - boundary_ranks[d + 1]
-        if r:
-            ranks[d] = r
-    return ranks
+    faces, neighbours = group
+    joined = _join(components, 1 << (grown.bit_length() - 1), neighbours)
+    ranks = ranks.copy()
+    ranks[0] = len(joined) - 1
+    edges = (neighbours & grown).bit_count()
+    ranks[1] += edges - (len(components) + 1 - len(joined))
+    lows = []
+    for d in range(2, min(len(faces), edges + 1)):  # a new d-face has d edges at v
+        for low in (_reduce(f, pivots) for f in faces[d] if not f & ~grown):
+            if low is None:
+                ranks[d] += 1
+            else:
+                ranks[d - 1] -= 1
+                lows.append(low)
+    return joined, ranks, lows
 
 
 def simplicial_homology_ranks(K: SimplicialComplex) -> dict[int, int]:
-    """Reduced homology ranks over Q; empty map for the empty complex."""
-    if K.m == 0:
-        return {}
-    layers: list[list[int]] = [[] for _ in range(K.dim() + 1)]
+    """Reduced homology ranks over Q, grown along the chain {1}, {1,2},
+    ..., [m]; empty map for the empty complex."""
+    pivots: dict[int, dict[int, int]] = {}
     components: list[int] = []
-    for i, (faces, neighbours) in enumerate(_faces_by_top(K)):
-        for layer, new in zip(layers, faces):
-            layer += new
-        components = _join(components, 1 << i, neighbours)
-    return _homology(layers, components)
+    ranks = [0] * (K.dim() + 2)
+    for i, group in enumerate(_faces_by_top(K)):
+        components, ranks, _ = _grow(pivots, (2 << i) - 1, group, components, ranks)
+    return {d: r for d, r in enumerate(ranks) if r}
 
 
 def _check_vertex_bound(m: int) -> None:
@@ -143,36 +147,29 @@ def hochster_table(K: SimplicialComplex) -> dict[int, int]:
     subcomplex homology summed over all nonempty vertex subsets.
 
     One depth-first walk visits each subset S once, grown from S less its
-    top vertex v.  The full subcomplex on S is its parent's faces plus the
-    faces with top vertex v that lie in S (f & ~S == 0), appended to one
-    set of face layers and cut back after S's own subtree.  Its components
-    are its parent's, merged by v's edges.  Homology ignores labels, so
-    nothing is relabelled.
+    top vertex v by `_grow`: S's new faces are v's faces with f & ~S == 0,
+    and only their boundary columns are reduced, against the pivots that
+    S inherits; those S adds are removed after S's own subtree.  Homology
+    ignores labels, so nothing is relabelled.
     """
     _check_vertex_bound(K.m)
     groups = _faces_by_top(K)
-    layers: list[list[int]] = [[] for _ in range(K.dim() + 1)]
-    ranks: dict[int, int] = {}
+    pivots: dict[int, dict[int, int]] = {}
+    table = [0] * (K.m + K.dim() + 3)  # degree |S| + 1 + j, j <= dim + 1
 
-    def walk(subset: int, components: list[int], top: int) -> None:
-        for i in range(top + 1, K.m):
+    def walk(subset: int, components: list[int], ranks: list[int]) -> None:
+        for i in range(subset.bit_length(), K.m):
             grown = subset | 1 << i
-            outside = ~grown
-            faces, neighbours = groups[i]
-            sizes = []
-            for layer, new in zip(layers, faces):
-                sizes.append(len(layer))
-                layer += [f for f in new if not f & outside]
-            joined = _join(components, 1 << i, neighbours)
+            joined, grown_ranks, lows = _grow(pivots, grown, groups[i], components, ranks)
             shift = grown.bit_count() + 1
-            for j, r in _homology(layers, joined).items():
-                ranks[j + shift] = ranks.get(j + shift, 0) + r
-            walk(grown, joined, i)
-            for layer, size in zip(layers, sizes):
-                del layer[size:]
+            for j, r in enumerate(grown_ranks, shift):
+                table[j] += r
+            walk(grown, joined, grown_ranks)
+            for low in lows:
+                del pivots[low]
 
-    walk(0, [], -1)
-    return dict(sorted(ranks.items()))
+    walk(0, [], [0] * (K.dim() + 2))
+    return {degree: r for degree, r in enumerate(table) if r}
 
 
 def _wedge_obstruction(K: SimplicialComplex) -> str | None:

@@ -339,6 +339,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error[BadDocument]") and err.count("\n") == 1, err[:300]
 
+    @pytest.mark.parametrize(
+        "doc, error",
+        [
+            ({"m": 1, "facets": [[list(range(100_000))]]}, "BadIndex"),
+            ({"m": 1, "facets": [[json.loads("[" * 900 + "]" * 900)]]}, "BadIndex"),
+            ({"m": 1, "facets": [[10**4000]]}, "BadIndex"),
+            ({"m": 10**4000, "facets": [[0]]}, "BadIndex"),
+            ({"m": 10**4000, "facets": [[1]]}, "GhostVertex"),
+            ({"m": list(range(100_000)), "facets": [[1]]}, "BadDocument"),
+        ],
+        ids=["long-vertex", "deep-vertex", "big-vertex", "big-m", "big-ghost-count", "long-m"],
+    )
+    def test_bad_value_message_is_short(self, tmp_path, capsys, doc, error):
+        # the one line names a bad value in a bounded form, not its full repr
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", "--input", str(path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[{error}]") and err.count("\n") == 1, err[:300]
+        assert len(err.encode()) <= 200, err[:300]
+
     @pytest.mark.parametrize("complex_json", ["p4", "square"])
     def test_oracle_disagreement_exits_internal(
         self, tmp_path, capsys, monkeypatch, square_json, complex_json

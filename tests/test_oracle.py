@@ -36,6 +36,10 @@ RP2_FACETS = [
     [1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6], [1, 2, 6],
     [2, 3, 5], [3, 4, 6], [2, 4, 5], [3, 5, 6], [2, 4, 6],
 ]
+# the octahedron's boundary: vertices i and i + 3 are opposite
+OCTAHEDRON_FACETS = [
+    [1 + 3 * a, 2 + 3 * b, 3 + 3 * c] for a, b, c in itertools.product((0, 1), repeat=3)
+]
 
 
 class TestHomology:
@@ -99,6 +103,16 @@ class TestHochster:
         K = validate_complex([[v] for v in range(1, 13)], 12)
         assert hochster_table(K) == {s + 1: math.comb(12, s) * (s - 1) for s in range(2, 13)}
 
+    def test_cross_polytope_at_the_bound(self):
+        # the boundary of the 12-vertex cross-polytope, a 5-sphere: Z_K is
+        # (S^3)^6, so H^(3j) has rank C(6, j), and the faces reach dimension 5
+        facets = [
+            [v + 6 * b for v, b in zip(range(1, 7), bits)]
+            for bits in itertools.product((0, 1), repeat=6)
+        ]
+        K = validate_complex(facets, 12)
+        assert hochster_table(K) == {3 * j: math.comb(6, j) for j in range(1, 7)}
+
     def test_too_large(self):
         facets = [[v] for v in range(1, 14)]
         K = validate_complex(facets, 13)
@@ -149,6 +163,10 @@ class TestHochsterRestriction:
     @example(validate_complex(RP2_FACETS + [[7]], 7))
     @example(random_chordal_flag_complex(10, Random(3)))
     @example(validate_complex(RP2_FACETS + [[v] for v in range(7, 11)], 10))
+    # the boundary of the 5-simplex, H_4 = Q: pivots of dimension >= 3
+    @example(validate_complex(list(itertools.combinations(range(1, 7), 5)), 6))
+    # the octahedral 2-sphere with a pendant edge: siblings share pivots
+    @example(validate_complex(OCTAHEDRON_FACETS + [[6, 7]], 7))
     def test_matches_subset_by_subset_homology(self, K):
         ranks = Counter()
         for size in range(1, K.m + 1):
