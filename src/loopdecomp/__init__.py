@@ -17,7 +17,6 @@ from .complexes import (
     PushoutSplit,
     SimplicialComplex,
     classify_input,
-    empty_complex,
     full_subcomplex,
     pushout_split,
     validate_complex,
@@ -44,12 +43,10 @@ from .homotopy import (
     hilton_milnor,
     join_cells,
     loop_half_smash,
-    loop_sphere,
     lyndon_counts,
     porter_loop_wedge,
     pproduct_mul,
     reduced_cells,
-    sphere,
 )
 from .oracle import (
     NotApplicable,

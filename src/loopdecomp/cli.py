@@ -34,6 +34,10 @@ EXIT_INTERNAL = 3
 # a sphere of dimension n in a pair gives a cell series of n terms, and
 # every series the recursion builds from it grows with n
 PAIR_DIM_BOUND = 1000
+# classification and the decomposition recurse about once per vertex: a
+# path on 496 vertices overflowed the recursion limit on Python 3.10, 3.11
+# and 3.13, and one on 256 vertices runs on 3.10 to 3.13
+VERTEX_BOUND = 256
 # every series is expanded through the cutoff D, and each product of two
 # costs O(D^2): verify on the 6-cycle takes 2.3 s at D = 1000 on one core
 # of a 2-vCPU VM
@@ -64,7 +68,10 @@ def load_complex(path: str) -> SimplicialComplex:
     facets = doc["facets"]
     if not isinstance(facets, list) or not all(isinstance(f, list) for f in facets):
         raise BadDocument("facets must be a list of vertex lists")
-    return validate_complex(facets, doc["m"])
+    K = validate_complex(facets, doc["m"])
+    if K.m > VERTEX_BOUND:
+        raise TooLarge(f"m = {K.m} exceeds the bound {VERTEX_BOUND}")
+    return K
 
 
 def resolve_pairs(spec: str, m: int) -> PairSpec:

@@ -1,14 +1,16 @@
 """Simplicial-complex combinatorics on the vertex set {1..m}.
 
-Input complexes are stored by their facets.  The downward closure, which
-can be exponentially larger, is derived on demand for the face-level
-checks: the Hochster oracle's faces, minimal non-faces, equality.  A k-skeleton of a flag complex is carried as its 1-skeleton
-plus k (`FlagSkeleton`), where a full subcomplex is the induced subgraph
-with the same k, so classification and the decomposition recursion
-enumerate no faces and no vertex subsets.  Vertices are 1-based.
-Every vertex must appear in some facet: ghost vertices are rejected rather
-than interpreted, because each vertex carries a space pair in the intended
-application.
+A face is a vertex mask (bit v - 1 for vertex v).  An input complex is
+stored by its canonical facets, the maximal faces as ascending tuples in
+ascending order, so equal complexes have equal fields.  Its faces, which
+can be exponentially more, are enumerated only for the face-level checks:
+the Hochster oracle and minimal non-faces.  A k-skeleton of a flag complex
+is carried as its 1-skeleton plus k (`FlagSkeleton`), where a full
+subcomplex is the induced subgraph with the same k, so classification and
+the decomposition recursion enumerate no faces and no vertex subsets.
+Vertices are 1-based.  Every vertex must appear in some facet: ghost
+vertices are rejected rather than interpreted, because each vertex carries
+a space pair in the intended application.
 """
 
 from __future__ import annotations
@@ -35,69 +37,50 @@ class DominatingVertex(ValueError):
     """Splitting at a vertex adjacent to every other vertex."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SimplicialComplex:
-    """Faces of a complex on {1..m}, stored by facets (maximal faces)."""
+    """A complex on {1..m} by its facets (maximal faces): ascending vertex
+    tuples in ascending order, as validate_complex builds them, so two
+    complexes are equal, and hash alike, exactly when their faces are."""
 
     m: int
     facets: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "_faces", None)
         object.__setattr__(self, "_graph", None)
         object.__setattr__(self, "_classification", None)
 
-    # -- derived data --------------------------------------------------------
-
-    def faces(self) -> frozenset[frozenset[int]]:
-        """Downward closure, including the empty face."""
-        if self._faces is None:
-            closure = {frozenset()}
-            for facet in self.facets:
-                fs = tuple(facet)
-                for r in range(1, len(fs) + 1):
-                    closure.update(frozenset(c) for c in itertools.combinations(fs, r))
-            object.__setattr__(self, "_faces", frozenset(closure))
-        return self._faces
-
-    def nonempty_faces(self) -> frozenset[frozenset[int]]:
-        return frozenset(f for f in self.faces() if f)
+    def faces(self) -> set[int]:
+        """The nonempty faces as vertex masks (bit v - 1 for vertex v): the
+        submasks of each facet."""
+        found = set()
+        for facet in self.facets:
+            top = _mask(facet)
+            face = top
+            while face:
+                found.add(face)
+                face = (face - 1) & top
+        return found
 
     def dim(self) -> int:
         """Dimension, -1 for the empty complex."""
         return max((len(f) for f in self.facets), default=0) - 1
 
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(range(1, self.m + 1))
-
-    def __eq__(self, other):
-        if not isinstance(other, SimplicialComplex):
-            return NotImplemented
-        return self.m == other.m and self.faces() == other.faces()
-
-    def __hash__(self):
-        return hash((self.m, self.faces()))
-
     def to_doc(self) -> dict:
         return {"m": self.m, "facets": [list(f) for f in self.facets]}
 
 
-def _canonical_facets(faces) -> tuple[tuple[int, ...], ...]:
-    nonempty = [frozenset(f) for f in faces if f]
-    maximal = [f for f in nonempty if not any(f < g for g in nonempty)]
-    return tuple(sorted({tuple(sorted(f)) for f in maximal}))
-
-
-def _from_faces(m: int, faces) -> SimplicialComplex:
-    return SimplicialComplex(m, _canonical_facets(faces))
-
-
-def empty_complex() -> SimplicialComplex:
-    return SimplicialComplex(0, ())
+def _mask(vertices) -> int:
+    return sum(1 << (v - 1) for v in vertices)
 
 
 def validate_complex(raw_facets, m: int) -> SimplicialComplex:
-    """Build a complex from a raw facet list, establishing all invariants."""
+    """Build a complex from a raw facet list, establishing all invariants.
+
+    A facet is kept when it is maximal: each vertex has a bitset of the
+    distinct facets that contain it, and the AND of these over a facet's
+    vertices holds the facets that contain it, only itself when maximal.
+    """
     if not isinstance(m, int) or isinstance(m, bool):
         raise BadDocument(f"m must be an integer, got {reprlib.repr(m)}")
     if m < 0:
@@ -119,24 +102,30 @@ def validate_complex(raw_facets, m: int) -> SimplicialComplex:
         first = list(itertools.islice((v for v in range(1, m + 1) if v not in seen), 5))
         more = f" and {reprlib.repr(missing - len(first))} more" if missing > len(first) else ""
         raise GhostVertex(f"vertices {first}{more} lie in no facet")
-    return _from_faces(m, facets)
+    faces = [tuple(_indices(mask)) for mask in dict.fromkeys(map(_mask, facets))]
+    containing = [0] * m
+    for i, face in enumerate(faces):
+        for v in face:
+            containing[v] |= 1 << i
+    maximal = []
+    for i, face in enumerate(faces):
+        above = -1
+        for v in face:
+            above &= containing[v]
+        if above == 1 << i:
+            maximal.append(tuple(v + 1 for v in face))
+    return SimplicialComplex(m, tuple(sorted(maximal)))
 
 
 def full_subcomplex(K: SimplicialComplex, S) -> SimplicialComplex:
-    """Faces of K contained in S, relabeled to 1..|S| by sorted order.
-
-    An empty S yields the empty complex.
+    """Faces of K contained in S, relabeled to 1..|S| by sorted order: the
+    maximal traces of K's facets on S.  An empty S yields the empty complex.
     """
     S = sorted(set(S))
     if any(not 1 <= v <= K.m for v in S):
         raise BadIndex(f"subset {S} not within 1..{K.m}")
-    if not S:
-        return empty_complex()
-    index = {v: i + 1 for i, v in enumerate(S)}
-    keep = set(S)
-    faces = [{index[v] for v in f} for f in K.nonempty_faces() if f <= keep]
-    faces.extend({index[v]} for v in S)  # singletons survive restriction
-    return _from_faces(len(S), faces)
+    index = {v: i for i, v in enumerate(S, 1)}
+    return validate_complex([[index[v] for v in f if v in index] for f in K.facets], len(S))
 
 
 def _indices(mask: int):
@@ -167,7 +156,7 @@ class FlagSkeleton(NamedTuple):
         if K._graph is None:
             rows = [0] * K.m
             for facet in K.facets:
-                mask = sum(1 << (v - 1) for v in facet)
+                mask = _mask(facet)
                 for v in facet:
                     rows[v - 1] |= mask & ~(1 << (v - 1))
             object.__setattr__(K, "_graph", cls(tuple(rows), max(K.dim(), 0)))
@@ -256,21 +245,16 @@ class Classification:
     chordal_1_skeleton: bool
 
 
-def minimal_non_faces(K: SimplicialComplex) -> list[frozenset[int]]:
-    """Minimal non-faces, by a scan of all 2^m vertex subsets.  The
-    decomposition never calls it; it is an independent check on
-    classify_input."""
+def minimal_non_faces(K: SimplicialComplex) -> list[int]:
+    """Minimal non-faces as vertex masks, ascending, by a scan of all 2^m
+    vertex subsets.  The decomposition never calls it; it is an independent
+    check on classify_input."""
     faces = K.faces()
-    out = []
-    verts = K.vertices()
-    for r in range(2, K.m + 1):
-        for combo in itertools.combinations(verts, r):
-            fs = frozenset(combo)
-            if fs in faces:
-                continue
-            if all(fs - {v} in faces for v in combo):
-                out.append(fs)
-    return out
+    return [
+        subset
+        for subset in range(1, 1 << K.m)
+        if subset not in faces and all(subset ^ 1 << v in faces for v in _indices(subset))
+    ]
 
 
 def classify_input(K: SimplicialComplex) -> Classification:

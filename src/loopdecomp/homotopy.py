@@ -75,21 +75,6 @@ class SphereWedge:
             raise NotSimplyConnectedOutput(f"wedge has cells in degree {order}")
 
 
-def sphere(dim: int) -> int:
-    """The factor S^dim, canonical for dim in {1,3,7}, as its bottom degree."""
-    if dim not in _HOPF_DIMS:
-        raise ValueError(f"sphere factor dimension {dim} not in 1,3,7")
-    return dim
-
-
-def loop_sphere(dim: int) -> int:
-    """The factor Omega S^dim, canonical for dim >= 3 but not 4 or 8, as its
-    bottom degree dim - 1."""
-    if dim < 3 or dim in (4, 8):
-        raise ValueError(f"loop factor on S^{dim} is not canonical")
-    return dim - 1
-
-
 @dataclass(frozen=True)
 class PProduct:
     """Product of spheres and loop spaces, up to a bottom-degree cutoff.

@@ -32,8 +32,9 @@ from .series import DEFAULT_DEGREE, GradedSeries
 
 
 class TooLarge(ValueError):
-    """An input past a desk-scale gate: the Hochster table's vertex count,
-    the cell degree of a pair, or the cutoff."""
+    """An input past a desk-scale gate: the vertex count of any input
+    (cli.VERTEX_BOUND), the Hochster table's vertex count, the cell degree
+    of a pair, or the cutoff."""
 
 
 class NotApplicable(ValueError):
@@ -49,7 +50,7 @@ def _faces_by_top(K: SimplicialComplex) -> list[tuple[list[list[int]], int]]:
     its top vertex's lower neighbours.  A group's dimensions stop at its
     largest face."""
     groups: list[list[list[int]]] = [[] for _ in range(K.m)]
-    for face in sorted(sum(1 << (v - 1) for v in f) for f in K.nonempty_faces()):
+    for face in sorted(K.faces()):
         faces, d = groups[face.bit_length() - 1], face.bit_count() - 1
         faces.extend([] for _ in range(d + 1 - len(faces)))
         faces[d].append(face)

@@ -8,6 +8,7 @@ graphs by taking clique complexes.
 
 from __future__ import annotations
 
+import itertools
 from random import Random
 
 from .complexes import FlagSkeleton, SimplicialComplex, validate_complex
@@ -29,7 +30,8 @@ def clique_complex(graph: SimplicialComplex) -> SimplicialComplex:
 
 
 def skeleton(K: SimplicialComplex, k: int) -> SimplicialComplex:
-    faces = [sorted(f) for f in K.nonempty_faces() if len(f) <= k + 1]
+    """The k-skeleton: the (k + 1)-subsets of K's larger facets, and the rest."""
+    faces = [c for f in K.facets for c in itertools.combinations(f, min(len(f), k + 1))]
     return validate_complex(faces, K.m)
 
 

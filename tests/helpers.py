@@ -2,8 +2,9 @@
 
 Everything here is deliberately separate from the library code paths it
 checks: Lyndon words come from Duval's generation algorithm, necklace
-counts from the Moebius formula, convolution is done directly on lists.
-The projective-pair presets, the general-pair (X, A) decomposition and
+counts from the Moebius formula, convolution is done directly on lists,
+and a complex's faces are the closure of its facets as frozensets.  The
+projective-pair presets, the general-pair (X, A) decomposition and
 the other constructions below have no caller outside the tests.
 """
 
@@ -23,9 +24,7 @@ from loopdecomp.homotopy import (
     PProduct,
     SphereWedge,
     greedy_factorize,
-    loop_sphere,
     pproduct_mul,
-    sphere,
 )
 from loopdecomp.series import DEFAULT_DEGREE, GradedSeries
 
@@ -145,10 +144,10 @@ def neighbors_and_domination(K):
     rows = FlagSkeleton.of(K).adj
     return {
         v: VertexInfo(
-            frozenset(u for u in K.vertices() if row >> (u - 1) & 1),
+            frozenset(u for u in range(1, K.m + 1) if row >> (u - 1) & 1),
             row.bit_count() == K.m - 1,
         )
-        for v, row in zip(K.vertices(), rows)
+        for v, row in enumerate(rows, 1)
     }
 
 
@@ -188,6 +187,35 @@ def clique_faces(m, edges, k):
         for c in itertools.combinations(range(1, m + 1), size)
         if all(frozenset(p) in edge_set for p in itertools.combinations(c, 2))
     ]
+
+
+def closure(facets):
+    """The nonempty faces of the complex with these facets, as frozensets."""
+    return {
+        frozenset(c)
+        for f in facets
+        for r in range(1, len(f) + 1)
+        for c in itertools.combinations(f, r)
+    }
+
+
+def maximal_faces(faces):
+    """The faces contained in no other, as sorted tuples in sorted order."""
+    faces = {frozenset(f) for f in faces if f}
+    return tuple(sorted(tuple(sorted(f)) for f in faces if not any(f < g for g in faces)))
+
+
+def restricted_facets(facets, S):
+    """The facets of the full subcomplex on S, relabelled 1..|S| by sorted
+    order, from the closure: its faces within S, then the maximal ones."""
+    index = {v: i for i, v in enumerate(sorted(S), 1)}
+    keep = set(S)
+    return maximal_faces({index[v] for v in f} for f in closure(facets) if f <= keep)
+
+
+def face_masks(faces):
+    """Vertex masks (bit v - 1 for vertex v) of faces given as vertex sets."""
+    return {sum(1 << (v - 1) for v in f) for f in faces}
 
 
 def expand_trace(table, pairs):
@@ -262,7 +290,7 @@ def tuple_face_homology(K):
     on its faces as sorted tuples, each ranked by its own elimination over
     the rationals."""
     by_dim = {}
-    for f in K.nonempty_faces():
+    for f in closure(K.facets):
         by_dim.setdefault(len(f) - 1, []).append(tuple(sorted(f)))
     layers = [sorted(by_dim[d]) for d in range(len(by_dim))]
     boundary_ranks = [1]  # augmentation C_0 -> Z has rank 1
@@ -378,6 +406,22 @@ def cp_fiber_pairs(pairs_spec):
 
 # --------------------------------------------------------------------------
 # constructors and checks of the W/P calculus that only the tests use
+
+
+def sphere(dim):
+    """The factor S^dim, canonical for dim in {1,3,7}, as its bottom degree."""
+    if dim not in (1, 3, 7):
+        raise ValueError(f"sphere factor dimension {dim} not in 1,3,7")
+    return dim
+
+
+def loop_sphere(dim):
+    """The factor Omega S^dim, canonical for dim >= 3 but not 4 or 8, as its
+    bottom degree dim - 1."""
+    if dim < 3 or dim in (4, 8):
+        raise ValueError(f"loop factor on S^{dim} is not canonical")
+    return dim - 1
+
 
 POINT = CellSeries(GradedSeries.zero())
 

@@ -16,7 +16,6 @@ from loopdecomp.homotopy import (
     divide_products,
     greedy_factorize,
     hilton_milnor,
-    loop_sphere,
     porter_loop_wedge,
     pproduct_mul,
 )
@@ -33,6 +32,7 @@ from loopdecomp.series import GradedSeries
 from helpers import (
     check_canonical,
     forced_split,
+    loop_sphere,
     neighbors_and_domination,
     random_canonical_product,
     wedge_of_spheres,

@@ -18,6 +18,7 @@ from loopdecomp.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
     PAIR_DIM_BOUND,
+    VERTEX_BOUND,
     main,
     resolve_pairs,
 )
@@ -174,6 +175,23 @@ class TestExitCodes:
         assert main(["decompose", "--input", path]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and len(err) < 200, err[:300]
+
+    @pytest.mark.parametrize("command", ["check", "decompose", "verify"])
+    def test_vertex_bound(self, tmp_path, capsys, command):
+        # a long path overflows the recursion limit in classification and
+        # the decomposition; past the bound it is refused once read
+        m = VERTEX_BOUND + 1
+        path = write_complex(tmp_path, "path.json", m, [[v, v + 1] for v in range(1, m)])
+        assert main([command, "--input", path]) == EXIT_INADMISSIBLE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error[TooLarge]: m = {m} exceeds the bound {VERTEX_BOUND}\n"
+
+    def test_simplex_at_the_vertex_bound_decomposes(self, tmp_path, capsys):
+        m = VERTEX_BOUND
+        path = write_complex(tmp_path, "simplex.json", m, [list(range(1, m + 1))])
+        assert main(["decompose", "--input", path]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["factors"] == []
 
     def test_verify_gates_the_hochster_table_before_decomposing(
         self, tmp_path, capsys, monkeypatch

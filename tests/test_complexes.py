@@ -13,7 +13,6 @@ from loopdecomp.complexes import (
     GhostVertex,
     SimplicialComplex,
     classify_input,
-    empty_complex,
     full_subcomplex,
     is_chordal,
     minimal_non_faces,
@@ -23,9 +22,13 @@ from loopdecomp.complexes import (
 
 from helpers import (
     clique_faces,
+    closure,
+    face_masks,
     graph_and_k,
     has_chordless_long_cycle,
+    maximal_faces,
     neighbors_and_domination,
+    restricted_facets,
 )
 
 
@@ -43,14 +46,13 @@ def as_complex(G):
 
 class TestValidate:
     def test_square_closure(self):
-        sq = square()
-        # 4 vertices + 4 edges + the empty face
-        assert len(sq.faces()) == 9
-        assert len(sq.nonempty_faces()) == 8
+        # 4 vertices + 4 edges, as masks
+        vertices, edges = {0b0001, 0b0010, 0b0100, 0b1000}, {0b0011, 0b0110, 0b1100, 0b1001}
+        assert square().faces() == vertices | edges
 
     def test_single_vertex(self):
         K = validate_complex([[1]], 1)
-        assert K.nonempty_faces() == frozenset({frozenset({1})})
+        assert K.faces() == {1}
 
     def test_ghost_vertex(self):
         with pytest.raises(GhostVertex):
@@ -67,14 +69,61 @@ class TestValidate:
         assert K.facets == ((1, 2),)
 
     def test_empty_complex(self):
-        assert validate_complex([], 0) == empty_complex()
+        K = validate_complex([], 0)
+        assert K == SimplicialComplex(0, ())
+        assert K.faces() == set() and K.dim() == -1
+
+
+@st.composite
+def raw_facets(draw, m=None):
+    """(m, facets): a raw facet list on 1..m, m <= 9, with repeated
+    vertices, unsorted facets, duplicates and faces nested in others."""
+    m = draw(st.integers(0, 9)) if m is None else m
+    if m == 0:
+        return 0, []
+    facets = draw(st.lists(st.lists(st.integers(1, m), min_size=1, max_size=6), max_size=8))
+    for f in draw(st.lists(st.sampled_from(facets), max_size=4)) if facets else []:
+        facets.append(f[::-1][: draw(st.integers(1, len(f)))])
+    covered = {v for f in facets for v in f}
+    facets += [[v] for v in range(1, m + 1) if v not in covered]
+    return m, draw(st.permutations(facets))
+
+
+class TestCanonicalFacets:
+    """The masks against a reference that closes the raw facets as frozensets."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw_facets(), st.data())
+    def test_facets_faces_and_restriction(self, raw, data):
+        m, facets = raw
+        K = validate_complex(facets, m)
+        assert K.facets == maximal_faces(closure(facets))
+        assert K.faces() == face_masks(closure(facets))
+        S = data.draw(st.sets(st.integers(1, m))) if m else set()
+        assert full_subcomplex(K, S).facets == restricted_facets(facets, S)
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw_facets(), st.data())
+    def test_equality_is_equality_of_closures(self, raw, data):
+        m, facets = raw
+        if data.draw(st.booleans()):
+            # the same faces listed another way: every facet's faces, reordered
+            other = [list(f) for f in closure(facets)]
+            other = data.draw(st.permutations(other))
+        else:
+            _, other = data.draw(raw_facets(m))
+        K, L = validate_complex(facets, m), validate_complex(other, m)
+        same = closure(facets) == closure(other)
+        assert (K == L) == same
+        assert (hash(K) == hash(L)) == same
+        assert K != validate_complex(facets + [[m + 1]], m + 1)
 
 
 class TestFullSubcomplex:
     def test_square_diagonal_is_two_points(self):
         sub = full_subcomplex(square(), {1, 3})
         assert sub.m == 2
-        assert sub.nonempty_faces() == frozenset({frozenset({1}), frozenset({2})})
+        assert sub.facets == ((1,), (2,))
 
     def test_whole_vertex_set_is_identity(self):
         K = square()
@@ -85,7 +134,7 @@ class TestFullSubcomplex:
         assert sub.facets == ((1, 2),)
 
     def test_empty_subset(self):
-        assert full_subcomplex(square(), set()) == empty_complex()
+        assert full_subcomplex(square(), set()) == SimplicialComplex(0, ())
 
     def test_composition(self):
         K = validate_complex([[1, 2, 3], [3, 4], [4, 5]], 5)
@@ -99,7 +148,7 @@ class TestFullSubcomplex:
         rng = Random(14)
         for _ in range(20):
             K = random_flag_skeleton(rng.randint(2, 7), rng)
-            outer = sorted(rng.sample(K.vertices(), rng.randint(1, K.m)))
+            outer = sorted(rng.sample(range(1, K.m + 1), rng.randint(1, K.m)))
             inner_local = sorted(
                 rng.sample(range(1, len(outer) + 1), rng.randint(1, len(outer)))
             )
@@ -115,16 +164,13 @@ class TestClassify:
         assert cls.k_skeleton_of_flag == 1
         assert cls.skeleton_of_simplex is None
         assert not cls.chordal_1_skeleton
-        assert sorted(minimal_non_faces(square())) == [
-            frozenset({1, 3}),
-            frozenset({2, 4}),
-        ]
+        assert minimal_non_faces(square()) == [0b0101, 0b1010]
 
     def test_triangle_boundary(self):
         K = validate_complex([[1, 2], [2, 3], [1, 3]], 3)
         cls = classify_input(K)
         assert not cls.flag
-        assert minimal_non_faces(K) == [frozenset({1, 2, 3})]
+        assert minimal_non_faces(K) == [0b111]
         assert cls.k_skeleton_of_flag == 1
         assert cls.skeleton_of_simplex == (3, 1)
         assert cls.chordal_1_skeleton
@@ -170,9 +216,8 @@ class TestClassify:
         for _ in range(20):
             K = random_flag_skeleton(rng.randint(2, 6), rng)
             assert classify_input(K).k_skeleton_of_flag is not None
-            vertices = list(K.vertices())
             size = rng.randint(1, K.m)
-            sub = full_subcomplex(K, rng.sample(vertices, size))
+            sub = full_subcomplex(K, rng.sample(range(1, K.m + 1), size))
             assert classify_input(sub).k_skeleton_of_flag is not None
 
 
@@ -200,9 +245,7 @@ class TestPushout:
         assert split.k1_vertices == (1, 2, 4)
         assert split.l_vertices == (2, 4)
         assert split.k2_vertices == (2, 3, 4)
-        assert as_complex(split.l).nonempty_faces() == frozenset(
-            {frozenset({1}), frozenset({2})}
-        )
+        assert split.l.facets() == ((1,), (2,))
         assert len(split.k1.edges()) == 2  # the path 4-1-2
 
     def test_path(self):
@@ -235,12 +278,12 @@ class TestPushout:
             v = rng.choice(options)
             split = pushout_split(FlagSkeleton.of(K), v)
             back = lambda sub, verts: {
-                frozenset(verts[i - 1] for i in f) for f in as_complex(sub).nonempty_faces()
+                frozenset(verts[i - 1] for i in f) for f in closure(sub.facets())
             }
             k1 = back(split.k1, split.k1_vertices)
             k2 = back(split.k2, split.k2_vertices)
             l = back(split.l, split.l_vertices)
-            assert k1 | k2 == set(K.nonempty_faces())
+            assert k1 | k2 == closure(K.facets)
             assert k1 & k2 == l
 
 
@@ -266,12 +309,12 @@ class TestGraphForm:
     def test_classification_matches_minimal_non_faces(self, K):
         cls = classify_input(K)
         k = K.dim()
-        sizes = {len(f) for f in minimal_non_faces(K)}
+        sizes = {f.bit_count() for f in minimal_non_faces(K)}
         assert cls.flag == all(size == 2 for size in sizes)
         # a k-skeleton of a flag complex also misses the cliques of k + 2 vertices
         admissible = sizes <= {2, k + 2}
         assert cls.k_skeleton_of_flag == (k if admissible else None)
-        simplex = len(K.nonempty_faces()) == sum(comb(K.m, j) for j in range(1, k + 2))
+        simplex = len(K.faces()) == sum(comb(K.m, j) for j in range(1, k + 2))
         assert cls.skeleton_of_simplex == ((K.m, k) if simplex else None)
 
     @settings(max_examples=150, deadline=None)

@@ -19,12 +19,10 @@ from loopdecomp.homotopy import (
     hilton_milnor,
     join_cells,
     loop_half_smash,
-    loop_sphere,
     lyndon_counts,
     porter_loop_wedge,
     pproduct_mul,
     reduced_cells,
-    sphere,
 )
 from loopdecomp.series import GradedSeries
 
@@ -37,11 +35,13 @@ from helpers import (
     geometric,
     graded_lyndon_counts,
     is_point,
+    loop_sphere,
     multiplicity,
     necklace_lyndon_count,
     product_from_doc,
     product_of,
     random_canonical_product,
+    sphere,
     subset_residual_cells,
     suspension_splitting,
     wedge_of_spheres,

@@ -59,9 +59,7 @@ class TestHomology:
         assert simplicial_homology_ranks(K) == {}
 
     def test_empty_complex(self):
-        from loopdecomp.complexes import empty_complex
-
-        assert simplicial_homology_ranks(empty_complex()) == {}
+        assert simplicial_homology_ranks(validate_complex([], 0)) == {}
 
     def test_sphere(self):
         # boundary of the tetrahedron is S^2
@@ -81,7 +79,7 @@ class TestHomology:
             ranks = simplicial_homology_ranks(K)
             homological = sum((-1) ** d * r for d, r in ranks.items())
             combinatorial = sum(
-                (-1) ** (len(f) - 1) for f in K.nonempty_faces()
+                (-1) ** (f.bit_count() - 1) for f in K.faces()
             ) - 1
             assert homological == combinatorial
 
@@ -128,7 +126,7 @@ class TestHochster:
         table = hochster_table(K)
         direct = {}
         for size in range(1, K.m + 1):
-            for subset in itertools.combinations(K.vertices(), size):
+            for subset in itertools.combinations(range(1, K.m + 1), size):
                 for j, r in simplicial_homology_ranks(
                     full_subcomplex(K, subset)
                 ).items():
@@ -170,7 +168,7 @@ class TestHochsterRestriction:
     def test_matches_subset_by_subset_homology(self, K):
         ranks = Counter()
         for size in range(1, K.m + 1):
-            for subset in itertools.combinations(K.vertices(), size):
+            for subset in itertools.combinations(range(1, K.m + 1), size):
                 restricted = full_subcomplex(K, subset)
                 sub_ranks = tuple_face_homology(restricted)
                 assert simplicial_homology_ranks(restricted) == sub_ranks
