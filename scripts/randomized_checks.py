@@ -7,7 +7,7 @@ import argparse
 import time
 from random import Random
 
-from loopdecomp import PairSpec, check_trace, decompose_loop, greedy_factorize
+from loopdecomp import FlagSkeleton, PairSpec, check_trace, decompose_loop, greedy_factorize
 from loopdecomp.oracle import NotApplicable, predicted_loop_series
 from loopdecomp.randomgen import (
     random_chordal_flag_complex,
@@ -29,7 +29,7 @@ def sweep_engine(count, rng, cutoff):
         else:
             pairs = PairSpec.from_suspension_dims([[rng.randint(2, 4)] for _ in range(K.m)])
         product, trace = decompose_loop(K, pairs, cutoff)
-        assert check_trace(trace, cutoff) == []
+        assert check_trace(trace, FlagSkeleton.of(K), pairs, cutoff) == []
         assert greedy_factorize(product.series, cutoff).factors == product.factors
         checked += 1
         if not pairs.is_moment_angle():

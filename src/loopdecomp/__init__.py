@@ -14,7 +14,6 @@ from .complexes import (
     DominatingVertex,
     FlagSkeleton,
     GhostVertex,
-    PushoutSplit,
     SimplicialComplex,
     classify_input,
     full_subcomplex,

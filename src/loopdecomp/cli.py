@@ -16,6 +16,7 @@ import sys
 from .complexes import (
     BadDocument,
     BadIndex,
+    FlagSkeleton,
     GhostVertex,
     SimplicialComplex,
     classify_input,
@@ -34,9 +35,9 @@ EXIT_INTERNAL = 3
 # a sphere of dimension n in a pair gives a cell series of n terms, and
 # every series the recursion builds from it grows with n
 PAIR_DIM_BOUND = 1000
-# classification and the decomposition recurse about once per vertex: a
-# path on 496 vertices overflowed the recursion limit on Python 3.10, 3.11
-# and 3.13, and one on 256 vertices runs on 3.10 to 3.13
+# classification, the decomposition and check_trace recurse about once per
+# vertex: a path on 496 vertices overflowed the recursion limit on Python
+# 3.10, 3.11 and 3.13, and one on 256 vertices runs on 3.10 to 3.13
 VERTEX_BOUND = 256
 # every series is expanded through the cutoff D, and each product of two
 # costs O(D^2): verify on the 6-cycle takes 2.3 s at D = 1000 on one core
@@ -145,7 +146,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         "expansion": list(product.series.expand(args.cutoff)),
     }
     if args.trace:
-        doc["trace"] = trace_to_doc(trace)
+        doc["trace"] = trace_to_doc(trace, FlagSkeleton.of(K))
     _emit(doc, args.output_path)
     return EXIT_OK
 

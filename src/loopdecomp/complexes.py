@@ -1,16 +1,16 @@
 """Simplicial-complex combinatorics on the vertex set {1..m}.
 
-A face is a vertex mask (bit v - 1 for vertex v).  An input complex is
-stored by its canonical facets, the maximal faces as ascending tuples in
-ascending order, so equal complexes have equal fields.  Its faces, which
-can be exponentially more, are enumerated only for the face-level checks:
-the Hochster oracle and minimal non-faces.  A k-skeleton of a flag complex
-is carried as its 1-skeleton plus k (`FlagSkeleton`), where a full
-subcomplex is the induced subgraph with the same k, so classification and
-the decomposition recursion enumerate no faces and no vertex subsets.
-Vertices are 1-based.  Every vertex must appear in some facet: ghost
-vertices are rejected rather than interpreted, because each vertex carries
-a space pair in the intended application.
+A face, like every vertex set, is a vertex mask (bit v - 1 for vertex v).
+An input complex is stored by its canonical facets, the maximal faces as
+ascending tuples in ascending order, so equal complexes have equal fields.
+Its faces, which can be exponentially more, are enumerated only for the
+face-level checks: the Hochster oracle and minimal non-faces.  A k-skeleton
+of a flag complex is carried as its 1-skeleton plus k (`FlagSkeleton`),
+where a full subcomplex is the induced subgraph with the same k, so
+classification and the decomposition recursion enumerate no faces and no
+vertex subsets.  Vertices are 1-based.  Every vertex must appear in some
+facet: ghost vertices are rejected rather than interpreted, because each
+vertex carries a space pair in the intended application.
 """
 
 from __future__ import annotations
@@ -166,13 +166,15 @@ class FlagSkeleton(NamedTuple):
     def m(self) -> int:
         return len(self.adj)
 
-    def induced(self, vertices) -> "FlagSkeleton":
-        """The full subcomplex on the ascending vertices, relabelled 1..len."""
-        bits = [1 << (v - 1) for v in vertices]
+    def induced(self, mask: int) -> "FlagSkeleton":
+        """The full subcomplex on the vertex mask, relabelled 1..n in
+        ascending order."""
+        members = list(_indices(mask))
+        bits = [1 << i for i in members]
         return FlagSkeleton(
             tuple(
-                sum(1 << j for j, bit in enumerate(bits) if self.adj[v - 1] & bit)
-                for v in vertices
+                sum(1 << j for j, bit in enumerate(bits) if self.adj[i] & bit)
+                for i in members
             ),
             self.k,
         )
@@ -297,30 +299,13 @@ def is_chordal(G: FlagSkeleton) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PushoutSplit:
-    """K = K1 cup_L K2 split at a non-dominating vertex.
-
-    The vertex tuples map local indices (position + 1) back to K's labels.
-    """
-
-    vertex: int
-    k1: FlagSkeleton
-    l: FlagSkeleton
-    k2: FlagSkeleton
-    k1_vertices: tuple[int, ...]
-    l_vertices: tuple[int, ...]
-    k2_vertices: tuple[int, ...]
-
-
-def pushout_split(K: FlagSkeleton, v: int) -> PushoutSplit:
-    """Split K at v into the star side, its link boundary and the deletion."""
+def pushout_split(K: FlagSkeleton, v: int) -> tuple[tuple[FlagSkeleton, int], ...]:
+    """Split K = K1 cup_L K2 at v: the star side K1 (v and its neighbours),
+    the deletion K2 (all but v) and the link L (the neighbours), in that
+    order, each as its induced graph and its vertex mask in K."""
     if not 1 <= v <= K.m:
         raise BadIndex(f"vertex {v} outside 1..{K.m}")
-    row = K.adj[v - 1]
-    if row.bit_count() == K.m - 1:
+    bit, link = 1 << (v - 1), K.adj[v - 1]
+    if link.bit_count() == K.m - 1:
         raise DominatingVertex(f"vertex {v} is dominating")
-    nbrs = tuple(u + 1 for u in _indices(row))
-    s1 = tuple(sorted((v, *nbrs)))
-    s2 = tuple(u for u in range(1, K.m + 1) if u != v)
-    return PushoutSplit(v, K.induced(s1), K.induced(nbrs), K.induced(s2), s1, nbrs, s2)
+    return tuple((K.induced(mask), mask) for mask in (link | bit, ((1 << K.m) - 1) ^ bit, link))

@@ -17,12 +17,13 @@ root, whose full subcomplexes are all flag with the same k: in a non-flag
 k-skeleton a (k + 1)-clique of the rest is a face but its join with v is
 not, so v * L is not K.  Only the root is factorised.  The trace records
 choices only: each node's rule, a pushout's vertex, the series and the
-children.  `_pieces` and `_pushout_cells` derive the rest, for the recursion
-and for `check_trace`, run by `verify`: it checks that each node's pairs
-cover its vertices, each rule's precondition and that the children are the
-pieces it derives, rebuilds each P-form by
-the proof's splittings, which check membership in P, and at the root
-compares the rebuilt factors with the listed ones.
+children, in memory as in the document.  A vertex set is a mask, and
+`pushout_split` and `_pushout_cells` derive the rest, for the recursion and
+for `check_trace`, run by `verify`: it walks the trace from the root with
+the input's graph and pairs, gives each child the piece its parent's rule
+derives, checks each rule's precondition on it, rebuilds each P-form by the
+proof's splittings, which check membership in P, and at the root compares
+the rebuilt factors with the listed ones.
 """
 
 from __future__ import annotations
@@ -107,10 +108,12 @@ class PairSpec:
     def vertex(self, v: int) -> GradedSeries:
         return self.cells[v - 1]
 
-    def restrict(self, vertices) -> "PairSpec":
-        """The pairs on the vertices, relabelled 1..len: this spec's cells, unchecked."""
+    def restrict(self, mask: int) -> "PairSpec":
+        """The pairs on the vertex mask, relabelled 1..n in ascending order:
+        this spec's cells, unchecked."""
         spec = object.__new__(PairSpec)
-        object.__setattr__(spec, "cells", tuple(self.cells[v - 1] for v in vertices))
+        cells = tuple(c for i, c in enumerate(self.cells) if mask >> i & 1)
+        object.__setattr__(spec, "cells", cells)
         return spec
 
     def key(self):
@@ -119,19 +122,14 @@ class PairSpec:
 
 @dataclass
 class TraceNode:
-    """One derivation step: a rule on a graph and its pairs, a pushout's
-    vertex, the series, and the children, the pieces the rule derives."""
+    """One derivation step by its choices: the rule, the series, a
+    pushout's vertex and the children, the pieces the rule derives.  Its
+    graph and pairs follow from the root's by the rules above it."""
 
     rule: str
-    graph: FlagSkeleton
-    pairs: PairSpec
     series: GradedSeries
     vertex: int | None = None
     children: list["TraceNode"] = field(default_factory=list)
-
-    @property
-    def m(self) -> int:
-        return self.graph.m
 
 
 def skeleton_simplex_wedge(m: int, k: int, pairs: PairSpec) -> SphereWedge:
@@ -150,6 +148,8 @@ def _skeleton_cells(m: int, k: int, pairs: PairSpec) -> GradedSeries:
         raise ValueError("need 0 <= k <= m-1")
     if pairs.m != m:
         raise ValueError("pair data must cover all m vertices")
+    if k + 2 > m:
+        return GradedSeries.zero()  # the full simplex: no j to sum over
     elementary = [GradedSeries.one()] + [GradedSeries.zero()] * m
     for r in pairs.cells:
         for j in range(m, 0, -1):
@@ -172,9 +172,10 @@ def decompose_loop(
     """
     if K.m != pairs.m:
         raise ValueError("pair data must cover all vertices of K")
-    if classify_input(K).k_skeleton_of_flag is None:
+    classification = classify_input(K)
+    if classification.k_skeleton_of_flag is None:
         raise NotFlagSkeleton("K is not the k-skeleton of a flag complex")
-    _, node = _decompose(FlagSkeleton.of(K), pairs, {}, classify_input(K).flag)
+    _, node = _decompose(FlagSkeleton.of(K), pairs, {}, classification.flag)
     return greedy_factorize(node.series, cutoff), node
 
 
@@ -192,99 +193,93 @@ def _decompose(K: FlagSkeleton, pairs: PairSpec, memo, cones):
         cells = _skeleton_cells(K.m, k, pairs)
         u = 1 - GradedSeries(cells.num[1:], cells.den)  # 1 - cells/t
         rule = "simplex_skeleton"
-    elif len(rest := _non_dominating(K)) < K.m and cones:
+    elif cones and (rest := _non_dominating(K)).bit_count() < K.m:
         u, child = _decompose(K.induced(rest), pairs.restrict(rest), memo, cones)
         rule, children = "cone", [child]
     else:
-        # the least degree among the non-dominating vertices
-        v = min(rest, key=lambda w: (K.adj[w - 1].bit_count(), w))
-        split = pushout_split(K, v)
+        # the least degree: a dominating vertex has the largest, and some
+        # vertex does not dominate, or the graph would be complete
+        v = min(range(1, K.m + 1), key=lambda w: (K.adj[w - 1].bit_count(), w))
         (u1, n1), (u2, n2), (ul, nl) = (
-            _decompose(graph, pairs.restrict(vertices), memo, cones)
-            for graph, vertices in _pieces(split)
+            _decompose(graph, pairs.restrict(mask), memo, cones)
+            for graph, mask in pushout_split(K, v)
         )
-        a, a_prime = _pushout_cells(split, pairs)
+        a, a_prime = _pushout_cells(K, v, pairs)
         u = (1 + a_prime) * u1 + (1 + a) * u2 - (1 + a) * (1 + a_prime) * ul
         rule, children = "pushout", [n1, n2, nl]
 
-    node = TraceNode(rule, K, pairs, 1 / u, v, children)
+    node = TraceNode(rule, 1 / u, v, children)
     memo[key] = (u, node)
     return u, node
 
 
-def _pieces(split):
-    """(graph, vertices) of the star side, the deletion and the link."""
-    graphs = (split.k1, split.k2, split.l)
-    return list(zip(graphs, (split.k1_vertices, split.k2_vertices, split.l_vertices)))
-
-
-def _pushout_cells(split, pairs: PairSpec) -> tuple[GradedSeries, GradedSeries]:
-    """a, A_v's cells, and a' = prod (n_w + d_w) / prod d_w - 1 over K2 - L, a_w = n_w/d_w."""
+def _pushout_cells(K: FlagSkeleton, v: int, pairs: PairSpec) -> tuple[GradedSeries, GradedSeries]:
+    """a, A_v's cells, and a' = prod (n_w + d_w) / prod d_w - 1 over K2 - L,
+    the vertices outside v's closed neighbourhood, a_w = n_w/d_w."""
     num = den = (1,)
-    for c in (pairs.vertex(w) for w in split.k2_vertices if w not in split.l_vertices):
+    for c in pairs.restrict(~(K.adj[v - 1] | 1 << (v - 1))).cells:
         num, den = poly_mul(num, poly_add(c.num, c.den)), poly_mul(den, c.den)
-    return pairs.vertex(split.vertex), GradedSeries(poly_add(num, poly_neg(den)), den)
+    return pairs.vertex(v), GradedSeries(poly_add(num, poly_neg(den)), den)
 
 
-def _non_dominating(K: FlagSkeleton) -> tuple[int, ...]:
-    """The vertices not adjacent to every other vertex, ascending."""
-    return tuple(w for w, row in enumerate(K.adj, 1) if row.bit_count() < K.m - 1)
+def _non_dominating(K: FlagSkeleton) -> int:
+    """The mask of the vertices not adjacent to every other vertex."""
+    return sum(1 << i for i, row in enumerate(K.adj) if row.bit_count() < K.m - 1)
 
 
 # --------------------------------------------------------------------------
 # trace checking and serialization
 
 
-def _rebuild(node: TraceNode, children: list[PProduct], cutoff: int) -> PProduct:
-    """A node's P-form from its children's, which must be the pieces its
-    rule derives from its graph; each step checks membership in P."""
-    graph, pairs, rule = node.graph, node.pairs, node.rule
-    if pairs.m != node.m:
-        raise ValueError(f"the pairs cover {pairs.m} vertices, the graph {node.m}")
+def _derive(node: TraceNode, graph: FlagSkeleton):
+    """The (graph, mask) pieces a node's rule derives from its graph, once
+    the rule's precondition holds there and there is one child per piece."""
+    rule, m, pieces = node.rule, graph.m, ()
     if (node.vertex is not None) != (rule == "pushout"):
         raise ValueError("a pushout, and only a pushout, has a vertex")
     if rule == "contractible":
-        if node.m > 1:
-            raise ValueError(f"a contractible node has {node.m} vertices")
-        _check_children(node, [])
-        product = PProduct.trivial(cutoff)
+        if m > 1:
+            raise ValueError(f"a contractible node has {m} vertices")
     elif rule == "simplex_skeleton":
-        if (k := graph.simplex_skeleton_dim()) is None:
+        if graph.simplex_skeleton_dim() is None:
             raise ValueError("the graph is not a skeleton of a simplex")
-        _check_children(node, [])
-        product = hilton_milnor(skeleton_simplex_wedge(node.m, k, pairs), cutoff)
     elif rule == "cone":
         rest = _non_dominating(graph)
-        if len(rest) == node.m:
+        if rest.bit_count() == m:
             raise ValueError("no vertex dominates")
         largest = max(c.bit_count() for c in graph.maximal_cliques())
         if largest > graph.k + 1:
             raise ValueError(f"the node is not flag: it has a clique of {largest} vertices")
-        _check_children(node, [(graph.induced(rest), rest)])
-        (product,) = children
+        pieces = ((graph.induced(rest), rest),)
     elif rule == "pushout":
-        split = pushout_split(graph, node.vertex)
-        _check_children(node, _pieces(split))
+        pieces = pushout_split(graph, node.vertex)
+    else:
+        raise ValueError(f"unknown trace rule {rule!r}")
+    if len(node.children) != len(pieces):
+        raise ValueError(f"the rule derives {len(pieces)} children, not {len(node.children)}")
+    return pieces
+
+
+def _rebuild(node: TraceNode, graph: FlagSkeleton, pairs: PairSpec, children, cutoff: int):
+    """A node's P-form from its children's, once `_derive` has checked it;
+    each step checks membership in P."""
+    if node.rule == "contractible":
+        product = PProduct.trivial(cutoff)
+    elif node.rule == "simplex_skeleton":
+        k = graph.simplex_skeleton_dim()
+        product = hilton_milnor(skeleton_simplex_wedge(graph.m, k, pairs), cutoff)
+    elif node.rule == "cone":
+        (product,) = children
+    else:
         p1, p2, pl = children
-        a, a_prime = (CellSeries(cells) for cells in _pushout_cells(split, pairs))
+        a, a_prime = map(CellSeries, _pushout_cells(graph, node.vertex, pairs))
         s_join = hilton_milnor(join_cells(a, a_prime), cutoff)
         s_g = loop_half_smash(a_prime, divide_products(p1, pl))
         s_h = loop_half_smash(a, divide_products(p2, pl))
         product = pproduct_mul(pl, porter_loop_wedge([s_join, s_g, s_h], cutoff))
-    else:
-        raise ValueError(f"unknown trace rule {rule!r}")
     if product.series != node.series:
         raise ValueError("the rebuilt series is not the recorded one")
     return product
-
-
-def _check_children(node: TraceNode, pieces) -> None:
-    """Each child must be its (graph, vertices) piece, with the pairs restricted."""
-    if len(node.children) != len(pieces):
-        raise ValueError(f"the rule derives {len(pieces)} children, not {len(node.children)}")
-    for j, (child, (graph, vertices)) in enumerate(zip(node.children, pieces)):
-        if child.graph != graph or child.pairs.key() != node.pairs.restrict(vertices).key():
-            raise ValueError(f"child {j} is not the piece the rule derives")
 
 
 def unique_nodes(root: TraceNode) -> list[TraceNode]:
@@ -304,39 +299,55 @@ def unique_nodes(root: TraceNode) -> list[TraceNode]:
     return order
 
 
-def check_trace(node: TraceNode, cutoff: int) -> list[str]:
-    """Certify a trace: check each node's rule and children against its
-    graph and pairs, rebuild its P-form from its children's, and at the root
-    compare the rebuilt factors with those of `greedy_factorize(node.series,
-    cutoff)`, the listed ones.
+def check_trace(node: TraceNode, graph: FlagSkeleton, pairs: PairSpec, cutoff: int) -> list[str]:
+    """Certify a trace of the problem (graph, pairs) by a walk from the
+    root.  Each child gets the piece its parent's rule derives, the induced
+    graph with the pairs restricted, and must get the same piece from every
+    parent; no node may lie below itself.  On its piece, each node's rule
+    precondition must hold and its P-form is rebuilt from its children's;
+    at the root the rebuilt factors must be those of
+    `greedy_factorize(node.series, cutoff)`, the listed ones.  The nodes
+    above a failing one are not checked.  Returns one message per failing
+    node, naming its id."""
+    ids = {id(current): i for i, current in enumerate(unique_nodes(node))}
+    failures: list[str] = []
+    walked: dict = {}  # id -> (piece key, P-form or None); None while below it is walked
 
-    Each node is checked once, children first; the nodes above a failing
-    one are not checked.  Returns one message per failing node, naming its id.
-    """
-    failures = []
-    products: dict[int, PProduct | None] = {}
-    for i, current in enumerate(unique_nodes(node)):
-        children = [products[id(child)] for child in current.children]
-        products[id(current)] = None
-        if None in children:
-            continue
+    def walk(current: TraceNode, graph: FlagSkeleton, pairs: PairSpec) -> None:
+        walked[id(current)], product = None, None
         try:
-            product = _rebuild(current, children, cutoff)
-            if current is node:
-                listed = greedy_factorize(node.series, cutoff).factors
-                if product.factors != listed:
-                    raise ValueError("the rebuilt factors are not the listed ones")
-            products[id(current)] = product
+            if pairs.m != graph.m:  # only the root's pairs are not restricted
+                raise ValueError(f"the pairs cover {pairs.m} vertices, the graph {graph.m}")
+            products, pieces = [], _derive(current, graph)
+            for j, (child, (piece, mask)) in enumerate(zip(current.children, pieces)):
+                sub = pairs.restrict(mask)
+                if id(child) not in walked:
+                    walk(child, piece, sub)
+                if walked[id(child)] is None:
+                    raise ValueError(f"child {j} is the node itself or one above it")
+                if walked[id(child)][0] != (piece, sub.key()):
+                    raise ValueError(f"child {j} is also the node of another piece")
+                products.append(walked[id(child)][1])
+            if None not in products:
+                product = _rebuild(current, graph, pairs, products, cutoff)
+                if current is node:
+                    listed = greedy_factorize(node.series, cutoff).factors
+                    if product.factors != listed:
+                        raise ValueError("the rebuilt factors are not the listed ones")
         except (ArithmeticError, LookupError, ValueError) as exc:
-            where = f"node {i} ({current.rule}, m={current.m})"
+            where = f"node {ids[id(current)]} ({current.rule}, m={graph.m})"
             failures.append(f"{where}: {type(exc).__name__}: {exc}")
+            product = None
+        walked[id(current)] = ((graph, pairs.key()), product)
+
+    walk(node, graph, pairs)
     return failures
 
 
-def trace_to_doc(node: TraceNode) -> dict:
+def trace_to_doc(node: TraceNode, graph: FlagSkeleton) -> dict:
     """The trace as a node table: unique_nodes' list, a node's id its
-    position in it.  Only the root has its graph: the others' follow from
-    it by the rules, as check_trace derives them."""
+    position in it.  Only the root has its graph, the one given: the
+    others' follow from it by the rules, as check_trace derives them."""
     nodes = unique_nodes(node)
     ids = {id(current): i for i, current in enumerate(nodes)}
     docs = []
@@ -344,8 +355,8 @@ def trace_to_doc(node: TraceNode) -> dict:
         num, den = current.series.to_pair()
         doc = {"rule": current.rule, "series": {"num": num, "den": den}}
         if current is node:
-            edges = [list(e) for e in node.graph.edges()]
-            doc["graph"] = {"m": node.m, "k": node.graph.k, "edges": edges}
+            edges = [list(e) for e in graph.edges()]
+            doc["graph"] = {"m": graph.m, "k": graph.k, "edges": edges}
         if current.vertex is not None:
             doc["vertex"] = current.vertex
         if current.children:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from loopdecomp.complexes import FlagSkeleton, classify_input, pushout_split
 from loopdecomp import engine
-from loopdecomp.engine import PairSpec, decompose_loop
+from loopdecomp.engine import PairSpec, decompose_loop, trace_to_doc
 from loopdecomp.homotopy import (
     CellSeries,
     NotCanonicalP,
@@ -158,13 +158,12 @@ def forced_split(K, pairs, v):
     so check_trace certifies the claim, and the factors listed for it, by
     rebuilding the root from them through the P-calculus."""
     _, trace = decompose_loop(K, pairs)
-    G = FlagSkeleton.of(K)
     memo, cones = {}, classify_input(K).flag
     children = [
-        engine._decompose(piece, pairs.restrict(vertices), memo, cones)[1]
-        for piece, vertices in engine._pieces(pushout_split(G, v))
+        engine._decompose(piece, pairs.restrict(mask), memo, cones)[1]
+        for piece, mask in pushout_split(FlagSkeleton.of(K), v)
     ]
-    return engine.TraceNode("pushout", G, pairs, trace.series, v, children)
+    return engine.TraceNode("pushout", trace.series, v, children)
 
 
 @st.composite
@@ -218,12 +217,15 @@ def face_masks(faces):
     return {sum(1 << (v - 1) for v in f) for f in faces}
 
 
-def expand_trace(table, pairs):
-    """The tree form of a `trace_to_doc` node table: each node written out
-    under every parent, with its complex as {"m", "facets"} and the rule's
-    inputs as `data`.  Both are derived from the root's graph and the pairs
-    by the rules, as `check_trace` derives them.  This is the trace document
-    of the tree writer the table replaced, which recorded them per node."""
+def mask_vertices(mask):
+    """The vertices of a vertex mask, ascending."""
+    return [v for v in range(1, mask.bit_length() + 1) if mask >> (v - 1) & 1]
+
+
+def derive_nodes(table, pairs):
+    """Each node's (graph, cells) and the data the tree writer recorded for
+    it, by id, for a `trace_to_doc` node table: derived from the root's
+    graph and the pairs by the rules, as `check_trace` derives them."""
     nodes, root = table["nodes"], table["root"]
     graph = nodes[root]["graph"]
     adj = [0] * graph["m"]
@@ -235,8 +237,26 @@ def expand_trace(table, pairs):
     for i in range(root, -1, -1):  # every parent has a larger id than its children
         graph, cells = derived[i]
         pieces, data[i] = _rule_inputs(nodes[i], graph, cells)
-        for child, (piece, vertices) in zip(nodes[i].get("children", []), pieces):
-            derived.setdefault(child, (piece, tuple(cells[v - 1] for v in vertices)))
+        for child, (piece, mask) in zip(nodes[i].get("children", []), pieces):
+            derived.setdefault(child, (piece, tuple(cells[v - 1] for v in mask_vertices(mask))))
+    return derived, data
+
+
+def node_problems(trace, graph, pairs):
+    """The (graph, pairs) that the rules derive for each node of an
+    in-memory trace of the problem, by its position in unique_nodes."""
+    derived, _ = derive_nodes(trace_to_doc(trace, graph), pairs)
+    return [(piece, PairSpec(cells)) for piece, cells in (derived[i] for i in sorted(derived))]
+
+
+def expand_trace(table, pairs):
+    """The tree form of a `trace_to_doc` node table: each node written out
+    under every parent, with its complex as {"m", "facets"} and the rule's
+    inputs as `data`, both derived by `derive_nodes`.  This is the trace
+    document of the tree writer the table replaced, which recorded them
+    per node."""
+    nodes = table["nodes"]
+    derived, data = derive_nodes(table, pairs)
     trees = {}
     for i, node in enumerate(nodes):
         graph = derived[i][0]
@@ -249,7 +269,7 @@ def expand_trace(table, pairs):
         if "children" in node:
             tree["children"] = [trees[child] for child in node["children"]]
         trees[i] = tree
-    return trees[root]
+    return trees[table["root"]]
 
 
 def _series_doc(s):
@@ -258,27 +278,29 @@ def _series_doc(s):
 
 
 def _rule_inputs(node, graph, cells):
-    """The pieces a node's rule derives, as (graph, vertices), and the data
-    the tree writer recorded for it, in its key order."""
+    """The pieces a node's rule derives, as (graph, mask), and the data the
+    tree writer recorded for it, in its key order."""
     rule, m = node["rule"], graph.m
     if rule == "simplex_skeleton":
         k = graph.simplex_skeleton_dim()
         return [], {"k": k, "vertex_cells": [_series_doc(c) for c in cells]}
     if rule == "cone":
-        rest = tuple(v for v in range(1, m + 1) if graph.adj[v - 1].bit_count() < m - 1)
-        return [(graph.induced(rest), rest)], {"rest_vertices": list(rest)}
+        rest = [v for v in range(1, m + 1) if graph.adj[v - 1].bit_count() < m - 1]
+        mask = sum(1 << (v - 1) for v in rest)
+        return [(graph.induced(mask), mask)], {"rest_vertices": rest}
     if rule == "pushout":
         v = node["vertex"]
-        split = pushout_split(graph, v)
+        pieces = pushout_split(graph, v)
+        k1, k2, link = (mask_vertices(mask) for _, mask in pieces)
         a_prime = GradedSeries.one()
-        for w in split.k2_vertices:
-            if w not in split.l_vertices:
+        for w in k2:
+            if w not in link:
                 a_prime = a_prime * (cells[w - 1] + 1)
-        return engine._pieces(split), {
-            "k1_vertices": list(split.k1_vertices),
-            "l_vertices": list(split.l_vertices),
-            "k2_vertices": list(split.k2_vertices),
-            "l_empty": split.l.m == 0,
+        return pieces, {
+            "k1_vertices": k1,
+            "l_vertices": link,
+            "k2_vertices": k2,
+            "l_empty": not link,
             "a_cells": _series_doc(cells[v - 1]),
             "a_prime_cells": _series_doc(a_prime - 1),
         }

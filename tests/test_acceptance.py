@@ -8,7 +8,7 @@ import time
 from contextlib import contextmanager
 from random import Random
 
-from loopdecomp.complexes import validate_complex
+from loopdecomp.complexes import FlagSkeleton, validate_complex
 from loopdecomp.engine import PairSpec, check_trace, decompose_loop, skeleton_simplex_wedge
 from loopdecomp.homotopy import (
     NotADivisor,
@@ -115,7 +115,7 @@ def test_criterion_4_path_independence():
             for v in (u for u, rec in info.items() if not rec.dominating):
                 # the split at v rebuilds the listed factors and series
                 root = forced_split(K, pairs, v)
-                assert check_trace(root, 20) == []
+                assert check_trace(root, FlagSkeleton.of(K), pairs, 20) == []
             for _ in range(5):
                 perm = list(range(1, K.m + 1))
                 rng.shuffle(perm)
@@ -191,5 +191,6 @@ def test_criterion_10_membership_witnessed_constructively():
                     product, trace = decompose_loop(K, PairSpec.moment_angle(K.m), 20)
                 except (NotCanonicalP, NotADivisor) as exc:
                     raise AssertionError(f"engine failed on {K.facets}: {exc}")
-                assert check_trace(trace, 20) == [], K.facets
+                G, pairs = FlagSkeleton.of(K), PairSpec.moment_angle(K.m)
+                assert check_trace(trace, G, pairs, 20) == [], K.facets
                 check_canonical(product)

@@ -26,6 +26,7 @@ from helpers import (
     face_masks,
     graph_and_k,
     has_chordless_long_cycle,
+    mask_vertices,
     maximal_faces,
     neighbors_and_domination,
     restricted_facets,
@@ -241,25 +242,26 @@ class TestNeighbors:
 
 class TestPushout:
     def test_square(self):
-        split = pushout_split(FlagSkeleton.of(square()), 1)
-        assert split.k1_vertices == (1, 2, 4)
-        assert split.l_vertices == (2, 4)
-        assert split.k2_vertices == (2, 3, 4)
-        assert split.l.facets() == ((1,), (2,))
-        assert len(split.k1.edges()) == 2  # the path 4-1-2
+        (k1, k1_mask), (_, k2_mask), (link, l_mask) = pushout_split(FlagSkeleton.of(square()), 1)
+        assert (k1_mask, k2_mask, l_mask) == (0b1011, 0b1110, 0b1010)
+        assert link.facets() == ((1,), (2,))
+        assert len(k1.edges()) == 2  # the path 4-1-2
 
     def test_path(self):
-        split = pushout_split(FlagSkeleton.of(path3()), 1)
-        assert split.k1.facets() == ((1, 2),)
-        assert split.l.facets() == ((1,),)
-        assert split.k2.m == 2 and split.k2.facets() == ((1, 2),)
+        (k1, _), (k2, _), (link, _) = pushout_split(FlagSkeleton.of(path3()), 1)
+        assert k1.facets() == ((1, 2),)
+        assert link.facets() == ((1,),)
+        assert k2.m == 2 and k2.facets() == ((1, 2),)
 
     def test_two_points(self):
         K = validate_complex([[1], [2]], 2)
-        split = pushout_split(FlagSkeleton.of(K), 1)
-        assert split.k1.m == 1
-        assert split.l.m == 0
-        assert split.k2.m == 1
+        (k1, k1_mask), (k2, k2_mask), (link, l_mask) = pushout_split(FlagSkeleton.of(K), 1)
+        assert (k1.m, k2.m, link.m) == (1, 1, 0)
+        assert (k1_mask, k2_mask, l_mask) == (0b01, 0b10, 0)
+
+    def test_out_of_range_vertex_rejected(self):
+        with pytest.raises(BadIndex):
+            pushout_split(FlagSkeleton.of(path3()), 4)
 
     def test_dominating_vertex_rejected(self):
         with pytest.raises(DominatingVertex):
@@ -276,13 +278,10 @@ class TestPushout:
             if not options:
                 continue
             v = rng.choice(options)
-            split = pushout_split(FlagSkeleton.of(K), v)
-            back = lambda sub, verts: {
-                frozenset(verts[i - 1] for i in f) for f in closure(sub.facets())
+            back = lambda sub, mask: {
+                frozenset(mask_vertices(mask)[i - 1] for i in f) for f in closure(sub.facets())
             }
-            k1 = back(split.k1, split.k1_vertices)
-            k2 = back(split.k2, split.k2_vertices)
-            l = back(split.l, split.l_vertices)
+            k1, k2, l = (back(*piece) for piece in pushout_split(FlagSkeleton.of(K), v))
             assert k1 | k2 == closure(K.facets)
             assert k1 & k2 == l
 
@@ -331,7 +330,7 @@ class TestGraphForm:
         assert G.edges() == sorted(edges)
         assert FlagSkeleton.of(K).facets() == K.facets
         S = sorted(data.draw(st.sets(st.integers(1, m))))
-        assert as_complex(G.induced(S)) == full_subcomplex(K, S)
+        assert as_complex(G.induced(sum(1 << (v - 1) for v in S))) == full_subcomplex(K, S)
 
     def test_clique_complex_matches_subset_search(self):
         """randomgen's clique complexes, built from the one Bron-Kerbosch,

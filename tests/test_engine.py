@@ -34,8 +34,10 @@ from helpers import (
     is_point,
     loop_sphere,
     loops_of_cp,
+    mask_vertices,
     multiplicity,
     neighbors_and_domination,
+    node_problems,
     sphere,
 )
 
@@ -78,8 +80,8 @@ class TestPairSpec:
     def test_product_cells(self):
         # a of vertex 1, and a' of the product over K2 - L = {3, 4} when the
         # only edge is {1, 2}
-        split = pushout_split(FlagSkeleton((0b10, 0b1, 0, 0), 1), 1)
-        assert engine._pushout_cells(split, PairSpec.moment_angle(4)) == (T, gs([0, 2, 1]))
+        G = FlagSkeleton((0b10, 0b1, 0, 0), 1)
+        assert engine._pushout_cells(G, 1, PairSpec.moment_angle(4)) == (T, gs([0, 2, 1]))
 
     def test_polynomial_checked_past_working_degree(self):
         # t - t^25 is negative only in degree 25, beyond DEFAULT_DEGREE
@@ -90,7 +92,7 @@ class TestPairSpec:
 
     def test_restrict(self):
         pairs = PairSpec.from_suspension_dims([[2], [3], [4]])
-        sub = pairs.restrict((1, 3))
+        sub = pairs.restrict(0b101)
         assert sub.cells == (gs([0, 1]), gs([0, 0, 0, 1]))
 
     def test_only_the_roots_cells_are_checked(self, monkeypatch):
@@ -125,6 +127,21 @@ class TestSkeletonWedge:
             w = skeleton_simplex_wedge(m, m - 1, PairSpec.moment_angle(m))
             assert is_point(w)
 
+    def test_full_simplex_skips_the_sweep(self, monkeypatch):
+        # no j in k + 2..m to sum over, so no elementary symmetric series
+        adds = []
+        add = GradedSeries.__add__
+
+        def counted(self, other):
+            adds.append(self)
+            return add(self, other)
+
+        monkeypatch.setattr(GradedSeries, "__add__", counted)
+        w = skeleton_simplex_wedge(64, 63, PairSpec.moment_angle(64))
+        assert is_point(w) and adds == []
+        skeleton_simplex_wedge(64, 62, PairSpec.moment_angle(64))
+        assert adds
+
     def test_triangle_boundary_is_s5(self):
         w = skeleton_simplex_wedge(3, 1, PairSpec.moment_angle(3))
         assert w.cells.reduced == GradedSeries.monomial(5)
@@ -153,7 +170,7 @@ class TestDecompose:
         assert product.factors == ((loop_sphere(3), 2),)
         assert product.series == gs([1], [1, 0, -2, 0, 1])
         assert product.series.to_pair() == ([1], [1, 0, -2, 0, 1])
-        assert check_trace(trace, DEFAULT_DEGREE) == []
+        assert check_trace(trace, FlagSkeleton.of(square()), PairSpec.moment_angle(4), 20) == []
 
     def test_single_vertex(self):
         K = validate_complex([[1]], 1)
@@ -188,8 +205,8 @@ class TestDecompose:
     def test_c5_trace_root_is_pushout(self):
         product, trace = decompose_loop(c5(), PairSpec.moment_angle(5))
         assert trace.rule == "pushout"
-        assert check_trace(trace, DEFAULT_DEGREE) == []
-        doc = trace_to_doc(trace)
+        assert check_trace(trace, FlagSkeleton.of(c5()), PairSpec.moment_angle(5), 20) == []
+        doc = trace_to_doc(trace, FlagSkeleton.of(c5()))
         root = doc["nodes"][doc["root"]]
         assert root["rule"] == "pushout"
         assert root["children"]
@@ -203,7 +220,7 @@ class TestDecompose:
             info = neighbors_and_domination(K)
             for v in (v for v, rec in info.items() if not rec.dominating):
                 root = forced_split(K, pairs, v)
-                assert check_trace(root, DEFAULT_DEGREE) == [], (K.facets, v)
+                assert check_trace(root, FlagSkeleton.of(K), pairs, 20) == [], (K.facets, v)
 
     @settings(max_examples=20, deadline=None)
     @given(graph_and_k(), st.integers(1, 12))
@@ -215,11 +232,11 @@ class TestDecompose:
         for v, rec in neighbors_and_domination(K).items():
             if not rec.dominating:
                 root = forced_split(K, pairs, v)
-                assert check_trace(root, 12) == [], v
+                assert check_trace(root, FlagSkeleton.of(K), pairs, 12) == [], v
                 # a wrong claim at the forced root fails there, and only there
                 wrong = replace(root, series=root.series * (1 + GradedSeries.monomial(j)))
                 where = f"node {len(engine.unique_nodes(root)) - 1} (pushout, m={m})"
-                assert check_trace(wrong, 12) == [
+                assert check_trace(wrong, FlagSkeleton.of(K), pairs, 12) == [
                     f"{where}: ValueError: the rebuilt series is not the recorded one"
                 ], v
 
@@ -269,13 +286,15 @@ class TestConeRule:
         # the cone on the pentagon, as a flag complex: v = 6 joins each edge
         pentagon = [[i, i % 5 + 1] for i in range(1, 6)]
         K = validate_complex([edge + [6] for edge in pentagon], 6)
-        product, trace = decompose_loop(K, PairSpec.moment_angle(6))
+        pairs = PairSpec.moment_angle(6)
+        product, trace = decompose_loop(K, pairs)
         link, _ = decompose_loop(c5(), PairSpec.moment_angle(5))
         assert trace.rule == "cone"
         (child,) = trace.children
-        assert (child.graph.adj, child.pairs.m) == (FlagSkeleton.of(c5()).adj, 5)
+        graph, child_pairs = node_problems(trace, FlagSkeleton.of(K), pairs)[_position(trace, child)]
+        assert (graph.adj, child_pairs.m) == (FlagSkeleton.of(c5()).adj, 5)
         assert (product.factors, product.series) == (link.factors, link.series)
-        assert check_trace(trace, DEFAULT_DEGREE) == []
+        assert check_trace(trace, FlagSkeleton.of(K), pairs, 20) == []
 
     def test_star_costs_one_node(self):
         # C5's star side is the cone on its link, which is the memo's entry
@@ -291,11 +310,11 @@ class TestConeRule:
         pairs = PairSpec.moment_angle(5)
         base, trace = decompose_loop(K, pairs)
         assert all(node.rule != "cone" for node in engine.unique_nodes(trace))
-        assert check_trace(trace, DEFAULT_DEGREE) == []
+        assert check_trace(trace, FlagSkeleton.of(K), pairs, 20) == []
         for v in range(2, 6):
             root = forced_split(K, pairs, v)
             assert all(node.rule != "cone" for node in engine.unique_nodes(root)), v
-            assert check_trace(root, DEFAULT_DEGREE) == [], v
+            assert check_trace(root, FlagSkeleton.of(K), pairs, 20) == [], v
         link = validate_complex([[1, 2], [1, 3], [2, 3], [4]], 4)
         assert decompose_loop(link, PairSpec.moment_angle(4))[0].series != base.series
 
@@ -303,7 +322,7 @@ class TestConeRule:
         # the engine takes the cone rule at this root; a pushout is valid too
         K = validate_complex([[1, 2, 6], [2, 3, 6], [3, 4, 6], [4, 5, 6], [1, 5, 6]], 6)
         root = forced_split(K, PairSpec.moment_angle(6), 1)
-        assert check_trace(root, DEFAULT_DEGREE) == []
+        assert check_trace(root, FlagSkeleton.of(K), PairSpec.moment_angle(6), 20) == []
 
 
 class TestRootOnlyFactorisation:
@@ -328,7 +347,7 @@ class TestRootOnlyFactorisation:
         assert calls == {"greedy_factorize": 1}
         assert product.factors
         # the proof steps run in the certificate instead
-        assert check_trace(trace, 20) == []
+        assert check_trace(trace, FlagSkeleton.of(K), PairSpec.moment_angle(8), 20) == []
         assert calls["divide_products"] and calls["porter_loop_wedge"]
 
 
@@ -358,8 +377,22 @@ def _position(trace, node):
     return next(i for i, n in enumerate(engine.unique_nodes(trace)) if n is node)
 
 
+def sound(trace, graph, pairs, failures):
+    """The certificate fails, naming nodes, or each node's series is the
+    one the engine's recursion finds for the piece the rules derive for it:
+    an edited choice may still be a valid derivation, and then it passes."""
+    if failures:
+        return failures_name_nodes(failures)
+    problems = node_problems(trace, graph, pairs)
+    return all(
+        engine._decompose(piece, piece_pairs, {}, False)[1].series == node.series
+        for node, (piece, piece_pairs) in zip(engine.unique_nodes(trace), problems)
+    )
+
+
 class TestCheckTraceMutations:
-    """Each edit of a valid trace must make its certificate fail."""
+    """Each edit of a valid trace, or of the problem it is checked against,
+    must make its certificate fail and name a node."""
 
     @settings(max_examples=30, deadline=None)
     @given(graph_and_k(max_m=8), st.integers(1, 12), st.randoms(use_true_random=False))
@@ -367,8 +400,9 @@ class TestCheckTraceMutations:
     def test_mutations_are_rejected(self, graph, j, rng):
         m, edges, k = graph
         K = validate_complex(clique_faces(m, edges, k), m)
-        _, trace = decompose_loop(K, varied_pairs(m), 12)
-        assert check_trace(trace, 12) == []
+        G, pairs = FlagSkeleton.of(K), varied_pairs(m)
+        _, trace = decompose_loop(K, pairs, 12)
+        assert check_trace(trace, G, pairs, 12) == []
         nodes = engine.unique_nodes(trace)
 
         def copy_with(index):
@@ -378,45 +412,64 @@ class TestCheckTraceMutations:
 
         mutated, node = copy_with(rng.randrange(len(nodes)))
         node.series = node.series * (1 + GradedSeries.monomial(j))
-        assert failures_name_nodes(check_trace(mutated, 12))
+        assert failures_name_nodes(check_trace(mutated, G, pairs, 12))
 
         pushouts = [i for i, n in enumerate(nodes) if n.rule == "pushout"]
         if not pushouts:
             return
-        index = rng.choice(pushouts)
-        where = f"node {index} (pushout, m={nodes[index].m}): ValueError: "
-
-        mutated, node = copy_with(index)
+        # the star side and the link swapped
+        mutated, node = copy_with(rng.choice(pushouts))
         node.children[0], node.children[2] = node.children[2], node.children[0]
-        assert check_trace(mutated, 12) == [where + "child 0 is not the piece the rule derives"]
+        assert sound(mutated, G, pairs, check_trace(mutated, G, pairs, 12))
 
-        # a' changes with the cells of a vertex of K2 - L, which the node's
-        # children, or the parent's restriction, no longer match
-        mutated, node = copy_with(index)
-        split = pushout_split(node.graph, node.vertex)
-        w = rng.choice([w for w in split.k2_vertices if w not in split.l_vertices])
-        cells = list(node.pairs.cells)
-        cells[w - 1] = cells[w - 1] + GradedSeries.monomial(j)
-        node.pairs = PairSpec(tuple(cells))
-        assert failures_name_nodes(check_trace(mutated, 12))
+    @settings(max_examples=30, deadline=None)
+    @given(graph_and_k(max_m=8), st.integers(1, 12), st.randoms(use_true_random=False))
+    @example((5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)], 1), 3, Random(0))
+    def test_problem_mutations_are_rejected(self, graph, j, rng):
+        """A valid trace checked against another problem: the graph with an
+        edge less, k lowered so that some clique is no face, or the cells of
+        one vertex changed."""
+        m, edges, k = graph
+        K = validate_complex(clique_faces(m, edges, k), m)
+        G, pairs = FlagSkeleton.of(K), varied_pairs(m)
+        _, trace = decompose_loop(K, pairs, 12)
+        if G.edges():
+            a, b = rng.choice(G.edges())
+            adj = list(G.adj)
+            adj[a - 1] &= ~(1 << (b - 1))
+            adj[b - 1] &= ~(1 << (a - 1))
+            fewer = FlagSkeleton(tuple(adj), G.k)
+            assert failures_name_nodes(check_trace(trace, fewer, pairs, 12))
+        if G.k:
+            lower = FlagSkeleton(G.adj, G.k - 1)
+            assert failures_name_nodes(check_trace(trace, lower, pairs, 12))
+        # a vertex adjacent to all others may be a cone point, whose cells
+        # no series reads
+        non_dominating = mask_vertices(engine._non_dominating(G))
+        if non_dominating:
+            w = rng.choice(non_dominating)
+            cells = list(pairs.cells)
+            cells[w - 1] = cells[w - 1] + GradedSeries.monomial(j)
+            assert failures_name_nodes(check_trace(trace, G, PairSpec(tuple(cells)), 12))
 
     @settings(max_examples=30, deadline=None)
     @given(graph_and_k(max_m=8), st.randoms(use_true_random=False))
     @example((5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)], 1), Random(0))
     def test_derivation_mutations_are_rejected(self, graph, rng):
         """Each recorded choice is checked against what its rule derives:
-        the vertex, the children and their order, the children's pairs and
-        graphs, and each rule's precondition."""
+        the vertex, the children and each rule's precondition."""
         m, edges, k = graph
         K = validate_complex(clique_faces(m, edges, k), m)
-        _, trace = decompose_loop(K, varied_pairs(m), 12)
+        G, pairs = FlagSkeleton.of(K), varied_pairs(m)
+        _, trace = decompose_loop(K, pairs, 12)
         nodes = engine.unique_nodes(trace)
+        problems = node_problems(trace, G, pairs)
         pushouts = [i for i, n in enumerate(nodes) if n.rule == "pushout"]
         if not pushouts:
             return
         index = rng.choice(pushouts)
         node = nodes[index]
-        where = f"node {index} (pushout, m={node.m}): ValueError: "
+        graph, node_pairs = problems[index]
 
         def mutated(edit):
             copied = copy.deepcopy(trace)
@@ -425,41 +478,16 @@ class TestCheckTraceMutations:
 
         # another non-dominating vertex, unless its split has the same pieces
         def pieces(v):
-            split = pushout_split(node.graph, v)
-            return [(g, node.pairs.restrict(vs).key()) for g, vs in engine._pieces(split)]
+            return [(g, node_pairs.restrict(mask).key()) for g, mask in pushout_split(graph, v)]
 
         others = [
             w
-            for w in engine._non_dominating(node.graph)
+            for w in mask_vertices(engine._non_dominating(graph))
             if w != node.vertex and pieces(w) != pieces(node.vertex)
         ]
         if others:
-            failures = check_trace(mutated(lambda n: setattr(n, "vertex", rng.choice(others))), 12)
-            assert len(failures) == 1 and failures[0].startswith(where + "child ")
-
-        # a child with its pairs permuted, or with one edge less
-        varied = [c for c in range(3) if len(set(node.children[c].pairs.key())) > 1]
-        if varied:
-            c = rng.choice(varied)
-
-            def permute(n):
-                cells = n.children[c].pairs.cells
-                n.children[c].pairs = PairSpec(cells[1:] + cells[:1])
-
-            assert failures_name_nodes(check_trace(mutated(permute), 12))
-        with_edges = [c for c in range(3) if any(node.children[c].graph.adj)]
-        if with_edges:
-            c = rng.choice(with_edges)
-
-            def drop_edge(n):
-                child = n.children[c].graph
-                a, b = rng.choice(child.edges())
-                adj = list(child.adj)
-                adj[a - 1] &= ~(1 << (b - 1))
-                adj[b - 1] &= ~(1 << (a - 1))
-                n.children[c].graph = FlagSkeleton(tuple(adj), child.k)
-
-            assert failures_name_nodes(check_trace(mutated(drop_edge), 12))
+            moved = mutated(lambda n: setattr(n, "vertex", rng.choice(others)))
+            assert sound(moved, G, pairs, check_trace(moved, G, pairs, 12))
 
         def fails_at(index, edit, message):
             """The edit of the node at index fails there, with the message."""
@@ -467,8 +495,8 @@ class TestCheckTraceMutations:
             edited = engine.unique_nodes(copied)[index]
             edit(edited)
             i = _position(copied, edited)  # a child dropped or added moves the ids
-            where = f"node {i} ({edited.rule}, m={edited.m}): ValueError: "
-            assert check_trace(copied, 12) == [where + message]
+            where = f"node {i} ({edited.rule}, m={problems[index][0].m}): ValueError: "
+            assert check_trace(copied, G, pairs, 12) == [where + message]
 
         # a leaf rule on a node whose graph breaks its precondition: a
         # pushout's graph is neither complete nor edgeless, and has m > 1
@@ -479,7 +507,7 @@ class TestCheckTraceMutations:
             return edit
 
         fails_at(index, leaf("simplex_skeleton"), "the graph is not a skeleton of a simplex")
-        fails_at(index, leaf("contractible"), f"a contractible node has {node.m} vertices")
+        fails_at(index, leaf("contractible"), f"a contractible node has {graph.m} vertices")
         # a pushout without its vertex or with a child too few, and a leaf
         # with a vertex or a child
         only_pushouts = "a pushout, and only a pushout, has a vertex"
@@ -497,65 +525,61 @@ class TestCheckTraceMutations:
     @given(graph_and_k(max_m=8), st.integers(1, 12), st.randoms(use_true_random=False))
     @example((5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)], 1), 3, Random(0))
     def test_cone_mutations_are_rejected(self, graph, j, rng):
+        """A cone's subtree is a trace of the cone's own problem, checked
+        here as the root, so the failures land on it."""
         m, edges, _ = graph
         K = validate_complex(clique_faces(m, edges, m), m)  # flag
-        _, trace = decompose_loop(K, varied_pairs(m), 12)
-        cones = [i for i, n in enumerate(engine.unique_nodes(trace)) if n.rule == "cone"]
+        G, pairs = FlagSkeleton.of(K), varied_pairs(m)
+        _, trace = decompose_loop(K, pairs, 12)
+        nodes = engine.unique_nodes(trace)
+        cones = [i for i, n in enumerate(nodes) if n.rule == "cone"]
         if not cones:
             return
         index = rng.choice(cones)
+        cone = nodes[index]
+        graph, cone_pairs = node_problems(trace, G, pairs)[index]
+        assert check_trace(cone, graph, cone_pairs, 12) == []
+        root = f"node {len(engine.unique_nodes(cone)) - 1} (cone, m={graph.m}): ValueError: "
         _, point = decompose_loop(validate_complex([[1]], 1), PairSpec.moment_angle(1))
 
-        def fails(mutate, message):
-            mutated = copy.deepcopy(trace)
-            node = engine.unique_nodes(mutated)[index]
-            mutate(node)
-            i = _position(mutated, node)  # a new child moves the ids
-            assert check_trace(mutated, 12) == [f"node {i} (cone, m={node.m}): ValueError: {message}"]
-
-        def dominating(graph):
-            return [v for v in range(1, graph.m + 1) if graph.adj[v - 1].bit_count() == graph.m - 1]
-
-        node = engine.unique_nodes(trace)[index]
-        w = rng.choice(dominating(node.graph))
-        x = rng.choice([v for v in range(1, node.m + 1) if v != w])
-
-        def drop_an_edge(node):
-            adj = list(node.graph.adj)
-            adj[w - 1] &= ~(1 << (x - 1))
-            adj[x - 1] &= ~(1 << (w - 1))
-            node.graph = FlagSkeleton(tuple(adj), node.graph.k)
-
-        def lower_k(node):
-            # below the clique number, so some clique is not a face
-            node.graph = FlagSkeleton(node.graph.adj, clique_number(node) - 2)
-
-        def clique_number(node):
-            return max(map(len, clique_faces(node.m, node.graph.edges(), node.m)))
-
-        def multiply_series(node):
-            node.series = node.series * (1 + GradedSeries.monomial(j))
+        def failures(edit=lambda node: None, graph=graph):
+            mutated = copy.deepcopy(cone)
+            edit(mutated)
+            return check_trace(mutated, graph, cone_pairs, 12)
 
         # w and x join the rest the certificate derives, unless none is left
-        edited = copy.copy(node)
-        drop_an_edge(edited)
-        fails(
-            drop_an_edge,
-            "child 0 is not the piece the rule derives"
-            if dominating(edited.graph)
-            else "no vertex dominates",
-        )
-        fails(lower_k, f"the node is not flag: it has a clique of {clique_number(node)} vertices")
-        fails(
-            lambda node: setattr(node, "children", [point]),
-            "child 0 is not the piece the rule derives",
-        )
-        fails(multiply_series, "the rebuilt series is not the recorded one")
+        dominating = [v for v in range(1, graph.m + 1) if graph.adj[v - 1].bit_count() == graph.m - 1]
+        w = rng.choice(dominating)
+        x = rng.choice([v for v in range(1, graph.m + 1) if v != w])
+        adj = list(graph.adj)
+        adj[w - 1] &= ~(1 << (x - 1))
+        adj[x - 1] &= ~(1 << (w - 1))
+        dropped = FlagSkeleton(tuple(adj), graph.k)
+        if mask_vertices(engine._non_dominating(dropped)) == list(range(1, graph.m + 1)):
+            assert failures(graph=dropped) == [root + "no vertex dominates"]
+        else:
+            assert failures_name_nodes(failures(graph=dropped))
+
+        # k below the clique number, so some clique is not a face
+        clique_number = max(map(len, clique_faces(graph.m, graph.edges(), graph.m)))
+        lower = FlagSkeleton(graph.adj, clique_number - 2)
+        assert failures(graph=lower) == [
+            root + f"the node is not flag: it has a clique of {clique_number} vertices"
+        ]
+        # a point for the rest, which has two vertices at least
+        rest = engine._non_dominating(graph).bit_count()
+        assert failures(lambda node: setattr(node, "children", [point])) == [
+            f"node 0 (contractible, m={rest}): ValueError: a contractible node has {rest} vertices"
+        ]
+        series = cone.series * (1 + GradedSeries.monomial(j))
+        assert failures(lambda node: setattr(node, "series", series)) == [
+            root + "the rebuilt series is not the recorded one"
+        ]
 
     def test_failure_names_the_node(self):
         _, trace = decompose_loop(c5(), PairSpec.moment_angle(5))
         trace.series = trace.series * (1 + T)
-        assert check_trace(trace, DEFAULT_DEGREE) == [
+        assert check_trace(trace, FlagSkeleton.of(c5()), PairSpec.moment_angle(5), 20) == [
             "node 6 (pushout, m=5): ValueError: the rebuilt series is not the recorded one"
         ]
 
@@ -563,9 +587,38 @@ class TestCheckTraceMutations:
         # the rules read only the first m cells, and no parent restricts the
         # root's pairs: only the vertex count tells the extra pair apart
         _, trace = decompose_loop(c5(), PairSpec.moment_angle(5))
-        trace.pairs = PairSpec.moment_angle(6)
-        assert check_trace(trace, DEFAULT_DEGREE) == [
+        assert check_trace(trace, FlagSkeleton.of(c5()), PairSpec.moment_angle(6), 20) == [
             "node 6 (pushout, m=5): ValueError: the pairs cover 6 vertices, the graph 5"
+        ]
+
+    def test_trace_of_another_problem_fails(self):
+        # P4's trace against the square, and C5's against disk pairs
+        path4 = validate_complex([[1, 2], [2, 3], [3, 4]], 4)
+        _, trace = decompose_loop(path4, PairSpec.moment_angle(4))
+        assert check_trace(trace, FlagSkeleton.of(path4), PairSpec.moment_angle(4), 20) == []
+        square_graph = FlagSkeleton.of(square())
+        assert failures_name_nodes(check_trace(trace, square_graph, PairSpec.moment_angle(4), 20))
+        _, trace = decompose_loop(c5(), PairSpec.moment_angle(5))
+        assert failures_name_nodes(check_trace(trace, FlagSkeleton.of(c5()), PairSpec.disks(3, 5), 20))
+
+    def test_shared_child_fails_at_the_pushout(self):
+        # one node for the deletion and the link: it cannot be both pieces
+        _, trace = decompose_loop(c5(), PairSpec.moment_angle(5))
+        trace.children[2] = trace.children[1]
+        root = len(engine.unique_nodes(trace)) - 1
+        assert check_trace(trace, FlagSkeleton.of(c5()), PairSpec.moment_angle(5), 20) == [
+            f"node {root} (pushout, m=5): ValueError: child 2 is also the node of another piece"
+        ]
+
+    def test_node_below_itself_fails(self):
+        # the root as a child of its own deletion: the walk stops there
+        _, trace = decompose_loop(c5(), PairSpec.moment_angle(5))
+        deletion = trace.children[1]
+        assert deletion.rule == "pushout"
+        deletion.children[1] = trace
+        i = _position(trace, deletion)
+        assert check_trace(trace, FlagSkeleton.of(c5()), PairSpec.moment_angle(5), 20) == [
+            f"node {i} (pushout, m=4): ValueError: child 1 is the node itself or one above it"
         ]
 
     def test_lost_factor_fails_at_the_root(self, monkeypatch):
@@ -578,7 +631,7 @@ class TestCheckTraceMutations:
             return PProduct(product.series, product.factors[1:], cutoff)
 
         monkeypatch.setattr(engine, "hilton_milnor", drop_one)
-        assert check_trace(trace, DEFAULT_DEGREE) == [
+        assert check_trace(trace, FlagSkeleton.of(c5()), PairSpec.moment_angle(5), 20) == [
             "node 6 (pushout, m=5): ValueError: the rebuilt factors are not the listed ones"
         ]
 
@@ -591,8 +644,9 @@ class TestTraceTable:
     def test_node_table(self, graph):
         m, edges, k = graph
         K = validate_complex(clique_faces(m, edges, k), m)
-        _, trace = decompose_loop(K, PairSpec.moment_angle(m), 12)
-        doc = trace_to_doc(trace)
+        G, pairs = FlagSkeleton.of(K), PairSpec.moment_angle(m)
+        _, trace = decompose_loop(K, pairs, 12)
+        doc = trace_to_doc(trace, G)
         nodes = doc["nodes"]
         assert len(nodes) == len(_unique_nodes(trace))
         assert doc["root"] == len(nodes) - 1
@@ -602,7 +656,7 @@ class TestTraceTable:
         # every node but the root is some node's child; with moment-angle
         # pairs, distinct nodes have distinct graphs, so no node is repeated
         assert set(referenced) | {doc["root"]} == set(range(len(nodes)))
-        graphs = [node.graph for node in engine.unique_nodes(trace)]
+        graphs = [graph for graph, _ in node_problems(trace, G, pairs)]
         assert len(set(graphs)) == len(graphs)
         # only the root has its graph, from which the others are derived
         root_edges = [list(e) for e in sorted(edges)] if k >= 1 else []
@@ -610,7 +664,7 @@ class TestTraceTable:
         for node in nodes[:-1]:
             assert {"rule", "series"} <= set(node) <= {"rule", "series", "vertex", "children"}
         _, again = decompose_loop(K, PairSpec.moment_angle(m), 12)
-        assert json.dumps(trace_to_doc(again)) == json.dumps(doc)
+        assert json.dumps(trace_to_doc(again, G)) == json.dumps(doc)
 
     def test_facets_only_from_classification(self, monkeypatch):
         # the boundary of the cross-polytope, m = 12: one vertex of each
@@ -692,7 +746,7 @@ class TestGeneralPair:
         fibers = cp_fiber_pairs([(2, 0)] * 3)
         result = decompose_general_pair(K, loops, fibers)
         base, trace = decompose_loop(K, fibers)
-        assert check_trace(trace, DEFAULT_DEGREE) == []
+        assert check_trace(trace, FlagSkeleton.of(K), fibers, DEFAULT_DEGREE) == []
         expect = base.series
         for p in loops:
             expect = expect * p.series

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopdecomp import homotopy, series
-from loopdecomp.complexes import validate_complex
+from loopdecomp.complexes import FlagSkeleton, validate_complex
 from loopdecomp.engine import PairSpec, check_trace, decompose_loop
 from loopdecomp.homotopy import (
     CellSeries,
@@ -438,7 +438,7 @@ def test_fractions_stay_short(monkeypatch):
     monkeypatch.setattr(homotopy, "poly_mul", measured)
     c16 = validate_complex([[i, i % 16 + 1] for i in range(1, 17)], 16)
     _, trace = decompose_loop(c16, PairSpec.moment_angle(16), 20)
-    assert check_trace(trace, 20) == []
+    assert check_trace(trace, FlagSkeleton.of(c16), PairSpec.moment_angle(16), 20) == []
     assert 0 < longest[0] <= 80
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from collections import Counter
 from random import Random
 
@@ -8,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import geometric, tuple_face_homology
 from loopdecomp import complexes, oracle
-from loopdecomp.complexes import SimplicialComplex, full_subcomplex, validate_complex
-from loopdecomp.engine import NotFlagSkeleton, PairSpec, decompose_loop
+from loopdecomp.complexes import FlagSkeleton, SimplicialComplex, full_subcomplex, validate_complex
+from loopdecomp.engine import NotFlagSkeleton, PairSpec, check_trace, decompose_loop
 from loopdecomp.homotopy import NotCanonicalP
 from loopdecomp.oracle import (
     NotApplicable,
@@ -289,20 +290,19 @@ class TestVerify:
         assert oracle.status == "NOTE"
 
     def test_trace_root_must_be_the_problem(self, monkeypatch):
-        # a valid trace of another complex, or of other pairs, certifies
-        # node by node, but its root is not the problem asked
+        # a valid trace of another complex, or of other pairs, is checked
+        # from the square and the pairs asked, and fails where it breaks
         path4 = validate_complex([[1, 2], [2, 3], [3, 4]], 4)
         decompose = oracle.decompose_loop
         for K, pairs in ((path4, PairSpec.moment_angle(4)), (square(), PairSpec.disks(3, 4))):
             monkeypatch.setattr(oracle, "decompose_loop", lambda _K, _p, c: decompose(K, pairs, c))
             report = verify_against_oracle(square(), PairSpec.moment_angle(4))
             _, trace = decompose(K, pairs, 20)
-            root = len(oracle.unique_nodes(trace)) - 1
+            assert check_trace(trace, FlagSkeleton.of(K), pairs, 20) == []
+            failures = check_trace(trace, FlagSkeleton.of(square()), PairSpec.moment_angle(4), 20)
+            assert failures and all(re.match(r"node \d+ \(\w+, m=\d+\): ", f) for f in failures)
             check = next(c for c in report.checks if c.name == "trace_identities")
-            assert (check.status, check.detail) == (
-                "FAIL",
-                f"node {root} (pushout, m=4): the root is not the complex and pairs asked",
-            )
+            assert (check.status, check.detail) == ("FAIL", "; ".join(failures))
 
     def test_inadmissible_input_is_refused(self):
         # refused as decompose_loop refuses it, not reported as a failed check
