@@ -88,7 +88,7 @@ def main():
     print()
     print("disk pairs (D^3, S^2) on the pentagon:")
     K = validate_complex([[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]], 5)
-    product, _ = decompose_loop(K, PairSpec.disks(3, 5), args.cutoff)
+    product, _ = decompose_loop(K, PairSpec.from_suspension_dims([[3]] * 5), args.cutoff)
     print("  ", describe(product))
     return 1 if mismatches else 0
 

@@ -25,7 +25,7 @@ def sweep_engine(count, rng, cutoff):
         if i % 3 == 0:
             pairs = PairSpec.moment_angle(K.m)
         elif i % 3 == 1:
-            pairs = PairSpec.disks(3, K.m)
+            pairs = PairSpec.from_suspension_dims([[3]] * K.m)
         else:
             pairs = PairSpec.from_suspension_dims([[rng.randint(2, 4)] for _ in range(K.m)])
         product, trace = decompose_loop(K, pairs, cutoff)

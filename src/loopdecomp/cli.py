@@ -1,15 +1,18 @@
 """Command-line surface: classify, decompose, verify.
 
 All input and output documents are single JSON files.  Input complexes are
-{"m": int, "facets": [[int, ...], ...]}; custom pair data is
-{"suspensions": [[dims...] per vertex]}.  Exit codes: 0 success, 1 input
-error (a malformed command line too), 2 inadmissible complex, 3
-internal-check failure; each error is one line on stderr.
+{"m": int, "facets": [[int, ...], ...]}.  Every --pairs kind is a list of
+suspension dimensions per vertex: moment-angle is [2], disks:N is [N], and
+custom:PATH holds {"suspensions": [[dims...] per vertex]}, which the output
+echoes in place of the path.  Exit codes: 0 success, 1 input error (a
+malformed command line too), 2 inadmissible complex, 3 internal-check
+failure; each error is one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -75,17 +78,11 @@ def load_complex(path: str) -> SimplicialComplex:
     return K
 
 
-def resolve_pairs(spec: str, m: int) -> PairSpec:
-    """The pairs a --pairs spec names; a sphere dimension above
-    PAIR_DIM_BOUND is refused before any series is built."""
-    if spec == "moment-angle":
-        return PairSpec.moment_angle(m)
-    if spec.startswith("disks:"):
-        try:
-            dims = [[int(spec.split(":", 1)[1])]]
-        except ValueError:
-            raise ValueError(f"pair spec {spec!r} needs an integer disk dimension") from None
-    elif spec.startswith("custom:"):
+def resolve_pairs(spec: str, m: int) -> tuple[PairSpec, str | dict]:
+    """The pairs a --pairs spec names, and its echo in the output (a custom
+    file's dims, not its path); a sphere dimension above PAIR_DIM_BOUND is
+    refused before any series is built."""
+    if spec.startswith("custom:"):
         doc = _read_json(spec.split(":", 1)[1])
         dims = doc.get("suspensions") if isinstance(doc, dict) else None
         if not isinstance(dims, list) or not all(
@@ -94,14 +91,20 @@ def resolve_pairs(spec: str, m: int) -> PairSpec:
             raise BadDocument("suspensions must be a list of integer lists")
         if len(dims) != m:
             raise ValueError(f"custom pairs cover {len(dims)} vertices, need {m}")
+        echo = {"suspensions": dims}
+    elif spec == "moment-angle" or spec.startswith("disks:"):
+        try:
+            n = 2 if spec == "moment-angle" else int(spec.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"pair spec {spec!r} needs an integer disk dimension") from None
+        # one vertex more, dropped below, so n is checked when m = 0 too
+        dims, echo = [[n]] * (m + 1), spec
     else:
         raise ValueError(f"unknown pair spec {spec!r}")
     top = max((d for ds in dims for d in ds), default=0)
     if top > PAIR_DIM_BOUND:
         raise TooLarge(f"pair dimension {top} exceeds the bound {PAIR_DIM_BOUND}")
-    if spec.startswith("disks:"):
-        return PairSpec.disks(dims[0][0], m)
-    return PairSpec.from_suspension_dims(dims)
+    return PairSpec.from_suspension_dims(dims).restrict((1 << m) - 1), echo
 
 
 def _emit(doc: dict, output_path: str | None) -> None:
@@ -135,12 +138,12 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     K = load_complex(args.input_path)
-    pairs = resolve_pairs(args.pairs, K.m)
+    pairs, echo = resolve_pairs(args.pairs, K.m)
     product, trace = decompose_loop(K, pairs, args.cutoff)
     doc = {
         "command": "decompose",
         "input": K.to_doc(),
-        "pairs": args.pairs,
+        "pairs": echo,
         "cutoff": args.cutoff,
         **product.to_doc(),
         "expansion": list(product.series.expand(args.cutoff)),
@@ -153,9 +156,9 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     K = load_complex(args.input_path)
-    pairs = resolve_pairs(args.pairs, K.m)
+    pairs, echo = resolve_pairs(args.pairs, K.m)
     report = verify_against_oracle(K, pairs, args.cutoff)
-    doc = {"command": "verify", "input": K.to_doc(), "pairs": args.pairs, "cutoff": args.cutoff}
+    doc = {"command": "verify", "input": K.to_doc(), "pairs": echo, "cutoff": args.cutoff}
     doc.update(report.to_doc())
     _emit(doc, args.output_path)
     return EXIT_OK if report.passed else EXIT_INTERNAL
@@ -168,6 +171,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache  # building the parser costs far more than a parse
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="loopdecomp",

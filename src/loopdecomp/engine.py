@@ -59,10 +59,10 @@ class PairSpec:
     """Per-vertex suspension data for the pairs (CA_i, A_i).
 
     Each vertex carries the reduced-homology series of A_i, equivalently
-    the cell series of the wedge Sigma A_i shifted down by one.  Presets
-    cover the moment-angle case (A_i = S^1) and disk pairs (A_i = S^(n-1));
-    arbitrary finite wedges come from lists of suspension dimensions, and
-    product-shaped fibers from their exact Poincare series.
+    the cell series of the wedge Sigma A_i shifted down by one.  Finite
+    wedges come from lists of suspension dimensions, [2] being the
+    moment-angle pair (A_i = S^1) and [n] the disk pair (A_i = S^(n-1));
+    product-shaped fibers come from their exact Poincare series.
     """
 
     cells: tuple[GradedSeries, ...]
@@ -82,24 +82,17 @@ class PairSpec:
         return cls((_T,) * m)
 
     @classmethod
-    def disks(cls, dim: int, m: int) -> "PairSpec":
-        """Pairs (D^n, S^(n-1)); dim is n >= 2."""
-        if dim < 2:
-            raise ValueError("disk dimension must be >= 2")
-        return cls((GradedSeries.monomial(dim - 1),) * m)
-
-    @classmethod
     def from_suspension_dims(cls, dims_per_vertex) -> "PairSpec":
-        """Vertex i gets Sigma A_i = wedge of S^d for d in its list (all >= 2)."""
-        cells = []
-        for dims in dims_per_vertex:
-            dims = list(dims)
-            if not dims or any(d < 2 for d in dims):
-                raise ValueError("each vertex needs a nonempty list of dims >= 2")
-            total = GradedSeries.zero()
-            for d in dims:
-                total = total + GradedSeries.monomial(d - 1)
-            cells.append(total)
+        """Vertex i gets Sigma A_i = wedge of S^d for d in its list (all >= 2);
+        the series of each distinct list is built once."""
+        cells, built = [], {}
+        for dims in map(tuple, dims_per_vertex):
+            if dims not in built:
+                if not dims or any(d < 2 for d in dims):
+                    raise ValueError("each vertex needs a nonempty list of dims >= 2")
+                monomials = (GradedSeries.monomial(d - 1) for d in dims)
+                built[dims] = sum(monomials, GradedSeries.zero())
+            cells.append(built[dims])
         return cls(tuple(cells))
 
     def is_moment_angle(self) -> bool:
@@ -276,7 +269,7 @@ def _rebuild(node: TraceNode, graph: FlagSkeleton, pairs: PairSpec, children, cu
         s_join = hilton_milnor(join_cells(a, a_prime), cutoff)
         s_g = loop_half_smash(a_prime, divide_products(p1, pl))
         s_h = loop_half_smash(a, divide_products(p2, pl))
-        product = pproduct_mul(pl, porter_loop_wedge([s_join, s_g, s_h], cutoff))
+        product = pproduct_mul(pl, porter_loop_wedge([s_join, s_g, s_h]))
     if product.series != node.series:
         raise ValueError("the rebuilt series is not the recorded one")
     return product

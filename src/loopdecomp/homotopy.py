@@ -251,7 +251,7 @@ def loop_half_smash(x: CellSeries, y_loop: PProduct) -> PProduct:
     return PProduct(series, join.factors + y_loop.factors, y_loop.cutoff)
 
 
-def porter_loop_wedge(summands, cutoff: int = DEFAULT_DEGREE) -> PProduct:
+def porter_loop_wedge(summands) -> PProduct:
     """Loops on a wedge of spaces with given loop products (Porter splitting).
 
     Result is prod Omega X_i times the loops of the residual wedge whose
@@ -265,8 +265,9 @@ def porter_loop_wedge(summands, cutoff: int = DEFAULT_DEGREE) -> PProduct:
     summands = list(summands)
     if not summands:
         raise ValueError("need at least one summand")
+    cutoff = summands[0].cutoff
     if any(p.cutoff != cutoff for p in summands):
-        raise ValueError("summand cutoffs must match the requested cutoff")
+        raise ValueError("summand cutoffs differ")
     if len(summands) == 1:
         return summands[0]
     total = GradedSeries.one()

@@ -22,6 +22,7 @@ from loopdecomp.cli import (
     main,
     resolve_pairs,
 )
+from loopdecomp.engine import PairSpec
 from loopdecomp.series import GradedSeries
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -234,6 +235,9 @@ class TestExitCodes:
 
     def test_bad_pairs(self, square_json, capsys):
         assert main(["decompose", "--input", square_json, "--pairs", "disks:1"]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error[ValueError]: each vertex needs a nonempty list of dims >= 2\n"
+        )
         assert main(["decompose", "--input", square_json, "--pairs", "what"]) == EXIT_INPUT
 
     @pytest.mark.parametrize("command", ["check", "decompose", "verify"])
@@ -474,20 +478,95 @@ class TestModuleEntryPoint:
 
 class TestPairsResolution:
     def test_moment_angle(self):
-        assert resolve_pairs("moment-angle", 3).is_moment_angle()
+        pairs, echo = resolve_pairs("moment-angle", 3)
+        assert pairs.is_moment_angle() and echo == "moment-angle"
+        # built from the dims [2], with the preset's cells and memo key
+        assert pairs.key() == PairSpec.moment_angle(3).key()
 
     def test_disks(self):
-        pairs = resolve_pairs("disks:4", 2)
-        assert pairs.cells[0].order() == 3
+        pairs, echo = resolve_pairs("disks:4", 2)
+        assert pairs.cells[0].order() == 3 and echo == "disks:4"
 
     def test_custom_file(self, tmp_path):
         path = tmp_path / "pairs.json"
         path.write_text(json.dumps({"suspensions": [[2], [3, 4]]}))
-        pairs = resolve_pairs(f"custom:{path}", 2)
+        pairs, echo = resolve_pairs(f"custom:{path}", 2)
         assert pairs.cells[1].expand(3) == (0, 0, 1, 1)
+        assert echo == {"suspensions": [[2], [3, 4]]}
 
     def test_custom_wrong_length(self, tmp_path):
         path = tmp_path / "pairs.json"
         path.write_text(json.dumps({"suspensions": [[2]]}))
         with pytest.raises(ValueError):
             resolve_pairs(f"custom:{path}", 2)
+
+    @pytest.mark.parametrize(
+        "spec, code, error",
+        [("disks:1", EXIT_INPUT, "ValueError"), ("disks:2000", EXIT_INADMISSIBLE, "TooLarge")],
+    )
+    def test_disk_dimension_checked_on_the_empty_complex(
+        self, tmp_path, capsys, monkeypatch, spec, code, error
+    ):
+        # no vertex carries the pair, and N is still checked before any
+        # series is built
+        def refuse(*args):
+            raise AssertionError("a series was built before the disk dimension was checked")
+
+        monkeypatch.setattr(GradedSeries, "monomial", refuse)
+        path = write_complex(tmp_path, "empty.json", 0, [])
+        assert main(["decompose", "--input", path, "--pairs", spec]) == code
+        assert capsys.readouterr().err.startswith(f"error[{error}]")
+
+    @pytest.mark.parametrize("command", ["decompose", "verify"])
+    def test_every_kind_of_the_moment_angle_pair_gives_one_answer(
+        self, tmp_path, capsys, command
+    ):
+        # (D^2, S^1) as moment-angle, disks:2 and custom [2] per vertex: the
+        # same output but for the pairs echo
+        pairs = tmp_path / "pairs.json"
+        pairs.write_text(json.dumps({"suspensions": [[2]] * 6}))
+        # a 5-cycle with a vertex joined to all of it: a cone, then pushouts
+        facets = [[v, v % 5 + 1, 6] for v in range(1, 6)]
+        path = write_complex(tmp_path, "wheel.json", 6, facets)
+        docs = []
+        for spec in ("moment-angle", "disks:2", f"custom:{pairs}"):
+            argv = [command, "--input", path, "--pairs", spec]
+            assert main(argv + (["--trace"] if command == "decompose" else [])) == EXIT_OK
+            docs.append(json.loads(capsys.readouterr().out))
+        echoes = [doc.pop("pairs") for doc in docs]
+        assert echoes == ["moment-angle", "disks:2", {"suspensions": [[2]] * 6}]
+        assert docs[0] == docs[1] == docs[2]
+        if command == "decompose":
+            assert {"factors", "series", "expansion", "trace"} <= set(docs[0])
+
+    def test_custom_output_does_not_depend_on_the_working_directory(
+        self, tmp_path, monkeypatch
+    ):
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "pairs.json").write_text(json.dumps({"suspensions": [[2, 3], [4]] * 2}))
+        square = write_complex(tmp_path, "square.json", 4, [[1, 2], [2, 3], [3, 4], [1, 4]])
+        outputs = []
+        for workdir, relative in ((tmp_path, "pairs.json"), (tmp_path / "sub", "../pairs.json")):
+            monkeypatch.chdir(workdir)
+            out = tmp_path / f"out{len(outputs)}.json"
+            argv = ["decompose", "--input", square, "--pairs", f"custom:{relative}", "--trace"]
+            assert main(argv + ["--output", str(out)]) == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["pairs"] == {"suspensions": [[2, 3], [4]] * 2}
+
+
+def test_parser_is_built_once(square_json, monkeypatch, capsys):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    assert main(["check", "--input", square_json]) == EXIT_OK
+    first = len(built)
+    assert first and main(["decompose", "--input", square_json]) == EXIT_OK
+    assert len(built) == first

@@ -64,10 +64,10 @@ class TestPairSpec:
         assert pairs.vertex(2) == GradedSeries.monomial(1)
 
     def test_disks(self):
-        pairs = PairSpec.disks(4, 2)
+        pairs = PairSpec.from_suspension_dims([[4]] * 2)
         assert pairs.vertex(1) == GradedSeries.monomial(3)
         with pytest.raises(ValueError):
-            PairSpec.disks(1, 2)
+            PairSpec.from_suspension_dims([[1]] * 2)
 
     def test_suspension_dims(self):
         pairs = PairSpec.from_suspension_dims([[2, 4], [3]])
@@ -262,7 +262,7 @@ class TestDecompose:
         # (D^3, S^2) on the boundary of a triangle: the wedge is S^8, and
         # Omega S^8 is rewritten into S^7 x Omega S^15
         K = validate_complex([[1, 2], [2, 3], [1, 3]], 3)
-        product, _ = decompose_loop(K, PairSpec.disks(3, 3))
+        product, _ = decompose_loop(K, PairSpec.from_suspension_dims([[3]] * 3))
         assert product.factors == ((sphere(7), 1), (loop_sphere(15), 1))
         assert product.series == geometric(7)
 
@@ -599,7 +599,8 @@ class TestCheckTraceMutations:
         square_graph = FlagSkeleton.of(square())
         assert failures_name_nodes(check_trace(trace, square_graph, PairSpec.moment_angle(4), 20))
         _, trace = decompose_loop(c5(), PairSpec.moment_angle(5))
-        assert failures_name_nodes(check_trace(trace, FlagSkeleton.of(c5()), PairSpec.disks(3, 5), 20))
+        disks = PairSpec.from_suspension_dims([[3]] * 5)
+        assert failures_name_nodes(check_trace(trace, FlagSkeleton.of(c5()), disks, 20))
 
     def test_shared_child_fails_at_the_pushout(self):
         # one node for the deletion and the link: it cannot be both pieces

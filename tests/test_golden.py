@@ -23,7 +23,6 @@ import os
 import subprocess
 import sys
 import tempfile
-from contextlib import contextmanager
 from pathlib import Path
 from random import Random
 
@@ -125,25 +124,18 @@ def _verify_key(name):
     return f"verify|{name}|moment-angle|20"
 
 
-@contextmanager
-def _inside(workdir: Path):
-    """Run with workdir as the current directory, so the relative
-    custom-pairs path in the output is fixed."""
-    cwd = os.getcwd()
-    os.chdir(workdir)
-    try:
-        yield
-    finally:
-        os.chdir(cwd)
+def _spec(workdir: Path, pairs: str) -> str:
+    """The --pairs argument for a case: a custom file is named by its path
+    in workdir, and the output echoes its dims, not that path."""
+    return pairs.replace("custom:", f"custom:{workdir}{os.sep}")
 
 
 def _run(workdir: Path, m, facets, args) -> bytes:
-    """The output of one CLI run on the complex, inside workdir."""
+    """The output of one CLI run on the complex, with its files in workdir."""
     (workdir / "complex.json").write_text(json.dumps({"m": m, "facets": facets}))
     (workdir / "pairs.json").write_text(json.dumps({"suspensions": [[2, 3]] * m}))
-    with _inside(workdir):
-        rc = main([*args, "--input", "complex.json", "--output", "out.json"])
-    assert rc == 0
+    files = ["--input", str(workdir / "complex.json"), "--output", str(workdir / "out.json")]
+    assert main([*args, *files]) == 0
     return (workdir / "out.json").read_bytes()
 
 
@@ -152,12 +144,11 @@ def _sha256(data: bytes) -> str:
 
 
 def _digest(workdir: Path, m, facets, pairs, cutoff) -> str:
-    args = ["decompose", "--pairs", pairs, "--cutoff", str(cutoff), "--trace"]
+    args = ["decompose", "--pairs", _spec(workdir, pairs), "--cutoff", str(cutoff), "--trace"]
     raw = _run(workdir, m, facets, args).decode()
     doc = json.loads(raw)
     assert raw == json.dumps(doc, indent=2) + "\n"  # so re-encoding keeps bytes
-    with _inside(workdir):
-        doc["trace"] = expand_trace(doc["trace"], resolve_pairs(pairs, m))
+    doc["trace"] = expand_trace(doc["trace"], resolve_pairs(_spec(workdir, pairs), m)[0])
     return _sha256((json.dumps(doc, indent=2) + "\n").encode())
 
 

@@ -327,7 +327,7 @@ class TestPorter:
                 expected = hilton_milnor(SphereWedge(CellSeries(direct)), 12)
                 for p in summands:
                     expected = pproduct_mul(expected, p)
-                via = porter_loop_wedge(summands, 12)
+                via = porter_loop_wedge(summands)
                 assert via.series == expected.series
                 assert via.factors == expected.factors
 
@@ -339,7 +339,7 @@ class TestPorter:
             direct = hilton_milnor(wedge_of_spheres(dims), 12)
             left = hilton_milnor(wedge_of_spheres(dims[:split]), 12)
             right = hilton_milnor(wedge_of_spheres(dims[split:]), 12)
-            via = porter_loop_wedge([left, right], 12)
+            via = porter_loop_wedge([left, right])
             assert via.series == direct.series
             assert via.factors == direct.factors
 

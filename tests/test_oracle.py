@@ -284,7 +284,7 @@ class TestVerify:
 
     def test_non_moment_angle_pairs_note(self):
         K = validate_complex([[1, 2], [2, 3]], 3)
-        report = verify_against_oracle(K, PairSpec.disks(3, 3))
+        report = verify_against_oracle(K, PairSpec.from_suspension_dims([[3]] * 3))
         assert report.passed
         oracle = next(c for c in report.checks if c.name == "oracle_series")
         assert oracle.status == "NOTE"
@@ -294,7 +294,8 @@ class TestVerify:
         # from the square and the pairs asked, and fails where it breaks
         path4 = validate_complex([[1, 2], [2, 3], [3, 4]], 4)
         decompose = oracle.decompose_loop
-        for K, pairs in ((path4, PairSpec.moment_angle(4)), (square(), PairSpec.disks(3, 4))):
+        disks = PairSpec.from_suspension_dims([[3]] * 4)
+        for K, pairs in ((path4, PairSpec.moment_angle(4)), (square(), disks)):
             monkeypatch.setattr(oracle, "decompose_loop", lambda _K, _p, c: decompose(K, pairs, c))
             report = verify_against_oracle(square(), PairSpec.moment_angle(4))
             _, trace = decompose(K, pairs, 20)
