@@ -168,13 +168,12 @@ class FlagSkeleton(NamedTuple):
 
     def induced(self, mask: int) -> "FlagSkeleton":
         """The full subcomplex on the vertex mask, relabelled 1..n in
-        ascending order."""
-        members = list(_indices(mask))
-        bits = [1 << i for i in members]
+        ascending order.  Each kept row maps through a position table, so
+        the cost is the kept vertices and their edges, not all pairs."""
+        position = {i: j for j, i in enumerate(_indices(mask))}
         return FlagSkeleton(
             tuple(
-                sum(1 << j for j, bit in enumerate(bits) if self.adj[i] & bit)
-                for i in members
+                sum(1 << position[j] for j in _indices(self.adj[i] & mask)) for i in position
             ),
             self.k,
         )

@@ -68,7 +68,8 @@ class PairSpec:
     cells: tuple[GradedSeries, ...]
 
     def __post_init__(self):
-        for s in self.cells:
+        # each distinct cell once: most specs repeat one cell at every vertex
+        for s in {(s.num, s.den): s for s in self.cells}.values():
             if s.is_zero():
                 raise ValueError("a vertex's cell series must not be zero")
             CellSeries(s)
@@ -211,7 +212,9 @@ def _pushout_cells(K: FlagSkeleton, v: int, pairs: PairSpec) -> tuple[GradedSeri
     the vertices outside v's closed neighbourhood, a_w = n_w/d_w."""
     num = den = (1,)
     for c in pairs.restrict(~(K.adj[v - 1] | 1 << (v - 1))).cells:
-        num, den = poly_mul(num, poly_add(c.num, c.den)), poly_mul(den, c.den)
+        num = poly_mul(num, poly_add(c.num, c.den))
+        if c.den != (1,):
+            den = poly_mul(den, c.den)
     return pairs.vertex(v), GradedSeries(poly_add(num, poly_neg(den)), den)
 
 

@@ -19,8 +19,9 @@ lossless record of their aggregate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul, sub
 
-from .series import DEFAULT_DEGREE, GradedSeries, convolve_trunc, poly_add, poly_mul, poly_neg
+from .series import DEFAULT_DEGREE, GradedSeries, poly_add, poly_mul, poly_neg
 
 
 class NotSimplyConnectedOutput(ValueError):
@@ -59,7 +60,7 @@ class CellSeries:
         coeffs = self.reduced.checkable_coeffs(DEFAULT_DEGREE)
         if coeffs[0] != 0:
             raise ValueError("reduced series must have zero constant term")
-        if any(c < 0 for c in coeffs):
+        if min(coeffs) < 0:
             raise ValueError("reduced series must be non-negative")
 
 
@@ -103,9 +104,9 @@ class PProduct:
         coeffs = self.series.expand(self.cutoff)
         if coeffs[0] != 1:
             raise ValueError("Poincare series of a product starts with 1")
-        if any(c < 0 for c in coeffs):
+        if min(coeffs) < 0:
             raise ValueError("Poincare series must be non-negative")
-        if any(not 1 <= d <= self.cutoff for d in counts):
+        if counts and (min(counts) < 1 or max(counts) > self.cutoff):
             raise ValueError("listed factor outside bottom degrees 1..cutoff")
 
     def is_trivial(self) -> bool:
@@ -129,22 +130,38 @@ class PProduct:
         }
 
 
+def _log_power_sums(f: tuple[int, ...], degree: int) -> list[int]:
+    """The power sums a_1..a_degree of log f, a_n = n [t^n] log f, for a
+    polynomial f with f(0) = 1, after a placeholder a_0 = 0.  They satisfy
+    t f' = f sum a_n t^n, so Newton's identity a_n = n f_n - sum_(i<n) a_i
+    f_(n-i) gives each from the last deg f of them."""
+    tail, sums = f[1:], [0]
+    if not tail:
+        return [0] * (degree + 1)
+    for n in range(1, degree + 1):
+        f_n = f[n] if n < len(f) else 0
+        sums.append(n * f_n - sum(map(mul, tail, reversed(sums))))
+    return sums
+
+
 def _bottom_counts(s: GradedSeries, degree: int, spheres: bool) -> list[int]:
     """Exponents of the unique factorisation of s (constant term 1) through
     degree into one factor per bottom degree d = 1..degree.
 
     The factor of bottom d is 1/(1-t^d), or 1+t^d for d in {1,3,7} when
     `spheres` is set; exponents may come out negative.  Work in the log
-    domain: the power sums a_n = n [t^n] log s are the coefficients of
-    t s'/s (Newton's identity, one truncated convolution).  A factor
-    1/(1-t^d) adds d to a_n at every multiple n of d, and 1+t^d adds
-    d (-1)^(n/d+1); sweeping d upwards, what is left of a_d is d times the
-    exponent at d.  Returns counts with counts[d] the exponent, counts[0] = 0.
+    domain: the power sums a_n = n [t^n] log s of s = num/den are those of
+    log num less those of log den, each by Newton's identity on the
+    polynomial itself: deg num + deg den products per degree, no series
+    1/s and no expansion of s.  A factor 1/(1-t^d) adds d to a_n at every
+    multiple n of d, and 1+t^d adds d (-1)^(n/d+1); sweeping d upwards,
+    what is left of a_d is d times the exponent at d.  Returns counts with
+    counts[d] the exponent, counts[0] = 0: all zeros for the series 1.
     """
-    sums = convolve_trunc(
-        [n * c for n, c in enumerate(s.expand(degree))], (1 / s).expand(degree), degree
-    )
     counts = [0] * (degree + 1)
+    if s.is_one():
+        return counts
+    sums = list(map(sub, _log_power_sums(s.num, degree), _log_power_sums(s.den, degree)))
     for d in range(1, degree + 1):
         c = counts[d] = sums[d] // d
         if c:
@@ -166,8 +183,10 @@ def pproduct_mul(a: PProduct, b: PProduct) -> PProduct:
 
 
 def reduced_cells(p: PProduct) -> CellSeries:
-    """Reduced-homology series of the underlying space of a product."""
-    return CellSeries(p.series - 1)
+    """Reduced-homology series of the underlying space of a product: with
+    series N/D it is (N - D)/D."""
+    num, den = p.series.num, p.series.den
+    return CellSeries(GradedSeries(poly_add(num, poly_neg(den)), den))
 
 
 # --------------------------------------------------------------------------
@@ -179,9 +198,12 @@ def join_cells(a: CellSeries, b: CellSeries) -> SphereWedge:
 
     The caller guarantees the join lies in W (SphereWedge raises
     NotSimplyConnectedOutput otherwise); joining with a point gives the
-    trivial wedge.
+    trivial wedge.  The series is one fraction, t x y over the product of
+    the denominators.
     """
-    return SphereWedge(CellSeries(GradedSeries.monomial(1) * a.reduced * b.reduced))
+    x, y = a.reduced, b.reduced
+    num = poly_mul((0, 1), poly_mul(x.num, y.num))
+    return SphereWedge(CellSeries(GradedSeries(num, poly_mul(x.den, y.den))))
 
 
 def lyndon_counts(f: GradedSeries, degree: int) -> dict[int, int]:
@@ -215,14 +237,15 @@ def hilton_milnor(w: SphereWedge, cutoff: int = DEFAULT_DEGREE) -> PProduct:
     A generator S^n of the wedge contributes a letter of degree n-1; each
     basic product of degree n gives a factor Omega S^(n+1), of bottom
     degree n; when n+1 is 2, 4 or 8 it is S^n x Omega S^(2n+1), which adds
-    the bottom degree 2n.  The exact series is
-    1/(1 - cells/t) regardless of the cutoff.
+    the bottom degree 2n.  The exact series is 1/(1 - cells/t) regardless
+    of the cutoff.  With cells = N/D, whose N starts at t^2, it is built in
+    closed form as D/(D - N/t), and the counts come from those two
+    polynomials.
     """
     cells = w.cells.reduced
     if cells.is_zero():
         return PProduct.trivial(cutoff)
-    letters = GradedSeries(cells.num[1:], cells.den)  # cells/t, exact
-    series = 1 / (1 - letters)
+    series = GradedSeries(cells.den, poly_add(cells.den, poly_neg(cells.num[1:])))
     factors = []
     for n, count in _loop_counts(series, cutoff).items():
         factors.append((n, count))
@@ -238,11 +261,14 @@ def loop_half_smash(x: CellSeries, y_loop: PProduct) -> PProduct:
     The series y/(1 - x(y-1)) is built in closed form: with y = N/D and
     x = p/q it is q N / ((q+p) D - p N), so no denominator is carried
     twice.  The right-handed case G x| A is the same computation with the
-    roles swapped, so callers pass the factors accordingly.
+    roles swapped, so callers pass the factors accordingly.  A point X or a
+    trivial Omega Y gives Omega Y itself, before any series is built: under
+    a flag root the star side of a pushout is a cone, so the quotient
+    Omega Y it hands over is trivial at every node.
     """
-    join = hilton_milnor(join_cells(x, reduced_cells(y_loop)), y_loop.cutoff)
-    if join.is_trivial():
+    if x.reduced.is_zero() or y_loop.is_trivial():
         return y_loop
+    join = hilton_milnor(join_cells(x, reduced_cells(y_loop)), y_loop.cutoff)
     p, q = x.reduced.num, x.reduced.den
     n, d = y_loop.series.num, y_loop.series.den
     series = GradedSeries(
@@ -258,9 +284,13 @@ def porter_loop_wedge(summands) -> PProduct:
     cell series is sum over subsets T with |T| >= 2 of (|T|-1) * t *
     prod_{i in T} (s_i - 1).  That subset sum is 1 - A R with A = prod s_i
     and R = sum 1/s_i - (n-1), the identity 1/P(Omega(X v Y)) =
-    1/P(Omega X) + 1/P(Omega Y) - 1 iterated over the summands, so one pass
-    over them builds it: O(n) fraction operations, not 2^n or n^2.  The
-    residual's series is 1/(A R), so the whole product's is 1/R.
+    1/P(Omega X) + 1/P(Omega Y) - 1 iterated over the summands.  With
+    s_i = N_i/D_i, N = prod N_i and D = prod D_i, R = S/N for
+    S = sum_i D_i prod_{j != i} N_j - (n-1) N, whose products of all but
+    one N_j come from prefix and suffix products: O(n) polynomial products,
+    not 2^n or n^2, and no denominator is multiplied in twice.  The
+    residual cells are then t (D - S)/D, and the whole series is N/S.  A
+    trivial summand (a point) adds nothing and is dropped first.
     """
     summands = list(summands)
     if not summands:
@@ -268,17 +298,27 @@ def porter_loop_wedge(summands) -> PProduct:
     cutoff = summands[0].cutoff
     if any(p.cutoff != cutoff for p in summands):
         raise ValueError("summand cutoffs differ")
-    if len(summands) == 1:
-        return summands[0]
-    total = GradedSeries.one()
-    reciprocals = GradedSeries((1 - len(summands),))
-    for p in summands:
-        total = total * p.series
-        reciprocals = reciprocals + 1 / p.series
-    residual_cells = GradedSeries.monomial(1) * (1 - total * reciprocals)
+    nontrivial = [p for p in summands if not p.is_trivial()]
+    if len(nontrivial) < 2:
+        return nontrivial[0] if nontrivial else summands[0]
+    nums = [p.series.num for p in nontrivial]
+    prefix = [(1,)]  # prefix[i] = N_1 ... N_i
+    for num in nums:
+        prefix.append(poly_mul(prefix[-1], num))
+    whole = prefix.pop()
+    S = tuple((1 - len(nums)) * c for c in whole)
+    den = after = (1,)  # after = N_(i+1) ... N_n, as i runs down
+    for i in reversed(range(len(nums))):
+        d_i = nontrivial[i].series.den
+        S = poly_add(S, poly_mul(d_i, poly_mul(prefix[i], after)))
+        den = poly_mul(den, d_i)
+        if i:
+            after = poly_mul(nums[i], after)
+    gap = poly_add(den, poly_neg(S))
+    residual_cells = GradedSeries(poly_mul((0, 1), gap), den)
     residual = hilton_milnor(SphereWedge(CellSeries(residual_cells)), cutoff)
-    factors = residual.factors + tuple(f for p in summands for f in p.factors)
-    return PProduct(1 / reciprocals, factors, cutoff)
+    factors = residual.factors + tuple(f for p in nontrivial for f in p.factors)
+    return PProduct(GradedSeries(whole, S), factors, cutoff)
 
 
 def greedy_factorize(s: GradedSeries, cutoff: int = DEFAULT_DEGREE) -> PProduct:

@@ -252,7 +252,8 @@ def verify_against_oracle(
     derives every node from K and the pairs and also checks the listed
     factors, and (when applicable) the independent homology prediction."""
     checks: list[CheckResult] = []
-    wedge = pairs.is_moment_angle() and _wedge_obstruction(K) is None
+    moment_angle = pairs.is_moment_angle()
+    wedge = moment_angle and _wedge_obstruction(K) is None
     if wedge:
         # the Hochster table is 2^m work: refuse before decomposing
         _check_vertex_bound(K.m)
@@ -284,7 +285,7 @@ def verify_against_oracle(
         )
     )
 
-    if not pairs.is_moment_angle():
+    if not moment_angle:
         checks.append(CheckResult("oracle_series", "NOTE", "no moment-angle oracle for these pairs"))
         return VerificationReport(checks)
 

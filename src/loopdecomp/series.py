@@ -12,6 +12,7 @@ and collapsing when one polynomial exactly divides the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 DEFAULT_DEGREE = 20
 
@@ -51,13 +52,18 @@ def poly_exact_div(a, b):
     """Quotient of a by b over Z, or None if b does not divide a exactly.
 
     Requires b with unit constant term; division runs in ascending powers so
-    all intermediate arithmetic stays integral.
+    all intermediate arithmetic stays integral.  Most candidates do not
+    divide, so two necessary conditions reject them first, each in one pass
+    over the coefficients: if a = b q then lead(b) divides lead(a), and
+    b(2) divides a(2); b(2) is odd, as b(0) is, so it is never 0.  Only a
+    candidate that passes both is divided out.
     """
+    a, b = _strip(a), _strip(b)
     if not b or b[0] not in (1, -1):
         return None
     if not a:
         return ()
-    if len(a) < len(b):
+    if len(a) < len(b) or a[-1] % b[-1] or _at_two(a) % _at_two(b):
         return None
     rem = list(a)
     q = [0] * (len(a) - len(b) + 1)
@@ -70,6 +76,11 @@ def poly_exact_div(a, b):
     if any(rem):
         return None
     return _strip(q)
+
+
+def _at_two(p) -> int:
+    """The value p(2)."""
+    return sum(c << i for i, c in enumerate(p))
 
 
 def convolve_trunc(a, b, degree: int) -> list[int]:
@@ -146,17 +157,16 @@ class GradedSeries:
         return None
 
     def expand(self, degree: int) -> tuple[int, ...]:
-        """Expansion coefficients c_0..c_degree; exact and cached."""
+        """Expansion coefficients c_0..c_degree; exact and cached.  With
+        den[0] = 1, c_n = num[n] - sum_(k >= 1) den[k] c_(n-k)."""
         if degree < 0:
             raise ValueError("degree must be >= 0")
         coeffs = self._coeffs
-        num, den = self.num, self.den
+        num, tail = self.num, self.den[1:]
         while len(coeffs) <= degree:
             n = len(coeffs)
             c = num[n] if n < len(num) else 0
-            for k in range(1, min(n, len(den) - 1) + 1):
-                c -= den[k] * coeffs[n - k]
-            coeffs.append(c)
+            coeffs.append(c - sum(map(mul, tail, reversed(coeffs))))
         return tuple(coeffs[: degree + 1])
 
     def checkable_coeffs(self, degree: int) -> tuple[int, ...]:

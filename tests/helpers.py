@@ -24,6 +24,7 @@ from loopdecomp.homotopy import (
     PProduct,
     SphereWedge,
     greedy_factorize,
+    hilton_milnor,
     pproduct_mul,
 )
 from loopdecomp.series import DEFAULT_DEGREE, GradedSeries
@@ -130,6 +131,50 @@ def subset_residual_cells(summands):
                 term = term * (s - 1)
             total = total + term
     return GradedSeries.monomial(1) * total
+
+
+def operator_porter(summands):
+    """Porter's splitting by the operator chain, as the library built it
+    before its closed form: A = prod s_i and R = sum 1/s_i - (n-1) as
+    fractions, the residual wedge's cells t (1 - A R), and the series 1/R."""
+    summands = list(summands)
+    cutoff = summands[0].cutoff
+    total = GradedSeries.one()
+    reciprocals = GradedSeries((1 - len(summands),))
+    for p in summands:
+        total = total * p.series
+        reciprocals = reciprocals + 1 / p.series
+    residual_cells = GradedSeries.monomial(1) * (1 - total * reciprocals)
+    residual = hilton_milnor(SphereWedge(CellSeries(residual_cells)), cutoff)
+    factors = residual.factors + tuple(f for p in summands for f in p.factors)
+    return PProduct(1 / reciprocals, factors, cutoff)
+
+
+def convolution_bottom_counts(s, degree, spheres):
+    """The exponents of s's factorisation into one factor per bottom degree
+    1..degree: power sums from t s'/s as the convolution of n c_n with the
+    expansion of 1/s, then the divisor sweep (S^1, S^3, S^7 as 1 + t^d
+    when `spheres` is set)."""
+    sums = convolve([n * c for n, c in enumerate(s.expand(degree))], (1 / s).expand(degree), degree)
+    counts = [0] * (degree + 1)
+    for d in range(1, degree + 1):
+        c = counts[d] = sums[d] // d
+        for j, n in enumerate(range(d, degree + 1, d)):
+            sign = -1 if spheres and d in (1, 3, 7) and j % 2 else 1
+            sums[n] -= sign * c * d
+    return counts
+
+
+def division_remainder(a, b):
+    """What is left of a after dividing out b (unit constant term) in
+    ascending powers as far as deg a - deg b: all zero exactly when b
+    divides a."""
+    rem = list(a)
+    for i in range(len(a) - len(b) + 1):
+        c = rem[i] * b[0]
+        for j, cb in enumerate(b):
+            rem[i + j] -= c * cb
+    return rem
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from loopdecomp import engine
+from loopdecomp.cli import resolve_pairs
 from loopdecomp.complexes import FlagSkeleton, SimplicialComplex, pushout_split, validate_complex
 from loopdecomp.engine import (
     NotFlagSkeleton,
@@ -97,7 +98,7 @@ class TestPairSpec:
 
     def test_only_the_roots_cells_are_checked(self, monkeypatch):
         # restricted specs and the pushout cells are built unchecked: on C8
-        # the one check of each vertex series is the root spec's
+        # the one check of each distinct vertex series is the root spec's
         checked = []
         checkable = GradedSeries.checkable_coeffs
 
@@ -109,7 +110,9 @@ class TestPairSpec:
         pairs = varied_pairs(8)
         c8 = validate_complex([[i, i % 8 + 1] for i in range(1, 9)], 8)
         _, trace = decompose_loop(c8, pairs)
-        assert [id(s) for s in checked] == [id(s) for s in pairs.cells]
+        distinct = list(dict.fromkeys(id(s) for s in pairs.cells))
+        assert len(distinct) == 3
+        assert [id(s) for s in checked] == distinct
         assert len(engine.unique_nodes(trace)) > 8
 
 
@@ -635,6 +638,42 @@ class TestCheckTraceMutations:
         assert check_trace(trace, FlagSkeleton.of(c5()), PairSpec.moment_angle(5), 20) == [
             "node 6 (pushout, m=5): ValueError: the rebuilt factors are not the listed ones"
         ]
+
+
+class TestLongSparseCertificate:
+    """The certificate at 64 vertices, where a node's series has degree
+    about m: the path under disk pairs and the cycle under two pair types."""
+
+    @pytest.fixture(scope="class")
+    def problems(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("pairs") / "two_types.json"
+        path.write_text(json.dumps({"suspensions": [[2] if v % 2 else [3, 4] for v in range(64)]}))
+        p64 = validate_complex([[i, i + 1] for i in range(1, 64)], 64)
+        c64 = validate_complex([[i, i % 64 + 1] for i in range(1, 65)], 64)
+        found = []
+        for K, spec in ((p64, "disks:3"), (c64, f"custom:{path}")):
+            pairs, _ = resolve_pairs(spec, 64)
+            _, trace = decompose_loop(K, pairs)
+            found.append((trace, FlagSkeleton.of(K), pairs))
+        return found
+
+    def test_certified(self, problems):
+        for trace, graph, pairs in problems:
+            assert len(engine.unique_nodes(trace)) > 64
+            assert check_trace(trace, graph, pairs, 20) == []
+
+    @pytest.mark.parametrize("which, j", [(0, 1), (0, 7), (1, 2), (1, 12)])
+    def test_a_changed_pushout_fails_at_its_node(self, problems, which, j):
+        trace, graph, pairs = problems[which]
+        pushouts = [i for i, n in enumerate(engine.unique_nodes(trace)) if n.rule == "pushout"]
+        sizes = [piece.m for piece, _ in node_problems(trace, graph, pairs)]
+        for i in (pushouts[0], pushouts[len(pushouts) // 2], pushouts[-1]):
+            mutated = copy.deepcopy(trace)
+            node = engine.unique_nodes(mutated)[i]
+            node.series = node.series * (1 + GradedSeries.monomial(j))
+            assert check_trace(mutated, graph, pairs, 20) == [
+                f"node {i} (pushout, m={sizes[i]}): ValueError: the rebuilt series is not the recorded one"
+            ]
 
 
 class TestTraceTable:

@@ -29,6 +29,7 @@ from loopdecomp.series import GradedSeries
 from helpers import (
     POINT,
     check_canonical,
+    convolution_bottom_counts,
     convolve,
     cp_pair_fiber_cells,
     factor_series,
@@ -38,6 +39,7 @@ from helpers import (
     loop_sphere,
     multiplicity,
     necklace_lyndon_count,
+    operator_porter,
     product_from_doc,
     product_of,
     random_canonical_product,
@@ -244,6 +246,18 @@ class TestHiltonMilnor:
         p = hilton_milnor(w, 8)
         assert p.series == 1 / (1 - gs([0, 0, 1, 2, 0, 1]))
 
+    @settings(max_examples=60, deadline=None)
+    @given(half_smash_x(), st.integers(8, 20))
+    def test_closed_form_is_the_operator_series(self, x, cutoff):
+        # cells t x: a finite wedge, or t times a projective fibre's fraction
+        cells = T * x.reduced
+        p = hilton_milnor(SphereWedge(CellSeries(cells)), cutoff)
+        if cells.is_zero():
+            assert p.is_trivial()
+            return
+        assert p.series == 1 / (1 - GradedSeries(cells.num[1:], cells.den))
+        assert (T - cells) * p.series == T  # (1 - cells/t) P = 1, times t
+
     def test_canonicalization_soundness(self):
         # Omega S^n = S^(n-1) x Omega S^(2n-1) at the level of series
         for n in (2, 4, 8):
@@ -331,6 +345,26 @@ class TestPorter:
                 assert via.series == expected.series
                 assert via.factors == expected.factors
 
+    def test_closed_form_matches_operator_reference(self):
+        # 2 to 4 summands; in half the cases one is a fraction that is not
+        # 1/polynomial, a quotient as divide_products hands it over
+        whole = hilton_milnor(wedge_of_spheres([3, 3, 4]), 12)
+        fraction = divide_products(whole, hilton_milnor(wedge_of_spheres([3]), 12))
+        assert fraction.series.num != (1,) and fraction.series.den != (1,)
+        rng = Random(31)
+        for size in (2, 3, 4):
+            for trial in range(8):
+                summands = [random_canonical_product(rng, 12) for _ in range(size)]
+                if trial % 2:
+                    summands[rng.randrange(size)] = fraction
+                via = porter_loop_wedge(summands)
+                reference = operator_porter(summands)
+                assert via.series == reference.series
+                assert via.factors == reference.factors
+                # the iterated 1/P(Omega(X v Y)) = 1/P(Omega X) + 1/P(Omega Y) - 1
+                reciprocals = sum((1 / p.series for p in summands), GradedSeries((1 - size,)))
+                assert 1 / via.series == reciprocals
+
     def test_path_independence_random_wedges(self):
         rng = Random(9)
         for _ in range(8):
@@ -365,6 +399,28 @@ class TestGreedy:
         for _ in range(5):
             p = random_deep_product(rng, 120)
             assert greedy_factorize(p.series, 120).factors == p.factors
+
+    def test_power_sums_match_convolution_reference(self):
+        # Newton's identity on the numerator and the denominator, against
+        # t s'/s as the convolution of n c_n with the expansion of 1/s,
+        # through D = 100
+        rng = Random(17)
+        for trial in range(8):
+            s = random_deep_product(rng, 100).series
+            if trial % 2:  # a factor 1 + t^j with j not 1, 3, 7: not canonical
+                s = s * (1 + GradedSeries.monomial(rng.choice([2, 5, 6, 9, 40])))
+            counts = convolution_bottom_counts(s, 100, spheres=True)
+            negative = [d for d, c in enumerate(counts) if c < 0]
+            if negative:
+                with pytest.raises(NotCanonicalP, match=f"in degree {negative[0]}$"):
+                    greedy_factorize(s, 100)
+            else:
+                expected = tuple((d, c) for d, c in enumerate(counts) if c)
+                assert greedy_factorize(s, 100).factors == expected
+        letters = [gs([0, 2]), gs([0, 1, 0, 3]), gs([0, 0, 1], [1, 0, -1]), gs([0, 1, 1, 1])]
+        for f in letters:
+            counts = convolution_bottom_counts(1 / (1 - f), 100, spheres=False)
+            assert lyndon_counts(f, 100) == {n: c for n, c in enumerate(counts) if c}
 
     def test_rejects_negative(self):
         with pytest.raises(NotCanonicalP):
