@@ -1,6 +1,6 @@
 """Randomized verification sweeps, seed-reproducible.
 
-Usage: python scripts/randomized_checks.py [--seed N] [--complexes N]
+Usage: python scripts/randomized_checks.py [--seed N] [--complexes N] [--cutoff D]
 """
 
 import argparse

@@ -201,7 +201,7 @@ class FlagSkeleton(NamedTuple):
     def facets(self) -> tuple[tuple[int, ...], ...]:
         """Facets in validate_complex's order: the maximal cliques of at most
         k + 1 vertices and the (k + 1)-subsets of the larger ones."""
-        return _skeleton_facets(self.maximal_cliques(), self.k + 1)
+        return tuple(sorted(set(_skeleton_facets(self.maximal_cliques(), self.k + 1))))
 
     def maximal_cliques(self) -> list[int]:
         """The maximal cliques as vertex masks, by Bron-Kerbosch with pivoting."""
@@ -225,17 +225,28 @@ class FlagSkeleton(NamedTuple):
         return found
 
 
-def _skeleton_facets(cliques, size: int) -> tuple[tuple[int, ...], ...]:
+def _skeleton_facets(cliques, size: int):
     """The facets of the (size - 1)-skeleton of a clique complex, from its
-    maximal cliques as masks, in validate_complex's order."""
-    found = set()
+    maximal cliques as masks: ascending tuples, one may come more than once."""
     for clique in cliques:
         members = tuple(i + 1 for i in _indices(clique))
         if len(members) > size:
-            found.update(itertools.combinations(members, size))
+            yield from itertools.combinations(members, size)
         else:
-            found.add(members)
-    return tuple(sorted(found))
+            yield members
+
+
+def _is_skeleton(cliques, size: int, facets) -> bool:
+    """Whether `facets` are the skeleton's: each skeleton facet is one of
+    them, and there are as many distinct ones.  The walk stops at the first
+    one missing, so a clique lists at most one subset more than there are
+    facets, not all of its subsets of that size."""
+    wanted, found = set(facets), set()
+    for facet in _skeleton_facets(cliques, size):
+        if facet not in wanted:
+            return False
+        found.add(facet)
+    return len(found) == len(wanted)
 
 
 @dataclass(frozen=True)
@@ -272,7 +283,7 @@ def classify_input(K: SimplicialComplex) -> Classification:
     if K._classification is None:
         G = FlagSkeleton.of(K)
         cliques = G.maximal_cliques()
-        admissible = _skeleton_facets(cliques, G.k + 1) == K.facets
+        admissible = _is_skeleton(cliques, G.k + 1, K.facets)
         simplex = admissible and G.simplex_skeleton_dim() is not None
         classification = Classification(
             flag=admissible and max((c.bit_count() for c in cliques), default=0) <= G.k + 1,

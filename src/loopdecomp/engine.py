@@ -3,11 +3,12 @@
 For K the k-skeleton of a flag complex and per-vertex spaces A_i whose
 suspensions are sphere wedges, the loop space of (CA,A)^K is a finite-type
 product of spheres and loops on spheres.  Each node of the recursion
-carries u = 1/P for its loop space's Poincare series P: a skeleton of a
-simplex has u = 1 - c/t for the cells c of its sphere wedge, and a split
-at a non-dominating vertex v into the star side K1, the link L and the
-deletion K2 has u = (1 + a') u_K1 + (1 + a) u_K2 - (1 + a)(1 + a') u_L,
-with a the cells of A_v and 1 + a' the product of the 1 + a_i over K2 - L.
+records its loop space's Poincare series P, the one record of u = 1/P:
+a skeleton of a simplex has u = 1 - c/t for the cells c of its sphere
+wedge, and a split at a non-dominating vertex v into the star side K1,
+the link L and the deletion K2 has
+u = (1 + a') u_K1 + (1 + a) u_K2 - (1 + a)(1 + a') u_L, with a the cells
+of A_v and 1 + a' the product of the 1 + a_i over K2 - L.
 A node with a dominating vertex v is the cone v * L on the rest, when it is
 flag (no clique has more than k + 1 vertices): then (CA,A)^K is
 CA_v x (CA,A)^L, and CA_v is contractible, so u_K = u_L.  The cone rule
@@ -169,42 +170,43 @@ def decompose_loop(
     classification = classify_input(K)
     if classification.k_skeleton_of_flag is None:
         raise NotFlagSkeleton("K is not the k-skeleton of a flag complex")
-    _, node = _decompose(FlagSkeleton.of(K), pairs, {}, classification.flag)
+    node = _decompose(FlagSkeleton.of(K), pairs, {}, classification.flag)
     return greedy_factorize(node.series, cutoff), node
 
 
-def _decompose(K: FlagSkeleton, pairs: PairSpec, memo, cones):
-    """(u, trace node) for K; u = 1/P does not depend on any cutoff.  The
-    cone rule applies when `cones` is set, which needs a flag root."""
+def _decompose(K: FlagSkeleton, pairs: PairSpec, memo, cones) -> TraceNode:
+    """The trace node for K, memoised by problem.  Its series P = 1/u does
+    not depend on any cutoff, and is the only record of u: a child's u is
+    1/P.  The cone rule applies when `cones` is set, which needs a flag
+    root."""
     key = (K.adj, K.k, pairs.key())
     if key in memo:
         return memo[key]
 
-    rule, v, children = "contractible", None, []
     if K.m <= 1:
-        u = GradedSeries.one()
+        node = TraceNode("contractible", GradedSeries.one())
     elif (k := K.simplex_skeleton_dim()) is not None:
         cells = _skeleton_cells(K.m, k, pairs)
         u = 1 - GradedSeries(cells.num[1:], cells.den)  # 1 - cells/t
-        rule = "simplex_skeleton"
+        node = TraceNode("simplex_skeleton", 1 / u)
     elif cones and (rest := _non_dominating(K)).bit_count() < K.m:
-        u, child = _decompose(K.induced(rest), pairs.restrict(rest), memo, cones)
-        rule, children = "cone", [child]
+        child = _decompose(K.induced(rest), pairs.restrict(rest), memo, cones)
+        node = TraceNode("cone", child.series, None, [child])
     else:
         # the least degree: a dominating vertex has the largest, and some
         # vertex does not dominate, or the graph would be complete
         v = min(range(1, K.m + 1), key=lambda w: (K.adj[w - 1].bit_count(), w))
-        (u1, n1), (u2, n2), (ul, nl) = (
+        children = [
             _decompose(graph, pairs.restrict(mask), memo, cones)
             for graph, mask in pushout_split(K, v)
-        )
+        ]
+        u1, u2, ul = (1 / child.series for child in children)
         a, a_prime = _pushout_cells(K, v, pairs)
         u = (1 + a_prime) * u1 + (1 + a) * u2 - (1 + a) * (1 + a_prime) * ul
-        rule, children = "pushout", [n1, n2, nl]
+        node = TraceNode("pushout", 1 / u, v, children)
 
-    node = TraceNode(rule, 1 / u, v, children)
-    memo[key] = (u, node)
-    return u, node
+    memo[key] = node
+    return node
 
 
 def _pushout_cells(K: FlagSkeleton, v: int, pairs: PairSpec) -> tuple[GradedSeries, GradedSeries]:
@@ -258,7 +260,9 @@ def _derive(node: TraceNode, graph: FlagSkeleton):
 
 def _rebuild(node: TraceNode, graph: FlagSkeleton, pairs: PairSpec, children, cutoff: int):
     """A node's P-form from its children's, once `_derive` has checked it;
-    each step checks membership in P."""
+    each step checks membership in P.  The P-form returned has the node's
+    recorded series, once the rebuilt one equals it: the rebuilt fraction
+    holds its operands' polynomials, which would pile up along the trace."""
     if node.rule == "contractible":
         product = PProduct.trivial(cutoff)
     elif node.rule == "simplex_skeleton":
@@ -275,7 +279,7 @@ def _rebuild(node: TraceNode, graph: FlagSkeleton, pairs: PairSpec, children, cu
         product = pproduct_mul(pl, porter_loop_wedge([s_join, s_g, s_h]))
     if product.series != node.series:
         raise ValueError("the rebuilt series is not the recorded one")
-    return product
+    return PProduct(node.series, product.factors, cutoff)
 
 
 def unique_nodes(root: TraceNode) -> list[TraceNode]:

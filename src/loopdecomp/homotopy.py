@@ -219,12 +219,7 @@ def lyndon_counts(f: GradedSeries, degree: int) -> dict[int, int]:
     """
     if f.coefficient(0) != 0:
         raise ValueError("letter generating function needs zero constant term")
-    return _loop_counts(1 / (1 - f), degree)
-
-
-def _loop_counts(series: GradedSeries, degree: int) -> dict[int, int]:
-    """The Lyndon counts of f, given series = 1/(1-f) already built."""
-    counts = _bottom_counts(series, degree, spheres=False)
+    counts = _bottom_counts(1 / (1 - f), degree, spheres=False)
     for n, l_n in enumerate(counts):
         if l_n < 0:
             raise NoSolution(f"negative count {l_n} in degree {n}")
@@ -236,22 +231,17 @@ def hilton_milnor(w: SphereWedge, cutoff: int = DEFAULT_DEGREE) -> PProduct:
 
     A generator S^n of the wedge contributes a letter of degree n-1; each
     basic product of degree n gives a factor Omega S^(n+1), of bottom
-    degree n; when n+1 is 2, 4 or 8 it is S^n x Omega S^(2n+1), which adds
-    the bottom degree 2n.  The exact series is 1/(1 - cells/t) regardless
-    of the cutoff.  With cells = N/D, whose N starts at t^2, it is built in
-    closed form as D/(D - N/t), and the counts come from those two
-    polynomials.
+    degree n.  The exact series is 1/(1 - cells/t) regardless of the
+    cutoff.  With cells = N/D, whose N starts at t^2, it is built in closed
+    form as D/(D - N/t).  Canonical factors are unique, so the factors are
+    its greedy factorisation: Omega S^2, Omega S^4 and Omega S^8 come out
+    as S^n x Omega S^(2n+1).
     """
     cells = w.cells.reduced
     if cells.is_zero():
         return PProduct.trivial(cutoff)
     series = GradedSeries(cells.den, poly_add(cells.den, poly_neg(cells.num[1:])))
-    factors = []
-    for n, count in _loop_counts(series, cutoff).items():
-        factors.append((n, count))
-        if n in _HOPF_DIMS and 2 * n <= cutoff:
-            factors.append((2 * n, count))
-    return PProduct(series, tuple(factors), cutoff)
+    return greedy_factorize(series, cutoff)
 
 
 def loop_half_smash(x: CellSeries, y_loop: PProduct) -> PProduct:

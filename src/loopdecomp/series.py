@@ -3,10 +3,11 @@
 A GradedSeries is a fraction num/den of integer polynomials (coefficient
 tuples, ascending degree) whose denominator has constant term 1 after sign
 normalisation, so the formal power-series expansion is integral and well
-defined.  Fractions are never reduced by polynomial gcd; equality is decided
-by cross-multiplication, so the representation never matters.  The only
-normalisations applied at construction are trailing-zero stripping, sign,
-and collapsing when one polynomial exactly divides the other.
+defined.  A series keeps the fraction it was built as: it is never reduced,
+by polynomial gcd or by exact division, and equality is decided by
+cross-multiplication, so the representation never matters.  The only
+normalisations applied at construction are trailing-zero stripping, the
+zero series' denominator 1, and the sign.
 """
 
 from __future__ import annotations
@@ -48,41 +49,6 @@ def poly_mul(a, b) -> tuple[int, ...]:
     return _strip(out)
 
 
-def poly_exact_div(a, b):
-    """Quotient of a by b over Z, or None if b does not divide a exactly.
-
-    Requires b with unit constant term; division runs in ascending powers so
-    all intermediate arithmetic stays integral.  Most candidates do not
-    divide, so two necessary conditions reject them first, each in one pass
-    over the coefficients: if a = b q then lead(b) divides lead(a), and
-    b(2) divides a(2); b(2) is odd, as b(0) is, so it is never 0.  Only a
-    candidate that passes both is divided out.
-    """
-    a, b = _strip(a), _strip(b)
-    if not b or b[0] not in (1, -1):
-        return None
-    if not a:
-        return ()
-    if len(a) < len(b) or a[-1] % b[-1] or _at_two(a) % _at_two(b):
-        return None
-    rem = list(a)
-    q = [0] * (len(a) - len(b) + 1)
-    for i in range(len(q)):
-        c = rem[i] * b[0]  # b[0] is its own inverse
-        q[i] = c
-        if c:
-            for j, cb in enumerate(b):
-                rem[i + j] -= c * cb
-    if any(rem):
-        return None
-    return _strip(q)
-
-
-def _at_two(p) -> int:
-    """The value p(2)."""
-    return sum(c << i for i, c in enumerate(p))
-
-
 def convolve_trunc(a, b, degree: int) -> list[int]:
     """Coefficients of a*b through the given degree (inputs as sequences)."""
     out = [0] * (degree + 1)
@@ -111,14 +77,6 @@ class GradedSeries:
             raise ValueError("denominator constant term must be +1 or -1")
         if not num:
             den = (1,)
-        elif den != (1,):
-            q = poly_exact_div(num, den)
-            if q is not None:
-                num, den = q, (1,)
-            else:
-                q = poly_exact_div(den, num)
-                if q is not None:
-                    num, den = (1,), q
         if den[0] == -1:
             num, den = poly_neg(num), poly_neg(den)
         object.__setattr__(self, "num", num)

@@ -165,18 +165,6 @@ def convolution_bottom_counts(s, degree, spheres):
     return counts
 
 
-def division_remainder(a, b):
-    """What is left of a after dividing out b (unit constant term) in
-    ascending powers as far as deg a - deg b: all zero exactly when b
-    divides a."""
-    rem = list(a)
-    for i in range(len(a) - len(b) + 1):
-        c = rem[i] * b[0]
-        for j, cb in enumerate(b):
-            rem[i + j] -= c * cb
-    return rem
-
-
 @dataclass(frozen=True)
 class VertexInfo:
     neighbors: frozenset[int]
@@ -205,7 +193,7 @@ def forced_split(K, pairs, v):
     _, trace = decompose_loop(K, pairs)
     memo, cones = {}, classify_input(K).flag
     children = [
-        engine._decompose(piece, pairs.restrict(mask), memo, cones)[1]
+        engine._decompose(piece, pairs.restrict(mask), memo, cones)
         for piece, mask in pushout_split(FlagSkeleton.of(K), v)
     ]
     return engine.TraceNode("pushout", trace.series, v, children)

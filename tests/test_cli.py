@@ -134,6 +134,18 @@ class TestCheck:
         doc = json.loads(capsys.readouterr().out)
         assert doc["admissible"] is False
 
+    def test_large_clique_is_refused_at_its_first_missing_subset(self, tmp_path, capsys):
+        # one 11-vertex facet and every edge on 40 vertices: the 1-skeleton
+        # is one clique with C(40, 11) ~ 2.3e9 subsets of 11 vertices, and
+        # the second of them is not a face
+        facets = [list(range(1, 12))] + [
+            [i, j] for i in range(1, 41) for j in range(max(i + 1, 12), 41)
+        ]
+        path = write_complex(tmp_path, "clique.json", 40, facets)
+        assert main(["check", "--input", path]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["admissible"] is False
+        assert main(["decompose", "--input", path]) == EXIT_INADMISSIBLE
+
 
 class TestVerify:
     def test_path3(self, tmp_path, capsys):

@@ -388,7 +388,7 @@ def sound(trace, graph, pairs, failures):
         return failures_name_nodes(failures)
     problems = node_problems(trace, graph, pairs)
     return all(
-        engine._decompose(piece, piece_pairs, {}, False)[1].series == node.series
+        engine._decompose(piece, piece_pairs, {}, False).series == node.series
         for node, (piece, piece_pairs) in zip(engine.unique_nodes(trace), problems)
     )
 

@@ -459,6 +459,16 @@ class TestDivide:
         big = product_of([(sphere(3), 1)])
         assert divide_products(big, PProduct.trivial()) == big
 
+    def test_equal_forms_as_different_fractions_divide_to_trivial(self):
+        # Omega S^2 as 1/(1 - t) and as (1 + t)/(1 - t^2): the quotient is
+        # (1 - t^2)/(1 - t^2), kept as that fraction, and still the series 1
+        big = greedy_factorize(gs([1], [1, -1]), 12)
+        small = greedy_factorize(gs([1, 1], [1, 0, -1]), 12)
+        assert big.series.den != small.series.den
+        quotient = divide_products(big, small)
+        assert quotient.is_trivial()
+        assert quotient.factors == ()
+
     def test_random_recovery(self):
         rng = Random(21)
         for _ in range(100):

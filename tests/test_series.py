@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from loopdecomp.series import DivisionUndefined, GradedSeries, poly_exact_div
+from loopdecomp.series import DivisionUndefined, GradedSeries
 
-from helpers import convolve, division_remainder, geometric
+from helpers import convolve, geometric
 
 
 def gs(num, den=(1,)):
@@ -75,6 +75,27 @@ def test_sign_normalisation():
     assert s == gs([0, 1], [1, 0, 0, -1])
 
 
+class TestKeepsFraction:
+    """A series is the fraction it was built as: a denominator that divides
+    the numerator, or the other way round, stays."""
+
+    def test_divisible_fraction_is_kept(self):
+        s = gs([1, 2, 1], [1, 1])
+        assert (s.num, s.den) == ((1, 2, 1), (1, 1))
+        assert s == gs([1, 1])
+        assert s.expand(6) == gs([1, 1]).expand(6) == (1, 1, 0, 0, 0, 0, 0)
+
+    def test_reciprocal_of_a_multiple_is_kept(self):
+        s = gs([1, 1], [1, 2, 1])
+        assert (s.num, s.den) == ((1, 1), (1, 2, 1))
+        assert s == gs([1], [1, 1])
+
+    def test_sign_is_normalised_without_reduction(self):
+        s = gs([-1, -2, -1], [-1, -1])
+        assert (s.num, s.den) == ((1, 2, 1), (1, 1))
+        assert s == gs([1, 1])
+
+
 def test_zero_and_one():
     assert GradedSeries.zero().is_zero()
     assert GradedSeries.one().is_one()
@@ -141,33 +162,3 @@ def _poly_mul(a, b):
 def test_equality_is_reflexive_under_rebuild(a):
     assert GradedSeries(a.num, a.den) == a
 
-
-def _stripped(p):
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    return tuple(p)
-
-
-class TestExactDivision:
-    """The cheap rejections (leading coefficients, values at 2) are only
-    necessary conditions: every exact quotient is still found."""
-
-    @given(unit_poly, small_poly)
-    def test_every_multiple_is_divided(self, b, q):
-        assert poly_exact_div(_poly_mul(b, q), b) == _stripped(q)
-
-    @given(small_poly, unit_poly)
-    def test_none_exactly_on_a_remainder(self, a, b):
-        quotient = poly_exact_div(a, b)
-        assert (quotient is None) == any(division_remainder(_stripped(a), _stripped(b)))
-        if quotient is not None:
-            assert _stripped(_poly_mul(quotient, b)) == _stripped(a)
-
-    def test_rejections(self):
-        # 2 + t is not a multiple of 1 + 2t: the leading coefficients say so
-        assert poly_exact_div((2, 1), (1, 2)) is None
-        # 1 + 3t + t^2 over 1 + t: both leads are 1, but b(2) = 3 does not divide a(2) = 11
-        assert poly_exact_div((1, 3, 1), (1, 1)) is None
-        # (1 + t)(1 - t + t^2) = 1 + t^3 passes both and divides
-        assert poly_exact_div((1, 0, 0, 1), (1, 1)) == (1, -1, 1)
