@@ -4,15 +4,20 @@ Usage: python scripts/randomized_checks.py [--seed N] [--complexes N] [--cutoff 
 """
 
 import argparse
+import sys
 import time
+from pathlib import Path
 from random import Random
 
 from loopdecomp import FlagSkeleton, PairSpec, check_trace, decompose_loop, greedy_factorize
 from loopdecomp.oracle import NotApplicable, predicted_loop_series
-from loopdecomp.randomgen import (
-    random_chordal_flag_complex,
-    random_flag_skeleton,
-)
+
+# the seeded generators live with the tests that share them
+tests = Path(__file__).resolve().parent.parent / "tests"
+if str(tests) not in sys.path:
+    sys.path.insert(0, str(tests))
+
+from randomgen import random_chordal_flag_complex, random_flag_skeleton  # noqa: E402
 
 
 def sweep_engine(count, rng, cutoff):

@@ -38,9 +38,10 @@ EXIT_INTERNAL = 3
 # a sphere of dimension n in a pair gives a cell series of n terms, and
 # every series the recursion builds from it grows with n
 PAIR_DIM_BOUND = 1000
-# classification, the decomposition and check_trace recurse about once per
-# vertex: a path on 496 vertices overflowed the recursion limit on Python
-# 3.10, 3.11 and 3.13, and one on 256 vertices runs on 3.10 to 3.13
+# engine._decompose, check_trace and unique_nodes recurse once per
+# derivation level, about once per vertex on a path: a path on 496 vertices
+# overflowed the recursion limit on Python 3.10, 3.11 and 3.13, and one on
+# 256 vertices runs on 3.10 to 3.13 (classification does not recurse)
 VERTEX_BOUND = 256
 # every series is expanded through the cutoff D, with a product of
 # coefficients of about D bits per degree and per denominator term: at
@@ -183,8 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("check", "decompose", "verify"):
         p = sub.add_parser(name)
         p.add_argument("--input", dest="input_path")
-        p.add_argument("--pairs", default="moment-angle")
-        p.add_argument("--cutoff", type=int, default=DEFAULT_DEGREE)
+        if name != "check":
+            p.add_argument("--pairs", default="moment-angle")
+            p.add_argument("--cutoff", type=int, default=DEFAULT_DEGREE)
         p.add_argument("--output", dest="output_path")
         if name == "decompose":
             p.add_argument("--trace", action="store_true")
@@ -197,10 +199,11 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if args.input_path is None:
             raise ValueError("--input is required")
-        if args.cutoff < 1:
-            raise ValueError("cutoff must be >= 1")
-        if args.cutoff > CUTOFF_BOUND:
-            raise TooLarge(f"cutoff {args.cutoff} exceeds the bound {CUTOFF_BOUND}")
+        if args.command != "check":
+            if args.cutoff < 1:
+                raise ValueError("cutoff must be >= 1")
+            if args.cutoff > CUTOFF_BOUND:
+                raise TooLarge(f"cutoff {args.cutoff} exceeds the bound {CUTOFF_BOUND}")
         return handlers[args.command](args)
     except (*_INPUT_ERRORS, ValueError) as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)

@@ -144,12 +144,12 @@ def _log_power_sums(f: tuple[int, ...], degree: int) -> list[int]:
     return sums
 
 
-def _bottom_counts(s: GradedSeries, degree: int, spheres: bool) -> list[int]:
+def _bottom_counts(s: GradedSeries, degree: int) -> list[int]:
     """Exponents of the unique factorisation of s (constant term 1) through
-    degree into one factor per bottom degree d = 1..degree.
+    degree into one canonical factor per bottom degree d = 1..degree.
 
-    The factor of bottom d is 1/(1-t^d), or 1+t^d for d in {1,3,7} when
-    `spheres` is set; exponents may come out negative.  Work in the log
+    The factor of bottom d is 1/(1-t^d), or 1+t^d for d in {1,3,7};
+    exponents may come out negative.  Work in the log
     domain: the power sums a_n = n [t^n] log s of s = num/den are those of
     log num less those of log den, each by Newton's identity on the
     polynomial itself: deg num + deg den products per degree, no series
@@ -165,7 +165,7 @@ def _bottom_counts(s: GradedSeries, degree: int, spheres: bool) -> list[int]:
     for d in range(1, degree + 1):
         c = counts[d] = sums[d] // d
         if c:
-            alternate = spheres and d in _HOPF_DIMS
+            alternate = d in _HOPF_DIMS
             for j, n in enumerate(range(d, degree + 1, d)):
                 sums[n] -= -c * d if alternate and j % 2 else c * d
     return counts
@@ -211,15 +211,20 @@ def lyndon_counts(f: GradedSeries, degree: int) -> dict[int, int]:
 
     These are the numbers of Lyndon words over a graded alphabet whose
     generating function is f (Witt's necklace numbers in the ungraded case).
-    They are the exponents of 1/(1-f) = prod 1/(1-t^n)^(l_n), read off the
-    power sums of log 1/(1-f) by a divisor sweep over loop factors only, so
-    they are unique.  For genuine letter counts (non-negative f) they are
-    automatically non-negative; NoSolution flags malformed input at the
-    lowest negative degree.
+    They are the exponents of 1/(1-f) = prod 1/(1-t^n)^(l_n), so they are
+    unique.  They come from its canonical exponents c_n: a sphere factor
+    (1+t^d)^c is (1-t^(2d))^c/(1-t^d)^c, so l_n = c_n except l_(2d) =
+    c_(2d) - c_d for d in {1,3,7}, the splitting Omega S^(d+1) ~ S^d x
+    Omega S^(2d+1) read backwards.  For genuine letter counts (non-negative
+    f) they are automatically non-negative; NoSolution flags malformed
+    input at the lowest negative degree.
     """
     if f.coefficient(0) != 0:
         raise ValueError("letter generating function needs zero constant term")
-    counts = _bottom_counts(1 / (1 - f), degree, spheres=False)
+    counts = _bottom_counts(1 / (1 - f), degree)
+    for d in _HOPF_DIMS:
+        if 2 * d <= degree:
+            counts[2 * d] -= counts[d]
     for n, l_n in enumerate(counts):
         if l_n < 0:
             raise NoSolution(f"negative count {l_n} in degree {n}")
@@ -322,7 +327,7 @@ def greedy_factorize(s: GradedSeries, cutoff: int = DEFAULT_DEGREE) -> PProduct:
     """
     if s.coefficient(0) != 1:
         raise NotCanonicalP("canonical series starts with 1")
-    counts = _bottom_counts(s, cutoff, spheres=True)
+    counts = _bottom_counts(s, cutoff)
     for d, c in enumerate(counts):
         if c < 0:
             raise NotCanonicalP(f"negative coefficient {c} in degree {d}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from random import Random
 
-from .complexes import FlagSkeleton, SimplicialComplex, validate_complex
+from loopdecomp.complexes import FlagSkeleton, SimplicialComplex, validate_complex
 
 
 def random_graph_complex(m: int, rng: Random, edge_prob: float = 0.5) -> SimplicialComplex:

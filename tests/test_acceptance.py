@@ -20,13 +20,6 @@ from loopdecomp.homotopy import (
     pproduct_mul,
 )
 from loopdecomp.oracle import hochster_table, predicted_loop_series
-from loopdecomp.randomgen import (
-    random_chordal_flag_complex,
-    random_flag_complex,
-    random_flag_skeleton,
-    relabel,
-    skeleton,
-)
 from loopdecomp.series import GradedSeries
 
 from helpers import (
@@ -36,6 +29,13 @@ from helpers import (
     neighbors_and_domination,
     random_canonical_product,
     wedge_of_spheres,
+)
+from randomgen import (
+    random_chordal_flag_complex,
+    random_flag_complex,
+    random_flag_skeleton,
+    relabel,
+    skeleton,
 )
 
 

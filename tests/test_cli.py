@@ -191,8 +191,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["check", "decompose", "verify"])
     def test_vertex_bound(self, tmp_path, capsys, command):
-        # a long path overflows the recursion limit in classification and
-        # the decomposition; past the bound it is refused once read
+        # a long path overflows the recursion limit in the decomposition,
+        # check_trace and unique_nodes; past the bound it is refused once read
         m = VERTEX_BOUND + 1
         path = write_complex(tmp_path, "path.json", m, [[v, v + 1] for v in range(1, m)])
         assert main([command, "--input", path]) == EXIT_INADMISSIBLE
@@ -264,8 +264,18 @@ class TestExitCodes:
             (["frob"], "argument command: invalid choice: 'frob'"),
             (["decompose", "--input", "k.json", "--frob"], "unrecognized arguments: --frob"),
             (["verify", "--linalg"], "unrecognized arguments: --linalg"),
+            # check reads neither, so it refuses them rather than ignore them
+            (["check", "--pairs", "garbage"], "unrecognized arguments: --pairs garbage"),
+            (["check", "--cutoff", "5000"], "unrecognized arguments: --cutoff 5000"),
         ],
-        ids=["bad-int", "unknown-command", "unknown-flag", "no-linalg-flag"],
+        ids=[
+            "bad-int",
+            "unknown-command",
+            "unknown-flag",
+            "no-linalg-flag",
+            "check-no-pairs",
+            "check-no-cutoff",
+        ],
     )
     def test_malformed_command_line(self, capsys, argv, message):
         # an input error like any other: exit 1 and one line, not usage and exit 2

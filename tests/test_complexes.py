@@ -144,7 +144,7 @@ class TestFullSubcomplex:
         assert once == direct
 
     def test_composition_random(self):
-        from loopdecomp.randomgen import random_flag_skeleton
+        from randomgen import random_flag_skeleton
 
         rng = Random(14)
         for _ in range(20):
@@ -212,7 +212,7 @@ class TestClassify:
 
     def test_skeleton_of_flag_closed_under_full_subcomplexes(self):
         rng = Random(11)
-        from loopdecomp.randomgen import random_flag_skeleton
+        from randomgen import random_flag_skeleton
 
         for _ in range(20):
             K = random_flag_skeleton(rng.randint(2, 6), rng)
@@ -269,7 +269,7 @@ class TestPushout:
 
     def test_reassembly(self):
         rng = Random(3)
-        from loopdecomp.randomgen import random_flag_skeleton
+        from randomgen import random_flag_skeleton
 
         for _ in range(25):
             K = random_flag_skeleton(rng.randint(2, 6), rng)
@@ -335,7 +335,7 @@ class TestGraphForm:
     def test_clique_complex_matches_subset_search(self):
         """randomgen's clique complexes, built from the one Bron-Kerbosch,
         have the facets that testing every vertex subset finds."""
-        from loopdecomp.randomgen import clique_complex, random_chordal_graph, random_graph_complex
+        from randomgen import clique_complex, random_chordal_graph, random_graph_complex
 
         rng = Random(13)
         for trial in range(300):

@@ -20,8 +20,7 @@ from loopdecomp.engine import (
     trace_to_doc,
 )
 from loopdecomp.homotopy import PProduct
-from loopdecomp.oracle import hochster_table
-from loopdecomp.randomgen import random_flag_skeleton, relabel
+from loopdecomp.oracle import hochster_table, verify_against_oracle
 from loopdecomp.series import DEFAULT_DEGREE, GradedSeries
 
 from helpers import (
@@ -41,6 +40,7 @@ from helpers import (
     node_problems,
     sphere,
 )
+from randomgen import random_flag_skeleton, relabel
 
 
 def gs(num, den=(1,)):
@@ -151,7 +151,7 @@ class TestSkeletonWedge:
 
     def test_matches_hochster_for_small_skeleta(self):
         # reduced ranks of the wedge equal the Hochster table of the skeleton
-        from loopdecomp.randomgen import skeleton
+        from randomgen import skeleton
 
         for m in range(1, 6):
             full = validate_complex([list(range(1, m + 1))], m)
@@ -674,6 +674,53 @@ class TestLongSparseCertificate:
             assert check_trace(mutated, graph, pairs, 20) == [
                 f"node {i} (pushout, m={sizes[i]}): ValueError: the rebuilt series is not the recorded one"
             ]
+
+
+class TestNonSimplexLink:
+    """Two 4-cliques joined through the degree-2 vertex 9: the root splits
+    at 9, whose link {1, 5} is two points, so the certificate divides both
+    sides by a nontrivial P-form, the one case in which it does."""
+
+    K = validate_complex([[1, 2, 3, 4], [5, 6, 7, 8], [1, 9], [5, 9]], 9)
+    pairs = PairSpec.moment_angle(9)
+
+    def test_verify_passes(self):
+        checks = verify_against_oracle(self.K, self.pairs, 20).checks
+        assert [(c.name, c.status) for c in checks] == [
+            ("decompose", "PASS"),
+            ("trace_identities", "PASS"),
+            ("oracle_series", "PASS"),
+        ]
+        assert checks[1].detail == "all 12 nodes exact"
+        assert checks[2].detail == "Hochster prediction"
+
+    def test_divides_by_the_link(self, monkeypatch):
+        divisors = []
+        divide = engine.divide_products
+
+        def recorded(big, small):
+            divisors.append(small)
+            return divide(big, small)
+
+        graph = FlagSkeleton.of(self.K)
+        link, mask = pushout_split(graph, 9)[2]
+        assert (link.adj, mask) == ((0, 0), 0b10001)
+        _, trace = decompose_loop(self.K, self.pairs)
+        monkeypatch.setattr(engine, "divide_products", recorded)
+        assert check_trace(trace, graph, self.pairs, 20) == []
+        # the root's two divisions, by the link's P-form; every other
+        # pushout's link is a simplex, whose P-form is trivial
+        assert sum(not p.is_trivial() for p in divisors) == 2
+
+    @pytest.mark.parametrize("j", [1, 2, 5])
+    def test_a_changed_root_fails_there(self, j):
+        _, trace = decompose_loop(self.K, self.pairs)
+        root = engine.unique_nodes(trace)[-1]
+        assert (root.rule, root.vertex) == ("pushout", 9)
+        root.series = root.series * (1 + GradedSeries.monomial(j))
+        assert check_trace(trace, FlagSkeleton.of(self.K), self.pairs, 20) == [
+            "node 11 (pushout, m=9): ValueError: the rebuilt series is not the recorded one"
+        ]
 
 
 class TestTraceTable:

@@ -20,8 +20,8 @@ from loopdecomp.oracle import (
     simplicial_homology_ranks,
     verify_against_oracle,
 )
-from loopdecomp.randomgen import random_chordal_flag_complex, random_flag_skeleton
 from loopdecomp.series import GradedSeries
+from randomgen import random_chordal_flag_complex, random_flag_skeleton
 
 
 def gs(num, den=(1,)):
@@ -135,7 +135,7 @@ class TestHochster:
         assert table == direct
 
     def test_relabeling_invariance(self):
-        from loopdecomp.randomgen import relabel
+        from randomgen import relabel
 
         rng = Random(10)
         K = validate_complex([[1, 2], [2, 3], [3, 4], [1, 4], [4, 5]], 5)
