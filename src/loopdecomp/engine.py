@@ -279,6 +279,9 @@ def _rebuild(node: TraceNode, graph: FlagSkeleton, pairs: PairSpec, children, cu
         product = pproduct_mul(pl, porter_loop_wedge([s_join, s_g, s_h]))
     if product.series != node.series:
         raise ValueError("the rebuilt series is not the recorded one")
+    # equal series have equal coefficients: the P-form checks the rebuilt ones
+    cached = node.series._coeffs
+    cached += product.series._coeffs[len(cached) :]
     return PProduct(node.series, product.factors, cutoff)
 
 

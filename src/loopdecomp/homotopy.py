@@ -184,9 +184,12 @@ def pproduct_mul(a: PProduct, b: PProduct) -> PProduct:
 
 def reduced_cells(p: PProduct) -> CellSeries:
     """Reduced-homology series of the underlying space of a product: with
-    series N/D it is (N - D)/D."""
+    series N/D it is (N - D)/D, whose expansion is p's less its constant
+    term, so it starts from p's cached coefficients."""
     num, den = p.series.num, p.series.den
-    return CellSeries(GradedSeries(poly_add(num, poly_neg(den)), den))
+    reduced = GradedSeries(poly_add(num, poly_neg(den)), den)
+    reduced._coeffs.extend((0, *p.series.expand(p.cutoff)[1:]))
+    return CellSeries(reduced)
 
 
 # --------------------------------------------------------------------------

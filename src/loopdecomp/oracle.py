@@ -13,9 +13,16 @@ mask exceeds every inherited face's: the boundary matrices gain columns
 and rows that no inherited column touches.  So each step reduces only
 the new faces' columns, exactly over Z, against the inherited pivot
 columns (persistent homology's column reduction), and reads rank d_1 off
-the components, merged by v's edges.  The Hochster table takes this step
-along one depth-first walk over the vertex subsets, cutting the pivots
-back after each subtree; K's own ranks take it along {1}, {1,2}, ..., [m].
+the components, merged by v's edges.  The new columns go by descending
+dimension.  A reduced column has zero boundary, so a new face that is its
+lowest row has a column that the others of its dimension span: coming
+later, it is cleared (Chen and Kerber's twist), counted as a cycle,
+never reduced, and, as it adds no pivot, never undone.  A subset's ranks
+travel as (H_0, H_1, higher), `higher` a tuple without trailing zeros
+that a step with no new face of dimension >= 2 hands on as it is.  The
+Hochster table takes this step along one depth-first walk over the
+vertex subsets, cutting the pivots back after each subtree; K's own
+ranks take it along {1}, {1,2}, ..., [m].
 `verify_against_oracle` applies the table's vertex bound before it
 decomposes, so an oversized input exits before any exponential work.
 """
@@ -44,32 +51,19 @@ class NotApplicable(ValueError):
 HOCHSTER_VERTEX_BOUND = 12
 
 
-def _faces_by_top(K: SimplicialComplex) -> list[tuple[list[list[int]], int]]:
-    """K's nonempty faces as vertex bitmasks (bit v - 1 for vertex v), grouped
-    by their top vertex and then by dimension, each group with the mask of
-    its top vertex's lower neighbours.  A group's dimensions stop at its
-    largest face."""
-    groups: list[list[list[int]]] = [[] for _ in range(K.m)]
-    for face in sorted(K.faces()):
-        faces, d = groups[face.bit_length() - 1], face.bit_count() - 1
-        faces.extend([] for _ in range(d + 1 - len(faces)))
-        faces[d].append(face)
-    return [
-        (faces, sum(e ^ (1 << i) for e in faces[1]) if len(faces) > 1 else 0)
-        for i, faces in enumerate(groups)
-    ]
-
-
-def _join(components: list[int], vertex: int, neighbours: int) -> list[int]:
-    """Components, as vertex masks, once a vertex joins them by edges to
-    its neighbours."""
-    joined, rest = vertex, []
-    for component in components:
-        if component & neighbours:
-            joined |= component
-        else:
-            rest.append(component)
-    return [*rest, joined]
+def _faces_by_top(K: SimplicialComplex) -> list[tuple[list[int], int, int]]:
+    """K's faces as vertex bitmasks (bit v - 1 for vertex v), grouped by
+    their top vertex: each group holds its faces of dimension >= 2 by
+    descending dimension, its top vertex's lower neighbours and bit."""
+    high: list[list[int]] = [[] for _ in range(K.m)]
+    below = [0] * K.m
+    for face in sorted(K.faces(), key=lambda f: (-f.bit_count(), f)):
+        top = face.bit_length() - 1
+        if face.bit_count() == 2:
+            below[top] |= face ^ 1 << top
+        elif face.bit_count() > 2:
+            high[top].append(face)
+    return [(faces, below[i], 1 << i) for i, faces in enumerate(high)]
 
 
 def _reduce(face: int, pivots: dict[int, dict[int, int]]) -> int | None:
@@ -101,30 +95,39 @@ def _reduce(face: int, pivots: dict[int, dict[int, int]]) -> int | None:
     return None
 
 
-def _grow(
-    pivots: dict, grown: int, group: tuple, components: list[int], ranks: list[int]
-) -> tuple[list[int], list[int], list[int]]:
-    """Components, reduced ranks by dimension and added pivot rows of the
+def _step(pivots: dict, grown: int, group: tuple, components: list[int], ranks: tuple):
+    """Components, ranks (H_0, H_1, higher) and added pivot rows of the
     full subcomplex on the mask `grown`, from those of its parent without
-    its top vertex, whose faces and lower neighbours are `group`.  A new
-    d-face (d >= 2) whose column reduces to zero adds a d-cycle, any other
-    bounds a (d-1)-cycle; an edge that merges no components adds a 1-cycle.
-    """
-    faces, neighbours = group
-    joined = _join(components, 1 << (grown.bit_length() - 1), neighbours)
-    ranks = ranks.copy()
-    ranks[0] = len(joined) - 1
-    edges = (neighbours & grown).bit_count()
-    ranks[1] += edges - (len(components) + 1 - len(joined))
+    its top vertex, whose faces, lower neighbours and bit are `group`: an
+    edge that merges no components adds a 1-cycle, a new face's zero column
+    a cycle, and any other bounds one of the dimension below.  A new face
+    that is already a pivot row is cleared, as the module docstring says."""
+    high, neighbours, joined = group
+    rest = []
+    for component in components:
+        if component & neighbours:
+            joined |= component
+        else:
+            rest.append(component)
+    rest.append(joined)
+    _, r1, higher = ranks
+    r1 += (neighbours & grown).bit_count() + len(rest) - len(components) - 1
     lows = []
-    for d in range(2, min(len(faces), edges + 1)):  # a new d-face has d edges at v
-        for low in (_reduce(f, pivots) for f in faces[d] if not f & ~grown):
+    new = [f for f in high if not f & ~grown] if high else ()
+    if new:
+        rs = [r1, *higher, *[0] * (new[0].bit_count() - 2 - len(higher))]
+        for f in new:
+            d = f.bit_count() - 2  # f's dimension less one: its place in rs
+            low = None if f in pivots else _reduce(f, pivots)
             if low is None:
-                ranks[d] += 1
+                rs[d] += 1
             else:
-                ranks[d - 1] -= 1
+                rs[d - 1] -= 1
                 lows.append(low)
-    return joined, ranks, lows
+        while len(rs) > 1 and not rs[-1]:
+            rs.pop()
+        r1, higher = rs[0], tuple(rs[1:])
+    return rest, (len(rest) - 1, r1, higher), lows
 
 
 def simplicial_homology_ranks(K: SimplicialComplex) -> dict[int, int]:
@@ -132,10 +135,10 @@ def simplicial_homology_ranks(K: SimplicialComplex) -> dict[int, int]:
     ..., [m]; empty map for the empty complex."""
     pivots: dict[int, dict[int, int]] = {}
     components: list[int] = []
-    ranks = [0] * (K.dim() + 2)
+    ranks = (0, 0, ())
     for i, group in enumerate(_faces_by_top(K)):
-        components, ranks, _ = _grow(pivots, (2 << i) - 1, group, components, ranks)
-    return {d: r for d, r in enumerate(ranks) if r}
+        components, ranks, _ = _step(pivots, (2 << i) - 1, group, components, ranks)
+    return {d: r for d, r in enumerate((*ranks[:2], *ranks[2])) if r}
 
 
 def _check_vertex_bound(m: int) -> None:
@@ -148,28 +151,39 @@ def hochster_table(K: SimplicialComplex) -> dict[int, int]:
     subcomplex homology summed over all nonempty vertex subsets.
 
     One depth-first walk visits each subset S once, grown from S less its
-    top vertex v by `_grow`: S's new faces are v's faces with f & ~S == 0,
-    and only their boundary columns are reduced, against the pivots that
-    S inherits; those S adds are removed after S's own subtree.  Homology
-    ignores labels, so nothing is relabelled.
+    top vertex v by `_step`: S's new faces are v's faces with f & ~S == 0,
+    and only their boundary columns are reduced, by descending dimension,
+    against the pivots that S inherits.  A new face that is the lowest row
+    of a column reduced at S is cleared, a cycle with no reduction; it
+    adds no pivot, so only the pivots S made by reducing are removed after
+    S's subtree.  A subset whose top vertex is the last has no subtree and
+    no recursive call.  S's ranks are (H_0, H_1, higher), so a step that
+    adds no face of dimension >= 2 copies nothing, and only H_0 and H_1
+    enter the table when `higher` is empty.  Homology ignores labels, so
+    nothing is relabelled.
     """
     _check_vertex_bound(K.m)
     groups = _faces_by_top(K)
     pivots: dict[int, dict[int, int]] = {}
     table = [0] * (K.m + K.dim() + 3)  # degree |S| + 1 + j, j <= dim + 1
+    last = K.m - 1
 
-    def walk(subset: int, components: list[int], ranks: list[int]) -> None:
+    def walk(subset: int, components: list[int], ranks: tuple) -> None:
         for i in range(subset.bit_length(), K.m):
             grown = subset | 1 << i
-            joined, grown_ranks, lows = _grow(pivots, grown, groups[i], components, ranks)
+            joined, grown_ranks, lows = _step(pivots, grown, groups[i], components, ranks)
+            r0, r1, higher = grown_ranks
             shift = grown.bit_count() + 1
-            for j, r in enumerate(grown_ranks, shift):
+            table[shift] += r0
+            table[shift + 1] += r1
+            for j, r in enumerate(higher, shift + 2):
                 table[j] += r
-            walk(grown, joined, grown_ranks)
+            if i < last:
+                walk(grown, joined, grown_ranks)
             for low in lows:
                 del pivots[low]
 
-    walk(0, [], [0] * (K.dim() + 2))
+    walk(0, [], (0, 0, ()))
     return {degree: r for degree, r in enumerate(table) if r}
 
 

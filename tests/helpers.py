@@ -9,13 +9,14 @@ the other constructions below have no caller outside the tests.
 """
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
 from hypothesis import strategies as st
 
-from loopdecomp.complexes import FlagSkeleton, classify_input, pushout_split
+from loopdecomp.complexes import FlagSkeleton, classify_input, full_subcomplex, pushout_split
 from loopdecomp import engine
 from loopdecomp.engine import PairSpec, decompose_loop, trace_to_doc
 from loopdecomp.homotopy import (
@@ -363,6 +364,17 @@ def tuple_face_homology(K):
         if r:
             ranks[d] = r
     return ranks
+
+
+def subset_homology_table(K):
+    """The Hochster table of K summed subset by subset: each full
+    subcomplex's tuple_face_homology, shifted by |S| + 1."""
+    table = Counter()
+    for size in range(1, K.m + 1):
+        for subset in itertools.combinations(range(1, K.m + 1), size):
+            ranks = tuple_face_homology(full_subcomplex(K, subset))
+            table.update({j + size + 1: r for j, r in ranks.items()})
+    return dict(table)
 
 
 def _rational_rank(matrix):

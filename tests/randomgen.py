@@ -44,6 +44,18 @@ def random_flag_skeleton(m: int, rng: Random) -> SimplicialComplex:
     return skeleton(flag, rng.randint(0, max(flag.dim(), 0)))
 
 
+def random_hollow_complex(m: int, rng: Random) -> SimplicialComplex:
+    """A random flag complex with each facet of three or more vertices
+    replaced, with probability 1/2, by its boundary: such a facet is a
+    missing face, so the complex is not flag, and its boundary sphere can
+    carry homology above degree 1."""
+    facets = []
+    for f in random_flag_complex(m, rng).facets:
+        hollow = len(f) > 2 and rng.random() < 0.5
+        facets.extend(itertools.combinations(f, len(f) - 1) if hollow else [f])
+    return validate_complex([list(f) for f in facets], m)
+
+
 def random_chordal_graph(m: int, rng: Random) -> SimplicialComplex:
     """Chordal graph on m vertices via clique attachments."""
     cliques = [frozenset({1})]

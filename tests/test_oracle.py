@@ -7,7 +7,7 @@ from random import Random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import geometric, tuple_face_homology
+from helpers import geometric, subset_homology_table, tuple_face_homology
 from loopdecomp import complexes, oracle
 from loopdecomp.complexes import FlagSkeleton, SimplicialComplex, full_subcomplex, validate_complex
 from loopdecomp.engine import NotFlagSkeleton, PairSpec, check_trace, decompose_loop
@@ -40,6 +40,10 @@ RP2_FACETS = [
 # the octahedron's boundary: vertices i and i + 3 are opposite
 OCTAHEDRON_FACETS = [
     [1 + 3 * a, 2 + 3 * b, 3 + 3 * c] for a, b, c in itertools.product((0, 1), repeat=3)
+]
+# the boundary of the 8-vertex cross-polytope, a 3-sphere: i and i + 4 are opposite
+CROSS_POLYTOPE_8_FACETS = [
+    [v + 4 * b for v, b in zip(range(1, 5), bits)] for bits in itertools.product((0, 1), repeat=4)
 ]
 
 
@@ -101,6 +105,12 @@ class TestHochster:
         # s points have reduced H_0 of rank s - 1: each subset counts once
         K = validate_complex([[v] for v in range(1, 13)], 12)
         assert hochster_table(K) == {s + 1: math.comb(12, s) * (s - 1) for s in range(2, 13)}
+
+    def test_cross_polytope_3_sphere(self):
+        # Z_K is (S^3)^4
+        K = validate_complex(CROSS_POLYTOPE_8_FACETS, 8)
+        assert hochster_table(K) == {3 * j: math.comb(4, j) for j in range(1, 5)}
+        assert simplicial_homology_ranks(K) == {3: 1}
 
     def test_cross_polytope_at_the_bound(self):
         # the boundary of the 12-vertex cross-polytope, a 5-sphere: Z_K is
@@ -166,15 +176,41 @@ class TestHochsterRestriction:
     @example(validate_complex(list(itertools.combinations(range(1, 7), 5)), 6))
     # the octahedral 2-sphere with a pendant edge: siblings share pivots
     @example(validate_complex(OCTAHEDRON_FACETS + [[6, 7]], 7))
+    # a 3-sphere: 3-face pivots clear 2-faces of their own step
+    @example(validate_complex(CROSS_POLYTOPE_8_FACETS, 8))
     def test_matches_subset_by_subset_homology(self, K):
-        ranks = Counter()
         for size in range(1, K.m + 1):
             for subset in itertools.combinations(range(1, K.m + 1), size):
                 restricted = full_subcomplex(K, subset)
-                sub_ranks = tuple_face_homology(restricted)
-                assert simplicial_homology_ranks(restricted) == sub_ranks
-                ranks.update({j + size + 1: r for j, r in sub_ranks.items()})
-        assert hochster_table(K) == dict(ranks)
+                assert simplicial_homology_ranks(restricted) == tuple_face_homology(restricted)
+        assert hochster_table(K) == subset_homology_table(K)
+
+    @pytest.mark.parametrize(
+        "facets, m, cleared",
+        [(OCTAHEDRON_FACETS, 6, False), (CROSS_POLYTOPE_8_FACETS, 8, True)],
+        ids=["octahedral-2-sphere", "cross-polytope-3-sphere"],
+    )
+    def test_cleared_faces_are_not_reduced(self, monkeypatch, facets, m, cleared):
+        # a face f with top vertex t is new at the 2^(t - |f| + 1) subsets
+        # whose top vertex is t and that hold f
+        K = validate_complex(facets, m)
+        high = [f for f in K.faces() if f.bit_count() > 2]
+        new_faces = sum(2 ** (f.bit_length() - f.bit_count()) for f in high)
+        calls = Counter()
+        reduce = oracle._reduce
+
+        def counted(face, pivots):
+            calls[face.bit_count() - 1] += 1
+            return reduce(face, pivots)
+
+        monkeypatch.setattr(oracle, "_reduce", counted)
+        assert hochster_table(K) == subset_homology_table(K)
+        if cleared:
+            assert sum(calls.values()) < new_faces
+        else:
+            # every pivot of a 2-face has an edge as its lowest row, and
+            # edges are never reduced: nothing is left to clear
+            assert set(calls) == {2} and sum(calls.values()) == new_faces
 
     def test_faces_are_built_once_and_never_restricted_by_relabelling(self, monkeypatch):
         K = random_chordal_flag_complex(10, Random(3))
