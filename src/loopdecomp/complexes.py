@@ -168,15 +168,19 @@ class FlagSkeleton(NamedTuple):
 
     def induced(self, mask: int) -> "FlagSkeleton":
         """The full subcomplex on the vertex mask, relabelled 1..n in
-        ascending order.  Each kept row maps through a position table, so
-        the cost is the kept vertices and their edges, not all pairs."""
-        position = {i: j for j, i in enumerate(_indices(mask))}
-        return FlagSkeleton(
-            tuple(
-                sum(1 << position[j] for j in _indices(self.adj[i] & mask)) for i in position
-            ),
-            self.k,
-        )
+        ascending order.  Each kept row maps bit by bit through a table from
+        old to new vertex bits, so the cost is the kept vertices and their
+        edges, not all pairs."""
+        new_bit = {1 << i: 1 << j for j, i in enumerate(_indices(mask))}
+        rows = []
+        for bit in new_bit:
+            row, new_row = self.adj[bit.bit_length() - 1] & mask, 0
+            while row:
+                low = row & -row
+                new_row |= new_bit[low]
+                row ^= low
+            rows.append(new_row)
+        return FlagSkeleton(tuple(rows), self.k)
 
     def edges(self) -> list[tuple[int, int]]:
         """The edges (i, j), i < j, in ascending order."""

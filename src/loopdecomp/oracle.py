@@ -29,7 +29,6 @@ decomposes, so an oversized input exits before any exponential work.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -72,14 +71,14 @@ def _reduce(face: int, pivots: dict[int, dict[int, int]]) -> int | None:
     keyed by their lowest (largest-mask) row: c <- p c - q pivot cancels
     c's lowest entry, then c is divided by its content.  A nonzero result
     becomes the pivot of its lowest row, which is returned."""
-    rows = [face ^ 1 << v for v in range(face.bit_length()) if face >> v & 1]
-    column = dict(zip(rows, itertools.cycle((1, -1))))
-    while column:
-        low = max(column)
-        pivot = pivots.get(low)
-        if pivot is None:
-            pivots[low] = column
-            return low
+    column = {}
+    rest, sign = face, 1
+    while rest:
+        bit = rest & -rest
+        column[face ^ bit] = sign
+        rest, sign = rest ^ bit, -sign
+    low = face & (face - 1)  # the largest row drops the lowest vertex
+    while (pivot := pivots.get(low)) is not None:
         g = gcd(pivot[low], column[low])
         p, q = pivot[low] // g, column[low] // g
         if p != 1:
@@ -89,10 +88,14 @@ def _reduce(face: int, pivots: dict[int, dict[int, int]]) -> int | None:
                 column[r] = y
             else:
                 del column[r]
+        if not column:
+            return None
         g = gcd(*column.values())
         if g > 1:
             column = {r: x // g for r, x in column.items()}
-    return None
+        low = max(column)
+    pivots[low] = column
+    return low
 
 
 def _step(pivots: dict, grown: int, group: tuple, components: list[int], ranks: tuple):

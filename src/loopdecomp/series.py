@@ -13,7 +13,7 @@ zero series' denominator 1, and the sign.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from operator import add, mul
 
 DEFAULT_DEGREE = 20
 
@@ -23,6 +23,10 @@ class DivisionUndefined(ZeroDivisionError):
 
 
 def _strip(coeffs) -> tuple[int, ...]:
+    """coeffs as a tuple without trailing zeros; a tuple that has none is
+    returned as it is."""
+    if type(coeffs) is tuple and (not coeffs or coeffs[-1] != 0):
+        return coeffs
     cs = list(coeffs)
     while cs and cs[-1] == 0:
         cs.pop()
@@ -30,8 +34,9 @@ def _strip(coeffs) -> tuple[int, ...]:
 
 
 def poly_add(a, b) -> tuple[int, ...]:
-    n = max(len(a), len(b))
-    return _strip((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
+    if len(a) < len(b):
+        a, b = b, a
+    return _strip((*map(add, a, b), *a[len(b) :]))
 
 
 def poly_neg(a) -> tuple[int, ...]:
@@ -39,13 +44,21 @@ def poly_neg(a) -> tuple[int, ...]:
 
 
 def poly_mul(a, b) -> tuple[int, ...]:
-    if not a or not b:
+    """The product.  Most of the recursion's products have a constant
+    operand, which only scales the other; otherwise the shorter operand
+    drives the outer loop."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        c = a[0]
+        return _strip(b if c == 1 else [c * x for x in b])
+    if not a:
         return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
+            for j, cb in enumerate(b, i):
+                out[j] += ca * cb
     return _strip(out)
 
 

@@ -592,3 +592,62 @@ def test_parser_is_built_once(square_json, monkeypatch, capsys):
     first = len(built)
     assert first and main(["decompose", "--input", square_json]) == EXIT_OK
     assert len(built) == first
+
+
+# strings with control characters, non-ASCII and astral characters, quotes
+# and backslashes, beside the text hypothesis draws
+_json_text = st.text(max_size=6) | st.sampled_from(
+    ["", "\x00\x1f\x7f", "\n\t\r\b\f", '"\\/', "é∂Ω", "  ", "😀\U0010ffff"]
+)
+_json_leaf = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**60), -(10**40))
+    | st.floats()
+    | _json_text
+)
+_json_doc = st.recursive(
+    _json_leaf,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_json_text | st.integers() | st.booleans() | st.none(), inner, max_size=4),
+    max_leaves=25,
+)
+
+
+def _emitted(doc) -> tuple[str, bytes]:
+    """What _emit writes to stdout and to an --output file."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(doc, None)
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "out.json")
+        cli._emit(doc, path)
+        with open(path, "rb") as handle:
+            return out.getvalue(), handle.read()
+
+
+class TestWriter:
+    """cli._emit writes exactly json.dumps(doc, indent=2) and a newline."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_json_doc)
+    @example({"flag": True, "k": None, "m": [True, 1, False, 0, -(10**50)]})
+    @example({"empty": [[], {}, ()], "nested": [[[1]], {"a": {"b": ()}}], "t": (1, (2, 3))})
+    @example({"é\x00": "\x1f😀", 1: "one", None: [None], False: 0})
+    def test_bytes_of_json_dumps(self, doc):
+        text = json.dumps(doc, indent=2) + "\n"
+        stdout, written = _emitted(doc)
+        assert stdout == text
+        assert written == text.encode()
+
+    @pytest.mark.parametrize(
+        "doc", [{"a": [1, {2, 3}]}, [object()], {"k": {(1, 2): 0}}, {"s": b"bytes"}]
+    )
+    def test_refuses_what_json_dumps_refuses(self, doc):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(doc, indent=2)
+        with pytest.raises(TypeError) as raised:
+            cli._emit(doc, None)
+        assert str(raised.value) == str(expected.value)

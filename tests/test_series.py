@@ -1,7 +1,7 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from loopdecomp.series import DivisionUndefined, GradedSeries
+from loopdecomp.series import DivisionUndefined, GradedSeries, poly_add, poly_mul
 
 from helpers import convolve, geometric
 
@@ -156,6 +156,52 @@ def _poly_mul(a, b):
         for j, cb in enumerate(b):
             out[i + j] += ca * cb
     return out
+
+
+def _poly_add(a, b):
+    n = max(len(a), len(b))
+    return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
+
+
+def _stripped(coeffs):
+    cs = list(coeffs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+# coefficient sequences as lists or tuples, trailing zeros allowed, with
+# big coefficients and the constants 0, 1 and -1 drawn often
+_coeff = st.sampled_from([0, 1, -1]) | st.integers(-5, 5) | st.integers(-(2**80), 2**80)
+_coeffs = st.lists(_coeff, max_size=6)
+_operand = _coeffs | _coeffs.map(tuple) | st.sampled_from([(), (1,), (-1,), (0,), [1], (2, 0)])
+
+
+def _check_kernel(out, expected):
+    assert type(out) is tuple and out == _stripped(expected)
+
+
+@given(_operand, _operand)
+@example((), (1, 2))
+@example((1,), (3, 0, 0))
+@example((-1,), [2, 0, -4])
+@example([5], (1, 2))
+@example((0,), (1, 2))
+@example((1, 0, 0), (2, 3))
+@example([1], [0, 0])
+def test_poly_mul_matches_naive(a, b):
+    _check_kernel(poly_mul(a, b), _poly_mul(a, b))
+    _check_kernel(poly_mul(b, a), _poly_mul(a, b))
+
+
+@given(_operand, _operand)
+@example((), ())
+@example((1, 2), (-1, -2))
+@example((1, 0), [0, 0, 0])
+@example([3], (1, 2, 0))
+def test_poly_add_matches_naive(a, b):
+    _check_kernel(poly_add(a, b), _poly_add(a, b))
+    _check_kernel(poly_add(b, a), _poly_add(a, b))
 
 
 @given(graded_series())
