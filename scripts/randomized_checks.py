@@ -24,7 +24,7 @@ tests = Path(__file__).resolve().parent.parent / "tests"
 if str(tests) not in sys.path:
     sys.path.insert(0, str(tests))
 
-from helpers import subset_homology_table  # noqa: E402
+from helpers import CP_PAIRS, cp_fiber_pairs, subset_homology_table  # noqa: E402
 from randomgen import (  # noqa: E402
     random_chordal_flag_complex,
     random_flag_skeleton,
@@ -32,23 +32,33 @@ from randomgen import (  # noqa: E402
 )
 
 
+PAIR_KINDS = ("moment-angle", "disks:3", "varied dims", "CP fibres")
+
+
 def sweep_engine(count, rng, cutoff):
     """Decompose and certify random flag skeleta, the pairs rotating through
-    moment-angle, disks:3 and seeded suspension dims that differ by vertex,
-    where the certificate's derived cells differ by vertex too."""
-    checked = oracle_hits = 0
+    moment-angle, disks:3, seeded suspension dims that differ by vertex,
+    where the certificate's derived cells differ by vertex too, and seeded
+    projective-pair fibres, whose fraction cells give the pushouts
+    fraction denominators.  Returns the count per pair kind and the
+    oracle hits."""
+    kinds = dict.fromkeys(PAIR_KINDS, 0)
+    oracle_hits = 0
     for i in range(count):
         K = random_flag_skeleton(rng.randint(2, 7), rng)
-        if i % 3 == 0:
+        kind = PAIR_KINDS[i % 4]
+        if kind == "moment-angle":
             pairs = PairSpec.moment_angle(K.m)
-        elif i % 3 == 1:
+        elif kind == "disks:3":
             pairs = PairSpec.from_suspension_dims([[3]] * K.m)
-        else:
+        elif kind == "varied dims":
             pairs = PairSpec.from_suspension_dims([[rng.randint(2, 4)] for _ in range(K.m)])
+        else:
+            pairs = cp_fiber_pairs([rng.choice(CP_PAIRS) for _ in range(K.m)])
         product, trace = decompose_loop(K, pairs, cutoff)
         assert check_trace(trace, FlagSkeleton.of(K), pairs, cutoff) == []
         assert greedy_factorize(product.series, cutoff).factors == product.factors
-        checked += 1
+        kinds[kind] += 1
         if not pairs.is_moment_angle():
             continue
         try:
@@ -57,7 +67,7 @@ def sweep_engine(count, rng, cutoff):
             continue
         assert product.series.expand(cutoff) == predicted.expand(cutoff)
         oracle_hits += 1
-    return checked, oracle_hits
+    return kinds, oracle_hits
 
 
 def sweep_chordal(count, rng, cutoff):
@@ -94,11 +104,11 @@ def main():
 
     rng = Random(args.seed)
     start = time.monotonic()
-    checked, oracle_hits = sweep_engine(args.complexes, rng, args.cutoff)
+    kinds, oracle_hits = sweep_engine(args.complexes, rng, args.cutoff)
+    per_kind = ", ".join(f"{kind} {n}" for kind, n in kinds.items())
     print(
-        f"engine sweep: {checked} random flag skeleta decomposed under three kinds "
-        f"of pairs, traces exact, "
-        f"{oracle_hits} with independent homology confirmation"
+        f"engine sweep: {sum(kinds.values())} random flag skeleta decomposed ({per_kind}), "
+        f"traces exact, {oracle_hits} with independent homology confirmation"
     )
     chordal = sweep_chordal(args.complexes // 2, rng, args.cutoff)
     print(f"chordal sweep: {chordal} chordal flag complexes match the prediction")

@@ -3,10 +3,11 @@
 For K the k-skeleton of a flag complex and per-vertex spaces A_i whose
 suspensions are sphere wedges, the loop space of (CA,A)^K is a finite-type
 product of spheres and loops on spheres.  Each node of the recursion
-records its loop space's Poincare series P, the one record of u = 1/P:
-a skeleton of a simplex has u = 1 - c/t for the cells c of its sphere
-wedge, and a split at a non-dominating vertex v into the star side K1,
-the link L and the deletion K2 has
+records its loop space's Poincare series P, the one record of u = 1/P,
+built once, in closed form, from its children's numerators and denominators:
+a skeleton of a simplex has u = 1 - c/t for the cells c of its sphere wedge,
+and a split at a non-dominating vertex v into the star side K1, the link L
+and the deletion K2 has
 u = (1 + a') u_K1 + (1 + a) u_K2 - (1 + a)(1 + a') u_L, with a the cells
 of A_v and 1 + a' the product of the 1 + a_i over K2 - L.
 A node with a dominating vertex v is the cone v * L on the rest, when it is
@@ -19,8 +20,8 @@ k-skeleton a (k + 1)-clique of the rest is a face but its join with v is
 not, so v * L is not K.  Only the root is factorised.  The trace records
 choices only: each node's rule, a pushout's vertex, the series and the
 children, in memory as in the document.  A vertex set is a mask, and
-`pushout_split` and `_pushout_cells` derive the rest, for the recursion and
-for `check_trace`, run by `verify`: it walks the trace from the root with
+`pushout_split` and `_one_plus_a_prime` derive the rest, for the recursion
+and for `check_trace`, run by `verify`: it walks the trace from the root with
 the input's graph and pairs, gives each child the piece its parent's rule
 derives, checks each rule's precondition on it, rebuilds each P-form by the
 proof's splittings, which check membership in P, and at the root compares
@@ -145,14 +146,21 @@ def _skeleton_cells(m: int, k: int, pairs: PairSpec) -> GradedSeries:
         raise ValueError("pair data must cover all m vertices")
     if k + 2 > m:
         return GradedSeries.zero()  # the full simplex: no j to sum over
-    elementary = [GradedSeries.one()] + [GradedSeries.zero()] * m
-    for r in pairs.cells:
-        for j in range(m, 0, -1):
-            elementary[j] = elementary[j] + r * elementary[j - 1]
-    cells = GradedSeries.zero()
-    for j in range(k + 2, m + 1):
-        cells = cells + comb(j - 1, k + 1) * elementary[j]
-    return GradedSeries.monomial(k + 1) * cells
+    # e_j as (num, den) pairs: after i vertices only e_0..e_i are nonzero
+    elementary = [((1,), (1,))] + [((), (1,))] * m
+    for i, r in enumerate(pairs.cells):
+        for j in range(i + 1, 0, -1):
+            (num, den), (pn, pd) = elementary[j], elementary[j - 1]
+            elementary[j] = _add(num, den, poly_mul(r.num, pn), poly_mul(r.den, pd))
+    num, den = (), (1,)
+    for j, (en, ed) in enumerate(elementary[k + 2 :], k + 2):
+        num, den = _add(num, den, poly_mul((comb(j - 1, k + 1),), en), ed)
+    return GradedSeries((0,) * (k + 1) + num, den)
+
+
+def _add(num, den, other_num, other_den):
+    """The fraction num/den + other_num/other_den, cross-multiplied."""
+    return poly_add(poly_mul(num, other_den), poly_mul(other_num, den)), poly_mul(den, other_den)
 
 
 def decompose_loop(
@@ -177,7 +185,8 @@ def decompose_loop(
 def _decompose(K: FlagSkeleton, pairs: PairSpec, memo, cones) -> TraceNode:
     """The trace node for K, memoised by problem.  Its series P = 1/u does
     not depend on any cutoff, and is the only record of u: a child's u is
-    1/P.  The cone rule applies when `cones` is set, which needs a flag
+    d/n for its P = n/d, and P is built once, from the children's num and
+    den.  The cone rule applies when `cones` is set, which needs a flag
     root."""
     key = (K.adj, K.k, pairs.key())
     if key in memo:
@@ -187,8 +196,8 @@ def _decompose(K: FlagSkeleton, pairs: PairSpec, memo, cones) -> TraceNode:
         node = TraceNode("contractible", GradedSeries.one())
     elif (k := K.simplex_skeleton_dim()) is not None:
         cells = _skeleton_cells(K.m, k, pairs)
-        u = 1 - GradedSeries(cells.num[1:], cells.den)  # 1 - cells/t
-        node = TraceNode("simplex_skeleton", 1 / u)
+        u_num = poly_add(cells.den, poly_neg(cells.num[1:]))  # u = 1 - cells/t, times den
+        node = TraceNode("simplex_skeleton", GradedSeries(cells.den, u_num))
     elif cones and (rest := _non_dominating(K)).bit_count() < K.m:
         child = _decompose(K.induced(rest), pairs.restrict(rest), memo, cones)
         node = TraceNode("cone", child.series, None, [child])
@@ -200,24 +209,35 @@ def _decompose(K: FlagSkeleton, pairs: PairSpec, memo, cones) -> TraceNode:
             _decompose(graph, pairs.restrict(mask), memo, cones)
             for graph, mask in pushout_split(K, v)
         ]
-        u1, u2, ul = (1 / child.series for child in children)
-        a, a_prime = _pushout_cells(K, v, pairs)
-        u = (1 + a_prime) * u1 + (1 + a) * u2 - (1 + a) * (1 + a_prime) * ul
-        node = TraceNode("pushout", 1 / u, v, children)
+        # u_i = d_i/n_i for a child's P_i = n_i/d_i, 1 + a = e/a.den, 1 + a' = N/D:
+        # P = 1/(s - z) for s = (1 + a') u1 + (1 + a) u2, z = (1 + a)(1 + a') ul
+        (n1, d1), (n2, d2), (nl, dl) = ((c.series.num, c.series.den) for c in children)
+        a = pairs.vertex(v)
+        e, (N, D) = poly_add(a.num, a.den), _one_plus_a_prime(K, v, pairs)
+        s = _add(poly_mul(N, d1), poly_mul(D, n1), poly_mul(e, d2), poly_mul(a.den, n2))
+        z_num, z_den = poly_mul(poly_mul(e, N), dl), poly_mul(poly_mul(a.den, D), nl)
+        u_num, u_den = _add(*s, poly_neg(z_num), z_den)
+        node = TraceNode("pushout", GradedSeries(u_den, u_num), v, children)
 
     memo[key] = node
     return node
 
 
 def _pushout_cells(K: FlagSkeleton, v: int, pairs: PairSpec) -> tuple[GradedSeries, GradedSeries]:
-    """a, A_v's cells, and a' = prod (n_w + d_w) / prod d_w - 1 over K2 - L,
-    the vertices outside v's closed neighbourhood, a_w = n_w/d_w."""
+    """a, A_v's cells, and a' = (N - D)/D for 1 + a' = N/D."""
+    num, den = _one_plus_a_prime(K, v, pairs)
+    return pairs.vertex(v), GradedSeries(poly_add(num, poly_neg(den)), den)
+
+
+def _one_plus_a_prime(K: FlagSkeleton, v: int, pairs: PairSpec):
+    """1 + a' = N/D = prod (n_w + d_w) / prod d_w over K2 - L, the
+    vertices outside v's closed neighbourhood, a_w = n_w/d_w."""
     num = den = (1,)
     for c in pairs.restrict(~(K.adj[v - 1] | 1 << (v - 1))).cells:
         num = poly_mul(num, poly_add(c.num, c.den))
         if c.den != (1,):
             den = poly_mul(den, c.den)
-    return pairs.vertex(v), GradedSeries(poly_add(num, poly_neg(den)), den)
+    return num, den
 
 
 def _non_dominating(K: FlagSkeleton) -> int:

@@ -12,6 +12,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from random import Random
 
 from hypothesis import strategies as st
@@ -326,17 +327,14 @@ def _rule_inputs(node, graph, cells):
         v = node["vertex"]
         pieces = pushout_split(graph, v)
         k1, k2, link = (mask_vertices(mask) for _, mask in pieces)
-        a_prime = GradedSeries.one()
-        for w in k2:
-            if w not in link:
-                a_prime = a_prime * (cells[w - 1] + 1)
+        a_prime = product_cells(cells[w - 1] for w in k2 if w not in link)
         return pieces, {
             "k1_vertices": k1,
             "l_vertices": link,
             "k2_vertices": k2,
             "l_empty": not link,
             "a_cells": _series_doc(cells[v - 1]),
-            "a_prime_cells": _series_doc(a_prime - 1),
+            "a_prime_cells": _series_doc(a_prime),
         }
     return [], {}
 
@@ -469,6 +467,55 @@ def cp_pair_fiber_cells(n, m):
 def cp_fiber_pairs(pairs_spec):
     """PairSpec for a list of (n, m) projective pairs, m = None for basepoint."""
     return PairSpec(tuple(cp_pair_fiber_cells(n, m) for n, m in pairs_spec))
+
+
+# the (n, m) of the pairs (CP^n, CP^m) the tests draw: n = None is CP^infinity
+# and m = None the basepoint; most give fraction cells
+CP_PAIRS = [(n, m) for n in (None, 1, 2, 3) for m in (None, *range(n or 3))]
+
+
+# --------------------------------------------------------------------------
+# the recursion's series by GradedSeries operators: the reference for the
+# closed forms that engine._decompose and engine._skeleton_cells build
+
+
+def operator_pushout_series(p1, p2, pl, a, a_prime):
+    """A pushout node's P from its children's P_K1, P_K2, P_L by the
+    pushout identity u = (1 + a') u_K1 + (1 + a) u_K2 - (1 + a)(1 + a') u_L
+    on u = 1/P."""
+    u1, u2, ul = (1 / p for p in (p1, p2, pl))
+    u = (1 + a_prime) * u1 + (1 + a) * u2 - (1 + a) * (1 + a_prime) * ul
+    return 1 / u
+
+
+def operator_skeleton_series(cells):
+    """A simplex_skeleton node's P = 1/u for u = 1 - cells/t."""
+    u = 1 - GradedSeries(cells.num[1:], cells.den)
+    return 1 / u
+
+
+def operator_skeleton_cells(m, k, pairs):
+    """The cells of the k-skeleton of the (m-1)-simplex's sphere wedge:
+    the elementary symmetric DP over every j at every vertex."""
+    if k + 2 > m:
+        return GradedSeries.zero()
+    elementary = [GradedSeries.one()] + [GradedSeries.zero()] * m
+    for r in pairs.cells:
+        for j in range(m, 0, -1):
+            elementary[j] = elementary[j] + r * elementary[j - 1]
+    cells = GradedSeries.zero()
+    for j in range(k + 2, m + 1):
+        cells = cells + comb(j - 1, k + 1) * elementary[j]
+    return GradedSeries.monomial(k + 1) * cells
+
+
+def product_cells(cells):
+    """The reduced series prod (1 + c) - 1 of the product of the spaces
+    with these cells."""
+    product = GradedSeries.one()
+    for c in cells:
+        product = product * (c + 1)
+    return product - 1
 
 
 # --------------------------------------------------------------------------

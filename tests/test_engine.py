@@ -24,6 +24,7 @@ from loopdecomp.oracle import hochster_table, verify_against_oracle
 from loopdecomp.series import DEFAULT_DEGREE, GradedSeries
 
 from helpers import (
+    CP_PAIRS,
     clique_faces,
     cp_fiber_pairs,
     cp_pair_fiber_cells,
@@ -38,6 +39,10 @@ from helpers import (
     multiplicity,
     neighbors_and_domination,
     node_problems,
+    operator_pushout_series,
+    operator_skeleton_cells,
+    operator_skeleton_series,
+    product_cells,
     sphere,
 )
 from randomgen import random_flag_skeleton, relabel
@@ -131,19 +136,19 @@ class TestSkeletonWedge:
             assert is_point(w)
 
     def test_full_simplex_skips_the_sweep(self, monkeypatch):
-        # no j in k + 2..m to sum over, so no elementary symmetric series
-        adds = []
-        add = GradedSeries.__add__
+        # no j in k + 2..m to sum over, so no elementary symmetric product
+        products = []
+        poly_mul = engine.poly_mul
 
-        def counted(self, other):
-            adds.append(self)
-            return add(self, other)
+        def counted(a, b):
+            products.append((a, b))
+            return poly_mul(a, b)
 
-        monkeypatch.setattr(GradedSeries, "__add__", counted)
+        monkeypatch.setattr(engine, "poly_mul", counted)
         w = skeleton_simplex_wedge(64, 63, PairSpec.moment_angle(64))
-        assert is_point(w) and adds == []
+        assert is_point(w) and products == []
         skeleton_simplex_wedge(64, 62, PairSpec.moment_angle(64))
-        assert adds
+        assert products
 
     def test_triangle_boundary_is_s5(self):
         w = skeleton_simplex_wedge(3, 1, PairSpec.moment_angle(3))
@@ -165,6 +170,56 @@ class TestSkeletonWedge:
                     if c
                 }
                 assert ranks == hochster_table(K), (m, k)
+
+
+# Sigma A_i of the custom pairs: [2, 3] is S^2 v S^3
+CUSTOM_WEDGES = ([2, 3], [2], [3], [2, 2])
+
+
+def drawn_pairs(kind, m, rng):
+    """Moment-angle, disks:3, custom wedges or projective-pair fibres,
+    the last mostly fraction cells, for m vertices."""
+    if kind == 0:
+        return PairSpec.moment_angle(m)
+    if kind == 1:
+        return PairSpec.from_suspension_dims([[3]] * m)
+    if kind == 2:
+        return PairSpec.from_suspension_dims([rng.choice(CUSTOM_WEDGES) for _ in range(m)])
+    return cp_fiber_pairs([rng.choice(CP_PAIRS) for _ in range(m)])
+
+
+class TestClosedForms:
+    """The recursion builds each node's series in closed form on its
+    children's num and den.  Series are never reduced, and the trace and
+    the golden digests hold every num and den, so each must be the very
+    fraction the GradedSeries operators give."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(graph_and_k(max_m=7), st.integers(0, 3), st.randoms(use_true_random=False))
+    @example((5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)], 1), 3, Random(0))
+    @example((4, [(1, 2), (1, 3), (2, 3), (3, 4)], 1), 3, Random(1))
+    def test_nodes_match_the_operator_chain(self, graph, kind, rng):
+        m, edges, k = graph
+        K = validate_complex(clique_faces(m, edges, k), m)
+        pairs = drawn_pairs(kind, m, rng)
+        _, trace = decompose_loop(K, pairs)
+        problems = node_problems(trace, FlagSkeleton.of(K), pairs)
+        for node, (piece, piece_pairs) in zip(engine.unique_nodes(trace), problems):
+            if node.rule == "pushout":
+                _, k2, link = (mask for _, mask in pushout_split(piece, node.vertex))
+                outside = (piece_pairs.vertex(w) for w in mask_vertices(k2 & ~link))
+                p1, p2, pl = (child.series for child in node.children)
+                a = piece_pairs.vertex(node.vertex)
+                expect = operator_pushout_series(p1, p2, pl, a, product_cells(outside))
+            elif node.rule == "simplex_skeleton":
+                dim = piece.simplex_skeleton_dim()
+                expect = operator_skeleton_series(operator_skeleton_cells(piece.m, dim, piece_pairs))
+            else:
+                continue
+            assert (node.series.num, node.series.den) == (expect.num, expect.den), node.rule
+        for j in range(m):
+            cells, expect = engine._skeleton_cells(m, j, pairs), operator_skeleton_cells(m, j, pairs)
+            assert (cells.num, cells.den) == (expect.num, expect.den), j
 
 
 class TestDecompose:

@@ -27,6 +27,7 @@ from loopdecomp.homotopy import (
 from loopdecomp.series import GradedSeries
 
 from helpers import (
+    CP_PAIRS,
     POINT,
     check_canonical,
     convolution_bottom_counts,
@@ -67,9 +68,6 @@ def random_deep_product(rng, cutoff):
         factor = sphere(d) if d in (1, 3, 7) else loop_sphere(d + 1)
         factors.append((factor, rng.randint(1, 3)))
     return product_of(factors, cutoff)
-
-
-CP_PAIRS = [(n, m) for n in (None, 1, 2, 3) for m in (None, *range(n or 3))]
 
 
 @st.composite
