@@ -26,12 +26,13 @@ from .complexes import (
     FlagSkeleton,
     GhostVertex,
     SimplicialComplex,
+    TooLarge,
     classify_input,
     validate_complex,
 )
 from .engine import NotFlagSkeleton, PairSpec, decompose_loop, trace_to_doc
 from .homotopy import NoSolution, NotADivisor, NotCanonicalP
-from .oracle import TooLarge, verify_against_oracle
+from .oracle import verify_against_oracle
 from .series import DEFAULT_DEGREE
 
 EXIT_OK = 0

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import itertools
 import reprlib
-from dataclasses import dataclass
 from typing import NamedTuple
+
+from .series import Frozen
 
 
 class BadIndex(ValueError):
@@ -37,18 +38,34 @@ class DominatingVertex(ValueError):
     """Splitting at a vertex adjacent to every other vertex."""
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class TooLarge(ValueError):
+    """An input past a desk-scale gate: its vertex count (cli.VERTEX_BOUND),
+    the maximal cliques of its 1-skeleton (CLIQUE_BOUND), the Hochster
+    table's vertex count, the cell degree of a pair, or the cutoff."""
+
+
+# the 2n-vertex cross-polytope boundary has 2^n maximal cliques, G(48, 0.85) 20,426
+CLIQUE_BOUND = 1 << 16
+
+
+class SimplicialComplex(Frozen):
     """A complex on {1..m} by its facets (maximal faces): ascending vertex
     tuples in ascending order, as validate_complex builds them, so two
     complexes are equal, and hash alike, exactly when their faces are."""
 
-    m: int
-    facets: tuple[tuple[int, ...], ...]
+    __slots__ = ("m", "facets", "_graph", "_classification")
 
-    def __post_init__(self):
+    def __init__(self, m: int, facets: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "facets", facets)
         object.__setattr__(self, "_graph", None)
         object.__setattr__(self, "_classification", None)
+
+    def __eq__(self, other):
+        return type(other) is SimplicialComplex and (self.m, self.facets) == (other.m, other.facets)
+
+    def __hash__(self):
+        return hash((self.m, self.facets))
 
     def faces(self) -> set[int]:
         """The nonempty faces as vertex masks (bit v - 1 for vertex v): the
@@ -208,13 +225,15 @@ class FlagSkeleton(NamedTuple):
         return tuple(sorted(set(_skeleton_facets(self.maximal_cliques(), self.k + 1))))
 
     def maximal_cliques(self) -> list[int]:
-        """The maximal cliques as vertex masks, by Bron-Kerbosch with pivoting."""
+        """The maximal cliques as masks, by Bron-Kerbosch with pivoting; at most CLIQUE_BOUND."""
         adj, found = self.adj, []
 
         def expand(clique, candidates, excluded):
             if not candidates:
                 if not excluded and clique:
                     found.append(clique)
+                    if len(found) > CLIQUE_BOUND:
+                        raise TooLarge(f"more than {CLIQUE_BOUND} maximal cliques")
                 return
             pivot = max(
                 _indices(candidates | excluded),
@@ -253,8 +272,7 @@ def _is_skeleton(cliques, size: int, facets) -> bool:
     return len(found) == len(wanted)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     flag: bool
     k_skeleton_of_flag: int | None
     skeleton_of_simplex: tuple[int, int] | None

@@ -30,7 +30,6 @@ the rebuilt factors with the listed ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb
 
 from .complexes import FlagSkeleton, SimplicialComplex, classify_input, pushout_split
@@ -46,7 +45,7 @@ from .homotopy import (
     porter_loop_wedge,
     pproduct_mul,
 )
-from .series import DEFAULT_DEGREE, GradedSeries, poly_add, poly_mul, poly_neg
+from .series import DEFAULT_DEGREE, Frozen, GradedSeries, poly_add, poly_mul, poly_neg
 
 
 class NotFlagSkeleton(ValueError):
@@ -56,8 +55,7 @@ class NotFlagSkeleton(ValueError):
 _T = GradedSeries.monomial(1)
 
 
-@dataclass(frozen=True)
-class PairSpec:
+class PairSpec(Frozen):
     """Per-vertex suspension data for the pairs (CA_i, A_i).
 
     Each vertex carries the reduced-homology series of A_i, equivalently
@@ -67,11 +65,12 @@ class PairSpec:
     product-shaped fibers come from their exact Poincare series.
     """
 
-    cells: tuple[GradedSeries, ...]
+    __slots__ = ("cells",)
 
-    def __post_init__(self):
+    def __init__(self, cells: tuple[GradedSeries, ...]):
+        object.__setattr__(self, "cells", cells)
         # each distinct cell once: most specs repeat one cell at every vertex
-        for s in {(s.num, s.den): s for s in self.cells}.values():
+        for s in {(s.num, s.den): s for s in cells}.values():
             if s.is_zero():
                 raise ValueError("a vertex's cell series must not be zero")
             CellSeries(s)
@@ -116,16 +115,16 @@ class PairSpec:
         return tuple((s.num, s.den) for s in self.cells)
 
 
-@dataclass
 class TraceNode:
     """One derivation step by its choices: the rule, the series, a
     pushout's vertex and the children, the pieces the rule derives.  Its
     graph and pairs follow from the root's by the rules above it."""
 
-    rule: str
-    series: GradedSeries
-    vertex: int | None = None
-    children: list["TraceNode"] = field(default_factory=list)
+    __slots__ = ("rule", "series", "vertex", "children")
+
+    def __init__(self, rule: str, series: GradedSeries, vertex: int | None = None, children=None):
+        self.rule, self.series, self.vertex = rule, series, vertex
+        self.children = [] if children is None else children
 
 
 def skeleton_simplex_wedge(m: int, k: int, pairs: PairSpec) -> SphereWedge:

@@ -18,10 +18,9 @@ lossless record of their aggregate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul, sub
 
-from .series import DEFAULT_DEGREE, GradedSeries, poly_add, poly_mul, poly_neg
+from .series import DEFAULT_DEGREE, Frozen, GradedSeries, poly_add, poly_mul, poly_neg
 
 
 class NotSimplyConnectedOutput(ValueError):
@@ -43,8 +42,7 @@ class NotADivisor(ValueError):
 _HOPF_DIMS = (1, 3, 7)
 
 
-@dataclass(frozen=True)
-class CellSeries:
+class CellSeries(Frozen):
     """Reduced-homology rank series of a path connected space.
 
     The degree-0 coefficient is 0 and coefficients are non-negative: all
@@ -52,32 +50,32 @@ class CellSeries:
     fraction.  The zero series is the point.
     """
 
-    reduced: GradedSeries
+    __slots__ = ("reduced",)
 
-    def __post_init__(self):
-        if self.reduced.is_zero():
+    def __init__(self, reduced: GradedSeries):
+        object.__setattr__(self, "reduced", reduced)
+        if reduced.is_zero():
             return
-        coeffs = self.reduced.checkable_coeffs(DEFAULT_DEGREE)
+        coeffs = reduced.checkable_coeffs(DEFAULT_DEGREE)
         if coeffs[0] != 0:
             raise ValueError("reduced series must have zero constant term")
         if min(coeffs) < 0:
             raise ValueError("reduced series must be non-negative")
 
 
-@dataclass(frozen=True)
-class SphereWedge:
+class SphereWedge(Frozen):
     """Wedge of simply connected spheres; coefficient n counts copies of S^n."""
 
-    cells: CellSeries
+    __slots__ = ("cells",)
 
-    def __post_init__(self):
-        order = self.cells.reduced.order()
+    def __init__(self, cells: CellSeries):
+        object.__setattr__(self, "cells", cells)
+        order = cells.reduced.order()
         if order is not None and order < 2:
             raise NotSimplyConnectedOutput(f"wedge has cells in degree {order}")
 
 
-@dataclass(frozen=True)
-class PProduct:
+class PProduct(Frozen):
     """Product of spheres and loop spaces, up to a bottom-degree cutoff.
 
     `series` is the exact unreduced Poincare series of the whole product.
@@ -87,27 +85,33 @@ class PProduct:
     operations pass their factors concatenated.
     """
 
-    series: GradedSeries
-    factors: tuple[tuple[int, int], ...]
-    cutoff: int
+    __slots__ = ("series", "factors", "cutoff")
 
-    def __post_init__(self):
-        if self.cutoff < 1:
+    def __init__(self, series: GradedSeries, factors: tuple[tuple[int, int], ...], cutoff: int):
+        if cutoff < 1:
             raise ValueError("cutoff must be >= 1")
         counts: dict[int, int] = {}
-        for d, mult in self.factors:
+        for d, mult in factors:
             if mult < 0:
                 raise ValueError("factor multiplicity must be >= 0")
             if mult:
                 counts[d] = counts.get(d, 0) + mult
+        object.__setattr__(self, "series", series)
         object.__setattr__(self, "factors", tuple(sorted(counts.items())))
-        coeffs = self.series.expand(self.cutoff)
+        object.__setattr__(self, "cutoff", cutoff)
+        coeffs = series.expand(cutoff)
         if coeffs[0] != 1:
             raise ValueError("Poincare series of a product starts with 1")
         if min(coeffs) < 0:
             raise ValueError("Poincare series must be non-negative")
-        if counts and (min(counts) < 1 or max(counts) > self.cutoff):
+        if counts and (min(counts) < 1 or max(counts) > cutoff):
             raise ValueError("listed factor outside bottom degrees 1..cutoff")
+
+    def __eq__(self, other):
+        if type(other) is not PProduct:
+            return NotImplemented
+        same = self.factors == other.factors and self.cutoff == other.cutoff
+        return same and self.series == other.series  # unhashable, as its series is
 
     def is_trivial(self) -> bool:
         return self.series.is_one()

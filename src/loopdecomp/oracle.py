@@ -29,18 +29,11 @@ decomposes, so an oversized input exits before any exponential work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 
-from .complexes import FlagSkeleton, SimplicialComplex, classify_input
+from .complexes import FlagSkeleton, SimplicialComplex, TooLarge, classify_input
 from .engine import NotFlagSkeleton, PairSpec, check_trace, decompose_loop, unique_nodes
 from .series import DEFAULT_DEGREE, GradedSeries
-
-
-class TooLarge(ValueError):
-    """An input past a desk-scale gate: the vertex count of any input
-    (cli.VERTEX_BOUND), the Hochster table's vertex count, the cell degree
-    of a pair, or the cutoff."""
 
 
 class NotApplicable(ValueError):
@@ -229,17 +222,19 @@ def _is_four_cycle(K: SimplicialComplex) -> bool:
 _FOUR_CYCLE_LOOP_SERIES = GradedSeries((1,), (1, 0, -2, 0, 1))
 
 
-@dataclass
 class CheckResult:
-    name: str
-    status: str  # PASS | FAIL | NOTE
-    detail: str = ""
-    data: dict = field(default_factory=dict)
+    __slots__ = ("name", "status", "detail", "data")
+
+    def __init__(self, name: str, status: str, detail: str = "", data: dict | None = None):
+        self.name, self.status, self.detail = name, status, detail  # status: PASS | FAIL | NOTE
+        self.data = {} if data is None else data
 
 
-@dataclass
 class VerificationReport:
-    checks: list[CheckResult]
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: list[CheckResult]):
+        self.checks = checks
 
     @property
     def passed(self) -> bool:

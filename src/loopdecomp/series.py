@@ -12,7 +12,6 @@ zero series' denominator 1, and the sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, mul
 
 DEFAULT_DEGREE = 20
@@ -20,6 +19,22 @@ DEFAULT_DEGREE = 20
 
 class DivisionUndefined(ZeroDivisionError):
     """Division by the zero series."""
+
+
+class Frozen:
+    """Base of the read-only value types: each slot is set once, through
+    object.__setattr__; copy and pickle restore them through __setstate__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __setstate__(self, state):
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
 
 def _strip(coeffs) -> tuple[int, ...]:
@@ -76,16 +91,14 @@ def convolve_trunc(a, b, degree: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class GradedSeries:
+class GradedSeries(Frozen):
     """Fraction of integer polynomials with unit denominator constant term."""
 
-    num: tuple[int, ...]
-    den: tuple[int, ...] = (1,)
+    __slots__ = ("num", "den", "_coeffs")
 
-    def __post_init__(self):
-        num = _strip(self.num)
-        den = _strip(self.den)
+    def __init__(self, num: tuple[int, ...], den: tuple[int, ...] = (1,)):
+        num = _strip(num)
+        den = _strip(den)
         if not den or den[0] not in (1, -1):
             raise ValueError("denominator constant term must be +1 or -1")
         if not num:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from loopdecomp.cli import (
     main,
     resolve_pairs,
 )
+from loopdecomp.complexes import CLIQUE_BOUND
 from loopdecomp.engine import PairSpec
 from loopdecomp.series import GradedSeries
 
@@ -199,6 +201,20 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error[TooLarge]: m = {m} exceeds the bound {VERTEX_BOUND}\n"
+
+    def test_clique_bound(self, tmp_path, capsys):
+        # the 1-skeleton of the 40-vertex cross-polytope boundary (vertex
+        # 2i - 1 opposite 2i), as its 760 edges with k = 1, has 2^20 maximal
+        # cliques, 16 times the bound
+        edges = [[i, j] for i in range(1, 41) for j in range(i + 1, 41) if (i - 1) ^ 1 != j - 1]
+        path = write_complex(tmp_path, "cross.json", 40, edges)
+        for command in ("check", "decompose"):
+            start = time.perf_counter()
+            assert main([command, "--input", path]) == EXIT_INADMISSIBLE
+            assert time.perf_counter() - start < 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error[TooLarge]: more than {CLIQUE_BOUND} maximal cliques\n"
 
     def test_simplex_at_the_vertex_bound_decomposes(self, tmp_path, capsys):
         m = VERTEX_BOUND

@@ -2,7 +2,6 @@ import copy
 import itertools
 import json
 import re
-from dataclasses import replace
 from random import Random
 
 import pytest
@@ -14,6 +13,7 @@ from loopdecomp.complexes import FlagSkeleton, SimplicialComplex, pushout_split,
 from loopdecomp.engine import (
     NotFlagSkeleton,
     PairSpec,
+    TraceNode,
     check_trace,
     decompose_loop,
     skeleton_simplex_wedge,
@@ -292,7 +292,8 @@ class TestDecompose:
                 root = forced_split(K, pairs, v)
                 assert check_trace(root, FlagSkeleton.of(K), pairs, 12) == [], v
                 # a wrong claim at the forced root fails there, and only there
-                wrong = replace(root, series=root.series * (1 + GradedSeries.monomial(j)))
+                new_series = root.series * (1 + GradedSeries.monomial(j))
+                wrong = TraceNode(root.rule, new_series, root.vertex, root.children)
                 where = f"node {len(engine.unique_nodes(root)) - 1} (pushout, m={m})"
                 assert check_trace(wrong, FlagSkeleton.of(K), pairs, 12) == [
                     f"{where}: ValueError: the rebuilt series is not the recorded one"
