@@ -9,7 +9,10 @@ malformed command line too), 2 inadmissible complex, 3 internal-check
 failure; each error is one line on stderr.  An output is exactly the bytes
 of json.dumps(doc, indent=2) and a newline; `_write` produces them without
 the standard library's pure-Python indenting encoder, which took about a
-third of a call's time on small inputs.
+third of a call's time on small inputs.  An --output file is written over
+in place and then cut to length: truncating an existing file to zero made
+ext4 allocate its blocks and start writeback on close, which cost more
+than building the text.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import stat
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -174,11 +179,20 @@ def _emit(doc: dict, output_path: str | None) -> None:
     _write(doc, "", out)
     out.append("\n")
     text = "".join(out)
-    if output_path:
-        with open(output_path, "w") as handle:
-            handle.write(text)
-    else:
+    if not output_path:
         sys.stdout.write(text)
+        return
+    data = text.encode()  # ASCII: _quote escapes every other character
+    fd = os.open(output_path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view) :]
+        # a pipe, a terminal or /dev/null has no length to cut
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def cmd_check(args: argparse.Namespace) -> int:

@@ -119,7 +119,7 @@ def validate_complex(raw_facets, m: int) -> SimplicialComplex:
         first = list(itertools.islice((v for v in range(1, m + 1) if v not in seen), 5))
         more = f" and {reprlib.repr(missing - len(first))} more" if missing > len(first) else ""
         raise GhostVertex(f"vertices {first}{more} lie in no facet")
-    faces = [tuple(_indices(mask)) for mask in dict.fromkeys(map(_mask, facets))]
+    faces = [tuple([*_indices(mask)]) for mask in dict.fromkeys(map(_mask, facets))]
     containing = [0] * m
     for i, face in enumerate(faces):
         for v in face:
@@ -130,7 +130,7 @@ def validate_complex(raw_facets, m: int) -> SimplicialComplex:
         for v in face:
             above &= containing[v]
         if above == 1 << i:
-            maximal.append(tuple(v + 1 for v in face))
+            maximal.append(tuple([v + 1 for v in face]))
     return SimplicialComplex(m, tuple(sorted(maximal)))
 
 
@@ -226,33 +226,35 @@ class FlagSkeleton(NamedTuple):
 
     def maximal_cliques(self) -> list[int]:
         """The maximal cliques as masks, by Bron-Kerbosch with pivoting; at most CLIQUE_BOUND."""
-        adj, found = self.adj, []
-
-        def expand(clique, candidates, excluded):
-            if not candidates:
-                if not excluded and clique:
-                    found.append(clique)
-                    if len(found) > CLIQUE_BOUND:
-                        raise TooLarge(f"more than {CLIQUE_BOUND} maximal cliques")
-                return
-            pivot = max(
-                _indices(candidates | excluded),
-                key=lambda u: (candidates & adj[u]).bit_count(),
-            )
-            for u in _indices(candidates & ~adj[pivot]):
-                expand(clique | 1 << u, candidates & adj[u], excluded & adj[u])
-                candidates &= ~(1 << u)
-                excluded |= 1 << u
-
-        expand(0, (1 << self.m) - 1, 0)
+        found: list[int] = []
+        _expand_cliques(self.adj, 0, (1 << self.m) - 1, 0, found)
         return found
+
+
+def _expand_cliques(adj, clique: int, candidates: int, excluded: int, found: list[int]) -> None:
+    """Bron-Kerbosch below clique; a module function, not a closure, so a
+    call leaves no reference cycle."""
+    if not candidates:
+        if not excluded and clique:
+            found.append(clique)
+            if len(found) > CLIQUE_BOUND:
+                raise TooLarge(f"more than {CLIQUE_BOUND} maximal cliques")
+        return
+    pivot = max(
+        _indices(candidates | excluded),
+        key=lambda u: (candidates & adj[u]).bit_count(),
+    )
+    for u in _indices(candidates & ~adj[pivot]):
+        _expand_cliques(adj, clique | 1 << u, candidates & adj[u], excluded & adj[u], found)
+        candidates &= ~(1 << u)
+        excluded |= 1 << u
 
 
 def _skeleton_facets(cliques, size: int):
     """The facets of the (size - 1)-skeleton of a clique complex, from its
     maximal cliques as masks: ascending tuples, one may come more than once."""
     for clique in cliques:
-        members = tuple(i + 1 for i in _indices(clique))
+        members = tuple([i + 1 for i in _indices(clique)])
         if len(members) > size:
             yield from itertools.combinations(members, size)
         else:
@@ -340,4 +342,4 @@ def pushout_split(K: FlagSkeleton, v: int) -> tuple[tuple[FlagSkeleton, int], ..
     bit, link = 1 << (v - 1), K.adj[v - 1]
     if link.bit_count() == K.m - 1:
         raise DominatingVertex(f"vertex {v} is dominating")
-    return tuple((K.induced(mask), mask) for mask in (link | bit, ((1 << K.m) - 1) ^ bit, link))
+    return tuple([(K.induced(mask), mask) for mask in (link | bit, ((1 << K.m) - 1) ^ bit, link)])

@@ -107,12 +107,12 @@ class PairSpec(Frozen):
         """The pairs on the vertex mask, relabelled 1..n in ascending order:
         this spec's cells, unchecked."""
         spec = object.__new__(PairSpec)
-        cells = tuple(c for i, c in enumerate(self.cells) if mask >> i & 1)
+        cells = tuple([c for i, c in enumerate(self.cells) if mask >> i & 1])
         object.__setattr__(spec, "cells", cells)
         return spec
 
     def key(self):
-        return tuple((s.num, s.den) for s in self.cells)
+        return tuple([(s.num, s.den) for s in self.cells])
 
 
 class TraceNode:
@@ -308,17 +308,19 @@ def unique_nodes(root: TraceNode) -> list[TraceNode]:
     """Each distinct node of the trace once, children first (in k1, k2, l
     order), so the root is last; a node's position is its id."""
     order: list[TraceNode] = []
-    seen: set[int] = set()
-
-    def visit(node: TraceNode) -> None:
-        if id(node) not in seen:
-            seen.add(id(node))
-            for child in node.children:
-                visit(child)
-            order.append(node)
-
-    visit(root)
+    _visit(root, set(), order)
     return order
+
+
+def _visit(node: TraceNode, seen: set[int], order: list[TraceNode]) -> None:
+    """unique_nodes' walk.  It and the other walks are module functions, not
+    closures: a closure that calls itself is a reference cycle, which keeps
+    all it reaches alive until the cyclic collector runs."""
+    if id(node) not in seen:
+        seen.add(id(node))
+        for child in node.children:
+            _visit(child, seen, order)
+        order.append(node)
 
 
 def check_trace(node: TraceNode, graph: FlagSkeleton, pairs: PairSpec, cutoff: int) -> list[str]:
@@ -331,39 +333,54 @@ def check_trace(node: TraceNode, graph: FlagSkeleton, pairs: PairSpec, cutoff: i
     `greedy_factorize(node.series, cutoff)`, the listed ones.  The nodes
     above a failing one are not checked.  Returns one message per failing
     node, naming its id."""
+    failures: list[tuple[TraceNode, int, str]] = []
+    _certify(node, graph, pairs, node, cutoff, {}, failures)
+    if not failures:
+        return []
     ids = {id(current): i for i, current in enumerate(unique_nodes(node))}
-    failures: list[str] = []
-    walked: dict = {}  # id -> (piece key, P-form or None); None while below it is walked
+    return [
+        f"node {ids[id(current)]} ({current.rule}, m={m}): {message}"
+        for current, m, message in failures
+    ]
 
-    def walk(current: TraceNode, graph: FlagSkeleton, pairs: PairSpec) -> None:
-        walked[id(current)], product = None, None
-        try:
-            if pairs.m != graph.m:  # only the root's pairs are not restricted
-                raise ValueError(f"the pairs cover {pairs.m} vertices, the graph {graph.m}")
-            products, pieces = [], _derive(current, graph)
-            for j, (child, (piece, mask)) in enumerate(zip(current.children, pieces)):
-                sub = pairs.restrict(mask)
-                if id(child) not in walked:
-                    walk(child, piece, sub)
-                if walked[id(child)] is None:
-                    raise ValueError(f"child {j} is the node itself or one above it")
-                if walked[id(child)][0] != (piece, sub.key()):
-                    raise ValueError(f"child {j} is also the node of another piece")
-                products.append(walked[id(child)][1])
-            if None not in products:
-                product = _rebuild(current, graph, pairs, products, cutoff)
-                if current is node:
-                    listed = greedy_factorize(node.series, cutoff).factors
-                    if product.factors != listed:
-                        raise ValueError("the rebuilt factors are not the listed ones")
-        except (ArithmeticError, LookupError, ValueError) as exc:
-            where = f"node {ids[id(current)]} ({current.rule}, m={graph.m})"
-            failures.append(f"{where}: {type(exc).__name__}: {exc}")
-            product = None
-        walked[id(current)] = ((graph, pairs.key()), product)
 
-    walk(node, graph, pairs)
-    return failures
+def _certify(
+    current: TraceNode,
+    graph: FlagSkeleton,
+    pairs: PairSpec,
+    root: TraceNode,
+    cutoff: int,
+    walked: dict,
+    failures: list[tuple[TraceNode, int, str]],
+) -> None:
+    """check_trace's walk below `current`: walked maps a node's id to
+    (piece key, P-form or None), None while below it is walked; a failing
+    node appends (node, m, message) to failures.  A module function, like
+    _visit, so a call leaves no cycle."""
+    walked[id(current)], product = None, None
+    try:
+        if pairs.m != graph.m:  # only the root's pairs are not restricted
+            raise ValueError(f"the pairs cover {pairs.m} vertices, the graph {graph.m}")
+        products, pieces = [], _derive(current, graph)
+        for j, (child, (piece, mask)) in enumerate(zip(current.children, pieces)):
+            sub = pairs.restrict(mask)
+            if id(child) not in walked:
+                _certify(child, piece, sub, root, cutoff, walked, failures)
+            if walked[id(child)] is None:
+                raise ValueError(f"child {j} is the node itself or one above it")
+            if walked[id(child)][0] != (piece, sub.key()):
+                raise ValueError(f"child {j} is also the node of another piece")
+            products.append(walked[id(child)][1])
+        if None not in products:
+            product = _rebuild(current, graph, pairs, products, cutoff)
+            if current is root:
+                listed = greedy_factorize(root.series, cutoff).factors
+                if product.factors != listed:
+                    raise ValueError("the rebuilt factors are not the listed ones")
+    except (ArithmeticError, LookupError, ValueError) as exc:
+        failures.append((current, graph.m, f"{type(exc).__name__}: {exc}"))
+        product = None
+    walked[id(current)] = ((graph, pairs.key()), product)
 
 
 def trace_to_doc(node: TraceNode, graph: FlagSkeleton) -> dict:

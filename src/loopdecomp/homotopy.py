@@ -308,7 +308,7 @@ def porter_loop_wedge(summands) -> PProduct:
     for num in nums:
         prefix.append(poly_mul(prefix[-1], num))
     whole = prefix.pop()
-    S = tuple((1 - len(nums)) * c for c in whole)
+    S = tuple([(1 - len(nums)) * c for c in whole])
     den = after = (1,)  # after = N_(i+1) ... N_n, as i runs down
     for i in reversed(range(len(nums))):
         d_i = nontrivial[i].series.den
@@ -319,7 +319,7 @@ def porter_loop_wedge(summands) -> PProduct:
     gap = poly_add(den, poly_neg(S))
     residual_cells = GradedSeries(poly_mul((0, 1), gap), den)
     residual = hilton_milnor(SphereWedge(CellSeries(residual_cells)), cutoff)
-    factors = residual.factors + tuple(f for p in nontrivial for f in p.factors)
+    factors = residual.factors + tuple([f for p in nontrivial for f in p.factors])
     return PProduct(GradedSeries(whole, S), factors, cutoff)
 
 
@@ -338,7 +338,7 @@ def greedy_factorize(s: GradedSeries, cutoff: int = DEFAULT_DEGREE) -> PProduct:
     for d, c in enumerate(counts):
         if c < 0:
             raise NotCanonicalP(f"negative coefficient {c} in degree {d}")
-    return PProduct(s, tuple((d, c) for d, c in enumerate(counts) if c), cutoff)
+    return PProduct(s, tuple([(d, c) for d, c in enumerate(counts) if c]), cutoff)
 
 
 def divide_products(big: PProduct, small: PProduct) -> PProduct:

@@ -159,28 +159,35 @@ def hochster_table(K: SimplicialComplex) -> dict[int, int]:
     nothing is relabelled.
     """
     _check_vertex_bound(K.m)
-    groups = _faces_by_top(K)
-    pivots: dict[int, dict[int, int]] = {}
     table = [0] * (K.m + K.dim() + 3)  # degree |S| + 1 + j, j <= dim + 1
-    last = K.m - 1
-
-    def walk(subset: int, components: list[int], ranks: tuple) -> None:
-        for i in range(subset.bit_length(), K.m):
-            grown = subset | 1 << i
-            joined, grown_ranks, lows = _step(pivots, grown, groups[i], components, ranks)
-            r0, r1, higher = grown_ranks
-            shift = grown.bit_count() + 1
-            table[shift] += r0
-            table[shift + 1] += r1
-            for j, r in enumerate(higher, shift + 2):
-                table[j] += r
-            if i < last:
-                walk(grown, joined, grown_ranks)
-            for low in lows:
-                del pivots[low]
-
-    walk(0, [], (0, 0, ()))
+    _hochster_walk(0, [], (0, 0, ()), _faces_by_top(K), {}, table)
     return {degree: r for degree, r in enumerate(table) if r}
+
+
+def _hochster_walk(
+    subset: int,
+    components: list[int],
+    ranks: tuple,
+    groups: list[tuple[list[int], int, int]],
+    pivots: dict[int, dict[int, int]],
+    table: list[int],
+) -> None:
+    """Add the ranks of every subset grown from `subset` by higher vertices
+    to table; a module function, not a closure, so a call leaves no cycle."""
+    last = len(groups) - 1
+    for i in range(subset.bit_length(), last + 1):
+        grown = subset | 1 << i
+        joined, grown_ranks, lows = _step(pivots, grown, groups[i], components, ranks)
+        r0, r1, higher = grown_ranks
+        shift = grown.bit_count() + 1
+        table[shift] += r0
+        table[shift + 1] += r1
+        for j, r in enumerate(higher, shift + 2):
+            table[j] += r
+        if i < last:
+            _hochster_walk(grown, joined, grown_ranks, groups, pivots, table)
+        for low in lows:
+            del pivots[low]
 
 
 def _wedge_obstruction(K: SimplicialComplex) -> str | None:

@@ -8,6 +8,12 @@ by polynomial gcd or by exact division, and equality is decided by
 cross-multiplication, so the representation never matters.  The only
 normalisations applied at construction are trailing-zero stripping, the
 zero series' denominator 1, and the sign.
+
+Every module builds a tuple from a list or a sized sequence, never from a
+generator: tuple() sizes a generator's tuple at 10 and resizes it, and a
+resized tuple, once freed, joins the interpreter's free list of its new
+size, which only a full garbage collection empties.  A process that makes
+many calls then holds up to 2,000 spare tuples of each size up to 20.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ def poly_add(a, b) -> tuple[int, ...]:
 
 
 def poly_neg(a) -> tuple[int, ...]:
-    return tuple(-c for c in a)
+    return tuple([-c for c in a])
 
 
 def poly_mul(a, b) -> tuple[int, ...]:

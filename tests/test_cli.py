@@ -1,4 +1,6 @@
+import ast
 import contextlib
+import gc
 import io
 import json
 import os
@@ -632,16 +634,20 @@ _json_doc = st.recursive(
 )
 
 
-def _emitted(doc) -> tuple[str, bytes]:
-    """What _emit writes to stdout and to an --output file."""
+def _emitted(doc) -> tuple[str, bytes, bytes]:
+    """What _emit writes to stdout, to a new --output file and over an
+    existing, longer one."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         cli._emit(doc, None)
     with tempfile.TemporaryDirectory() as directory:
-        path = os.path.join(directory, "out.json")
-        cli._emit(doc, path)
-        with open(path, "rb") as handle:
-            return out.getvalue(), handle.read()
+        fresh, existing = os.path.join(directory, "new.json"), os.path.join(directory, "old.json")
+        with open(existing, "wb") as handle:
+            handle.write(b"{" * (len(out.getvalue()) + 100))
+        cli._emit(doc, fresh)
+        cli._emit(doc, existing)
+        with open(fresh, "rb") as new, open(existing, "rb") as old:
+            return out.getvalue(), new.read(), old.read()
 
 
 class TestWriter:
@@ -654,9 +660,9 @@ class TestWriter:
     @example({"é\x00": "\x1f😀", 1: "one", None: [None], False: 0})
     def test_bytes_of_json_dumps(self, doc):
         text = json.dumps(doc, indent=2) + "\n"
-        stdout, written = _emitted(doc)
+        stdout, written, overwritten = _emitted(doc)
         assert stdout == text
-        assert written == text.encode()
+        assert written == overwritten == text.encode()
 
     @pytest.mark.parametrize(
         "doc", [{"a": [1, {2, 3}]}, [object()], {"k": {(1, 2): 0}}, {"s": b"bytes"}]
@@ -667,3 +673,89 @@ class TestWriter:
         with pytest.raises(TypeError) as raised:
             cli._emit(doc, None)
         assert str(raised.value) == str(expected.value)
+
+
+class TestOutputFile:
+    """--output writes over the file in place and cuts it to length."""
+
+    def test_short_after_long_leaves_no_tail(self, tmp_path, square_json, capsys):
+        out = str(tmp_path / "out.json")
+        assert main(["decompose", "--trace", "--input", square_json, "--output", out]) == EXIT_OK
+        long_size = os.path.getsize(out)
+        assert main(["check", "--input", square_json]) == EXIT_OK
+        short = capsys.readouterr().out.encode()
+        assert main(["check", "--input", square_json, "--output", out]) == EXIT_OK
+        assert len(short) < long_size and Path(out).read_bytes() == short
+
+    def test_existing_file_keeps_its_mode(self, tmp_path, square_json):
+        out = tmp_path / "out.json"
+        out.write_text("x" * 10_000)
+        out.chmod(0o600)
+        assert main(["check", "--input", square_json, "--output", str(out)]) == EXIT_OK
+        assert out.stat().st_mode & 0o777 == 0o600
+        assert json.loads(out.read_text())["command"] == "check"
+
+    def test_symlink_is_written_through(self, tmp_path, square_json):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("x" * 10_000)
+        link.symlink_to(target)
+        assert main(["check", "--input", square_json, "--output", str(link)]) == EXIT_OK
+        assert link.is_symlink()
+        assert json.loads(target.read_text())["command"] == "check"
+
+    def test_dev_null(self, square_json):
+        assert main(["decompose", "--input", square_json, "--output", os.devnull]) == EXIT_OK
+
+    def test_dev_stdout_into_a_pipe(self, square_json):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        runs = [
+            subprocess.run(
+                [sys.executable, "-m", "loopdecomp.cli", "decompose", "--input", square_json, *extra],
+                capture_output=True, env=env, timeout=60,
+            )
+            for extra in ([], ["--output", "/dev/stdout"])
+        ]
+        assert [done.returncode for done in runs] == [EXIT_OK, EXIT_OK]
+        assert runs[1].stdout == runs[0].stdout and runs[0].stdout.startswith(b"{")
+
+    def test_directory_is_an_input_error(self, tmp_path, square_json, capsys):
+        assert main(["check", "--input", square_json, "--output", str(tmp_path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error[IsADirectoryError]"), err
+
+
+def test_calls_leave_no_cyclic_garbage(c5_json, tmp_path):
+    """Each call's trace, series and P-forms are freed by reference
+    counting: no closure that calls itself keeps them in a cycle."""
+    out = str(tmp_path / "out.json")
+    calls = [
+        ["check", "--input", c5_json, "--output", out],
+        ["decompose", "--trace", "--input", c5_json, "--output", out],
+        ["verify", "--input", c5_json, "--output", out],
+    ]
+    for argv in calls:  # the parser and the imports are built once
+        assert main(argv) == EXIT_OK
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in calls:
+            assert main(argv) == EXIT_OK
+            assert gc.collect() == 0, argv[0]
+    finally:
+        gc.enable()
+
+
+def test_no_tuple_is_built_from_a_generator():
+    """tuple(generator) makes a resized tuple, which stays in the
+    interpreter's free lists once freed (see the series module docstring)."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "loopdecomp").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "tuple"
+        and node.args
+        and isinstance(node.args[0], ast.GeneratorExp)
+    ]
+    assert not found
