@@ -27,9 +27,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .complexes import (
     BadDocument,
-    BadIndex,
     FlagSkeleton,
-    GhostVertex,
     SimplicialComplex,
     TooLarge,
     classify_input,
@@ -59,7 +57,8 @@ VERTEX_BOUND = 256
 # 0.95 s on the 6-cycle under disks:1000, on one core of a 2-vCPU VM
 CUTOFF_BOUND = 1000
 
-_INPUT_ERRORS = (BadDocument, BadIndex, GhostVertex, json.JSONDecodeError, OSError, KeyError)
+# the other input errors, BadDocument and a JSON syntax error among them, are ValueErrors
+_INPUT_ERRORS = (OSError, KeyError)
 _INADMISSIBLE_ERRORS = (NotFlagSkeleton, TooLarge)
 _INTERNAL_ERRORS = (NotCanonicalP, NotADivisor, NoSolution)
 
@@ -237,10 +236,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     K = load_complex(args.input_path)
     pairs, echo = resolve_pairs(args.pairs, K.m)
     report = verify_against_oracle(K, pairs, args.cutoff)
-    doc = {"command": "verify", "input": K.to_doc(), "pairs": echo, "cutoff": args.cutoff}
-    doc.update(report.to_doc())
-    _emit(doc, args.output_path)
-    return EXIT_OK if report.passed else EXIT_INTERNAL
+    header = {"command": "verify", "input": K.to_doc(), "pairs": echo, "cutoff": args.cutoff}
+    _emit({**header, **report}, args.output_path)
+    return EXIT_INTERNAL if report["status"] == "FAIL" else EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):

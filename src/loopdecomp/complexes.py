@@ -219,11 +219,6 @@ class FlagSkeleton(NamedTuple):
             return 0
         return None
 
-    def facets(self) -> tuple[tuple[int, ...], ...]:
-        """Facets in validate_complex's order: the maximal cliques of at most
-        k + 1 vertices and the (k + 1)-subsets of the larger ones."""
-        return tuple(sorted(set(_skeleton_facets(self.maximal_cliques(), self.k + 1))))
-
     def maximal_cliques(self) -> list[int]:
         """The maximal cliques as masks, by Bron-Kerbosch with pivoting; at most CLIQUE_BOUND."""
         found: list[int] = []

@@ -86,14 +86,17 @@ class PairSpec(Frozen):
     @classmethod
     def from_suspension_dims(cls, dims_per_vertex) -> "PairSpec":
         """Vertex i gets Sigma A_i = wedge of S^d for d in its list (all >= 2);
-        the series of each distinct list is built once."""
+        the series of each distinct list is built once, by counting its
+        dims into one coefficient list."""
         cells, built = [], {}
         for dims in map(tuple, dims_per_vertex):
             if dims not in built:
-                if not dims or any(d < 2 for d in dims):
+                if not dims or min(dims) < 2:
                     raise ValueError("each vertex needs a nonempty list of dims >= 2")
-                monomials = (GradedSeries.monomial(d - 1) for d in dims)
-                built[dims] = sum(monomials, GradedSeries.zero())
+                counts = [0] * max(dims)
+                for d in dims:
+                    counts[d - 1] += 1
+                built[dims] = GradedSeries(tuple(counts))
             cells.append(built[dims])
         return cls(tuple(cells))
 

@@ -229,48 +229,25 @@ def _is_four_cycle(K: SimplicialComplex) -> bool:
 _FOUR_CYCLE_LOOP_SERIES = GradedSeries((1,), (1, 0, -2, 0, 1))
 
 
-class CheckResult:
-    __slots__ = ("name", "status", "detail", "data")
-
-    def __init__(self, name: str, status: str, detail: str = "", data: dict | None = None):
-        self.name, self.status, self.detail = name, status, detail  # status: PASS | FAIL | NOTE
-        self.data = {} if data is None else data
+def _check(name: str, status: str, detail: str, **data) -> dict:
+    """One entry of a report's checks; status is PASS, FAIL or NOTE."""
+    return {"name": name, "status": status, "detail": detail, **data}
 
 
-class VerificationReport:
-    __slots__ = ("checks",)
-
-    def __init__(self, checks: list[CheckResult]):
-        self.checks = checks
-
-    @property
-    def passed(self) -> bool:
-        return all(c.status != "FAIL" for c in self.checks)
-
-    def to_doc(self) -> dict:
-        return {
-            "status": "PASS" if self.passed else "FAIL",
-            "checks": [
-                {"name": c.name, "status": c.status, "detail": c.detail, **c.data}
-                for c in self.checks
-            ],
-        }
-
-
-def _first_divergence(a, b) -> int | None:
-    for i, (x, y) in enumerate(zip(a, b)):
-        if x != y:
-            return i
-    return None
+def _report(checks: list[dict]) -> dict:
+    failed = any(c["status"] == "FAIL" for c in checks)
+    return {"status": "FAIL" if failed else "PASS", "checks": checks}
 
 
 def verify_against_oracle(
     K: SimplicialComplex, pairs: PairSpec, cutoff: int = DEFAULT_DEGREE
-) -> VerificationReport:
+) -> dict:
     """Run the engine and re-check it: the trace certificate, which
     derives every node from K and the pairs and also checks the listed
-    factors, and (when applicable) the independent homology prediction."""
-    checks: list[CheckResult] = []
+    factors, and (when applicable) the independent homology prediction.
+    Returns the document `verify` writes below its header:
+    {"status": "PASS" | "FAIL", "checks": [{"name", "status", "detail",
+    ...data}, ...]}, FAIL when some check failed."""
     moment_angle = pairs.is_moment_angle()
     wedge = moment_angle and _wedge_obstruction(K) is None
     if wedge:
@@ -281,23 +258,24 @@ def verify_against_oracle(
     except NotFlagSkeleton:
         raise  # an inadmissible input is refused, as decompose refuses it
     except Exception as exc:  # reported, not raised: failures are entries
-        checks.append(CheckResult("decompose", "FAIL", f"{type(exc).__name__}: {exc}"))
-        return VerificationReport(checks)
+        return _report([_check("decompose", "FAIL", f"{type(exc).__name__}: {exc}")])
     expansion = list(product.series.expand(cutoff))
     doc = product.to_doc()
-    checks.append(
-        CheckResult(
+    checks = [
+        _check(
             "decompose",
             "PASS",
             "engine produced a canonical product",
-            {"factors": doc["factors"], "series": doc["series"], "expansion": expansion},
+            factors=doc["factors"],
+            series=doc["series"],
+            expansion=expansion,
         )
-    )
+    ]
 
     nodes = len(unique_nodes(trace))
     failures = check_trace(trace, FlagSkeleton.of(K), pairs, cutoff)
     checks.append(
-        CheckResult(
+        _check(
             "trace_identities",
             "PASS" if not failures else "FAIL",
             "; ".join(failures) if failures else f"all {nodes} nodes exact",
@@ -305,8 +283,8 @@ def verify_against_oracle(
     )
 
     if not moment_angle:
-        checks.append(CheckResult("oracle_series", "NOTE", "no moment-angle oracle for these pairs"))
-        return VerificationReport(checks)
+        checks.append(_check("oracle_series", "NOTE", "no moment-angle oracle for these pairs"))
+        return _report(checks)
 
     if wedge:
         predicted = predicted_loop_series(K)
@@ -314,17 +292,13 @@ def verify_against_oracle(
     elif _is_four_cycle(K):
         predicted, source = _FOUR_CYCLE_LOOP_SERIES, "known answer for the 4-cycle"
     else:
-        checks.append(CheckResult("oracle_series", "NOTE", "no independent oracle"))
-        return VerificationReport(checks)
+        checks.append(_check("oracle_series", "NOTE", "no independent oracle"))
+        return _report(checks)
     want = list(predicted.expand(cutoff))
-    diverge = _first_divergence(expansion, want)
-    checks.append(
-        CheckResult(
-            "oracle_series",
-            "PASS" if diverge is None else "FAIL",
-            source if diverge is None else f"{source}: first divergent degree {diverge}",
-            {"expected_expansion": want}
-            | ({} if diverge is None else {"first_divergent_degree": diverge}),
-        )
-    )
-    return VerificationReport(checks)
+    data = {"expected_expansion": want}
+    diverge = next((i for i, (x, y) in enumerate(zip(expansion, want)) if x != y), None)
+    if diverge is not None:
+        source += f": first divergent degree {diverge}"
+        data["first_divergent_degree"] = diverge
+    checks.append(_check("oracle_series", "PASS" if diverge is None else "FAIL", source, **data))
+    return _report(checks)

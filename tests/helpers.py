@@ -247,6 +247,17 @@ def restricted_facets(facets, S):
     return maximal_faces({index[v] for v in f} for f in closure(facets) if f <= keep)
 
 
+def graph_facets(graph):
+    """The facets of the complex a FlagSkeleton stands for, in
+    validate_complex's order: its maximal cliques of at most k + 1 vertices
+    and the (k + 1)-subsets of the larger ones."""
+    facets = set()
+    for clique in graph.maximal_cliques():
+        members = mask_vertices(clique)
+        facets.update(itertools.combinations(members, min(len(members), graph.k + 1)))
+    return tuple(sorted(facets))
+
+
 def face_masks(faces):
     """Vertex masks (bit v - 1 for vertex v) of faces given as vertex sets."""
     return {sum(1 << (v - 1) for v in f) for f in faces}
@@ -295,7 +306,7 @@ def expand_trace(table, pairs):
     trees = {}
     for i, node in enumerate(nodes):
         graph = derived[i][0]
-        tree = {"rule": node["rule"], "complex": {"m": graph.m, "facets": graph.facets()}}
+        tree = {"rule": node["rule"], "complex": {"m": graph.m, "facets": graph_facets(graph)}}
         tree["series"] = node["series"]
         if "vertex" in node:
             tree["vertex"] = node["vertex"]

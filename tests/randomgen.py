@@ -13,6 +13,8 @@ from random import Random
 
 from loopdecomp.complexes import FlagSkeleton, SimplicialComplex, validate_complex
 
+from helpers import graph_facets
+
 
 def random_graph_complex(m: int, rng: Random, edge_prob: float = 0.5) -> SimplicialComplex:
     facets = [[v] for v in range(1, m + 1)]
@@ -26,7 +28,7 @@ def random_graph_complex(m: int, rng: Random, edge_prob: float = 0.5) -> Simplic
 def clique_complex(graph: SimplicialComplex) -> SimplicialComplex:
     """The flag complex of graph's 1-skeleton: its maximal cliques as facets."""
     g = FlagSkeleton.of(graph)
-    return validate_complex(g._replace(k=g.m).facets(), g.m)
+    return validate_complex(graph_facets(g._replace(k=g.m)), g.m)
 
 
 def skeleton(K: SimplicialComplex, k: int) -> SimplicialComplex:

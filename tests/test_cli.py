@@ -173,6 +173,37 @@ class TestVerify:
         assert {c["name"]: c["status"] for c in doc["checks"]}["oracle_series"] == "PASS"
         assert doc["checks"][0]["expansion"] == [1] + [0] * 20
 
+    @pytest.mark.parametrize(
+        "m, facets, pairs, oracle_status",
+        [
+            (5, [[1, 2, 3], [2, 3, 4], [4, 5]], "moment-angle", "PASS"),
+            (4, [[1, 2], [2, 3], [3, 4], [1, 4]], "moment-angle", "PASS"),
+            (5, [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]], "moment-angle", "NOTE"),
+            (4, [[1, 2], [2, 3], [3, 4], [1, 4]], "disks:3", "NOTE"),
+            (4, [[1, 2], [2, 3], [3, 4]], "moment-angle", "FAIL"),
+        ],
+        ids=["chordal-pass", "square-anchor", "c5-note", "disks-note", "hochster-fail"],
+    )
+    def test_report_is_the_written_document(
+        self, tmp_path, capsys, monkeypatch, m, facets, pairs, oracle_status
+    ):
+        # the oracle's return is what verify writes below its header, key
+        # for key and in order, and exit 3 means its status is FAIL
+        if oracle_status == "FAIL":
+            table = oracle.hochster_table
+            monkeypatch.setattr(oracle, "hochster_table", lambda K: (r := table(K)) | {3: r[3] + 1})
+        path = write_complex(tmp_path, "k.json", m, facets)
+        code = main(["verify", "--input", path, "--pairs", pairs])
+        doc = json.loads(capsys.readouterr().out)
+        report = oracle.verify_against_oracle(cli.load_complex(path), resolve_pairs(pairs, m)[0])
+        assert list(doc) == ["command", "input", "pairs", "cutoff", "status", "checks"]
+        written = {"status": doc["status"], "checks": doc["checks"]}
+        assert json.dumps(written) == json.dumps(report)
+        assert report["checks"][-1]["name"] == "oracle_series"
+        assert report["checks"][-1]["status"] == oracle_status
+        assert report["status"] == ("FAIL" if oracle_status == "FAIL" else "PASS")
+        assert code == (EXIT_INTERNAL if oracle_status == "FAIL" else EXIT_OK)
+
 
 class TestExitCodes:
     def test_parse_error(self, tmp_path, capsys):
@@ -338,7 +369,7 @@ class TestExitCodes:
         def refuse(*args):
             raise AssertionError("a series was built past the pair dimension gate")
 
-        monkeypatch.setattr(GradedSeries, "monomial", refuse)
+        monkeypatch.setattr(GradedSeries, "__init__", refuse)
         monkeypatch.chdir(tmp_path)
         if doc:
             (tmp_path / "pairs.json").write_text(json.dumps(doc))
@@ -552,7 +583,7 @@ class TestPairsResolution:
         def refuse(*args):
             raise AssertionError("a series was built before the disk dimension was checked")
 
-        monkeypatch.setattr(GradedSeries, "monomial", refuse)
+        monkeypatch.setattr(GradedSeries, "__init__", refuse)
         path = write_complex(tmp_path, "empty.json", 0, [])
         assert main(["decompose", "--input", path, "--pairs", spec]) == code
         assert capsys.readouterr().err.startswith(f"error[{error}]")
@@ -578,6 +609,19 @@ class TestPairsResolution:
         assert docs[0] == docs[1] == docs[2]
         if command == "decompose":
             assert {"factors", "series", "expansion", "trace"} <= set(docs[0])
+
+    def test_many_spheres_on_one_vertex(self, tmp_path, capsys):
+        # no gate bounds the number of spheres: their dims are counted in
+        # one pass, not added up one series per sphere
+        dims = [2 + i % (PAIR_DIM_BOUND - 1) for i in range(100_000)]
+        (tmp_path / "pairs.json").write_text(json.dumps({"suspensions": [dims, [2]]}))
+        path = write_complex(tmp_path, "two.json", 2, [[1], [2]])
+        argv = ["decompose", "--input", path, "--pairs", f"custom:{tmp_path / 'pairs.json'}"]
+        assert main(argv) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        # the two points' wedge t * a_1 * a_2 has one S^3 per S^2 of Sigma A_1,
+        # and each S^3 gives Omega a class in degree 2
+        assert doc["expansion"][:3] == [1, 0, dims.count(2)]
 
     def test_custom_output_does_not_depend_on_the_working_directory(
         self, tmp_path, monkeypatch

@@ -263,17 +263,17 @@ class TestVerify:
     def test_path3_passes(self):
         K = validate_complex([[1, 2], [2, 3]], 3)
         report = verify_against_oracle(K, PairSpec.moment_angle(3))
-        assert report.passed
-        names = {c.name: c.status for c in report.checks}
+        assert report["status"] == "PASS"
+        names = {c["name"]: c["status"] for c in report["checks"]}
         assert names["oracle_series"] == "PASS"
         assert names["trace_identities"] == "PASS"
 
     def test_square_uses_known_answer(self):
         report = verify_against_oracle(square(), PairSpec.moment_angle(4))
-        assert report.passed
-        oracle = next(c for c in report.checks if c.name == "oracle_series")
-        assert oracle.status == "PASS"
-        assert "known answer" in oracle.detail
+        assert report["status"] == "PASS"
+        oracle = next(c for c in report["checks"] if c["name"] == "oracle_series")
+        assert oracle["status"] == "PASS"
+        assert "known answer" in oracle["detail"]
 
     @pytest.mark.parametrize(
         "K",
@@ -292,11 +292,11 @@ class TestVerify:
         for j in table:
             monkeypatch.setattr(oracle, "hochster_table", lambda K, j=j: {**table, j: table[j] + 1})
             report = verify_against_oracle(K, PairSpec.moment_angle(K.m))
-            check = report.checks[-1]
-            assert not report.passed
-            assert (check.name, check.status) == ("oracle_series", "FAIL")
-            assert check.data["first_divergent_degree"] == j - 1
-            assert check.detail == f"Hochster prediction: first divergent degree {j - 1}"
+            check = report["checks"][-1]
+            assert report["status"] == "FAIL"
+            assert (check["name"], check["status"]) == ("oracle_series", "FAIL")
+            assert check["first_divergent_degree"] == j - 1
+            assert check["detail"] == f"Hochster prediction: first divergent degree {j - 1}"
 
     @pytest.mark.parametrize("degree", [1, 2, 3, 4])
     def test_wrong_four_cycle_answer_fails_at_its_degree(self, monkeypatch, degree):
@@ -304,26 +304,26 @@ class TestVerify:
         den[degree] -= 1
         monkeypatch.setattr(oracle, "_FOUR_CYCLE_LOOP_SERIES", gs([1], den))
         report = verify_against_oracle(square(), PairSpec.moment_angle(4))
-        check = report.checks[-1]
-        assert not report.passed
-        assert (check.name, check.status) == ("oracle_series", "FAIL")
-        assert check.data["first_divergent_degree"] == degree
-        assert check.detail == f"known answer for the 4-cycle: first divergent degree {degree}"
+        check = report["checks"][-1]
+        assert report["status"] == "FAIL"
+        assert (check["name"], check["status"]) == ("oracle_series", "FAIL")
+        assert check["first_divergent_degree"] == degree
+        assert check["detail"] == f"known answer for the 4-cycle: first divergent degree {degree}"
 
     def test_c5_has_no_external_oracle(self):
         K = validate_complex([[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]], 5)
         report = verify_against_oracle(K, PairSpec.moment_angle(5))
-        assert report.passed
-        oracle = next(c for c in report.checks if c.name == "oracle_series")
-        assert oracle.status == "NOTE"
-        assert "no independent oracle" in oracle.detail
+        assert report["status"] == "PASS"
+        oracle = next(c for c in report["checks"] if c["name"] == "oracle_series")
+        assert oracle["status"] == "NOTE"
+        assert "no independent oracle" in oracle["detail"]
 
     def test_non_moment_angle_pairs_note(self):
         K = validate_complex([[1, 2], [2, 3]], 3)
         report = verify_against_oracle(K, PairSpec.from_suspension_dims([[3]] * 3))
-        assert report.passed
-        oracle = next(c for c in report.checks if c.name == "oracle_series")
-        assert oracle.status == "NOTE"
+        assert report["status"] == "PASS"
+        oracle = next(c for c in report["checks"] if c["name"] == "oracle_series")
+        assert oracle["status"] == "NOTE"
 
     def test_trace_root_must_be_the_problem(self, monkeypatch):
         # a valid trace of another complex, or of other pairs, is checked
@@ -338,8 +338,8 @@ class TestVerify:
             assert check_trace(trace, FlagSkeleton.of(K), pairs, 20) == []
             failures = check_trace(trace, FlagSkeleton.of(square()), PairSpec.moment_angle(4), 20)
             assert failures and all(re.match(r"node \d+ \(\w+, m=\d+\): ", f) for f in failures)
-            check = next(c for c in report.checks if c.name == "trace_identities")
-            assert (check.status, check.detail) == ("FAIL", "; ".join(failures))
+            check = next(c for c in report["checks"] if c["name"] == "trace_identities")
+            assert (check["status"], check["detail"]) == ("FAIL", "; ".join(failures))
 
     def test_inadmissible_input_is_refused(self):
         # refused as decompose_loop refuses it, not reported as a failed check
@@ -353,9 +353,16 @@ class TestVerify:
 
         monkeypatch.setattr(oracle, "decompose_loop", fail)
         report = verify_against_oracle(square(), PairSpec.moment_angle(4))
-        assert not report.passed
-        assert (report.checks[0].name, report.checks[0].status) == ("decompose", "FAIL")
-        assert report.checks[0].detail == "NotCanonicalP: no canonical factorisation"
+        assert report == {
+            "status": "FAIL",
+            "checks": [
+                {
+                    "name": "decompose",
+                    "status": "FAIL",
+                    "detail": "NotCanonicalP: no canonical factorisation",
+                }
+            ],
+        }
 
     def test_classifies_once(self, monkeypatch):
         # the oracle's gate and decompose_loop share K's classification
@@ -368,11 +375,11 @@ class TestVerify:
         chordal = complexes.is_chordal
         monkeypatch.setattr(complexes, "is_chordal", counted)
         K = random_chordal_flag_complex(8, Random(5))
-        assert verify_against_oracle(K, PairSpec.moment_angle(K.m)).passed
+        assert verify_against_oracle(K, PairSpec.moment_angle(K.m))["status"] == "PASS"
         assert calls["is_chordal"] == 1
 
     def test_report_document_shape(self):
         K = validate_complex([[1, 2], [2, 3]], 3)
-        doc = verify_against_oracle(K, PairSpec.moment_angle(3)).to_doc()
+        doc = verify_against_oracle(K, PairSpec.moment_angle(3))
         assert doc["status"] == "PASS"
         assert all("name" in c and "status" in c for c in doc["checks"])

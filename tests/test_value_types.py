@@ -3,8 +3,10 @@
 Seven value types are read-only: a field can be neither assigned nor
 deleted, since memo keys are built from them.  They survive copy, deepcopy
 and pickle, and SimplicialComplex, Classification and PProduct keep the
-equality (and the first two the hash) that the code relies on.  Importing
-the CLI loads neither dataclasses nor inspect.
+equality (and the first two the hash) that the code relies on.  A
+GradedSeries defaults to denominator 1, and a TraceNode to no vertex and a
+children list of its own.  Importing the CLI loads neither dataclasses nor
+inspect.
 """
 
 import copy
@@ -20,7 +22,6 @@ from loopdecomp.cli import resolve_pairs
 from loopdecomp.complexes import Classification, SimplicialComplex, classify_input, validate_complex
 from loopdecomp.engine import PairSpec, TraceNode, decompose_loop
 from loopdecomp.homotopy import CellSeries, PProduct, SphereWedge
-from loopdecomp.oracle import CheckResult
 from loopdecomp.series import GradedSeries
 
 from helpers import CP_PAIRS, cp_fiber_pairs
@@ -139,9 +140,6 @@ def test_constructor_defaults():
     first, second = TraceNode("contractible", one), TraceNode("contractible", one)
     assert first.vertex is None and first.children == [] and first.children is not second.children
     assert TraceNode("cone", one, None, [first]).children == [first]
-    check = CheckResult("decompose", "PASS")
-    assert check.detail == "" and check.data == {}
-    assert check.data is not CheckResult("decompose", "PASS").data
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
