@@ -1,8 +1,9 @@
 """Decompose a catalog of small complexes and print the factor tables.
 
-Where the homology prediction applies, each expansion is compared with it
-through the cutoff; a mismatch names the first differing degree and the
-script exits 1.
+Each complex goes through `verify_against_oracle`: where it has an
+independent oracle, the expansion is compared with it through the cutoff.
+A failed check is printed on the complex's row, a mismatch naming the
+first divergent degree, and the script exits 1.
 
 Usage: python scripts/decompose_catalog.py [--cutoff N]
 """
@@ -10,14 +11,8 @@ Usage: python scripts/decompose_catalog.py [--cutoff N]
 import argparse
 import sys
 
-from loopdecomp import (
-    PairSpec,
-    classify_input,
-    decompose_loop,
-    predicted_loop_series,
-    validate_complex,
-)
-from loopdecomp.oracle import NotApplicable
+from loopdecomp import PairSpec, classify_input, validate_complex
+from loopdecomp.oracle import verify_against_oracle
 
 CATALOG = [
     ("point", 1, [[1]]),
@@ -44,21 +39,26 @@ def label(entry):
     return f"({name})^{entry['mult']}" if entry["mult"] > 1 else name
 
 
-def describe(product):
+def describe(factors):
     """The first six factors' labels, joined by x."""
-    shown = [label(entry) for entry in product.to_doc()["factors"][:6]]
-    if len(product.factors) > 6:
-        shown.append("...")
-    if not shown:
-        shown = ["trivial"]
-    return " x ".join(shown)
+    shown = [label(entry) for entry in factors[:6]] + ["..."] * (len(factors) > 6)
+    return " x ".join(shown) or "trivial"
+
+
+def note(check):
+    """What a report's check adds to its row: a failure, or the oracle it matches."""
+    if check["status"] == "FAIL":
+        return f"  ({check['name']} fails: {check['detail']})"
+    if check["name"] == "oracle_series" and check["status"] == "PASS":
+        return f"  (matches {check['detail']})"
+    return ""
 
 
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--cutoff", type=int, default=12)
     args = parser.parse_args()
-    mismatches = 0
+    failures = 0
 
     print(f"{'complex':34}{'admissible':12}{'loop space factors (bottom <= ' + str(args.cutoff) + ')'}")
     print("-" * 100)
@@ -68,29 +68,27 @@ def main():
         if cls.k_skeleton_of_flag is None:
             print(f"{name:34}{'no':12}-")
             continue
-        product, _ = decompose_loop(K, PairSpec.moment_angle(m), args.cutoff)
-        print(f"{name:34}{'yes':12}{describe(product)}")
-        num, den = product.series.to_pair()
-        note = ""
-        try:
-            predicted = predicted_loop_series(K).expand(args.cutoff)
-        except NotApplicable:
-            pass
-        else:
-            got = product.series.expand(args.cutoff)
-            degree = next((d for d, (a, b) in enumerate(zip(got, predicted)) if a != b), None)
-            if degree is None:
-                note = "  (matches homology prediction)"
-            else:
-                note = f"  (differs from homology prediction at degree {degree})"
-                mismatches += 1
-        print(f"{'':34}{'':12}series {num} / {den}{note}")
+        report = verify_against_oracle(K, PairSpec.moment_angle(m), args.cutoff)
+        failures += report["status"] == "FAIL"
+        decomposed = report["checks"][0]
+        notes = "".join(map(note, report["checks"]))
+        if decomposed["status"] == "FAIL":
+            print(f"{name:34}{'yes':12}{notes.strip()}")
+            continue
+        print(f"{name:34}{'yes':12}{describe(decomposed['factors'])}")
+        series = decomposed["series"]
+        print(f"{'':46}series {series['num']} / {series['den']}{notes}")
     print()
     print("disk pairs (D^3, S^2) on the pentagon:")
     K = validate_complex([[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]], 5)
-    product, _ = decompose_loop(K, PairSpec.from_suspension_dims([[3]] * 5), args.cutoff)
-    print("  ", describe(product))
-    return 1 if mismatches else 0
+    report = verify_against_oracle(K, PairSpec.from_suspension_dims([[3]] * 5), args.cutoff)
+    failures += report["status"] == "FAIL"
+    decomposed = report["checks"][0]
+    notes = "".join(map(note, report["checks"]))
+    if decomposed["status"] != "FAIL":
+        notes = describe(decomposed["factors"]) + notes
+    print("  ", notes.strip())
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -9,15 +9,8 @@ import time
 from pathlib import Path
 from random import Random
 
-from loopdecomp import (
-    FlagSkeleton,
-    PairSpec,
-    check_trace,
-    classify_input,
-    decompose_loop,
-    greedy_factorize,
-)
-from loopdecomp.oracle import NotApplicable, hochster_table, predicted_loop_series
+from loopdecomp import PairSpec, classify_input
+from loopdecomp.oracle import hochster_table, verify_against_oracle
 
 # the seeded generators live with the tests that share them
 tests = Path(__file__).resolve().parent.parent / "tests"
@@ -36,9 +29,9 @@ PAIR_KINDS = ("moment-angle", "disks:3", "varied dims", "CP fibres")
 
 
 def sweep_engine(count, rng, cutoff):
-    """Decompose and certify random flag skeleta, the pairs rotating through
-    moment-angle, disks:3, seeded suspension dims that differ by vertex,
-    where the certificate's derived cells differ by vertex too, and seeded
+    """Verify random flag skeleta, the pairs rotating through moment-angle,
+    disks:3, seeded suspension dims that differ by vertex, where the
+    certificate's derived cells differ by vertex too, and seeded
     projective-pair fibres, whose fraction cells give the pushouts
     fraction denominators.  Returns the count per pair kind and the
     oracle hits."""
@@ -55,27 +48,21 @@ def sweep_engine(count, rng, cutoff):
             pairs = PairSpec.from_suspension_dims([[rng.randint(2, 4)] for _ in range(K.m)])
         else:
             pairs = cp_fiber_pairs([rng.choice(CP_PAIRS) for _ in range(K.m)])
-        product, trace = decompose_loop(K, pairs, cutoff)
-        assert check_trace(trace, FlagSkeleton.of(K), pairs, cutoff) == []
-        assert greedy_factorize(product.series, cutoff).factors == product.factors
+        report = verify_against_oracle(K, pairs, cutoff)
+        assert report["status"] == "PASS", report
         kinds[kind] += 1
-        if not pairs.is_moment_angle():
-            continue
-        try:
-            predicted = predicted_loop_series(K)
-        except NotApplicable:
-            continue
-        assert product.series.expand(cutoff) == predicted.expand(cutoff)
-        oracle_hits += 1
+        oracle_hits += report["checks"][-1]["status"] == "PASS"
     return kinds, oracle_hits
 
 
 def sweep_chordal(count, rng, cutoff):
+    """Verify random chordal flag complexes, where the Hochster prediction
+    always applies."""
     for _ in range(count):
         K = random_chordal_flag_complex(rng.randint(2, 7), rng)
-        product, _ = decompose_loop(K, PairSpec.moment_angle(K.m), cutoff)
-        predicted = predicted_loop_series(K)
-        assert product.series.expand(cutoff) == predicted.expand(cutoff)
+        report = verify_against_oracle(K, PairSpec.moment_angle(K.m), cutoff)
+        assert report["status"] == "PASS", report
+        assert report["checks"][-1]["detail"] == "Hochster prediction"
     return count
 
 

@@ -228,7 +228,7 @@ def lyndon_counts(f: GradedSeries, degree: int) -> dict[int, int]:
     """
     if f.coefficient(0) != 0:
         raise ValueError("letter generating function needs zero constant term")
-    counts = _bottom_counts(1 / (1 - f), degree)
+    counts = _bottom_counts(GradedSeries(f.den, poly_add(f.den, poly_neg(f.num))), degree)
     for d in _HOPF_DIMS:
         if 2 * d <= degree:
             counts[2 * d] -= counts[d]

@@ -23,8 +23,9 @@ that a step with no new face of dimension >= 2 hands on as it is.  The
 Hochster table takes this step along one depth-first walk over the
 vertex subsets, cutting the pivots back after each subtree; K's own
 ranks take it along {1}, {1,2}, ..., [m].
-`verify_against_oracle` applies the table's vertex bound before it
-decomposes, so an oversized input exits before any exponential work.
+`verify_against_oracle` picks its oracle before it decomposes, so the
+oracle's gates, the table's vertex bound among them, refuse an input
+before any exponential work.
 """
 
 from __future__ import annotations
@@ -137,11 +138,6 @@ def simplicial_homology_ranks(K: SimplicialComplex) -> dict[int, int]:
     return {d: r for d, r in enumerate((*ranks[:2], *ranks[2])) if r}
 
 
-def _check_vertex_bound(m: int) -> None:
-    if m > HOCHSTER_VERTEX_BOUND:
-        raise TooLarge(f"m = {m} exceeds the bound {HOCHSTER_VERTEX_BOUND}")
-
-
 def hochster_table(K: SimplicialComplex) -> dict[int, int]:
     """Reduced-cohomology ranks of Z_K by degree, in degree order: reduced
     subcomplex homology summed over all nonempty vertex subsets.
@@ -158,7 +154,8 @@ def hochster_table(K: SimplicialComplex) -> dict[int, int]:
     enter the table when `higher` is empty.  Homology ignores labels, so
     nothing is relabelled.
     """
-    _check_vertex_bound(K.m)
+    if K.m > HOCHSTER_VERTEX_BOUND:
+        raise TooLarge(f"m = {K.m} exceeds the bound {HOCHSTER_VERTEX_BOUND}")
     table = [0] * (K.m + K.dim() + 3)  # degree |S| + 1 + j, j <= dim + 1
     _hochster_walk(0, [], (0, 0, ()), _faces_by_top(K), {}, table)
     return {degree: r for degree, r in enumerate(table) if r}
@@ -190,27 +187,19 @@ def _hochster_walk(
             del pivots[low]
 
 
-def _wedge_obstruction(K: SimplicialComplex) -> str | None:
-    """Why Z_K is not known to be a wedge of spheres, or None when it is:
-    K flag, or a graph, with chordal 1-skeleton.  The empty complex gives
-    a point, the empty wedge."""
-    cls = classify_input(K)
-    if not (cls.flag or K.dim() <= 1):
-        return "K is neither flag nor 1-dimensional"
-    if not cls.chordal_1_skeleton:
-        return "1-skeleton is not chordal, Z_K is not a wedge"
-    return None
-
-
 def predicted_loop_series(K: SimplicialComplex) -> GradedSeries:
     """Loop series of Z_K when Z_K is a wedge: 1/(1 - sum r_j t^(j-1)).
 
     Applicable when K is flag, or a graph, with chordal 1-skeleton; these
     are exactly the cases where the wedge decomposition of Z_K is known.
+    The empty complex gives a point, the empty wedge.  Elsewhere it raises
+    NotApplicable, and past the table's vertex bound TooLarge.
     """
-    obstruction = _wedge_obstruction(K)
-    if obstruction is not None:
-        raise NotApplicable(obstruction)
+    cls = classify_input(K)
+    if not (cls.flag or K.dim() <= 1):
+        raise NotApplicable("K is neither flag nor 1-dimensional")
+    if not cls.chordal_1_skeleton:
+        raise NotApplicable("1-skeleton is not chordal, Z_K is not a wedge")
     ranks = hochster_table(K)
     den = [1] + [0] * (max((j - 1 for j in ranks), default=0))
     for j, r in ranks.items():
@@ -248,15 +237,22 @@ def verify_against_oracle(
     Returns the document `verify` writes below its header:
     {"status": "PASS" | "FAIL", "checks": [{"name", "status", "detail",
     ...data}, ...]}, FAIL when some check failed."""
-    moment_angle = pairs.is_moment_angle()
-    wedge = moment_angle and _wedge_obstruction(K) is None
-    if wedge:
-        # the Hochster table is 2^m work: refuse before decomposing
-        _check_vertex_bound(K.m)
+    # the oracle comes first: its gates refuse an input before the engine runs
+    predicted = None
+    if not pairs.is_moment_angle():
+        source = "no moment-angle oracle for these pairs"
+    else:
+        try:
+            predicted, source = predicted_loop_series(K), "Hochster prediction"
+        except NotApplicable:
+            if _is_four_cycle(K):
+                predicted, source = _FOUR_CYCLE_LOOP_SERIES, "known answer for the 4-cycle"
+            else:
+                source = "no independent oracle"
     try:
         product, trace = decompose_loop(K, pairs, cutoff)
-    except NotFlagSkeleton:
-        raise  # an inadmissible input is refused, as decompose refuses it
+    except (NotFlagSkeleton, TooLarge):
+        raise  # refused as decompose refuses it: inadmissible or over a bound
     except Exception as exc:  # reported, not raised: failures are entries
         return _report([_check("decompose", "FAIL", f"{type(exc).__name__}: {exc}")])
     expansion = list(product.series.expand(cutoff))
@@ -282,17 +278,8 @@ def verify_against_oracle(
         )
     )
 
-    if not moment_angle:
-        checks.append(_check("oracle_series", "NOTE", "no moment-angle oracle for these pairs"))
-        return _report(checks)
-
-    if wedge:
-        predicted = predicted_loop_series(K)
-        source = "Hochster prediction"
-    elif _is_four_cycle(K):
-        predicted, source = _FOUR_CYCLE_LOOP_SERIES, "known answer for the 4-cycle"
-    else:
-        checks.append(_check("oracle_series", "NOTE", "no independent oracle"))
+    if predicted is None:
+        checks.append(_check("oracle_series", "NOTE", source))
         return _report(checks)
     want = list(predicted.expand(cutoff))
     data = {"expected_expansion": want}

@@ -241,9 +241,14 @@ class TestExitCodes:
         # cliques, 16 times the bound
         edges = [[i, j] for i in range(1, 41) for j in range(i + 1, 41) if (i - 1) ^ 1 != j - 1]
         path = write_complex(tmp_path, "cross.json", 40, edges)
-        for command in ("check", "decompose"):
+        for args in (
+            ["check"],
+            ["decompose"],
+            ["verify", "--pairs", "moment-angle"],
+            ["verify", "--pairs", "disks:3"],
+        ):
             start = time.perf_counter()
-            assert main([command, "--input", path]) == EXIT_INADMISSIBLE
+            assert main([*args, "--input", path]) == EXIT_INADMISSIBLE
             assert time.perf_counter() - start < 2
             captured = capsys.readouterr()
             assert captured.out == ""

@@ -29,7 +29,7 @@ from random import Random
 import networkx as nx
 import pytest
 
-from loopdecomp import classify_input, validate_complex
+from loopdecomp import classify_input, oracle, validate_complex
 from loopdecomp.cli import main, resolve_pairs
 from loopdecomp.series import GradedSeries
 
@@ -41,9 +41,9 @@ PAIRS = ("moment-angle", "disks:3", "custom:pairs.json")
 CUTOFFS = (20, 60)
 
 
-def _catalog_script():
-    path = ROOT / "scripts" / "decompose_catalog.py"
-    spec = importlib.util.spec_from_file_location("decompose_catalog", path)
+def _script(name):
+    path = ROOT / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -52,7 +52,7 @@ def _catalog_script():
 def _catalog():
     return [
         (name, m, facets)
-        for name, m, facets in _catalog_script().CATALOG
+        for name, m, facets in _script("decompose_catalog").CATALOG
         if classify_input(validate_complex(facets, m)).k_skeleton_of_flag is not None
     ]
 
@@ -208,16 +208,26 @@ def test_script_runs(script, args):
 
 def test_catalog_script_fails_on_a_wrong_prediction(monkeypatch, capsys):
     # the point's series is 1: a prediction of 1 + t^5 differs first at degree 5
-    script = _catalog_script()
-    predicted = script.predicted_loop_series
+    script = _script("decompose_catalog")
+    predicted = oracle.predicted_loop_series
     monkeypatch.setattr(
-        script, "predicted_loop_series", lambda K: predicted(K) * (GradedSeries.monomial(5) + 1)
+        oracle, "predicted_loop_series", lambda K: predicted(K) * (GradedSeries.monomial(5) + 1)
     )
     monkeypatch.setattr(sys, "argv", ["decompose_catalog.py"])
     assert script.main() == 1
     out = capsys.readouterr().out
-    assert "differs from homology prediction at degree 5" in out
-    assert "matches homology prediction" not in out
+    assert "oracle_series fails: Hochster prediction: first divergent degree 5" in out
+    assert "matches Hochster prediction" not in out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_random_sweep_fails_on_a_wrong_table(monkeypatch, seed):
+    # one more class in degree 3 changes every prediction's t^2 coefficient
+    script = _script("randomized_checks")
+    table = oracle.hochster_table
+    monkeypatch.setattr(oracle, "hochster_table", lambda K: (r := table(K)) | {3: r.get(3, 0) + 1})
+    with pytest.raises(AssertionError, match="first divergent degree 2"):
+        script.sweep_chordal(3, Random(seed), 20)
 
 
 if __name__ == "__main__":
