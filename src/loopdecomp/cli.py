@@ -34,7 +34,7 @@ from .complexes import (
     validate_complex,
 )
 from .engine import NotFlagSkeleton, PairSpec, decompose_loop, trace_to_doc
-from .homotopy import NoSolution, NotADivisor, NotCanonicalP
+from .homotopy import NoSolution, NotCanonicalP
 from .oracle import verify_against_oracle
 from .series import DEFAULT_DEGREE
 
@@ -60,7 +60,7 @@ CUTOFF_BOUND = 1000
 # the other input errors, BadDocument and a JSON syntax error among them, are ValueErrors
 _INPUT_ERRORS = (OSError, KeyError)
 _INADMISSIBLE_ERRORS = (NotFlagSkeleton, TooLarge)
-_INTERNAL_ERRORS = (NotCanonicalP, NotADivisor, NoSolution)
+_INTERNAL_ERRORS = (NotCanonicalP, NoSolution)
 
 
 def _read_json(path: str):

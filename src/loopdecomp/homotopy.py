@@ -3,14 +3,14 @@
 W holds finite-type wedges of simply connected spheres, recorded by the
 generating function of reduced homology ranks.  P holds finite-type
 products of spheres and loops on simply connected spheres, recorded by an
-exact (unreduced) Poincare series together with the multiset of factors
-whose bottom homology degree is at most a cutoff D.  By Hopf invariant one
-the only sphere factors are S^1, S^3, S^7, and loops on S^2, S^4, S^8 are
-always rewritten through Omega S^n ~ S^(n-1) x Omega S^(2n-1); this makes
-the bottom degrees of sphere factors {1,3,7} and of loop factors disjoint
-from them, which is what makes greedy factorization unambiguous: each
-bottom degree d >= 1 names exactly one canonical factor, and a factor is
-written as its d.
+exact (unreduced) Poincare series; its factors through a cutoff D, those
+whose bottom homology degree is at most D, are read off it.  By Hopf
+invariant one the only sphere factors are S^1, S^3, S^7, and loops on
+S^2, S^4, S^8 are always rewritten through Omega S^n ~ S^(n-1) x
+Omega S^(2n-1); this makes the bottom degrees of sphere factors {1,3,7}
+and of loop factors disjoint from them, which is what makes greedy
+factorization unambiguous: each bottom degree d >= 1 names exactly one
+canonical factor, and a factor is written as its d.
 
 Factors beyond the cutoff are never listed individually; the series is the
 lossless record of their aggregate.
@@ -33,10 +33,6 @@ class NoSolution(ValueError):
 
 class NotCanonicalP(ValueError):
     """A series is not the Poincare series of a canonical P-form."""
-
-
-class NotADivisor(ValueError):
-    """Quotient of product series has a negative coefficient."""
 
 
 _HOPF_DIMS = (1, 3, 7)
@@ -81,44 +77,39 @@ class PProduct(Frozen):
     `series` is the exact unreduced Poincare series of the whole product.
     A canonical factor is its bottom degree d: S^d for d in {1,3,7}, else
     Omega S^(d+1).  `factors` lists (d, multiplicity) for d <= cutoff in
-    ascending order; the constructor merges the groups it is given, so
-    operations pass their factors concatenated.
+    ascending order, read off the series: they are its exponents through
+    the cutoff.  A negative exponent raises NotCanonicalP; this is the one
+    membership test for P.  Non-negative exponents give non-negative
+    coefficients through the cutoff, as each 1/(1-t^d) and 1+t^d has them.
     """
 
     __slots__ = ("series", "factors", "cutoff")
 
-    def __init__(self, series: GradedSeries, factors: tuple[tuple[int, int], ...], cutoff: int):
+    def __init__(self, series: GradedSeries, cutoff: int):
         if cutoff < 1:
             raise ValueError("cutoff must be >= 1")
-        counts: dict[int, int] = {}
-        for d, mult in factors:
-            if mult < 0:
-                raise ValueError("factor multiplicity must be >= 0")
-            if mult:
-                counts[d] = counts.get(d, 0) + mult
+        if series.num[:1] != (1,):  # the constant term, as den[0] is 1
+            raise NotCanonicalP("canonical series starts with 1")
+        counts = _bottom_counts(series, cutoff)
+        for d, c in enumerate(counts):
+            if c < 0:
+                raise NotCanonicalP(f"negative exponent {c} at bottom degree {d}")
         object.__setattr__(self, "series", series)
-        object.__setattr__(self, "factors", tuple(sorted(counts.items())))
+        object.__setattr__(self, "factors", tuple([(d, c) for d, c in enumerate(counts) if c]))
         object.__setattr__(self, "cutoff", cutoff)
-        coeffs = series.expand(cutoff)
-        if coeffs[0] != 1:
-            raise ValueError("Poincare series of a product starts with 1")
-        if min(coeffs) < 0:
-            raise ValueError("Poincare series must be non-negative")
-        if counts and (min(counts) < 1 or max(counts) > cutoff):
-            raise ValueError("listed factor outside bottom degrees 1..cutoff")
 
     def __eq__(self, other):
         if type(other) is not PProduct:
             return NotImplemented
-        same = self.factors == other.factors and self.cutoff == other.cutoff
-        return same and self.series == other.series  # unhashable, as its series is
+        # unhashable, as its series is
+        return self.cutoff == other.cutoff and self.series == other.series
 
     def is_trivial(self) -> bool:
         return self.series.is_one()
 
     @classmethod
     def trivial(cls, cutoff: int = DEFAULT_DEGREE) -> "PProduct":
-        return cls(GradedSeries.one(), (), cutoff)
+        return cls(GradedSeries.one(), cutoff)
 
     def to_doc(self) -> dict:
         num, den = self.series.to_pair()
@@ -176,24 +167,21 @@ def _bottom_counts(s: GradedSeries, degree: int) -> list[int]:
 
 
 def pproduct_mul(a: PProduct, b: PProduct) -> PProduct:
-    """Product of products: series multiply, factor multisets union."""
+    """Product of products: series multiply, so factor multisets union."""
     if a.cutoff != b.cutoff:
         raise ValueError("cannot multiply products with different cutoffs")
     if a.is_trivial():
         return b
     if b.is_trivial():
         return a
-    return PProduct(a.series * b.series, a.factors + b.factors, a.cutoff)
+    return greedy_factorize(a.series * b.series, a.cutoff)
 
 
 def reduced_cells(p: PProduct) -> CellSeries:
     """Reduced-homology series of the underlying space of a product: with
-    series N/D it is (N - D)/D, whose expansion is p's less its constant
-    term, so it starts from p's cached coefficients."""
+    series N/D it is (N - D)/D, p's series less its constant term."""
     num, den = p.series.num, p.series.den
-    reduced = GradedSeries(poly_add(num, poly_neg(den)), den)
-    reduced._coeffs.extend((0, *p.series.expand(p.cutoff)[1:]))
-    return CellSeries(reduced)
+    return CellSeries(GradedSeries(poly_add(num, poly_neg(den)), den))
 
 
 # --------------------------------------------------------------------------
@@ -263,20 +251,21 @@ def loop_half_smash(x: CellSeries, y_loop: PProduct) -> PProduct:
     The series y/(1 - x(y-1)) is built in closed form: with y = N/D and
     x = p/q it is q N / ((q+p) D - p N), so no denominator is carried
     twice.  The right-handed case G x| A is the same computation with the
-    roles swapped, so callers pass the factors accordingly.  A point X or a
+    roles swapped, so callers pass the pieces accordingly.  A point X or a
     trivial Omega Y gives Omega Y itself, before any series is built: under
     a flag root the star side of a pushout is a cone, so the quotient
     Omega Y it hands over is trivial at every node.
     """
     if x.reduced.is_zero() or y_loop.is_trivial():
         return y_loop
-    join = hilton_milnor(join_cells(x, reduced_cells(y_loop)), y_loop.cutoff)
+    # a membership check: the join is a sphere wedge, whose loops are in P
+    hilton_milnor(join_cells(x, reduced_cells(y_loop)), y_loop.cutoff)
     p, q = x.reduced.num, x.reduced.den
     n, d = y_loop.series.num, y_loop.series.den
     series = GradedSeries(
         poly_mul(q, n), poly_add(poly_mul(poly_add(q, p), d), poly_neg(poly_mul(p, n)))
     )
-    return PProduct(series, join.factors + y_loop.factors, y_loop.cutoff)
+    return greedy_factorize(series, y_loop.cutoff)
 
 
 def porter_loop_wedge(summands) -> PProduct:
@@ -318,38 +307,29 @@ def porter_loop_wedge(summands) -> PProduct:
             after = poly_mul(nums[i], after)
     gap = poly_add(den, poly_neg(S))
     residual_cells = GradedSeries(poly_mul((0, 1), gap), den)
-    residual = hilton_milnor(SphereWedge(CellSeries(residual_cells)), cutoff)
-    factors = residual.factors + tuple([f for p in nontrivial for f in p.factors])
-    return PProduct(GradedSeries(whole, S), factors, cutoff)
+    # a membership check: the residual is a sphere wedge, whose loops are in P
+    hilton_milnor(SphereWedge(CellSeries(residual_cells)), cutoff)
+    return greedy_factorize(GradedSeries(whole, S), cutoff)
 
 
 def greedy_factorize(s: GradedSeries, cutoff: int = DEFAULT_DEGREE) -> PProduct:
-    """Recover the canonical factor multiset of a P-form Poincare series.
+    """The P-form of a Poincare series s, whose constructor reads the
+    canonical factor multiset off s.
 
     Bottom degrees decide the factors: d in {1,3,7} is the sphere S^d, any
     other d is loops on S^(d+1).  Their exponents come from one divisor
     sweep over the power sums of log s, with the S^1/S^3/S^7 sign rule.
     The series is canonical through the cutoff exactly when no exponent is
-    negative; the lowest negative one is reported.
+    negative; NotCanonicalP reports the lowest negative one.
     """
-    if s.coefficient(0) != 1:
-        raise NotCanonicalP("canonical series starts with 1")
-    counts = _bottom_counts(s, cutoff)
-    for d, c in enumerate(counts):
-        if c < 0:
-            raise NotCanonicalP(f"negative coefficient {c} in degree {d}")
-    return PProduct(s, tuple([(d, c) for d, c in enumerate(counts) if c]), cutoff)
+    return PProduct(s, cutoff)
 
 
 def divide_products(big: PProduct, small: PProduct) -> PProduct:
-    """Complementary factor of small inside big: series divide, refactorize."""
+    """Complementary factor of small inside big: series divide, refactorize.
+    A quotient that is not a P-form raises NotCanonicalP."""
     if big.cutoff != small.cutoff:
         raise ValueError("cannot divide products with different cutoffs")
     if small.is_trivial():
         return big
-    quotient = big.series / small.series
-    coeffs = quotient.expand(big.cutoff)
-    for d, c in enumerate(coeffs):
-        if c < 0:
-            raise NotADivisor(f"quotient coefficient {c} in degree {d}")
-    return greedy_factorize(quotient, big.cutoff)
+    return greedy_factorize(big.series / small.series, big.cutoff)

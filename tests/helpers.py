@@ -20,15 +20,7 @@ from hypothesis import strategies as st
 from loopdecomp.complexes import FlagSkeleton, classify_input, full_subcomplex, pushout_split
 from loopdecomp import engine
 from loopdecomp.engine import PairSpec, decompose_loop, trace_to_doc
-from loopdecomp.homotopy import (
-    CellSeries,
-    NotCanonicalP,
-    PProduct,
-    SphereWedge,
-    greedy_factorize,
-    hilton_milnor,
-    pproduct_mul,
-)
+from loopdecomp.homotopy import CellSeries, PProduct, SphereWedge, pproduct_mul
 from loopdecomp.series import DEFAULT_DEGREE, GradedSeries
 
 
@@ -137,19 +129,13 @@ def subset_residual_cells(summands):
 
 def operator_porter(summands):
     """Porter's splitting by the operator chain, as the library built it
-    before its closed form: A = prod s_i and R = sum 1/s_i - (n-1) as
-    fractions, the residual wedge's cells t (1 - A R), and the series 1/R."""
+    before its closed form: R = sum 1/s_i - (n-1) as a fraction, and the
+    series 1/R."""
     summands = list(summands)
-    cutoff = summands[0].cutoff
-    total = GradedSeries.one()
     reciprocals = GradedSeries((1 - len(summands),))
     for p in summands:
-        total = total * p.series
         reciprocals = reciprocals + 1 / p.series
-    residual_cells = GradedSeries.monomial(1) * (1 - total * reciprocals)
-    residual = hilton_milnor(SphereWedge(CellSeries(residual_cells)), cutoff)
-    factors = residual.factors + tuple(f for p in summands for f in p.factors)
-    return PProduct(1 / reciprocals, factors, cutoff)
+    return PProduct(1 / reciprocals, summands[0].cutoff)
 
 
 def convolution_bottom_counts(s, degree, spheres):
@@ -447,14 +433,10 @@ def loops_of_cp(n, cutoff=DEFAULT_DEGREE):
     """Omega CP^n = S^1 x Omega S^(2n+1); n = None means CP^infinity."""
     s1 = GradedSeries((1, 1))
     if n is None:
-        return PProduct(s1, ((sphere(1), 1),), cutoff)
+        return PProduct(s1, cutoff)
     if n < 1:
         raise ValueError("need n >= 1")
-    series = s1 * geometric(2 * n)
-    factors = [(sphere(1), 1)]
-    if 2 * n <= cutoff:
-        factors.append((loop_sphere(2 * n + 1), 1))
-    return PProduct(series, tuple(factors), cutoff)
+    return PProduct(s1 * geometric(2 * n), cutoff)
 
 
 def cp_pair_fiber_cells(n, m):
@@ -579,28 +561,37 @@ def factor_series(d):
     return geometric(d)
 
 
+def merged_factors(*factor_lists):
+    """The union of factor multisets, as a P-form lists it: (d, mult) in
+    ascending d, without zero multiplicities."""
+    counts = Counter()
+    for factors in factor_lists:
+        for d, mult in factors:
+            counts[d] += mult
+    return tuple(sorted((d, mult) for d, mult in counts.items() if mult))
+
+
 def product_of(factors, cutoff=DEFAULT_DEGREE):
-    """The exact product of explicitly listed factors (all bottoms <= cutoff)."""
+    """The exact product of explicitly listed factors (all bottoms <= cutoff),
+    which reads them back off its series."""
     series = GradedSeries.one()
     for factor, mult in factors:
         for _ in range(mult):
             series = series * factor_series(factor)
-    return PProduct(series, tuple(factors), cutoff)
+    p = PProduct(series, cutoff)
+    assert p.factors == merged_factors(factors), (p.factors, factors)
+    return p
 
 
 def product_from_doc(doc):
-    """The PProduct that `PProduct.to_doc` wrote."""
+    """The PProduct that `PProduct.to_doc` wrote, whose factors must be
+    the ones the document lists."""
     kinds = {"sphere": sphere, "loop_sphere": loop_sphere}
     factors = tuple((kinds[e["kind"]](e["dim"]), e["mult"]) for e in doc["factors"])
     series = GradedSeries(tuple(doc["series"]["num"]), tuple(doc["series"]["den"]))
-    return PProduct(series, factors, doc["cutoff"])
-
-
-def check_canonical(p):
-    """Raise NotCanonicalP unless the listed factors are those greedy
-    factorisation reads from the series through the cutoff."""
-    if greedy_factorize(p.series, p.cutoff).factors != p.factors:
-        raise NotCanonicalP("series does not match listed factors below cutoff")
+    p = PProduct(series, doc["cutoff"])
+    assert p.factors == factors, (p.factors, factors)
+    return p
 
 
 def multiplicity(p, factor):

@@ -19,7 +19,7 @@ from loopdecomp.engine import (
     skeleton_simplex_wedge,
     trace_to_doc,
 )
-from loopdecomp.homotopy import PProduct
+from loopdecomp.homotopy import PProduct, greedy_factorize, pproduct_mul
 from loopdecomp.oracle import hochster_table, verify_against_oracle
 from loopdecomp.series import DEFAULT_DEGREE, GradedSeries
 
@@ -29,6 +29,7 @@ from helpers import (
     cp_fiber_pairs,
     cp_pair_fiber_cells,
     decompose_general_pair,
+    factor_series,
     forced_split,
     geometric,
     graph_and_k,
@@ -690,19 +691,46 @@ class TestCheckTraceMutations:
             f"node {i} (pushout, m=4): ValueError: child 1 is the node itself or one above it"
         ]
 
-    def test_lost_factor_fails_at_the_root(self, monkeypatch):
-        # every series still matches: only the root's factor check sees it
+    def test_lost_hilton_milnor_factor_fails_where_it_acts(self, monkeypatch):
+        # Hilton-Milnor without its lowest factor's series: the first node
+        # it acts on, C5's first non-trivial simplex skeleton, fails, and
+        # the nodes above it are not checked
         _, trace = decompose_loop(c5(), PairSpec.moment_angle(5))
         hilton_milnor = engine.hilton_milnor
 
         def drop_one(wedge, cutoff):
             product = hilton_milnor(wedge, cutoff)
-            return PProduct(product.series, product.factors[1:], cutoff)
+            if product.is_trivial():
+                return product
+            return greedy_factorize(product.series / factor_series(product.factors[0][0]), cutoff)
 
         monkeypatch.setattr(engine, "hilton_milnor", drop_one)
         assert check_trace(trace, FlagSkeleton.of(c5()), PairSpec.moment_angle(5), 20) == [
-            "node 6 (pushout, m=5): ValueError: the rebuilt factors are not the listed ones"
+            "node 0 (simplex_skeleton, m=2): ValueError: the rebuilt series is not the recorded one"
         ]
+
+    def test_lost_porter_residual_fails_where_it_acts(self, monkeypatch):
+        # Porter's splitting without the residual wedge's loops, on a
+        # triangle with a path 3-4-5: node 3's wedge has one non-trivial
+        # summand, so no residual, and the mutant first acts at the root
+        K = validate_complex([[1, 2, 3], [3, 4], [4, 5]], 5)
+        _, trace = decompose_loop(K, PairSpec.moment_angle(5))
+        pushouts = [i for i, n in enumerate(engine.unique_nodes(trace)) if n.rule == "pushout"]
+        assert pushouts == [3, 5]
+        sizes = []
+
+        def no_residual(summands):
+            sizes.append(sum(not p.is_trivial() for p in summands))
+            product = PProduct.trivial(summands[0].cutoff)
+            for p in summands:
+                product = pproduct_mul(product, p)
+            return product
+
+        monkeypatch.setattr(engine, "porter_loop_wedge", no_residual)
+        assert check_trace(trace, FlagSkeleton.of(K), PairSpec.moment_angle(5), 20) == [
+            "node 5 (pushout, m=5): ValueError: the rebuilt series is not the recorded one"
+        ]
+        assert sizes == [1, 2]
 
 
 class TestLongSparseCertificate:

@@ -10,7 +10,6 @@ from loopdecomp.engine import PairSpec, check_trace, decompose_loop
 from loopdecomp.homotopy import (
     CellSeries,
     NoSolution,
-    NotADivisor,
     NotCanonicalP,
     PProduct,
     SphereWedge,
@@ -29,7 +28,6 @@ from loopdecomp.series import GradedSeries
 from helpers import (
     CP_PAIRS,
     POINT,
-    check_canonical,
     convolution_bottom_counts,
     convolve,
     cp_pair_fiber_cells,
@@ -38,6 +36,7 @@ from helpers import (
     graded_lyndon_counts,
     is_point,
     loop_sphere,
+    merged_factors,
     multiplicity,
     necklace_lyndon_count,
     operator_porter,
@@ -109,12 +108,21 @@ class TestPFactor:
         assert not spheres & loops
         assert spheres | loops == set(range(1, 29))
 
-    def test_product_merges_and_checks_degrees(self):
-        one = GradedSeries.one()
-        assert PProduct(one, ((3, 1), (2, 1), (3, 2), (1, 0)), 5).factors == ((2, 1), (3, 3))
-        for bad in (((0, 1),), ((6, 1),), ((2, -1),)):
-            with pytest.raises(ValueError):
-                PProduct(one, bad, 5)
+    def test_product_reads_its_factors_off_the_series(self):
+        # S^3 x S^3 x Omega S^3 through the cutoff 5; Omega S^7 lies past it
+        s3, loop_s3, loop_s7 = map(factor_series, (sphere(3), loop_sphere(3), loop_sphere(7)))
+        p = PProduct(s3 * s3 * loop_s3 * loop_s7, 5)
+        assert p.factors == ((loop_sphere(3), 1), (sphere(3), 2))
+        # 1 + t^2 has non-negative coefficients, but it is 1/(1 - t^2)
+        # times 1 - t^4: its exponent at bottom degree 4 is -1
+        with pytest.raises(NotCanonicalP, match="negative exponent -1 at bottom degree 4$"):
+            PProduct(GradedSeries((1, 0, 1)), 4)
+        assert PProduct(GradedSeries((1, 0, 1)), 3).factors == ((loop_sphere(3), 1),)
+        for bad in (GradedSeries.zero(), GradedSeries((2, 1))):
+            with pytest.raises(NotCanonicalP, match="starts with 1"):
+                PProduct(bad, 5)
+        with pytest.raises(ValueError, match="cutoff"):
+            PProduct(GradedSeries.one(), 0)
 
     def test_poincare(self):
         assert factor_series(sphere(3)) == gs([1, 0, 0, 1])
@@ -376,6 +384,34 @@ class TestPorter:
             assert via.factors == direct.factors
 
 
+canonical_products = st.integers(0, 2**32 - 1).map(
+    lambda seed: random_canonical_product(Random(seed), 12)
+)
+
+
+class TestFactorIdentities:
+    """Each step's P-form reads its factors off the series it builds; they
+    are the union of the factors of the pieces the splitting puts together."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(canonical_products, canonical_products)
+    def test_product_has_the_factors_of_both(self, a, b):
+        assert pproduct_mul(a, b).factors == merged_factors(a.factors, b.factors)
+
+    @settings(max_examples=60, deadline=None)
+    @given(half_smash_x(), canonical_products)
+    def test_half_smash_has_the_factors_of_the_join_and_omega_y(self, x, y):
+        join = hilton_milnor(join_cells(x, reduced_cells(y)), y.cutoff)
+        assert loop_half_smash(x, y).factors == merged_factors(join.factors, y.factors)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(canonical_products, min_size=2, max_size=4))
+    def test_porter_has_the_factors_of_the_residual_and_the_summands(self, summands):
+        residual = hilton_milnor(SphereWedge(CellSeries(subset_residual_cells(summands))), 12)
+        expected = merged_factors(residual.factors, *(p.factors for p in summands))
+        assert porter_loop_wedge(summands).factors == expected
+
+
 class TestGreedy:
     def test_two_loop_s3(self):
         g2 = geometric(2)
@@ -410,7 +446,7 @@ class TestGreedy:
             counts = convolution_bottom_counts(s, 100, spheres=True)
             negative = [d for d, c in enumerate(counts) if c < 0]
             if negative:
-                with pytest.raises(NotCanonicalP, match=f"in degree {negative[0]}$"):
+                with pytest.raises(NotCanonicalP, match=f"at bottom degree {negative[0]}$"):
                     greedy_factorize(s, 100)
             else:
                 expected = tuple((d, c) for d, c in enumerate(counts) if c)
@@ -428,23 +464,6 @@ class TestGreedy:
         # 1 + t^2 alone is not a product of canonical factor series
         with pytest.raises(NotCanonicalP):
             greedy_factorize(gs([1, 0, 1]), 10)
-
-    def test_check_canonical(self):
-        p = product_of([(sphere(1), 1), (loop_sphere(5), 2)], 10)
-        check_canonical(p)
-        broken = PProduct(p.series, ((sphere(1), 1),), 10)
-        with pytest.raises(NotCanonicalP):
-            check_canonical(broken)
-        # one multiplicity off by one, deep in a high-cutoff product
-        rng = Random(5)
-        for _ in range(5):
-            p = random_deep_product(rng, 120)
-            check_canonical(p)
-            factors = list(p.factors)
-            i = rng.randrange(len(factors))
-            factors[i] = (factors[i][0], factors[i][1] + rng.choice([-1, 1]))
-            with pytest.raises(NotCanonicalP):
-                check_canonical(PProduct(p.series, tuple(factors), 120))
 
 
 class TestDivide:
@@ -477,7 +496,7 @@ class TestDivide:
     def test_not_a_divisor(self):
         big = product_of([(sphere(1), 1)])
         small = product_of([(loop_sphere(3), 1)])
-        with pytest.raises(NotADivisor):
+        with pytest.raises(NotCanonicalP):
             divide_products(big, small)
 
 

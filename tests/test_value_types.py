@@ -125,11 +125,11 @@ def test_complex_equality_and_hash_are_by_facets():
     assert a != (3, a.facets)
 
 
-def test_product_equality_is_by_factors_cutoff_and_series():
+def test_product_equality_is_by_series_and_cutoff():
     p = PProduct.trivial(8)
-    assert p == PProduct(GradedSeries((1, 1), (1, 1)), (), 8)
+    assert p == PProduct(GradedSeries((1, 1), (1, 1)), 8)
     assert p != PProduct.trivial(9)
-    assert p != PProduct(GradedSeries((1, 1)), ((1, 1),), 8)
+    assert p != PProduct(GradedSeries((1, 1)), 8)
     with pytest.raises(TypeError):
         hash(p)
 
