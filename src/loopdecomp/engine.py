@@ -283,10 +283,10 @@ def _derive(node: TraceNode, graph: FlagSkeleton):
 
 def _rebuild(node: TraceNode, graph: FlagSkeleton, pairs: PairSpec, children, cutoff: int):
     """A node's P-form from its children's, once `_derive` has checked it;
-    each step checks membership in P.  The P-form returned is that of the
-    node's recorded series, once the rebuilt one equals it: the rebuilt
-    fraction holds its operands' polynomials, which would pile up along the
-    trace."""
+    each step checks membership in P, and the rebuilt series must be the
+    recorded one.  A pushout returns the P-form of the recorded series: its
+    rebuilt fraction holds its operands' polynomials, which would pile up
+    along the trace.  The other rules build the recorded fraction itself."""
     if node.rule == "contractible":
         product = PProduct.trivial(cutoff)
     elif node.rule == "simplex_skeleton":
@@ -303,7 +303,7 @@ def _rebuild(node: TraceNode, graph: FlagSkeleton, pairs: PairSpec, children, cu
         product = pproduct_mul(pl, porter_loop_wedge([s_join, s_g, s_h]))
     if product.series != node.series:
         raise ValueError("the rebuilt series is not the recorded one")
-    return greedy_factorize(node.series, cutoff)
+    return greedy_factorize(node.series, cutoff) if node.rule == "pushout" else product
 
 
 def unique_nodes(root: TraceNode) -> list[TraceNode]:

@@ -214,7 +214,7 @@ def lyndon_counts(f: GradedSeries, degree: int) -> dict[int, int]:
     f) they are automatically non-negative; NoSolution flags malformed
     input at the lowest negative degree.
     """
-    if f.coefficient(0) != 0:
+    if f.order() == 0:  # num[0] is the constant term, as den[0] is 1
         raise ValueError("letter generating function needs zero constant term")
     counts = _bottom_counts(GradedSeries(f.den, poly_add(f.den, poly_neg(f.num))), degree)
     for d in _HOPF_DIMS:

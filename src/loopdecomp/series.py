@@ -7,7 +7,9 @@ defined.  A series keeps the fraction it was built as: it is never reduced,
 by polynomial gcd or by exact division, and equality is decided by
 cross-multiplication, so the representation never matters.  The only
 normalisations applied at construction are trailing-zero stripping, the
-zero series' denominator 1, and the sign.
+zero series' denominator 1, and the sign.  A series multiplies, divides
+and compares with another series; sums and differences are built on the
+coefficient tuples, by poly_add and poly_neg.
 
 Every module builds a tuple from a list or a sized sequence, never from a
 generator: tuple() sizes a generator's tuple at 10 and resizes it, and a
@@ -100,7 +102,7 @@ def convolve_trunc(a, b, degree: int) -> list[int]:
 class GradedSeries(Frozen):
     """Fraction of integer polynomials with unit denominator constant term."""
 
-    __slots__ = ("num", "den", "_coeffs")
+    __slots__ = ("num", "den")
 
     def __init__(self, num: tuple[int, ...], den: tuple[int, ...] = (1,)):
         num = _strip(num)
@@ -113,7 +115,6 @@ class GradedSeries(Frozen):
             num, den = poly_neg(num), poly_neg(den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_coeffs", [])
 
     # -- constructors ------------------------------------------------------
 
@@ -147,87 +148,38 @@ class GradedSeries(Frozen):
         return None
 
     def expand(self, degree: int) -> tuple[int, ...]:
-        """Expansion coefficients c_0..c_degree; exact and cached.  With
-        den[0] = 1, c_n = num[n] - sum_(k >= 1) den[k] c_(n-k)."""
+        """Expansion coefficients c_0..c_degree, exact.  With den[0] = 1,
+        c_n = num[n] - sum_(k >= 1) den[k] c_(n-k)."""
         if degree < 0:
             raise ValueError("degree must be >= 0")
-        coeffs = self._coeffs
+        coeffs: list[int] = []
         num, tail = self.num, self.den[1:]
-        while len(coeffs) <= degree:
-            n = len(coeffs)
+        for n in range(degree + 1):
             c = num[n] if n < len(num) else 0
             coeffs.append(c - sum(map(mul, tail, reversed(coeffs))))
-        return tuple(coeffs[: degree + 1])
+        return tuple(coeffs)
 
     def checkable_coeffs(self, degree: int) -> tuple[int, ...]:
         """What a validity check can read: every coefficient of a
         polynomial, a fraction's (infinite) expansion through degree."""
         return self.num if self.den == (1,) else self.expand(degree)
 
-    def coefficient(self, n: int) -> int:
-        return self.expand(n)[n]
-
     # -- arithmetic --------------------------------------------------------
 
-    @staticmethod
-    def _coerce(value):
-        if isinstance(value, GradedSeries):
-            return value
-        if isinstance(value, int):
-            return GradedSeries((value,))
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.den == other.den == (1,):
-            return GradedSeries(poly_add(self.num, other.num))
-        num = poly_add(poly_mul(self.num, other.den), poly_mul(other.num, self.den))
-        return GradedSeries(num, poly_mul(self.den, other.den))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GradedSeries(poly_neg(self.num), self.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, GradedSeries):
             return NotImplemented
         return GradedSeries(poly_mul(self.num, other.num), poly_mul(self.den, other.den))
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, GradedSeries):
             return NotImplemented
         if other.is_zero():
             raise DivisionUndefined("division by the zero series")
         return GradedSeries(poly_mul(self.num, other.den), poly_mul(self.den, other.num))
 
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, GradedSeries):
             return NotImplemented
         return poly_mul(self.num, other.den) == poly_mul(other.num, self.den)
 
@@ -240,4 +192,3 @@ class GradedSeries(Frozen):
 
     def to_pair(self) -> tuple[list[int], list[int]]:
         return (list(self.num) or [0], list(self.den))
-

@@ -5,7 +5,9 @@ checks: Lyndon words come from Duval's generation algorithm, necklace
 counts from the Moebius formula, convolution is done directly on lists,
 and a complex's faces are the closure of its facets as frozensets.  The
 projective-pair presets, the general-pair (X, A) decomposition and
-the other constructions below have no caller outside the tests.
+the other constructions below have no caller outside the tests.  So have
+`add` and `sub`, the sum and difference of series, which the operator
+chains need: a GradedSeries only multiplies, divides and compares.
 """
 
 import itertools
@@ -21,7 +23,29 @@ from loopdecomp.complexes import FlagSkeleton, classify_input, full_subcomplex, 
 from loopdecomp import engine
 from loopdecomp.engine import PairSpec, decompose_loop, trace_to_doc
 from loopdecomp.homotopy import CellSeries, PProduct, SphereWedge, pproduct_mul
-from loopdecomp.series import DEFAULT_DEGREE, GradedSeries
+from loopdecomp.series import DEFAULT_DEGREE, GradedSeries, poly_add, poly_mul, poly_neg
+
+
+def _series(x):
+    """x as a series: an int is a constant."""
+    return GradedSeries((x,)) if isinstance(x, int) else x
+
+
+def add(a, b):
+    """The sum of two series, cross-multiplied, or of two polynomials
+    coefficient by coefficient; an int operand is a constant."""
+    a, b = _series(a), _series(b)
+    if a.den == b.den == (1,):
+        return GradedSeries(poly_add(a.num, b.num))
+    num = poly_add(poly_mul(a.num, b.den), poly_mul(b.num, a.den))
+    return GradedSeries(num, poly_mul(a.den, b.den))
+
+
+def sub(a, b):
+    """The difference a - b, as a plus the negated b; an int operand is a
+    constant."""
+    b = _series(b)
+    return add(a, GradedSeries(poly_neg(b.num), b.den))
 
 
 def convolve(a, b, degree):
@@ -122,8 +146,8 @@ def subset_residual_cells(summands):
         for combo in itertools.combinations(series, size):
             term = GradedSeries((size - 1,))
             for s in combo:
-                term = term * (s - 1)
-            total = total + term
+                term = term * sub(s, 1)
+            total = add(total, term)
     return GradedSeries.monomial(1) * total
 
 
@@ -134,8 +158,8 @@ def operator_porter(summands):
     summands = list(summands)
     reciprocals = GradedSeries((1 - len(summands),))
     for p in summands:
-        reciprocals = reciprocals + 1 / p.series
-    return PProduct(1 / reciprocals, summands[0].cutoff)
+        reciprocals = add(reciprocals, GradedSeries.one() / p.series)
+    return PProduct(GradedSeries.one() / reciprocals, summands[0].cutoff)
 
 
 def convolution_bottom_counts(s, degree, spheres):
@@ -143,7 +167,8 @@ def convolution_bottom_counts(s, degree, spheres):
     1..degree: power sums from t s'/s as the convolution of n c_n with the
     expansion of 1/s, then the divisor sweep (S^1, S^3, S^7 as 1 + t^d
     when `spheres` is set)."""
-    sums = convolve([n * c for n, c in enumerate(s.expand(degree))], (1 / s).expand(degree), degree)
+    reciprocal = (GradedSeries.one() / s).expand(degree)
+    sums = convolve([n * c for n, c in enumerate(s.expand(degree))], reciprocal, degree)
     counts = [0] * (degree + 1)
     for d in range(1, degree + 1):
         c = counts[d] = sums[d] // d
@@ -391,7 +416,7 @@ def _rational_rank(matrix):
 def suspension_splitting(p):
     """Suspension of a product of spheres and loop spaces, as a sphere wedge:
     cells t * (series - 1)."""
-    return SphereWedge(CellSeries(GradedSeries.monomial(1) * (p.series - 1)))
+    return SphereWedge(CellSeries(GradedSeries.monomial(1) * sub(p.series, 1)))
 
 
 _LOOP_DIM_CHOICES = [d for d in range(3, 17) if d not in (4, 8)]
@@ -448,13 +473,13 @@ def cp_pair_fiber_cells(n, m):
     so the fiber enters PairSpec through its exact series.
     """
     if m is None:
-        return loops_of_cp(n).series - 1
+        return sub(loops_of_cp(n).series, 1)
     if m < 0 or (n is not None and m >= n):
         raise ValueError("need 0 <= m < n")
-    bottom = GradedSeries.monomial(2 * m + 1) + 1
+    bottom = add(GradedSeries.monomial(2 * m + 1), 1)
     if n is None:
-        return bottom - 1
-    return bottom * geometric(2 * n) - 1
+        return sub(bottom, 1)
+    return sub(bottom * geometric(2 * n), 1)
 
 
 def cp_fiber_pairs(pairs_spec):
@@ -476,15 +501,15 @@ def operator_pushout_series(p1, p2, pl, a, a_prime):
     """A pushout node's P from its children's P_K1, P_K2, P_L by the
     pushout identity u = (1 + a') u_K1 + (1 + a) u_K2 - (1 + a)(1 + a') u_L
     on u = 1/P."""
-    u1, u2, ul = (1 / p for p in (p1, p2, pl))
-    u = (1 + a_prime) * u1 + (1 + a) * u2 - (1 + a) * (1 + a_prime) * ul
-    return 1 / u
+    one = GradedSeries.one()
+    u1, u2, ul = (one / p for p in (p1, p2, pl))
+    e, e_prime = add(1, a), add(1, a_prime)
+    return one / sub(add(e_prime * u1, e * u2), e * e_prime * ul)
 
 
 def operator_skeleton_series(cells):
     """A simplex_skeleton node's P = 1/u for u = 1 - cells/t."""
-    u = 1 - GradedSeries(cells.num[1:], cells.den)
-    return 1 / u
+    return GradedSeries.one() / sub(1, GradedSeries(cells.num[1:], cells.den))
 
 
 def operator_skeleton_cells(m, k, pairs):
@@ -495,10 +520,10 @@ def operator_skeleton_cells(m, k, pairs):
     elementary = [GradedSeries.one()] + [GradedSeries.zero()] * m
     for r in pairs.cells:
         for j in range(m, 0, -1):
-            elementary[j] = elementary[j] + r * elementary[j - 1]
+            elementary[j] = add(elementary[j], r * elementary[j - 1])
     cells = GradedSeries.zero()
     for j in range(k + 2, m + 1):
-        cells = cells + comb(j - 1, k + 1) * elementary[j]
+        cells = add(cells, GradedSeries((comb(j - 1, k + 1),)) * elementary[j])
     return GradedSeries.monomial(k + 1) * cells
 
 
@@ -507,8 +532,8 @@ def product_cells(cells):
     with these cells."""
     product = GradedSeries.one()
     for c in cells:
-        product = product * (c + 1)
-    return product - 1
+        product = product * add(c, 1)
+    return sub(product, 1)
 
 
 # --------------------------------------------------------------------------
@@ -537,7 +562,7 @@ def wedge_of_spheres(dims):
     """The wedge of the spheres S^d, d in dims."""
     total = GradedSeries.zero()
     for d in dims:
-        total = total + GradedSeries.monomial(d)
+        total = add(total, GradedSeries.monomial(d))
     return SphereWedge(CellSeries(total))
 
 
@@ -557,7 +582,7 @@ def factor_series(d):
     """Poincare series of the factor of bottom degree d: 1 + t^d for the
     sphere S^d (d in 1, 3, 7), else 1/(1 - t^d) for loops on S^(d+1)."""
     if d in (1, 3, 7):
-        return GradedSeries.monomial(d) + 1
+        return add(GradedSeries.monomial(d), 1)
     return geometric(d)
 
 

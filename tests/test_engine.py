@@ -25,6 +25,7 @@ from loopdecomp.series import DEFAULT_DEGREE, GradedSeries
 
 from helpers import (
     CP_PAIRS,
+    add,
     clique_faces,
     cp_fiber_pairs,
     cp_pair_fiber_cells,
@@ -45,6 +46,7 @@ from helpers import (
     operator_skeleton_series,
     product_cells,
     sphere,
+    sub,
 )
 from randomgen import random_flag_skeleton, relabel
 
@@ -90,7 +92,9 @@ class TestPairSpec:
         # as adding one monomial t^(d - 1) per sphere
         pairs = PairSpec.from_suspension_dims(dims_per_vertex)
         for cells, dims in zip(pairs.cells, dims_per_vertex):
-            total = sum((GradedSeries.monomial(d - 1) for d in dims), GradedSeries.zero())
+            total = GradedSeries.zero()
+            for d in dims:
+                total = add(total, GradedSeries.monomial(d - 1))
             assert (cells.num, cells.den) == (total.num, total.den)
 
     def test_product_cells(self):
@@ -102,7 +106,7 @@ class TestPairSpec:
     def test_polynomial_checked_past_working_degree(self):
         # t - t^25 is negative only in degree 25, beyond DEFAULT_DEGREE
         with pytest.raises(ValueError):
-            PairSpec((T - GradedSeries.monomial(25), T, T))
+            PairSpec((sub(T, GradedSeries.monomial(25)), T, T))
         # a fraction is still checked through the working degree only
         PairSpec((cp_pair_fiber_cells(2, 0), T))
 
@@ -302,7 +306,7 @@ class TestDecompose:
                 root = forced_split(K, pairs, v)
                 assert check_trace(root, FlagSkeleton.of(K), pairs, 12) == [], v
                 # a wrong claim at the forced root fails there, and only there
-                new_series = root.series * (1 + GradedSeries.monomial(j))
+                new_series = root.series * add(1, GradedSeries.monomial(j))
                 wrong = TraceNode(root.rule, new_series, root.vertex, root.children)
                 where = f"node {len(engine.unique_nodes(root)) - 1} (pushout, m={m})"
                 assert check_trace(wrong, FlagSkeleton.of(K), pairs, 12) == [
@@ -419,6 +423,24 @@ class TestRootOnlyFactorisation:
         assert check_trace(trace, FlagSkeleton.of(K), PairSpec.moment_angle(8), 20) == []
         assert calls["divide_products"] and calls["porter_loop_wedge"]
 
+    def test_certificate_factorises_only_pushouts(self, monkeypatch):
+        # a contractible, simplex_skeleton or cone node's rebuilt P-form is
+        # already that of its recorded series; a pushout's is refactorised
+        K = validate_complex([[i, i % 6 + 1] for i in range(1, 7)], 6)
+        pairs = PairSpec.moment_angle(6)
+        _, trace = decompose_loop(K, pairs, 20)
+        rules = [node.rule for node in engine.unique_nodes(trace)]
+        assert set(rules) == {"contractible", "simplex_skeleton", "cone", "pushout"}
+        calls = [0]
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return greedy_factorize(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "greedy_factorize", counted)
+        assert check_trace(trace, FlagSkeleton.of(K), pairs, 20) == []
+        assert calls[0] == rules.count("pushout") < len(rules)
+
 
 def _unique_nodes(trace):
     seen, stack = {}, [trace]
@@ -480,7 +502,7 @@ class TestCheckTraceMutations:
             return mutated, engine.unique_nodes(mutated)[index]
 
         mutated, node = copy_with(rng.randrange(len(nodes)))
-        node.series = node.series * (1 + GradedSeries.monomial(j))
+        node.series = node.series * add(1, GradedSeries.monomial(j))
         assert failures_name_nodes(check_trace(mutated, G, pairs, 12))
 
         pushouts = [i for i, n in enumerate(nodes) if n.rule == "pushout"]
@@ -518,7 +540,7 @@ class TestCheckTraceMutations:
         if non_dominating:
             w = rng.choice(non_dominating)
             cells = list(pairs.cells)
-            cells[w - 1] = cells[w - 1] + GradedSeries.monomial(j)
+            cells[w - 1] = add(cells[w - 1], GradedSeries.monomial(j))
             assert failures_name_nodes(check_trace(trace, G, PairSpec(tuple(cells)), 12))
 
     @settings(max_examples=30, deadline=None)
@@ -640,14 +662,14 @@ class TestCheckTraceMutations:
         assert failures(lambda node: setattr(node, "children", [point])) == [
             f"node 0 (contractible, m={rest}): ValueError: a contractible node has {rest} vertices"
         ]
-        series = cone.series * (1 + GradedSeries.monomial(j))
+        series = cone.series * add(1, GradedSeries.monomial(j))
         assert failures(lambda node: setattr(node, "series", series)) == [
             root + "the rebuilt series is not the recorded one"
         ]
 
     def test_failure_names_the_node(self):
         _, trace = decompose_loop(c5(), PairSpec.moment_angle(5))
-        trace.series = trace.series * (1 + T)
+        trace.series = trace.series * add(1, T)
         assert check_trace(trace, FlagSkeleton.of(c5()), PairSpec.moment_angle(5), 20) == [
             "node 6 (pushout, m=5): ValueError: the rebuilt series is not the recorded one"
         ]
@@ -763,7 +785,7 @@ class TestLongSparseCertificate:
         for i in (pushouts[0], pushouts[len(pushouts) // 2], pushouts[-1]):
             mutated = copy.deepcopy(trace)
             node = engine.unique_nodes(mutated)[i]
-            node.series = node.series * (1 + GradedSeries.monomial(j))
+            node.series = node.series * add(1, GradedSeries.monomial(j))
             assert check_trace(mutated, graph, pairs, 20) == [
                 f"node {i} (pushout, m={sizes[i]}): ValueError: the rebuilt series is not the recorded one"
             ]
@@ -810,7 +832,7 @@ class TestNonSimplexLink:
         _, trace = decompose_loop(self.K, self.pairs)
         root = engine.unique_nodes(trace)[-1]
         assert (root.rule, root.vertex) == ("pushout", 9)
-        root.series = root.series * (1 + GradedSeries.monomial(j))
+        root.series = root.series * add(1, GradedSeries.monomial(j))
         assert check_trace(trace, FlagSkeleton.of(self.K), self.pairs, 20) == [
             "node 11 (pushout, m=9): ValueError: the rebuilt series is not the recorded one"
         ]
@@ -899,7 +921,7 @@ class TestGeneralPair:
     def test_cp_pair_fiber_cells(self):
         # fiber of (CP^2, CP^0) is S^1 x Omega S^5
         cells = cp_pair_fiber_cells(2, 0)
-        assert cells == (gs([1, 1]) * geometric(4)) - 1
+        assert cells == sub(gs([1, 1]) * geometric(4), 1)
         # infinite ambient space leaves just the sphere
         assert cp_pair_fiber_cells(None, 1) == GradedSeries.monomial(3)
         with pytest.raises(ValueError):

@@ -33,7 +33,7 @@ from loopdecomp import classify_input, oracle, validate_complex
 from loopdecomp.cli import main, resolve_pairs
 from loopdecomp.series import GradedSeries
 
-from helpers import expand_trace
+from helpers import add, expand_trace
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = Path(__file__).with_name("golden_digests.json")
@@ -211,7 +211,7 @@ def test_catalog_script_fails_on_a_wrong_prediction(monkeypatch, capsys):
     script = _script("decompose_catalog")
     predicted = oracle.predicted_loop_series
     monkeypatch.setattr(
-        oracle, "predicted_loop_series", lambda K: predicted(K) * (GradedSeries.monomial(5) + 1)
+        oracle, "predicted_loop_series", lambda K: predicted(K) * add(GradedSeries.monomial(5), 1)
     )
     monkeypatch.setattr(sys, "argv", ["decompose_catalog.py"])
     assert script.main() == 1

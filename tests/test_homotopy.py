@@ -28,6 +28,7 @@ from loopdecomp.series import GradedSeries
 from helpers import (
     CP_PAIRS,
     POINT,
+    add,
     convolution_bottom_counts,
     convolve,
     cp_pair_fiber_cells,
@@ -44,6 +45,7 @@ from helpers import (
     product_of,
     random_canonical_product,
     sphere,
+    sub,
     subset_residual_cells,
     suspension_splitting,
     wedge_of_spheres,
@@ -55,6 +57,7 @@ def gs(num, den=(1,)):
 
 
 T = GradedSeries.monomial(1)
+ONE = GradedSeries.one()
 CIRCLE = CellSeries(T)
 LOOP_S3_CELLS = CellSeries(gs([0, 0, 1], [1, 0, -1]))  # reduced Omega S^3
 
@@ -198,7 +201,7 @@ class TestLyndon:
         for degrees in cases:
             f = GradedSeries.zero()
             for d in degrees:
-                f = f + GradedSeries.monomial(d)
+                f = add(f, GradedSeries.monomial(d))
             mine = lyndon_counts(f, 12)
             brute = graded_lyndon_counts(list(degrees), 12)
             assert mine == brute, degrees
@@ -250,7 +253,7 @@ class TestHiltonMilnor:
         # the exact series is 1/(1 - cells/t) independent of the cutoff
         w = wedge_of_spheres([3, 4, 4, 6])
         p = hilton_milnor(w, 8)
-        assert p.series == 1 / (1 - gs([0, 0, 1, 2, 0, 1]))
+        assert p.series == ONE / sub(1, gs([0, 0, 1, 2, 0, 1]))
 
     @settings(max_examples=60, deadline=None)
     @given(half_smash_x(), st.integers(8, 20))
@@ -261,14 +264,14 @@ class TestHiltonMilnor:
         if cells.is_zero():
             assert p.is_trivial()
             return
-        assert p.series == 1 / (1 - GradedSeries(cells.num[1:], cells.den))
-        assert (T - cells) * p.series == T  # (1 - cells/t) P = 1, times t
+        assert p.series == ONE / sub(1, GradedSeries(cells.num[1:], cells.den))
+        assert sub(T, cells) * p.series == T  # (1 - cells/t) P = 1, times t
 
     def test_canonicalization_soundness(self):
         # Omega S^n = S^(n-1) x Omega S^(2n-1) at the level of series
         for n in (2, 4, 8):
             lhs = geometric(n - 1)
-            rhs = (GradedSeries.monomial(n - 1) + 1) * geometric(2 * n - 2)
+            rhs = add(GradedSeries.monomial(n - 1), 1) * geometric(2 * n - 2)
             assert lhs == rhs
 
 
@@ -284,7 +287,7 @@ class TestLoopHalfSmash:
         y = hilton_milnor(wedge_of_spheres([3]))
         p = loop_half_smash(CIRCLE, y)
         # series (1/(1 - t^3/(1-t^2))) * 1/(1-t^2), composed independently
-        join_part = 1 / (1 - gs([0, 0, 0, 1], [1, 0, -1]))
+        join_part = ONE / sub(1, gs([0, 0, 0, 1], [1, 0, -1]))
         assert p.series == join_part * geometric(2)
         assert multiplicity(p, loop_sphere(3)) == 1
         assert multiplicity(p, sphere(3)) == 1  # Omega S^4 partner, canonicalized
@@ -332,8 +335,8 @@ class TestPorter:
                 for j, s_j in enumerate(series):
                     if j != i:
                         rest = rest * s_j
-                cross = cross + (s_i - 1) * rest
-            shortcut = GradedSeries.monomial(1) * (cross - total + 1)
+                cross = add(cross, sub(s_i, 1) * rest)
+            shortcut = GradedSeries.monomial(1) * add(sub(cross, total), 1)
             assert direct == shortcut
         # 3 and 4 summands, one of them a fraction that is not 1/polynomial
         whole = hilton_milnor(wedge_of_spheres([3, 3, 4]), 12)
@@ -368,8 +371,10 @@ class TestPorter:
                 assert via.series == reference.series
                 assert via.factors == reference.factors
                 # the iterated 1/P(Omega(X v Y)) = 1/P(Omega X) + 1/P(Omega Y) - 1
-                reciprocals = sum((1 / p.series for p in summands), GradedSeries((1 - size,)))
-                assert 1 / via.series == reciprocals
+                reciprocals = GradedSeries((1 - size,))
+                for p in summands:
+                    reciprocals = add(reciprocals, ONE / p.series)
+                assert ONE / via.series == reciprocals
 
     def test_path_independence_random_wedges(self):
         rng = Random(9)
@@ -442,7 +447,7 @@ class TestGreedy:
         for trial in range(8):
             s = random_deep_product(rng, 100).series
             if trial % 2:  # a factor 1 + t^j with j not 1, 3, 7: not canonical
-                s = s * (1 + GradedSeries.monomial(rng.choice([2, 5, 6, 9, 40])))
+                s = s * add(1, GradedSeries.monomial(rng.choice([2, 5, 6, 9, 40])))
             counts = convolution_bottom_counts(s, 100, spheres=True)
             negative = [d for d, c in enumerate(counts) if c < 0]
             if negative:
@@ -453,7 +458,7 @@ class TestGreedy:
                 assert greedy_factorize(s, 100).factors == expected
         letters = [gs([0, 2]), gs([0, 1, 0, 3]), gs([0, 0, 1], [1, 0, -1]), gs([0, 1, 1, 1])]
         for f in letters:
-            counts = convolution_bottom_counts(1 / (1 - f), 100, spheres=False)
+            counts = convolution_bottom_counts(ONE / sub(1, f), 100, spheres=False)
             assert lyndon_counts(f, 100) == {n: c for n, c in enumerate(counts) if c}
 
     def test_rejects_negative(self):
@@ -503,7 +508,7 @@ class TestDivide:
 def test_cell_series_polynomial_checked_at_every_degree():
     # negative only in degree 25, beyond the working degree
     with pytest.raises(ValueError):
-        CellSeries(T - GradedSeries.monomial(25))
+        CellSeries(sub(T, GradedSeries.monomial(25)))
     CellSeries(LOOP_S3_CELLS.reduced)  # a fraction: checked through degree 20
 
 
@@ -528,7 +533,7 @@ def test_fractions_stay_short(monkeypatch):
 def test_reduced_cells_of_product():
     p = product_of([(sphere(3), 1), (loop_sphere(5), 1)])
     cells = reduced_cells(p)
-    assert cells.reduced == (gs([1, 0, 0, 1]) * geometric(4)) - 1
+    assert cells.reduced == sub(gs([1, 0, 0, 1]) * geometric(4), 1)
 
 
 def test_pproduct_serialization_round_trip():

@@ -3,7 +3,7 @@ from hypothesis import example, given, strategies as st
 
 from loopdecomp.series import DivisionUndefined, GradedSeries, poly_add, poly_mul
 
-from helpers import convolve, geometric
+from helpers import add, convolve, geometric, sub
 
 
 def gs(num, den=(1,)):
@@ -108,6 +108,32 @@ def test_order():
     assert GradedSeries.zero().order() is None
 
 
+class TestSlimType:
+    """A series multiplies, divides and compares with a series, and holds
+    only its fraction: sums live in the tests' helpers."""
+
+    def test_fields_are_the_fraction(self):
+        assert GradedSeries.__slots__ == ("num", "den")
+
+    def test_no_sums_and_no_int_operands(self):
+        s = gs([1, 1], [1, -1])
+        for op in (
+            lambda: s + s,
+            lambda: s - 1,
+            lambda: -s,
+            lambda: 1 / s,
+            lambda: 2 * s,
+            lambda: s * 2,
+            lambda: s / 2,
+        ):
+            with pytest.raises(TypeError):
+                op()
+
+    def test_an_int_is_not_a_series(self):
+        assert (GradedSeries.one() == 1) is False
+        assert (GradedSeries.zero() == 0) is False
+
+
 def test_serialization_round_trip():
     s = gs([0, 1, 2], [1, 0, -1])
     assert gs(*s.to_pair()) == s
@@ -128,6 +154,21 @@ def test_mul_expansion_matches_convolution(a, b):
     degree = 8
     direct = convolve(list(a.expand(degree)), list(b.expand(degree)), degree)
     assert list((a * b).expand(degree)) == direct
+
+
+_constant = st.integers(-5, 5)
+
+
+@given(graded_series() | _constant, graded_series() | _constant)
+def test_helper_sum_and_difference_are_coefficientwise(a, b):
+    degree = 8
+
+    def coeffs(x):  # an int is the constant x
+        return [x] + [0] * degree if isinstance(x, int) else list(x.expand(degree))
+
+    pairs = list(zip(coeffs(a), coeffs(b)))
+    assert list(add(a, b).expand(degree)) == [p + q for p, q in pairs]
+    assert list(sub(a, b).expand(degree)) == [p - q for p, q in pairs]
 
 
 @given(graded_series(), graded_series())
