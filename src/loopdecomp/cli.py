@@ -46,10 +46,11 @@ EXIT_INTERNAL = 3
 # a sphere of dimension n in a pair gives a cell series of n terms, and
 # every series the recursion builds from it grows with n
 PAIR_DIM_BOUND = 1000
-# engine._decompose, check_trace and unique_nodes recurse once per
-# derivation level, about once per vertex on a path: a path on 496 vertices
-# overflowed the recursion limit on Python 3.10, 3.11 and 3.13, and one on
-# 256 vertices runs on 3.10 to 3.13 (classification does not recurse)
+# engine._decompose recurses once per derivation level, about once per
+# vertex on a path, and is the only code that does (classification, the
+# trace table and check_trace walk without recursion): a path on 496
+# vertices overflowed the recursion limit on Python 3.10, 3.11 and 3.13,
+# and one on 256 vertices runs on 3.10 to 3.13
 VERTEX_BOUND = 256
 # every series is expanded through the cutoff D, with a product of
 # coefficients of about D bits per degree and per denominator term: at
@@ -90,9 +91,9 @@ def load_complex(path: str) -> SimplicialComplex:
 
 
 def resolve_pairs(spec: str, m: int) -> tuple[PairSpec, str | dict]:
-    """The pairs a --pairs spec names, and its echo in the output (a custom
-    file's dims, not its path); a sphere dimension above PAIR_DIM_BOUND is
-    refused before any series is built."""
+    """The pairs a --pairs spec names, and its echo in the output (disks:N
+    with N written as an int, a custom file's dims, not its path); a sphere
+    dimension above PAIR_DIM_BOUND is refused before any series is built."""
     if spec.startswith("custom:"):
         doc = _read_json(spec.split(":", 1)[1])
         dims = doc.get("suspensions") if isinstance(doc, dict) else None
@@ -108,8 +109,9 @@ def resolve_pairs(spec: str, m: int) -> tuple[PairSpec, str | dict]:
             n = 2 if spec == "moment-angle" else int(spec.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"pair spec {spec!r} needs an integer disk dimension") from None
-        # one vertex more, dropped below, so n is checked when m = 0 too
-        dims, echo = [[n]] * (m + 1), spec
+        # one vertex more, dropped below, so n is checked when m = 0 too;
+        # int reads +3, 03 and 1_0 as well, so N is echoed in one spelling
+        dims, echo = [[n]] * (m + 1), spec if spec == "moment-angle" else f"disks:{n}"
     else:
         raise ValueError(f"unknown pair spec {spec!r}")
     top = max((d for ds in dims for d in ds), default=0)

@@ -21,10 +21,11 @@ not, so v * L is not K.  Only the root is factorised.  The trace records
 choices only: each node's rule, a pushout's vertex, the series and the
 children, in memory as in the document.  A vertex set is a mask, and
 `pushout_split` and `_one_plus_a_prime` derive the rest, for the recursion
-and for `check_trace`, run by `verify`: it walks the trace from the root with
-the input's graph and pairs, gives each child the piece its parent's rule
-derives, checks each rule's precondition on it, and rebuilds each P-form by
-the proof's splittings.  A P-form's factors are read off its series, so
+and for `check_trace`, run by `verify`: over the trace's node table, root
+down it gives each child the piece its parent's rule derives from the
+input's graph and pairs and checks each rule's precondition on it, and
+leaves up it rebuilds each P-form by the proof's splittings.  Only
+`_decompose` recurses.  A P-form's factors are read off its series, so
 each one the certificate makes is checked canonical at the node that makes
 it, the root's included.
 """
@@ -308,76 +309,67 @@ def _rebuild(node: TraceNode, graph: FlagSkeleton, pairs: PairSpec, children, cu
 
 def unique_nodes(root: TraceNode) -> list[TraceNode]:
     """Each distinct node of the trace once, children first (in k1, k2, l
-    order), so the root is last; a node's position is its id."""
+    order), so the root is last; a node's position is its id.  The walk
+    keeps (node, children left) on a stack, not a frame per level."""
     order: list[TraceNode] = []
-    _visit(root, set(), order)
+    seen, stack = {id(root)}, [(root, iter(root.children))]
+    while stack:
+        node, children = stack[-1]
+        for child in children:
+            if id(child) not in seen:
+                seen.add(id(child))
+                stack.append((child, iter(child.children)))
+                break
+        else:
+            stack.pop()
+            order.append(node)
     return order
 
 
-def _visit(node: TraceNode, seen: set[int], order: list[TraceNode]) -> None:
-    """unique_nodes' walk.  It and the other walks are module functions, not
-    closures: a closure that calls itself is a reference cycle, which keeps
-    all it reaches alive until the cyclic collector runs."""
-    if id(node) not in seen:
-        seen.add(id(node))
-        for child in node.children:
-            _visit(child, seen, order)
-        order.append(node)
-
-
 def check_trace(node: TraceNode, graph: FlagSkeleton, pairs: PairSpec, cutoff: int) -> list[str]:
-    """Certify a trace of the problem (graph, pairs) by a walk from the
-    root.  Each child gets the piece its parent's rule derives, the induced
-    graph with the pairs restricted, and must get the same piece from every
-    parent; no node may lie below itself.  On its piece, each node's rule
-    precondition must hold and its P-form is rebuilt from its children's,
-    each step's P-form checked canonical where it is built.  The root's
-    rebuilt series is its recorded one, so its factors are the listed
-    ones, those of `decompose_loop`.  The nodes above a failing one are
-    not checked.  Returns one message per failing node, naming its id."""
-    failures: list[tuple[TraceNode, int, str]] = []
-    _certify(node, graph, pairs, cutoff, {}, failures)
-    if not failures:
-        return []
-    ids = {id(current): i for i, current in enumerate(unique_nodes(node))}
+    """Certify a trace of the problem (graph, pairs) in two passes over
+    unique_nodes' table.  Root down, by descending id, each node's rule
+    precondition must hold on its piece, and each child, whose id must be
+    below its parent's, gets the piece the rule derives: the induced graph
+    with the pairs restricted, the same from every parent (the larger-id
+    parent's is kept).  Leaves up, each node's P-form is rebuilt from its
+    children's, each step's P-form checked canonical where it is built;
+    the root's rebuilt series is its recorded one, so its factors are
+    those of `decompose_loop`.  No node without a piece or above a failing
+    one is rebuilt.  Returns one message per failing node, by ascending id."""
+    nodes = unique_nodes(node)
+    ids = {id(current): i for i, current in enumerate(nodes)}
+    problems: list = [None] * (len(nodes) - 1) + [(graph, pairs)]  # (graph, pairs) by id
+    failures: dict[int, str] = {}
+    for i in range(len(nodes) - 1, -1, -1):
+        if problems[i] is None:
+            continue
+        graph, pairs = problems[i]
+        try:
+            if pairs.m != graph.m:  # only the root's pairs are not restricted
+                raise ValueError(f"the pairs cover {pairs.m} vertices, the graph {graph.m}")
+            pieces = _derive(nodes[i], graph)
+            for j, (child, (piece, mask)) in enumerate(zip(nodes[i].children, pieces)):
+                c, sub = ids[id(child)], pairs.restrict(mask)
+                if c >= i:
+                    raise ValueError(f"child {j} is the node itself or one above it")
+                if problems[c] is None:
+                    problems[c] = (piece, sub)
+                elif problems[c][0] != piece or problems[c][1].key() != sub.key():
+                    raise ValueError(f"child {j} is also the node of another piece")
+        except (ArithmeticError, LookupError, ValueError) as exc:
+            failures[i] = f"{type(exc).__name__}: {exc}"
+    products: list = [None] * len(nodes)
+    for i, current in enumerate(nodes):
+        children = [products[ids[id(child)]] for child in current.children]
+        if problems[i] is not None and i not in failures and None not in children:
+            try:
+                products[i] = _rebuild(current, *problems[i], children, cutoff)
+            except (ArithmeticError, LookupError, ValueError) as exc:
+                failures[i] = f"{type(exc).__name__}: {exc}"
     return [
-        f"node {ids[id(current)]} ({current.rule}, m={m}): {message}"
-        for current, m, message in failures
+        f"node {i} ({nodes[i].rule}, m={problems[i][0].m}): {failures[i]}" for i in sorted(failures)
     ]
-
-
-def _certify(
-    current: TraceNode,
-    graph: FlagSkeleton,
-    pairs: PairSpec,
-    cutoff: int,
-    walked: dict,
-    failures: list[tuple[TraceNode, int, str]],
-) -> None:
-    """check_trace's walk below `current`: walked maps a node's id to
-    (piece key, P-form or None), None while below it is walked; a failing
-    node appends (node, m, message) to failures.  A module function, like
-    _visit, so a call leaves no cycle."""
-    walked[id(current)], product = None, None
-    try:
-        if pairs.m != graph.m:  # only the root's pairs are not restricted
-            raise ValueError(f"the pairs cover {pairs.m} vertices, the graph {graph.m}")
-        products, pieces = [], _derive(current, graph)
-        for j, (child, (piece, mask)) in enumerate(zip(current.children, pieces)):
-            sub = pairs.restrict(mask)
-            if id(child) not in walked:
-                _certify(child, piece, sub, cutoff, walked, failures)
-            if walked[id(child)] is None:
-                raise ValueError(f"child {j} is the node itself or one above it")
-            if walked[id(child)][0] != (piece, sub.key()):
-                raise ValueError(f"child {j} is also the node of another piece")
-            products.append(walked[id(child)][1])
-        if None not in products:
-            product = _rebuild(current, graph, pairs, products, cutoff)
-    except (ArithmeticError, LookupError, ValueError) as exc:
-        failures.append((current, graph.m, f"{type(exc).__name__}: {exc}"))
-        product = None
-    walked[id(current)] = ((graph, pairs.key()), product)
 
 
 def trace_to_doc(node: TraceNode, graph: FlagSkeleton) -> dict:

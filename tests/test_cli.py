@@ -227,7 +227,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["check", "decompose", "verify"])
     def test_vertex_bound(self, tmp_path, capsys, command):
         # a long path overflows the recursion limit in the decomposition,
-        # check_trace and unique_nodes; past the bound it is refused once read
+        # the only code that recurses per derivation level (check_trace and
+        # unique_nodes walk the node table); past the bound it is refused
+        # once read
         m = VERTEX_BOUND + 1
         path = write_complex(tmp_path, "path.json", m, [[v, v + 1] for v in range(1, m)])
         assert main([command, "--input", path]) == EXIT_INADMISSIBLE
@@ -562,6 +564,27 @@ class TestPairsResolution:
     def test_disks(self):
         pairs, echo = resolve_pairs("disks:4", 2)
         assert pairs.cells[0].order() == 3 and echo == "disks:4"
+
+    @pytest.mark.parametrize(
+        "spec, canonical",
+        [
+            ("disks:+3", "disks:3"),
+            ("disks:03", "disks:3"),
+            ("disks: 3", "disks:3"),
+            ("disks:\u0663", "disks:3"),
+            ("disks:1_0", "disks:10"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["decompose", "verify"])
+    def test_one_disk_dimension_gives_one_output(self, tmp_path, capsys, spec, canonical, command):
+        # int() reads each spelling as the canonical N, so the output is
+        # that of disks:N, its "pairs" echo included
+        path = write_complex(tmp_path, "square.json", 4, [[1, 2], [2, 3], [3, 4], [1, 4]])
+        outputs = []
+        for pairs in (canonical, spec):
+            assert main([command, "--input", path, "--pairs", pairs]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1] == outputs[0]
 
     def test_custom_file(self, tmp_path):
         path = tmp_path / "pairs.json"

@@ -2,13 +2,14 @@ import copy
 import itertools
 import json
 import re
+import sys
 from random import Random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from loopdecomp import engine
-from loopdecomp.cli import resolve_pairs
+from loopdecomp.cli import VERTEX_BOUND, resolve_pairs
 from loopdecomp.complexes import FlagSkeleton, SimplicialComplex, pushout_split, validate_complex
 from loopdecomp.engine import (
     NotFlagSkeleton,
@@ -702,6 +703,17 @@ class TestCheckTraceMutations:
             f"node {root} (pushout, m=5): ValueError: child 2 is also the node of another piece"
         ]
 
+    def test_a_shared_child_fails_at_its_smaller_id_parent(self):
+        # the deletion's edge as the root's link too: the root, the larger
+        # id, gives it the link's two points, so the deletion fails, and
+        # the edge's series is not that of two points
+        _, trace = decompose_loop(c5(), PairSpec.moment_angle(5))
+        trace.children[2] = trace.children[1].children[0]
+        assert check_trace(trace, FlagSkeleton.of(c5()), PairSpec.moment_angle(5), 20) == [
+            "node 2 (simplex_skeleton, m=2): ValueError: the rebuilt series is not the recorded one",
+            "node 5 (pushout, m=4): ValueError: child 0 is also the node of another piece",
+        ]
+
     def test_node_below_itself_fails(self):
         # the root as a child of its own deletion: the walk stops there
         _, trace = decompose_loop(c5(), PairSpec.moment_angle(5))
@@ -789,6 +801,28 @@ class TestLongSparseCertificate:
             assert check_trace(mutated, graph, pairs, 20) == [
                 f"node {i} (pushout, m={sizes[i]}): ValueError: the rebuilt series is not the recorded one"
             ]
+
+    def test_no_walk_recurses_on_the_longest_path(self):
+        # the path on VERTEX_BOUND vertices has a derivation level per
+        # vertex; only the decomposition recurses per level, so the table,
+        # the document and the certificate run with 60 frames to spare
+        m = VERTEX_BOUND
+        K = validate_complex([[i, i + 1] for i in range(1, m)], m)
+        pairs, _ = resolve_pairs("disks:3", m)
+        _, trace = decompose_loop(K, pairs)
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 60)
+        try:
+            nodes = engine.unique_nodes(trace)
+            doc = trace_to_doc(trace, FlagSkeleton.of(K))
+            failures = check_trace(trace, FlagSkeleton.of(K), pairs, 20)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(doc["nodes"]) == len(nodes) > m
+        assert failures == []
 
 
 class TestNonSimplexLink:
