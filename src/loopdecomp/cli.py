@@ -6,13 +6,15 @@ suspension dimensions per vertex: moment-angle is [2], disks:N is [N], and
 custom:PATH holds {"suspensions": [[dims...] per vertex]}, which the output
 echoes in place of the path.  Exit codes: 0 success, 1 input error (a
 malformed command line too), 2 inadmissible complex, 3 internal-check
-failure; each error is one line on stderr.  An output is exactly the bytes
-of json.dumps(doc, indent=2) and a newline; `_write` produces them without
-the standard library's pure-Python indenting encoder, which took about a
-third of a call's time on small inputs.  An --output file is written over
-in place and then cut to length: truncating an existing file to zero made
-ext4 allocate its blocks and start writeback on close, which cost more
-than building the text.
+failure; each error is one line on stderr.  `main` reads the complex once
+and writes one document per call.  An output is exactly the bytes of
+json.dumps(doc, indent=2) and a newline; `_write` produces them, for the
+types a document holds (str, int, bool, None, lists and dicts with str
+keys), without the standard library's pure-Python indenting encoder, which
+took about a third of a call's time on small inputs.  An --output file is
+written over in place and then cut to length: truncating an existing file
+to zero made ext4 allocate its blocks and start writeback on close, which
+cost more than building the text.
 """
 
 from __future__ import annotations
@@ -47,10 +49,12 @@ EXIT_INTERNAL = 3
 # every series the recursion builds from it grows with n
 PAIR_DIM_BOUND = 1000
 # engine._decompose recurses once per derivation level, about once per
-# vertex on a path, and is the only code that does (classification, the
-# trace table and check_trace walk without recursion): a path on 496
-# vertices overflowed the recursion limit on Python 3.10, 3.11 and 3.13,
-# and one on 256 vertices runs on 3.10 to 3.13
+# vertex on a path, and is the only code that does (the trace table and
+# check_trace walk without recursion): a path on 496 vertices overflowed
+# the recursion limit on Python 3.10, 3.11 and 3.13, and one on 256
+# vertices runs on 3.10 to 3.13.  Classification's Bron-Kerbosch
+# (complexes._expand_cliques) recurses once per clique vertex, at most m
+# deep: decompose on the complete graph on 256 vertices exits 0
 VERTEX_BOUND = 256
 # every series is expanded through the cutoff D, with a product of
 # coefficients of about D bits per degree and per denominator term: at
@@ -120,26 +124,17 @@ def resolve_pairs(spec: str, m: int) -> tuple[PairSpec, str | dict]:
     return PairSpec.from_suspension_dims(dims).restrict((1 << m) - 1), echo
 
 
-def _key(key) -> str:
-    """A dict key as json.dumps writes it: an int, float, bool or None key
-    becomes its JSON text in quotes, and any other non-string is refused."""
-    if isinstance(key, str):
-        return _quote(key)
-    if key is None or isinstance(key, (int, float)):
-        return '"' + json.dumps(key) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
 def _write(value, pad: str, out: list[str]) -> None:
     """Append the text json.dumps(value, indent=2) gives, nested at pad, to
-    out.  A list of plain ints is one join; a value of no JSON type goes
-    through json.dumps, which formats or refuses it exactly as it would."""
+    out.  Its domain is what a document holds: str, int, bool, None, and
+    lists and dicts with str keys of these; any other type is a TypeError.
+    A list of plain ints is one join."""
     kind = type(value)
     if kind is str:
         out.append(_quote(value))
     elif kind is int:
         out.append(int.__repr__(value))
-    elif isinstance(value, (list, tuple)):
+    elif kind is list:
         if not value:
             out.append("[]")
             return
@@ -153,7 +148,7 @@ def _write(value, pad: str, out: list[str]) -> None:
             _write(item, inner, out)
             out.append(sep)
         out[-1] = "\n" + pad + "]"
-    elif isinstance(value, dict):
+    elif kind is dict:
         if not value:
             out.append("{}")
             return
@@ -161,7 +156,9 @@ def _write(value, pad: str, out: list[str]) -> None:
         sep = ",\n" + inner
         out.append("{\n" + inner)
         for key, item in value.items():
-            out.append(_key(key) + ": ")
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(_quote(key) + ": ")
             _write(item, inner, out)
             out.append(sep)
         out[-1] = "\n" + pad + "}"
@@ -172,7 +169,7 @@ def _write(value, pad: str, out: list[str]) -> None:
     elif value is False:
         out.append("false")
     else:
-        out.append(json.dumps(value))
+        raise TypeError(f"a document holds no {kind.__name__}")
 
 
 def _emit(doc: dict, output_path: str | None) -> None:
@@ -194,53 +191,6 @@ def _emit(doc: dict, output_path: str | None) -> None:
             os.ftruncate(fd, len(data))
     finally:
         os.close(fd)
-
-
-def cmd_check(args: argparse.Namespace) -> int:
-    K = load_complex(args.input_path)
-    cls = classify_input(K)
-    _emit(
-        {
-            "command": "check",
-            "input": K.to_doc(),
-            "flag": cls.flag,
-            "k_skeleton_of_flag": cls.k_skeleton_of_flag,
-            "skeleton_of_simplex": list(cls.skeleton_of_simplex)
-            if cls.skeleton_of_simplex
-            else None,
-            "chordal_1_skeleton": cls.chordal_1_skeleton,
-            "admissible": cls.k_skeleton_of_flag is not None,
-        },
-        args.output_path,
-    )
-    return EXIT_OK
-
-
-def cmd_decompose(args: argparse.Namespace) -> int:
-    K = load_complex(args.input_path)
-    pairs, echo = resolve_pairs(args.pairs, K.m)
-    product, trace = decompose_loop(K, pairs, args.cutoff)
-    doc = {
-        "command": "decompose",
-        "input": K.to_doc(),
-        "pairs": echo,
-        "cutoff": args.cutoff,
-        **product.to_doc(),
-        "expansion": list(product.series.expand(args.cutoff)),
-    }
-    if args.trace:
-        doc["trace"] = trace_to_doc(trace, FlagSkeleton.of(K))
-    _emit(doc, args.output_path)
-    return EXIT_OK
-
-
-def cmd_verify(args: argparse.Namespace) -> int:
-    K = load_complex(args.input_path)
-    pairs, echo = resolve_pairs(args.pairs, K.m)
-    report = verify_against_oracle(K, pairs, args.cutoff)
-    header = {"command": "verify", "input": K.to_doc(), "pairs": echo, "cutoff": args.cutoff}
-    _emit({**header, **report}, args.output_path)
-    return EXIT_INTERNAL if report["status"] == "FAIL" else EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):
@@ -271,17 +221,40 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    handlers = {"check": cmd_check, "decompose": cmd_decompose, "verify": cmd_verify}
     try:
         args = build_parser().parse_args(argv)
         if args.input_path is None:
             raise ValueError("--input is required")
-        if args.command != "check":
+        command = args.command
+        if command != "check":
             if args.cutoff < 1:
                 raise ValueError("cutoff must be >= 1")
             if args.cutoff > CUTOFF_BOUND:
                 raise TooLarge(f"cutoff {args.cutoff} exceeds the bound {CUTOFF_BOUND}")
-        return handlers[args.command](args)
+        K = load_complex(args.input_path)
+        doc = {"command": command, "input": K.to_doc()}
+        if command == "check":
+            cls = classify_input(K)
+            simplex = cls.skeleton_of_simplex
+            doc["flag"] = cls.flag
+            doc["k_skeleton_of_flag"] = cls.k_skeleton_of_flag
+            doc["skeleton_of_simplex"] = list(simplex) if simplex else None
+            doc["chordal_1_skeleton"] = cls.chordal_1_skeleton
+            doc["admissible"] = cls.k_skeleton_of_flag is not None
+        else:
+            pairs, doc["pairs"] = resolve_pairs(args.pairs, K.m)
+            doc["cutoff"] = args.cutoff
+            if command == "verify":
+                doc.update(verify_against_oracle(K, pairs, args.cutoff))
+            else:
+                product, trace = decompose_loop(K, pairs, args.cutoff)
+                doc.update(product.to_doc())
+                doc["expansion"] = list(product.series.expand(args.cutoff))
+                if args.trace:
+                    doc["trace"] = trace_to_doc(trace, FlagSkeleton.of(K))
+        _emit(doc, args.output_path)
+        # only a verify report has a status
+        return EXIT_INTERNAL if doc.get("status") == "FAIL" else EXIT_OK
     except (*_INPUT_ERRORS, ValueError) as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         if isinstance(exc, _INADMISSIBLE_ERRORS):

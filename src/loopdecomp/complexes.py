@@ -107,7 +107,9 @@ def validate_complex(raw_facets, m: int) -> SimplicialComplex:
     for facet in raw_facets:
         fs = set()
         for v in facet:
-            if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= m:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise BadDocument(f"vertex must be an integer, got {reprlib.repr(v)}")
+            if not 1 <= v <= m:
                 raise BadIndex(f"vertex {reprlib.repr(v)} outside 1..{reprlib.repr(m)}")
             fs.add(v)
         if fs:
