@@ -6,15 +6,15 @@ suspension dimensions per vertex: moment-angle is [2], disks:N is [N], and
 custom:PATH holds {"suspensions": [[dims...] per vertex]}, which the output
 echoes in place of the path.  Exit codes: 0 success, 1 input error (a
 malformed command line too), 2 inadmissible complex, 3 internal-check
-failure; each error is one line on stderr.  `main` reads the complex once
-and writes one document per call.  An output is exactly the bytes of
-json.dumps(doc, indent=2) and a newline; `_write` produces them, for the
-types a document holds (str, int, bool, None, lists and dicts with str
-keys), without the standard library's pure-Python indenting encoder, which
-took about a third of a call's time on small inputs.  An --output file is
-written over in place and then cut to length: truncating an existing file
-to zero made ext4 allocate its blocks and start writeback on close, which
-cost more than building the text.
+failure; each error is one line on stderr.  `main` reads and classifies the
+complex once and writes one document per call.  An output is exactly the
+bytes of json.dumps(doc, indent=2) and a newline; `_write` produces them,
+for the types a document holds (str, int, bool, None, lists and dicts with
+str keys), without the standard library's pure-Python indenting encoder,
+which took about a third of a call's time on small inputs.  An --output
+file is written over in place and then cut to length: truncating an
+existing file to zero made ext4 allocate its blocks and start writeback on
+close, which cost more than building the text.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 
 from .complexes import (
+    CLIQUE_BOUND,
     BadDocument,
-    FlagSkeleton,
     SimplicialComplex,
     TooLarge,
     classify_input,
@@ -88,6 +88,9 @@ def load_complex(path: str) -> SimplicialComplex:
     facets = doc["facets"]
     if not isinstance(facets, list) or not all(isinstance(f, list) for f in facets):
         raise BadDocument("facets must be a list of vertex lists")
+    # validation is quadratic in the facets; a flag complex's are its maximal cliques
+    if len(facets) > CLIQUE_BOUND:
+        raise TooLarge(f"{len(facets)} facets exceed the bound {CLIQUE_BOUND}")
     K = validate_complex(facets, doc["m"])
     if K.m > VERTEX_BOUND:
         raise TooLarge(f"m = {K.m} exceeds the bound {VERTEX_BOUND}")
@@ -233,7 +236,12 @@ def main(argv=None) -> int:
                 raise TooLarge(f"cutoff {args.cutoff} exceeds the bound {CUTOFF_BOUND}")
         K = load_complex(args.input_path)
         doc = {"command": command, "input": K.to_doc()}
-        if command == "check":
+        if command != "check":
+            pairs, doc["pairs"] = resolve_pairs(args.pairs, K.m)
+            doc["cutoff"] = args.cutoff
+        if command == "verify":
+            doc.update(verify_against_oracle(K, pairs, args.cutoff))
+        elif command == "check":
             cls = classify_input(K)
             simplex = cls.skeleton_of_simplex
             doc["flag"] = cls.flag
@@ -242,16 +250,12 @@ def main(argv=None) -> int:
             doc["chordal_1_skeleton"] = cls.chordal_1_skeleton
             doc["admissible"] = cls.k_skeleton_of_flag is not None
         else:
-            pairs, doc["pairs"] = resolve_pairs(args.pairs, K.m)
-            doc["cutoff"] = args.cutoff
-            if command == "verify":
-                doc.update(verify_against_oracle(K, pairs, args.cutoff))
-            else:
-                product, trace = decompose_loop(K, pairs, args.cutoff)
-                doc.update(product.to_doc())
-                doc["expansion"] = list(product.series.expand(args.cutoff))
-                if args.trace:
-                    doc["trace"] = trace_to_doc(trace, FlagSkeleton.of(K))
+            cls = classify_input(K)
+            product, trace = decompose_loop(cls, pairs, args.cutoff)
+            doc.update(product.to_doc())
+            doc["expansion"] = list(product.series.expand(args.cutoff))
+            if args.trace:
+                doc["trace"] = trace_to_doc(trace, cls.graph)
         _emit(doc, args.output_path)
         # only a verify report has a status
         return EXIT_INTERNAL if doc.get("status") == "FAIL" else EXIT_OK

@@ -8,9 +8,10 @@ face-level checks: the Hochster oracle and minimal non-faces.  A k-skeleton
 of a flag complex is carried as its 1-skeleton plus k (`FlagSkeleton`),
 where a full subcomplex is the induced subgraph with the same k, so
 classification and the decomposition recursion enumerate no faces and no
-vertex subsets.  Vertices are 1-based.  Every vertex must appear in some
-facet: ghost vertices are rejected rather than interpreted, because each
-vertex carries a space pair in the intended application.
+vertex subsets.  `classify_input` returns that graph with K's verdicts, and
+nothing is kept on K.  Vertices are 1-based.  Every vertex must appear in
+some facet: ghost vertices are rejected rather than interpreted, because
+each vertex carries a space pair in the intended application.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ class DominatingVertex(ValueError):
 
 
 class TooLarge(ValueError):
-    """An input past a desk-scale gate: its vertex count (cli.VERTEX_BOUND),
-    the maximal cliques of its 1-skeleton (CLIQUE_BOUND), the Hochster
-    table's vertex count, the cell degree of a pair, or the cutoff."""
+    """An input past a desk-scale gate: its raw facets or its 1-skeleton's
+    maximal cliques (CLIQUE_BOUND), its vertex count (cli.VERTEX_BOUND), the
+    Hochster table's vertex count, the cell degree of a pair, or the cutoff."""
 
 
 # the 2n-vertex cross-polytope boundary has 2^n maximal cliques, G(48, 0.85) 20,426
@@ -53,13 +54,11 @@ class SimplicialComplex(Frozen):
     tuples in ascending order, as validate_complex builds them, so two
     complexes are equal, and hash alike, exactly when their faces are."""
 
-    __slots__ = ("m", "facets", "_graph", "_classification")
+    __slots__ = ("m", "facets")
 
     def __init__(self, m: int, facets: tuple[tuple[int, ...], ...]):
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "facets", facets)
-        object.__setattr__(self, "_graph", None)
-        object.__setattr__(self, "_classification", None)
 
     def __eq__(self, other):
         return type(other) is SimplicialComplex and (self.m, self.facets) == (other.m, other.facets)
@@ -169,17 +168,13 @@ class FlagSkeleton(NamedTuple):
     def of(cls, K: SimplicialComplex) -> "FlagSkeleton":
         """K's 1-skeleton with k = dim K: the same complex as K exactly when
         K is the k-skeleton of a flag complex, which classify_input tests.
-        Read from the facets: the face closure can be exponentially larger.
-        Built once and kept on K, so classification, the decomposition and
-        the oracle share it."""
-        if K._graph is None:
-            rows = [0] * K.m
-            for facet in K.facets:
-                mask = _mask(facet)
-                for v in facet:
-                    rows[v - 1] |= mask & ~(1 << (v - 1))
-            object.__setattr__(K, "_graph", cls(tuple(rows), max(K.dim(), 0)))
-        return K._graph
+        Read from the facets: the face closure can be exponentially larger."""
+        rows = [0] * K.m
+        for facet in K.facets:
+            mask = _mask(facet)
+            for v in facet:
+                rows[v - 1] |= mask & ~(1 << (v - 1))
+        return cls(tuple(rows), max(K.dim(), 0))
 
     @property
     def m(self) -> int:
@@ -276,6 +271,7 @@ class Classification(NamedTuple):
     k_skeleton_of_flag: int | None
     skeleton_of_simplex: tuple[int, int] | None
     chordal_1_skeleton: bool
+    graph: FlagSkeleton  # FlagSkeleton.of(K), which the verdicts are read from
 
 
 def minimal_non_faces(K: SimplicialComplex) -> list[int]:
@@ -298,22 +294,20 @@ def classify_input(K: SimplicialComplex) -> Classification:
     of its 1-skeleton: when it is admissible and no maximal clique has more
     than k + 1 vertices.  Both come from one list of maximal cliques.  A
     k-skeleton of the simplex is admissible, so only an admissible K can be
-    one.  The result is kept on K, so the oracle's gate and the
-    decomposition classify it once.
+    one.  The report carries the graph, built once per call, to every
+    consumer of an admitted complex.
     """
-    if K._classification is None:
-        G = FlagSkeleton.of(K)
-        cliques = G.maximal_cliques()
-        admissible = _is_skeleton(cliques, G.k + 1, K.facets)
-        simplex = admissible and G.simplex_skeleton_dim() is not None
-        classification = Classification(
-            flag=admissible and max((c.bit_count() for c in cliques), default=0) <= G.k + 1,
-            k_skeleton_of_flag=G.k if admissible else None,
-            skeleton_of_simplex=(K.m, G.k) if simplex else None,
-            chordal_1_skeleton=is_chordal(G),
-        )
-        object.__setattr__(K, "_classification", classification)
-    return K._classification
+    G = FlagSkeleton.of(K)
+    cliques = G.maximal_cliques()
+    admissible = _is_skeleton(cliques, G.k + 1, K.facets)
+    simplex = admissible and G.simplex_skeleton_dim() is not None
+    return Classification(
+        flag=admissible and max((c.bit_count() for c in cliques), default=0) <= G.k + 1,
+        k_skeleton_of_flag=G.k if admissible else None,
+        skeleton_of_simplex=(K.m, G.k) if simplex else None,
+        chordal_1_skeleton=is_chordal(G),
+        graph=G,
+    )
 
 
 def is_chordal(G: FlagSkeleton) -> bool:

@@ -17,9 +17,10 @@ drops every dominating vertex at once, so a pushout's star side costs one
 node, whose child is the link's memo entry.  It fires only under a flag
 root, whose full subcomplexes are all flag with the same k: in a non-flag
 k-skeleton a (k + 1)-clique of the rest is a face but its join with v is
-not, so v * L is not K.  Only the root is factorised.  The trace records
-choices only: each node's rule, a pushout's vertex, the series and the
-children, in memory as in the document.  A vertex set is a mask, and
+not, so v * L is not K.  The root is K's `Classification`, its graph and
+that flag bit: the engine never sees facets.  Only the root is factorised.
+The trace records choices only: each node's rule, a pushout's vertex, the
+series and the children, in memory as in the document.  A vertex set is a mask, and
 `pushout_split` and `_one_plus_a_prime` derive the rest, for the recursion
 and for `check_trace`, run by `verify`: over the trace's node table, root
 down it gives each child the piece its parent's rule derives from the
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .complexes import FlagSkeleton, SimplicialComplex, classify_input, pushout_split
+from .complexes import Classification, FlagSkeleton, pushout_split
 from .homotopy import (
     CellSeries,
     PProduct,
@@ -168,21 +169,21 @@ def _add(num, den, other_num, other_den):
 
 
 def decompose_loop(
-    K: SimplicialComplex, pairs: PairSpec, cutoff: int = DEFAULT_DEGREE
+    cls: Classification, pairs: PairSpec, cutoff: int = DEFAULT_DEGREE
 ) -> tuple[PProduct, TraceNode]:
-    """Canonical product decomposition of Omega (CA,A)^K with its trace.
+    """Canonical product decomposition of Omega (CA,A)^K with its trace,
+    from K's classification (`complexes.classify_input`).
 
-    K must be the k-skeleton of a flag complex.  It is classified once;
-    the recursion then runs on its 1-skeleton and k.  The output does not
+    K must be the k-skeleton of a flag complex; the recursion runs on its
+    graph, cls.graph, with cones when cls.flag.  The output does not
     depend on the pushout vertices chosen, only the shape of the
     derivation does.
     """
-    if K.m != pairs.m:
+    if cls.graph.m != pairs.m:
         raise ValueError("pair data must cover all vertices of K")
-    classification = classify_input(K)
-    if classification.k_skeleton_of_flag is None:
+    if cls.k_skeleton_of_flag is None:
         raise NotFlagSkeleton("K is not the k-skeleton of a flag complex")
-    node = _decompose(FlagSkeleton.of(K), pairs, {}, classification.flag)
+    node = _decompose(cls.graph, pairs, {}, cls.flag)
     return greedy_factorize(node.series, cutoff), node
 
 

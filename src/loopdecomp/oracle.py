@@ -23,16 +23,16 @@ that a step with no new face of dimension >= 2 hands on as it is.  The
 Hochster table takes this step along one depth-first walk over the
 vertex subsets, cutting the pivots back after each subtree; K's own
 ranks take it along {1}, {1,2}, ..., [m].
-`verify_against_oracle` picks its oracle before it decomposes, so the
-oracle's gates, the table's vertex bound among them, refuse an input
-before any exponential work.
+`verify_against_oracle` classifies K once for all its checks and picks its
+oracle before it decomposes, so the oracle's gates, the table's vertex
+bound among them, refuse an input before any exponential work.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from .complexes import FlagSkeleton, SimplicialComplex, TooLarge, classify_input
+from .complexes import Classification, FlagSkeleton, SimplicialComplex, TooLarge, classify_input
 from .engine import NotFlagSkeleton, PairSpec, check_trace, decompose_loop, unique_nodes
 from .series import DEFAULT_DEGREE, GradedSeries
 
@@ -187,15 +187,14 @@ def _hochster_walk(
             del pivots[low]
 
 
-def predicted_loop_series(K: SimplicialComplex) -> GradedSeries:
+def predicted_loop_series(K: SimplicialComplex, cls: Classification) -> GradedSeries:
     """Loop series of Z_K when Z_K is a wedge: 1/(1 - sum r_j t^(j-1)).
 
-    Applicable when K is flag, or a graph, with chordal 1-skeleton; these
-    are exactly the cases where the wedge decomposition of Z_K is known.
-    The empty complex gives a point, the empty wedge.  Elsewhere it raises
-    NotApplicable, and past the table's vertex bound TooLarge.
+    Applicable when K is flag, or a graph, with chordal 1-skeleton, as its
+    classification cls says: exactly the cases where Z_K is known to be a
+    wedge.  The empty complex gives a point, the empty wedge.  Elsewhere it
+    raises NotApplicable, and past the table's vertex bound TooLarge.
     """
-    cls = classify_input(K)
     if not (cls.flag or K.dim() <= 1):
         raise NotApplicable("K is neither flag nor 1-dimensional")
     if not cls.chordal_1_skeleton:
@@ -207,11 +206,9 @@ def predicted_loop_series(K: SimplicialComplex) -> GradedSeries:
     return GradedSeries((1,), tuple(den))
 
 
-def _is_four_cycle(K: SimplicialComplex) -> bool:
+def _is_four_cycle(G: FlagSkeleton) -> bool:
     # a graph on 4 vertices, each of degree 2, is the 4-cycle
-    if K.m != 4 or K.dim() != 1:
-        return False
-    return all(row.bit_count() == 2 for row in FlagSkeleton.of(K).adj)
+    return G.m == 4 and G.k == 1 and all(row.bit_count() == 2 for row in G.adj)
 
 
 # the boundary of a square is the one pinned external anchor: Z_K = S^3 x S^3
@@ -238,19 +235,19 @@ def verify_against_oracle(
     {"status": "PASS" | "FAIL", "checks": [{"name", "status", "detail",
     ...data}, ...]}, FAIL when some check failed."""
     # the oracle comes first: its gates refuse an input before the engine runs
-    predicted = None
+    cls, predicted = classify_input(K), None
     if not pairs.is_moment_angle():
         source = "no moment-angle oracle for these pairs"
     else:
         try:
-            predicted, source = predicted_loop_series(K), "Hochster prediction"
+            predicted, source = predicted_loop_series(K, cls), "Hochster prediction"
         except NotApplicable:
-            if _is_four_cycle(K):
+            if _is_four_cycle(cls.graph):
                 predicted, source = _FOUR_CYCLE_LOOP_SERIES, "known answer for the 4-cycle"
             else:
                 source = "no independent oracle"
     try:
-        product, trace = decompose_loop(K, pairs, cutoff)
+        product, trace = decompose_loop(cls, pairs, cutoff)
     except (NotFlagSkeleton, TooLarge):
         raise  # refused as decompose refuses it: inadmissible or over a bound
     except Exception as exc:  # reported, not raised: failures are entries
@@ -269,7 +266,7 @@ def verify_against_oracle(
     ]
 
     nodes = len(unique_nodes(trace))
-    failures = check_trace(trace, FlagSkeleton.of(K), pairs, cutoff)
+    failures = check_trace(trace, cls.graph, pairs, cutoff)
     checks.append(
         _check(
             "trace_identities",

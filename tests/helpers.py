@@ -203,11 +203,12 @@ def forced_split(K, pairs, v):
     its children are the engine's nodes for the pieces of the split at v,
     so check_trace certifies the claim, and the factors listed for it, by
     rebuilding the root from them through the P-calculus."""
-    _, trace = decompose_loop(K, pairs)
-    memo, cones = {}, classify_input(K).flag
+    cls = classify_input(K)
+    _, trace = decompose_loop(cls, pairs)
+    memo = {}
     children = [
-        engine._decompose(piece, pairs.restrict(mask), memo, cones)
-        for piece, mask in pushout_split(FlagSkeleton.of(K), v)
+        engine._decompose(piece, pairs.restrict(mask), memo, cls.flag)
+        for piece, mask in pushout_split(cls.graph, v)
     ]
     return engine.TraceNode("pushout", trace.series, v, children)
 
@@ -448,7 +449,7 @@ def decompose_general_pair(K, loops_of_x, fibers, cutoff=DEFAULT_DEGREE):
     loops_of_x = list(loops_of_x)
     if len(loops_of_x) != K.m:
         raise ValueError("need one loop product per vertex")
-    product, _ = decompose_loop(K, fibers, cutoff)
+    product, _ = decompose_loop(classify_input(K), fibers, cutoff)
     for p in loops_of_x:
         product = pproduct_mul(product, p)
     return product

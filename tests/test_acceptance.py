@@ -8,7 +8,7 @@ import time
 from contextlib import contextmanager
 from random import Random
 
-from loopdecomp.complexes import FlagSkeleton, validate_complex
+from loopdecomp.complexes import FlagSkeleton, classify_input, validate_complex
 from loopdecomp.engine import PairSpec, check_trace, decompose_loop, skeleton_simplex_wedge
 from loopdecomp.homotopy import (
     NotCanonicalP,
@@ -59,7 +59,7 @@ def c5():
 def test_criterion_1_square_boundary_anchor():
     with criterion(1, "square boundary gives Omega S^3 x Omega S^3"):
         start = time.monotonic()
-        product, _ = decompose_loop(square(), PairSpec.moment_angle(4), 20)
+        product, _ = decompose_loop(classify_input(square()), PairSpec.moment_angle(4), 20)
         elapsed = time.monotonic() - start
         assert product.factors == ((loop_sphere(3), 2),)
         assert product.series == GradedSeries((1,), (1, 0, -2, 0, 1))
@@ -78,8 +78,9 @@ def test_criterion_2_chordal_flag_oracle_equality():
             K = random_chordal_flag_complex(rng.randint(2, 7), rng)
             cases.append(K)
         for K in cases:
-            product, _ = decompose_loop(K, PairSpec.moment_angle(K.m), 20)
-            predicted = predicted_loop_series(K)
+            cls = classify_input(K)
+            product, _ = decompose_loop(cls, PairSpec.moment_angle(K.m), 20)
+            predicted = predicted_loop_series(K, cls)
             assert product.series.expand(20) == predicted.expand(20), K.facets
         assert time.monotonic() - start < 30.0
 
@@ -109,7 +110,7 @@ def test_criterion_4_path_independence():
             inputs.append(random_flag_skeleton(rng.randint(2, 6), rng))
         for K in inputs:
             pairs = PairSpec.moment_angle(K.m)
-            base, _ = decompose_loop(K, pairs, 20)
+            base, _ = decompose_loop(classify_input(K), pairs, 20)
             info = neighbors_and_domination(K)
             for v in (u for u, rec in info.items() if not rec.dominating):
                 # the split at v rebuilds the listed factors and series
@@ -119,7 +120,7 @@ def test_criterion_4_path_independence():
                 perm = list(range(1, K.m + 1))
                 rng.shuffle(perm)
                 moved = relabel(K, {i + 1: perm[i] for i in range(K.m)})
-                alt, _ = decompose_loop(moved, pairs, 20)
+                alt, _ = decompose_loop(classify_input(moved), pairs, 20)
                 assert alt.factors == base.factors and alt.series == base.series
         assert time.monotonic() - start < 60.0
 
@@ -187,7 +188,7 @@ def test_criterion_10_membership_witnessed_constructively():
             for k in range(flag.dim() + 1):
                 K = skeleton(flag, k)
                 try:
-                    _, trace = decompose_loop(K, PairSpec.moment_angle(K.m), 20)
+                    _, trace = decompose_loop(classify_input(K), PairSpec.moment_angle(K.m), 20)
                 except NotCanonicalP as exc:
                     raise AssertionError(f"engine failed on {K.facets}: {exc}")
                 G, pairs = FlagSkeleton.of(K), PairSpec.moment_angle(K.m)

@@ -256,6 +256,27 @@ class TestExitCodes:
             assert captured.out == ""
             assert captured.err == f"error[TooLarge]: more than {CLIQUE_BOUND} maximal cliques\n"
 
+    @pytest.mark.parametrize("command", ["check", "decompose", "verify"])
+    def test_facet_bound(self, tmp_path, capsys, monkeypatch, command):
+        # validation's maximality pass grows about as the square of the raw
+        # facet count, so one facet past the bound, repeats counted, is
+        # refused before validate_complex runs
+        def refuse(*args):
+            raise AssertionError("validate_complex ran past the facet bound")
+
+        monkeypatch.setattr(cli, "validate_complex", refuse)
+        n = CLIQUE_BOUND + 1
+        path = write_complex(tmp_path, "many.json", 2, [[1, 2]] * n)
+        assert main([command, "--input", path]) == EXIT_INADMISSIBLE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error[TooLarge]: {n} facets exceed the bound {CLIQUE_BOUND}\n"
+
+    def test_facet_bound_admits_the_bound(self, tmp_path, capsys):
+        path = write_complex(tmp_path, "many.json", 2, [[1, 2]] * CLIQUE_BOUND)
+        assert main(["check", "--input", path]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["input"] == {"m": 2, "facets": [[1, 2]]}
+
     def test_simplex_at_the_vertex_bound_decomposes(self, tmp_path, capsys):
         m = VERTEX_BOUND
         path = write_complex(tmp_path, "simplex.json", m, [list(range(1, m + 1))])

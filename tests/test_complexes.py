@@ -209,7 +209,8 @@ class TestClassify:
             relabeled = validate_complex(
                 [[mapping[v] for v in f] for f in K.facets], 5
             )
-            assert classify_input(relabeled) == base
+            # the graph follows the labels, the four verdicts do not
+            assert classify_input(relabeled)._replace(graph=None) == base._replace(graph=None)
 
     def test_skeleton_of_flag_closed_under_full_subcomplexes(self):
         rng = Random(11)

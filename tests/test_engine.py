@@ -10,7 +10,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from loopdecomp import engine
 from loopdecomp.cli import VERTEX_BOUND, resolve_pairs
-from loopdecomp.complexes import FlagSkeleton, SimplicialComplex, pushout_split, validate_complex
+from loopdecomp.complexes import (
+    FlagSkeleton,
+    SimplicialComplex,
+    classify_input,
+    pushout_split,
+    validate_complex,
+)
 from loopdecomp.engine import (
     NotFlagSkeleton,
     PairSpec,
@@ -129,7 +135,7 @@ class TestPairSpec:
         monkeypatch.setattr(GradedSeries, "checkable_coeffs", counted)
         pairs = varied_pairs(8)
         c8 = validate_complex([[i, i % 8 + 1] for i in range(1, 9)], 8)
-        _, trace = decompose_loop(c8, pairs)
+        _, trace = decompose_loop(classify_input(c8), pairs)
         distinct = list(dict.fromkeys(id(s) for s in pairs.cells))
         assert len(distinct) == 3
         assert [id(s) for s in checked] == distinct
@@ -217,7 +223,7 @@ class TestClosedForms:
         m, edges, k = graph
         K = validate_complex(clique_faces(m, edges, k), m)
         pairs = drawn_pairs(kind, m, rng)
-        _, trace = decompose_loop(K, pairs)
+        _, trace = decompose_loop(classify_input(K), pairs)
         problems = node_problems(trace, FlagSkeleton.of(K), pairs)
         for node, (piece, piece_pairs) in zip(engine.unique_nodes(trace), problems):
             if node.rule == "pushout":
@@ -239,7 +245,7 @@ class TestClosedForms:
 
 class TestDecompose:
     def test_square_boundary(self):
-        product, trace = decompose_loop(square(), PairSpec.moment_angle(4))
+        product, trace = decompose_loop(classify_input(square()), PairSpec.moment_angle(4))
         assert product.factors == ((loop_sphere(3), 2),)
         assert product.series == gs([1], [1, 0, -2, 0, 1])
         assert product.series.to_pair() == ([1], [1, 0, -2, 0, 1])
@@ -247,20 +253,20 @@ class TestDecompose:
 
     def test_single_vertex(self):
         K = validate_complex([[1]], 1)
-        product, trace = decompose_loop(K, PairSpec.moment_angle(1))
+        product, trace = decompose_loop(classify_input(K), PairSpec.moment_angle(1))
         assert product.is_trivial()
         assert trace.rule == "contractible"
 
     def test_path3(self):
         K = validate_complex([[1, 2], [2, 3]], 3)
-        product, _ = decompose_loop(K, PairSpec.moment_angle(3))
+        product, _ = decompose_loop(classify_input(K), PairSpec.moment_angle(3))
         assert product.factors == ((loop_sphere(3), 1),)
         assert product.series == geometric(2)
 
     def test_not_flag_skeleton(self):
         K = validate_complex([[1, 2, 3], [3, 4], [1, 4]], 4)
         with pytest.raises(NotFlagSkeleton):
-            decompose_loop(K, PairSpec.moment_angle(4))
+            decompose_loop(classify_input(K), PairSpec.moment_angle(4))
 
     def test_face_closure_is_never_built(self, monkeypatch):
         # the simplex on 12 vertices has 4095 faces and one facet
@@ -269,14 +275,14 @@ class TestDecompose:
 
         monkeypatch.setattr(SimplicialComplex, "faces", refuse)
         for K in (square(), validate_complex([list(range(1, 13))], 12)):
-            decompose_loop(K, PairSpec.moment_angle(K.m))
+            decompose_loop(classify_input(K), PairSpec.moment_angle(K.m))
 
     def test_pair_count_must_match(self):
         with pytest.raises(ValueError):
-            decompose_loop(square(), PairSpec.moment_angle(3))
+            decompose_loop(classify_input(square()), PairSpec.moment_angle(3))
 
     def test_c5_trace_root_is_pushout(self):
-        product, trace = decompose_loop(c5(), PairSpec.moment_angle(5))
+        product, trace = decompose_loop(classify_input(c5()), PairSpec.moment_angle(5))
         assert trace.rule == "pushout"
         assert check_trace(trace, FlagSkeleton.of(c5()), PairSpec.moment_angle(5), 20) == []
         doc = trace_to_doc(trace, FlagSkeleton.of(c5()))
@@ -320,7 +326,7 @@ class TestDecompose:
             K = random_flag_skeleton(rng.randint(2, 6), rng)
             dims = [[rng.choice([2, 2, 3])] for _ in range(K.m)]
             pairs = PairSpec.from_suspension_dims(dims)
-            base, _ = decompose_loop(K, pairs)
+            base, _ = decompose_loop(classify_input(K), pairs)
             perm = list(range(1, K.m + 1))
             rng.shuffle(perm)
             mapping = {i + 1: perm[i] for i in range(K.m)}
@@ -328,7 +334,8 @@ class TestDecompose:
             moved_dims = [None] * K.m
             for v in range(1, K.m + 1):
                 moved_dims[mapping[v] - 1] = dims[v - 1]
-            alt, _ = decompose_loop(moved, PairSpec.from_suspension_dims(moved_dims))
+            moved_pairs = PairSpec.from_suspension_dims(moved_dims)
+            alt, _ = decompose_loop(classify_input(moved), moved_pairs)
             assert alt.factors == base.factors
             assert alt.series == base.series
 
@@ -336,12 +343,12 @@ class TestDecompose:
         # (D^3, S^2) on the boundary of a triangle: the wedge is S^8, and
         # Omega S^8 is rewritten into S^7 x Omega S^15
         K = validate_complex([[1, 2], [2, 3], [1, 3]], 3)
-        product, _ = decompose_loop(K, PairSpec.from_suspension_dims([[3]] * 3))
+        product, _ = decompose_loop(classify_input(K), PairSpec.from_suspension_dims([[3]] * 3))
         assert product.factors == ((sphere(7), 1), (loop_sphere(15), 1))
         assert product.series == geometric(7)
 
     def test_trace_node_series_are_recorded(self):
-        product, trace = decompose_loop(c5(), PairSpec.moment_angle(5))
+        product, trace = decompose_loop(classify_input(c5()), PairSpec.moment_angle(5))
         assert trace.series == product.series
         stack = [trace]
         seen = 0
@@ -361,8 +368,8 @@ class TestConeRule:
         pentagon = [[i, i % 5 + 1] for i in range(1, 6)]
         K = validate_complex([edge + [6] for edge in pentagon], 6)
         pairs = PairSpec.moment_angle(6)
-        product, trace = decompose_loop(K, pairs)
-        link, _ = decompose_loop(c5(), PairSpec.moment_angle(5))
+        product, trace = decompose_loop(classify_input(K), pairs)
+        link, _ = decompose_loop(classify_input(c5()), PairSpec.moment_angle(5))
         assert trace.rule == "cone"
         (child,) = trace.children
         graph, child_pairs = node_problems(trace, FlagSkeleton.of(K), pairs)[_position(trace, child)]
@@ -372,7 +379,7 @@ class TestConeRule:
 
     def test_star_costs_one_node(self):
         # C5's star side is the cone on its link, which is the memo's entry
-        _, trace = decompose_loop(c5(), PairSpec.moment_angle(5))
+        _, trace = decompose_loop(classify_input(c5()), PairSpec.moment_angle(5))
         k1, _, link = trace.children
         assert k1.rule == "cone" and k1.children == [link]
 
@@ -382,7 +389,7 @@ class TestConeRule:
         edges = [[1, 2], [1, 3], [1, 4], [1, 5], [2, 3], [2, 4], [3, 4]]
         K = validate_complex(edges, 5)
         pairs = PairSpec.moment_angle(5)
-        base, trace = decompose_loop(K, pairs)
+        base, trace = decompose_loop(classify_input(K), pairs)
         assert all(node.rule != "cone" for node in engine.unique_nodes(trace))
         assert check_trace(trace, FlagSkeleton.of(K), pairs, 20) == []
         for v in range(2, 6):
@@ -390,7 +397,8 @@ class TestConeRule:
             assert all(node.rule != "cone" for node in engine.unique_nodes(root)), v
             assert check_trace(root, FlagSkeleton.of(K), pairs, 20) == [], v
         link = validate_complex([[1, 2], [1, 3], [2, 3], [4]], 4)
-        assert decompose_loop(link, PairSpec.moment_angle(4))[0].series != base.series
+        other, _ = decompose_loop(classify_input(link), PairSpec.moment_angle(4))
+        assert other.series != base.series
 
     def test_forced_split_is_a_pushout(self):
         # the engine takes the cone rule at this root; a pushout is valid too
@@ -417,7 +425,7 @@ class TestRootOnlyFactorisation:
 
             monkeypatch.setattr(engine, name, counted)
         K = validate_complex([[i, i % 8 + 1] for i in range(1, 9)], 8)
-        product, trace = decompose_loop(K, PairSpec.moment_angle(8), 20)
+        product, trace = decompose_loop(classify_input(K), PairSpec.moment_angle(8), 20)
         assert calls == {"greedy_factorize": 1}
         assert product.factors
         # the proof steps run in the certificate instead
@@ -429,7 +437,7 @@ class TestRootOnlyFactorisation:
         # already that of its recorded series; a pushout's is refactorised
         K = validate_complex([[i, i % 6 + 1] for i in range(1, 7)], 6)
         pairs = PairSpec.moment_angle(6)
-        _, trace = decompose_loop(K, pairs, 20)
+        _, trace = decompose_loop(classify_input(K), pairs, 20)
         rules = [node.rule for node in engine.unique_nodes(trace)]
         assert set(rules) == {"contractible", "simplex_skeleton", "cone", "pushout"}
         calls = [0]
@@ -493,7 +501,7 @@ class TestCheckTraceMutations:
         m, edges, k = graph
         K = validate_complex(clique_faces(m, edges, k), m)
         G, pairs = FlagSkeleton.of(K), varied_pairs(m)
-        _, trace = decompose_loop(K, pairs, 12)
+        _, trace = decompose_loop(classify_input(K), pairs, 12)
         assert check_trace(trace, G, pairs, 12) == []
         nodes = engine.unique_nodes(trace)
 
@@ -524,7 +532,7 @@ class TestCheckTraceMutations:
         m, edges, k = graph
         K = validate_complex(clique_faces(m, edges, k), m)
         G, pairs = FlagSkeleton.of(K), varied_pairs(m)
-        _, trace = decompose_loop(K, pairs, 12)
+        _, trace = decompose_loop(classify_input(K), pairs, 12)
         if G.edges():
             a, b = rng.choice(G.edges())
             adj = list(G.adj)
@@ -553,7 +561,7 @@ class TestCheckTraceMutations:
         m, edges, k = graph
         K = validate_complex(clique_faces(m, edges, k), m)
         G, pairs = FlagSkeleton.of(K), varied_pairs(m)
-        _, trace = decompose_loop(K, pairs, 12)
+        _, trace = decompose_loop(classify_input(K), pairs, 12)
         nodes = engine.unique_nodes(trace)
         problems = node_problems(trace, G, pairs)
         pushouts = [i for i, n in enumerate(nodes) if n.rule == "pushout"]
@@ -622,7 +630,7 @@ class TestCheckTraceMutations:
         m, edges, _ = graph
         K = validate_complex(clique_faces(m, edges, m), m)  # flag
         G, pairs = FlagSkeleton.of(K), varied_pairs(m)
-        _, trace = decompose_loop(K, pairs, 12)
+        _, trace = decompose_loop(classify_input(K), pairs, 12)
         nodes = engine.unique_nodes(trace)
         cones = [i for i, n in enumerate(nodes) if n.rule == "cone"]
         if not cones:
@@ -632,7 +640,8 @@ class TestCheckTraceMutations:
         graph, cone_pairs = node_problems(trace, G, pairs)[index]
         assert check_trace(cone, graph, cone_pairs, 12) == []
         root = f"node {len(engine.unique_nodes(cone)) - 1} (cone, m={graph.m}): ValueError: "
-        _, point = decompose_loop(validate_complex([[1]], 1), PairSpec.moment_angle(1))
+        vertex = validate_complex([[1]], 1)
+        _, point = decompose_loop(classify_input(vertex), PairSpec.moment_angle(1))
 
         def failures(edit=lambda node: None, graph=graph):
             mutated = copy.deepcopy(cone)
@@ -669,7 +678,7 @@ class TestCheckTraceMutations:
         ]
 
     def test_failure_names_the_node(self):
-        _, trace = decompose_loop(c5(), PairSpec.moment_angle(5))
+        _, trace = decompose_loop(classify_input(c5()), PairSpec.moment_angle(5))
         trace.series = trace.series * add(1, T)
         assert check_trace(trace, FlagSkeleton.of(c5()), PairSpec.moment_angle(5), 20) == [
             "node 6 (pushout, m=5): ValueError: the rebuilt series is not the recorded one"
@@ -678,7 +687,7 @@ class TestCheckTraceMutations:
     def test_root_pairs_must_cover_its_graph(self):
         # the rules read only the first m cells, and no parent restricts the
         # root's pairs: only the vertex count tells the extra pair apart
-        _, trace = decompose_loop(c5(), PairSpec.moment_angle(5))
+        _, trace = decompose_loop(classify_input(c5()), PairSpec.moment_angle(5))
         assert check_trace(trace, FlagSkeleton.of(c5()), PairSpec.moment_angle(6), 20) == [
             "node 6 (pushout, m=5): ValueError: the pairs cover 6 vertices, the graph 5"
         ]
@@ -686,17 +695,17 @@ class TestCheckTraceMutations:
     def test_trace_of_another_problem_fails(self):
         # P4's trace against the square, and C5's against disk pairs
         path4 = validate_complex([[1, 2], [2, 3], [3, 4]], 4)
-        _, trace = decompose_loop(path4, PairSpec.moment_angle(4))
+        _, trace = decompose_loop(classify_input(path4), PairSpec.moment_angle(4))
         assert check_trace(trace, FlagSkeleton.of(path4), PairSpec.moment_angle(4), 20) == []
         square_graph = FlagSkeleton.of(square())
         assert failures_name_nodes(check_trace(trace, square_graph, PairSpec.moment_angle(4), 20))
-        _, trace = decompose_loop(c5(), PairSpec.moment_angle(5))
+        _, trace = decompose_loop(classify_input(c5()), PairSpec.moment_angle(5))
         disks = PairSpec.from_suspension_dims([[3]] * 5)
         assert failures_name_nodes(check_trace(trace, FlagSkeleton.of(c5()), disks, 20))
 
     def test_shared_child_fails_at_the_pushout(self):
         # one node for the deletion and the link: it cannot be both pieces
-        _, trace = decompose_loop(c5(), PairSpec.moment_angle(5))
+        _, trace = decompose_loop(classify_input(c5()), PairSpec.moment_angle(5))
         trace.children[2] = trace.children[1]
         root = len(engine.unique_nodes(trace)) - 1
         assert check_trace(trace, FlagSkeleton.of(c5()), PairSpec.moment_angle(5), 20) == [
@@ -707,7 +716,7 @@ class TestCheckTraceMutations:
         # the deletion's edge as the root's link too: the root, the larger
         # id, gives it the link's two points, so the deletion fails, and
         # the edge's series is not that of two points
-        _, trace = decompose_loop(c5(), PairSpec.moment_angle(5))
+        _, trace = decompose_loop(classify_input(c5()), PairSpec.moment_angle(5))
         trace.children[2] = trace.children[1].children[0]
         assert check_trace(trace, FlagSkeleton.of(c5()), PairSpec.moment_angle(5), 20) == [
             "node 2 (simplex_skeleton, m=2): ValueError: the rebuilt series is not the recorded one",
@@ -716,7 +725,7 @@ class TestCheckTraceMutations:
 
     def test_node_below_itself_fails(self):
         # the root as a child of its own deletion: the walk stops there
-        _, trace = decompose_loop(c5(), PairSpec.moment_angle(5))
+        _, trace = decompose_loop(classify_input(c5()), PairSpec.moment_angle(5))
         deletion = trace.children[1]
         assert deletion.rule == "pushout"
         deletion.children[1] = trace
@@ -729,7 +738,7 @@ class TestCheckTraceMutations:
         # Hilton-Milnor without its lowest factor's series: the first node
         # it acts on, C5's first non-trivial simplex skeleton, fails, and
         # the nodes above it are not checked
-        _, trace = decompose_loop(c5(), PairSpec.moment_angle(5))
+        _, trace = decompose_loop(classify_input(c5()), PairSpec.moment_angle(5))
         hilton_milnor = engine.hilton_milnor
 
         def drop_one(wedge, cutoff):
@@ -748,7 +757,7 @@ class TestCheckTraceMutations:
         # triangle with a path 3-4-5: node 3's wedge has one non-trivial
         # summand, so no residual, and the mutant first acts at the root
         K = validate_complex([[1, 2, 3], [3, 4], [4, 5]], 5)
-        _, trace = decompose_loop(K, PairSpec.moment_angle(5))
+        _, trace = decompose_loop(classify_input(K), PairSpec.moment_angle(5))
         pushouts = [i for i, n in enumerate(engine.unique_nodes(trace)) if n.rule == "pushout"]
         assert pushouts == [3, 5]
         sizes = []
@@ -780,7 +789,7 @@ class TestLongSparseCertificate:
         found = []
         for K, spec in ((p64, "disks:3"), (c64, f"custom:{path}")):
             pairs, _ = resolve_pairs(spec, 64)
-            _, trace = decompose_loop(K, pairs)
+            _, trace = decompose_loop(classify_input(K), pairs)
             found.append((trace, FlagSkeleton.of(K), pairs))
         return found
 
@@ -809,7 +818,7 @@ class TestLongSparseCertificate:
         m = VERTEX_BOUND
         K = validate_complex([[i, i + 1] for i in range(1, m)], m)
         pairs, _ = resolve_pairs("disks:3", m)
-        _, trace = decompose_loop(K, pairs)
+        _, trace = decompose_loop(classify_input(K), pairs)
         depth, frame = 0, sys._getframe()
         while frame is not None:
             depth, frame = depth + 1, frame.f_back
@@ -854,7 +863,7 @@ class TestNonSimplexLink:
         graph = FlagSkeleton.of(self.K)
         link, mask = pushout_split(graph, 9)[2]
         assert (link.adj, mask) == ((0, 0), 0b10001)
-        _, trace = decompose_loop(self.K, self.pairs)
+        _, trace = decompose_loop(classify_input(self.K), self.pairs)
         monkeypatch.setattr(engine, "divide_products", recorded)
         assert check_trace(trace, graph, self.pairs, 20) == []
         # the root's two divisions, by the link's P-form; every other
@@ -863,7 +872,7 @@ class TestNonSimplexLink:
 
     @pytest.mark.parametrize("j", [1, 2, 5])
     def test_a_changed_root_fails_there(self, j):
-        _, trace = decompose_loop(self.K, self.pairs)
+        _, trace = decompose_loop(classify_input(self.K), self.pairs)
         root = engine.unique_nodes(trace)[-1]
         assert (root.rule, root.vertex) == ("pushout", 9)
         root.series = root.series * add(1, GradedSeries.monomial(j))
@@ -881,7 +890,7 @@ class TestTraceTable:
         m, edges, k = graph
         K = validate_complex(clique_faces(m, edges, k), m)
         G, pairs = FlagSkeleton.of(K), PairSpec.moment_angle(m)
-        _, trace = decompose_loop(K, pairs, 12)
+        _, trace = decompose_loop(classify_input(K), pairs, 12)
         doc = trace_to_doc(trace, G)
         nodes = doc["nodes"]
         assert len(nodes) == len(_unique_nodes(trace))
@@ -899,7 +908,7 @@ class TestTraceTable:
         assert nodes[doc["root"]]["graph"] == {"m": m, "k": K.dim(), "edges": root_edges}
         for node in nodes[:-1]:
             assert {"rule", "series"} <= set(node) <= {"rule", "series", "vertex", "children"}
-        _, again = decompose_loop(K, PairSpec.moment_angle(m), 12)
+        _, again = decompose_loop(classify_input(K), PairSpec.moment_angle(m), 12)
         assert json.dumps(trace_to_doc(again, G)) == json.dumps(doc)
 
     def test_facets_only_from_classification(self, monkeypatch):
@@ -912,31 +921,23 @@ class TestTraceTable:
             ],
             12,
         )
-        calls = {"all": 0, "classifying": 0}
-        classifying = [False]
-        classify = engine.classify_input
-
-        def flagged_classify(complex_):
-            classifying[0] = True
-            try:
-                return classify(complex_)
-            finally:
-                classifying[0] = False
-
+        calls = [0]
         maximal_cliques = FlagSkeleton.maximal_cliques
 
         def counted_cliques(self):
-            calls["all"] += 1
-            calls["classifying"] += classifying[0]
+            calls[0] += 1
             return maximal_cliques(self)
 
         # the one clique search, which check_trace's cone test also runs
         monkeypatch.setattr(FlagSkeleton, "maximal_cliques", counted_cliques)
-        monkeypatch.setattr(engine, "classify_input", flagged_classify)
-        _, trace = decompose_loop(K, PairSpec.moment_angle(12))
+        cls = classify_input(K)
+        assert calls == [1]
+        _, trace = decompose_loop(cls, PairSpec.moment_angle(12))
         # a recursion of many steps; cone nodes keep it at 16
         assert len(_unique_nodes(trace)) >= 16
-        assert 0 < calls["all"] == calls["classifying"] == 1
+        assert calls == [1]
+        # the engine takes the classification and never sees facets
+        assert not {"SimplicialComplex", "classify_input"} & set(vars(engine))
 
 
 class TestGeneralPair:
@@ -947,7 +948,7 @@ class TestGeneralPair:
         fibers = cp_fiber_pairs([(None, None)] * 3)
         assert fibers.is_moment_angle()
         result = decompose_general_pair(K, loops, fibers)
-        base, _ = decompose_loop(K, PairSpec.moment_angle(3))
+        base, _ = decompose_loop(classify_input(K), PairSpec.moment_angle(3))
         circle = gs([1, 1])
         assert result.series == base.series * circle * circle * circle
         assert multiplicity(result, sphere(1)) == 3
@@ -970,7 +971,7 @@ class TestGeneralPair:
     def test_trivial_ambient_reduces_to_decompose_loop(self):
         K = square()
         pairs = PairSpec.moment_angle(4)
-        base, _ = decompose_loop(K, pairs)
+        base, _ = decompose_loop(classify_input(K), pairs)
         result = decompose_general_pair(K, [PProduct.trivial()] * 4, pairs)
         assert result.series == base.series
         assert result.factors == base.factors
@@ -981,7 +982,7 @@ class TestGeneralPair:
         loops = [loops_of_cp(2) for _ in range(3)]
         fibers = cp_fiber_pairs([(2, 0)] * 3)
         result = decompose_general_pair(K, loops, fibers)
-        base, trace = decompose_loop(K, fibers)
+        base, trace = decompose_loop(classify_input(K), fibers)
         assert check_trace(trace, FlagSkeleton.of(K), fibers, DEFAULT_DEGREE) == []
         expect = base.series
         for p in loops:

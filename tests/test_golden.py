@@ -211,7 +211,9 @@ def test_catalog_script_fails_on_a_wrong_prediction(monkeypatch, capsys):
     script = _script("decompose_catalog")
     predicted = oracle.predicted_loop_series
     monkeypatch.setattr(
-        oracle, "predicted_loop_series", lambda K: predicted(K) * add(GradedSeries.monomial(5), 1)
+        oracle,
+        "predicted_loop_series",
+        lambda K, cls: predicted(K, cls) * add(GradedSeries.monomial(5), 1),
     )
     monkeypatch.setattr(sys, "argv", ["decompose_catalog.py"])
     assert script.main() == 1

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import re
 from collections import Counter
@@ -8,8 +9,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import geometric, subset_homology_table, tuple_face_homology
-from loopdecomp import complexes, oracle
-from loopdecomp.complexes import FlagSkeleton, SimplicialComplex, full_subcomplex, validate_complex
+from loopdecomp import cli, complexes, oracle
+from loopdecomp.complexes import (
+    FlagSkeleton,
+    SimplicialComplex,
+    classify_input,
+    full_subcomplex,
+    validate_complex,
+)
 from loopdecomp.engine import NotFlagSkeleton, PairSpec, check_trace, decompose_loop
 from loopdecomp.homotopy import NotCanonicalP
 from loopdecomp.oracle import (
@@ -236,26 +243,27 @@ class TestHochsterRestriction:
 class TestPrediction:
     def test_path3(self):
         K = validate_complex([[1, 2], [2, 3]], 3)
-        assert predicted_loop_series(K) == geometric(2)
+        assert predicted_loop_series(K, classify_input(K)) == geometric(2)
 
     def test_path4(self):
         K = validate_complex([[1, 2], [2, 3], [3, 4]], 4)
-        assert predicted_loop_series(K) == gs([1], [1, 0, -3, -2])
+        assert predicted_loop_series(K, classify_input(K)) == gs([1], [1, 0, -3, -2])
 
     def test_square_not_applicable(self):
         with pytest.raises(NotApplicable):
-            predicted_loop_series(square())
+            predicted_loop_series(square(), classify_input(square()))
 
     def test_full_simplex_is_trivial(self):
         K = validate_complex([[1, 2, 3]], 3)
-        assert predicted_loop_series(K).is_one()
+        assert predicted_loop_series(K, classify_input(K)).is_one()
 
     def test_engine_agrees_on_chordal_flags(self):
         rng = Random(12)
         for _ in range(10):
             K = random_chordal_flag_complex(rng.randint(2, 6), rng)
-            product, _ = decompose_loop(K, PairSpec.moment_angle(K.m))
-            predicted = predicted_loop_series(K)
+            cls = classify_input(K)
+            product, _ = decompose_loop(cls, PairSpec.moment_angle(K.m))
+            predicted = predicted_loop_series(K, cls)
             assert product.series.expand(20) == predicted.expand(20)
 
 
@@ -332,9 +340,12 @@ class TestVerify:
         decompose = oracle.decompose_loop
         disks = PairSpec.from_suspension_dims([[3]] * 4)
         for K, pairs in ((path4, PairSpec.moment_angle(4)), (square(), disks)):
-            monkeypatch.setattr(oracle, "decompose_loop", lambda _K, _p, c: decompose(K, pairs, c))
+            other = classify_input(K)
+            monkeypatch.setattr(
+                oracle, "decompose_loop", lambda _cls, _p, c: decompose(other, pairs, c)
+            )
             report = verify_against_oracle(square(), PairSpec.moment_angle(4))
-            _, trace = decompose(K, pairs, 20)
+            _, trace = decompose(other, pairs, 20)
             assert check_trace(trace, FlagSkeleton.of(K), pairs, 20) == []
             failures = check_trace(trace, FlagSkeleton.of(square()), PairSpec.moment_angle(4), 20)
             assert failures and all(re.match(r"node \d+ \(\w+, m=\d+\): ", f) for f in failures)
@@ -364,19 +375,41 @@ class TestVerify:
             ],
         }
 
-    def test_classifies_once(self, monkeypatch):
-        # the oracle's gate and decompose_loop share K's classification
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Counts of classifications (by their one is_chordal) and graph
+        builds: with nothing kept on K, a second one would be paid in full."""
         calls = Counter()
+        chordal, of = complexes.is_chordal, FlagSkeleton.of.__func__
 
-        def counted(adj):
+        def counted_chordal(G):
             calls["is_chordal"] += 1
-            return chordal(adj)
+            return chordal(G)
 
-        chordal = complexes.is_chordal
-        monkeypatch.setattr(complexes, "is_chordal", counted)
+        def counted_of(cls, K):
+            calls["FlagSkeleton.of"] += 1
+            return of(cls, K)
+
+        monkeypatch.setattr(complexes, "is_chordal", counted_chordal)
+        monkeypatch.setattr(FlagSkeleton, "of", classmethod(counted_of))
+        return calls
+
+    def test_classifies_once(self, builds):
+        # the oracle's gate, decompose_loop and the certificate share one
+        # classification and its graph
         K = random_chordal_flag_complex(8, Random(5))
+        builds.clear()
         assert verify_against_oracle(K, PairSpec.moment_angle(K.m))["status"] == "PASS"
-        assert calls["is_chordal"] == 1
+        assert builds == {"is_chordal": 1, "FlagSkeleton.of": 1}
+
+    @pytest.mark.parametrize("command", ["check", "decompose --trace", "verify"])
+    def test_cli_classifies_once(self, builds, tmp_path, command):
+        K = random_chordal_flag_complex(8, Random(5))
+        path, out = tmp_path / "k.json", tmp_path / "out.json"
+        path.write_text(json.dumps(K.to_doc()))
+        builds.clear()
+        assert cli.main([*command.split(), "--input", str(path), "--output", str(out)]) == 0
+        assert builds == {"is_chordal": 1, "FlagSkeleton.of": 1}
 
     def test_report_document_shape(self):
         K = validate_complex([[1, 2], [2, 3]], 3)

@@ -1,14 +1,16 @@
 """The value types and the CLI's start-up.
 
 Seven value types are read-only: a field can be neither assigned nor
-deleted, since memo keys are built from them.  They survive copy, deepcopy
-and pickle, and SimplicialComplex, Classification and PProduct keep the
-equality (and the first two the hash) that the code relies on.  A
-GradedSeries defaults to denominator 1, and a TraceNode to no vertex and a
-children list of its own.  Importing the CLI loads neither dataclasses nor
+deleted, since memo keys are built from them, and no function writes one
+after construction.  They survive copy, deepcopy and pickle, and
+SimplicialComplex, Classification and PProduct keep the equality (and
+the first two the hash) that the code relies on.  A GradedSeries
+defaults to denominator 1, and a TraceNode to no vertex and a children
+list of its own.  Importing the CLI loads neither dataclasses nor
 inspect.
 """
 
+import ast
 import copy
 import os
 import pickle
@@ -54,14 +56,14 @@ def _cases():
     c5 = validate_complex([[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]], 5)
     cp = cp_fiber_pairs(CP_PAIRS[:5])
     fraction = next(c for c in cp.cells if c.den != (1,))
-    product, _ = decompose_loop(c5, cp, 12)
+    product, _ = decompose_loop(classify_input(c5), cp, 12)
     return [
         GradedSeries((0, 1, 2)),
         fraction,
         CellSeries(fraction),
         SphereWedge(CellSeries(GradedSeries((0, 0, 2, 1)))),
         product,
-        decompose_loop(c5, resolve_pairs("disks:3", 5)[0])[0],
+        decompose_loop(classify_input(c5), resolve_pairs("disks:3", 5)[0])[0],
         c5,
         classify_input(c5),
         cp,
@@ -116,10 +118,39 @@ def test_a_copied_series_keeps_its_expansion():
     assert other.expand(10) == series.expand(10) and other == series
 
 
+def _object_setattr_scopes(node, names=()):
+    """The dotted names of the defs around each object.__setattr__ call."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = (*names, node.name)
+    func = getattr(node, "func", None)
+    if (
+        isinstance(func, ast.Attribute)
+        and func.attr == "__setattr__"
+        and isinstance(func.value, ast.Name)
+        and func.value.id == "object"
+    ):
+        yield ".".join(names)
+    for child in ast.iter_child_nodes(node):
+        yield from _object_setattr_scopes(child, names)
+
+
+def test_no_value_is_written_after_construction():
+    # a slot is set by its own __init__, or restored by __setstate__; the
+    # one other writer, PairSpec.restrict, fills an instance it has just
+    # made with object.__new__.  Nothing is cached on a value later.
+    writers = {
+        f"{path.stem}.{scope}"
+        for path in (SRC / "loopdecomp").glob("*.py")
+        for scope in _object_setattr_scopes(ast.parse(path.read_text(encoding="utf-8")))
+        if scope.rsplit(".", 1)[-1] not in ("__init__", "__setstate__")
+    }
+    assert writers == {"engine.PairSpec.restrict"}
+    assert SimplicialComplex.__slots__ == FIELDS[SimplicialComplex]
+
+
 def test_complex_equality_and_hash_are_by_facets():
     a = validate_complex([[1, 2], [2, 3]], 3)
     b = validate_complex([[3, 2], [1, 2]], 3)
-    classify_input(a)  # the cached classification is not compared
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert a != validate_complex([[1, 2, 3]], 3)
     assert a != (3, a.facets)
