@@ -59,7 +59,7 @@ _T = GradedSeries.monomial(1)
 
 
 class PairSpec(Frozen):
-    """Per-vertex suspension data for the pairs (CA_i, A_i).
+    """Per-vertex suspension data for the pairs (CA_i, A_i); a run checks it (`_check_pairs`).
 
     Each vertex carries the reduced-homology series of A_i, equivalently
     the cell series of the wedge Sigma A_i shifted down by one.  Finite
@@ -72,11 +72,6 @@ class PairSpec(Frozen):
 
     def __init__(self, cells: tuple[GradedSeries, ...]):
         object.__setattr__(self, "cells", cells)
-        # each distinct cell once: most specs repeat one cell at every vertex
-        for s in {(s.num, s.den): s for s in cells}.values():
-            if s.is_zero():
-                raise ValueError("a vertex's cell series must not be zero")
-            CellSeries(s)
 
     @property
     def m(self) -> int:
@@ -110,15 +105,20 @@ class PairSpec(Frozen):
         return self.cells[v - 1]
 
     def restrict(self, mask: int) -> "PairSpec":
-        """The pairs on the vertex mask, relabelled 1..n in ascending order:
-        this spec's cells, unchecked."""
-        spec = object.__new__(PairSpec)
-        cells = tuple([c for i, c in enumerate(self.cells) if mask >> i & 1])
-        object.__setattr__(spec, "cells", cells)
-        return spec
+        """The pairs on the vertex mask, relabelled 1..n in ascending order."""
+        return PairSpec(tuple([c for i, c in enumerate(self.cells) if mask >> i & 1]))
 
     def key(self):
         return tuple([(s.num, s.den) for s in self.cells])
+
+
+def _check_pairs(pairs: PairSpec, cutoff: int) -> None:
+    """Each distinct vertex cell once (most specs repeat one): non-zero, and
+    a wedge's cells, a CellSeries through cutoff + 1; ValueError otherwise."""
+    for s in {(s.num, s.den): s for s in pairs.cells}.values():
+        if s.is_zero():
+            raise ValueError("a vertex's cell series must not be zero")
+        CellSeries(s, cutoff + 1)
 
 
 class TraceNode:
@@ -133,15 +133,15 @@ class TraceNode:
         self.children = [] if children is None else children
 
 
-def skeleton_simplex_wedge(m: int, k: int, pairs: PairSpec) -> SphereWedge:
+def skeleton_simplex_wedge(m: int, k: int, pairs: PairSpec, degree: int) -> SphereWedge:
     """(CA,A)^K for K the k-skeleton of the (m-1)-simplex, as a sphere wedge.
 
     Cell series: sum over j = k+2..m and |S| = j of binom(j-1, k+1) *
     t^(k+1) * prod_{i in S} reduced(A_i); the subset sums are elementary
     symmetric polynomials in the vertex series, built by the usual DP.
-    The full simplex (k = m-1) gives the empty wedge.
+    The full simplex (k = m-1) gives the empty wedge.  Checked through degree.
     """
-    return SphereWedge(CellSeries(_skeleton_cells(m, k, pairs)))
+    return SphereWedge(CellSeries(_skeleton_cells(m, k, pairs), degree))
 
 
 def _skeleton_cells(m: int, k: int, pairs: PairSpec) -> GradedSeries:
@@ -179,6 +179,7 @@ def decompose_loop(
     depend on the pushout vertices chosen, only the shape of the
     derivation does.
     """
+    _check_pairs(pairs, cutoff)
     if cls.graph.m != pairs.m:
         raise ValueError("pair data must cover all vertices of K")
     if cls.k_skeleton_of_flag is None:
@@ -284,22 +285,22 @@ def _derive(node: TraceNode, graph: FlagSkeleton):
 
 
 def _rebuild(node: TraceNode, graph: FlagSkeleton, pairs: PairSpec, children, cutoff: int):
-    """A node's P-form from its children's, once `_derive` has checked it;
-    each step checks membership in P, and the rebuilt series must be the
-    recorded one.  A pushout returns the P-form of the recorded series: its
-    rebuilt fraction holds its operands' polynomials, which would pile up
+    """A node's P-form from its children's, once `_derive` has checked it; each
+    step checks membership in P through the cutoff, and the rebuilt series must
+    be the recorded one.  A pushout returns the P-form of the recorded series:
+    its rebuilt fraction holds its operands' polynomials, which would pile up
     along the trace.  The other rules build the recorded fraction itself."""
     if node.rule == "contractible":
         product = PProduct.trivial(cutoff)
     elif node.rule == "simplex_skeleton":
         k = graph.simplex_skeleton_dim()
-        product = hilton_milnor(skeleton_simplex_wedge(graph.m, k, pairs), cutoff)
+        product = hilton_milnor(skeleton_simplex_wedge(graph.m, k, pairs, cutoff + 1), cutoff)
     elif node.rule == "cone":
         (product,) = children
     else:
         p1, p2, pl = children
-        a, a_prime = map(CellSeries, _pushout_cells(graph, node.vertex, pairs))
-        s_join = hilton_milnor(join_cells(a, a_prime), cutoff)
+        a, a_prime = (CellSeries(c, cutoff + 1) for c in _pushout_cells(graph, node.vertex, pairs))
+        s_join = hilton_milnor(join_cells(a, a_prime, cutoff + 1), cutoff)
         s_g = loop_half_smash(a_prime, divide_products(p1, pl))
         s_h = loop_half_smash(a, divide_products(p2, pl))
         product = pproduct_mul(pl, porter_loop_wedge([s_join, s_g, s_h]))
@@ -330,14 +331,15 @@ def unique_nodes(root: TraceNode) -> list[TraceNode]:
 def check_trace(node: TraceNode, graph: FlagSkeleton, pairs: PairSpec, cutoff: int) -> list[str]:
     """Certify a trace of the problem (graph, pairs) in two passes over
     unique_nodes' table.  Root down, by descending id, each node's rule
-    precondition must hold on its piece, and each child, whose id must be
-    below its parent's, gets the piece the rule derives: the induced graph
-    with the pairs restricted, the same from every parent (the larger-id
-    parent's is kept).  Leaves up, each node's P-form is rebuilt from its
-    children's, each step's P-form checked canonical where it is built;
-    the root's rebuilt series is its recorded one, so its factors are
-    those of `decompose_loop`.  No node without a piece or above a failing
-    one is rebuilt.  Returns one message per failing node, by ascending id."""
+    precondition must hold on its piece, and each child, whose id must be below
+    its parent's, gets the piece the rule derives: the induced graph with the
+    pairs restricted, the same from every parent (the larger-id parent's is
+    kept).  Leaves up, each node's P-form is rebuilt from its children's, each
+    step's P-form checked canonical where it is built; the root's rebuilt series
+    is its recorded one, so its factors are those of `decompose_loop`.  No node
+    without a piece or above a failing one is rebuilt.  Returns one message per
+    failing node, by ascending id; bad cells raise ValueError."""
+    _check_pairs(pairs, cutoff)
     nodes = unique_nodes(node)
     ids = {id(current): i for i, current in enumerate(nodes)}
     problems: list = [None] * (len(nodes) - 1) + [(graph, pairs)]  # (graph, pairs) by id

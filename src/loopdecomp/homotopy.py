@@ -13,7 +13,7 @@ factorization unambiguous: each bottom degree d >= 1 names exactly one
 canonical factor, and a factor is written as its d.
 
 Factors beyond the cutoff are never listed individually; the series is the
-lossless record of their aggregate.
+lossless record of their aggregate, and the cutoff bounds every check.
 """
 
 from __future__ import annotations
@@ -41,18 +41,20 @@ _HOPF_DIMS = (1, 3, 7)
 class CellSeries(Frozen):
     """Reduced-homology rank series of a path connected space.
 
-    The degree-0 coefficient is 0 and coefficients are non-negative: all
-    of them for a polynomial, through the default working degree for a
-    fraction.  The zero series is the point.
+    The degree-0 coefficient is 0 and coefficients are non-negative: all of them
+    for a polynomial, through `degree` for a fraction.  The zero series is the
+    point.  At cutoff D a wedge's cells (a vertex's, a', the skeleton wedge, the
+    join, the Porter residual) are checked through D + 1, which Hilton-Milnor
+    reads for exponents through D, and a P-form's `reduced_cells` through D.
     """
 
     __slots__ = ("reduced",)
 
-    def __init__(self, reduced: GradedSeries):
+    def __init__(self, reduced: GradedSeries, degree: int):
         object.__setattr__(self, "reduced", reduced)
         if reduced.is_zero():
             return
-        coeffs = reduced.checkable_coeffs(DEFAULT_DEGREE)
+        coeffs = reduced.checkable_coeffs(degree)
         if coeffs[0] != 0:
             raise ValueError("reduced series must have zero constant term")
         if min(coeffs) < 0:
@@ -181,15 +183,15 @@ def reduced_cells(p: PProduct) -> CellSeries:
     """Reduced-homology series of the underlying space of a product: with
     series N/D it is (N - D)/D, p's series less its constant term."""
     num, den = p.series.num, p.series.den
-    return CellSeries(GradedSeries(poly_add(num, poly_neg(den)), den))
+    return CellSeries(GradedSeries(poly_add(num, poly_neg(den)), den), p.cutoff)
 
 
 # --------------------------------------------------------------------------
 # operations
 
 
-def join_cells(a: CellSeries, b: CellSeries) -> SphereWedge:
-    """Join X * Y ~ Sigma(X ^ Y): cell series t * a * b.
+def join_cells(a: CellSeries, b: CellSeries, degree: int) -> SphereWedge:
+    """Join X * Y ~ Sigma(X ^ Y): cell series t * a * b, checked through degree.
 
     The caller guarantees the join lies in W (SphereWedge raises
     NotSimplyConnectedOutput otherwise); joining with a point gives the
@@ -198,7 +200,7 @@ def join_cells(a: CellSeries, b: CellSeries) -> SphereWedge:
     """
     x, y = a.reduced, b.reduced
     num = poly_mul((0, 1), poly_mul(x.num, y.num))
-    return SphereWedge(CellSeries(GradedSeries(num, poly_mul(x.den, y.den))))
+    return SphereWedge(CellSeries(GradedSeries(num, poly_mul(x.den, y.den)), degree))
 
 
 def lyndon_counts(f: GradedSeries, degree: int) -> dict[int, int]:
@@ -258,8 +260,9 @@ def loop_half_smash(x: CellSeries, y_loop: PProduct) -> PProduct:
     """
     if x.reduced.is_zero() or y_loop.is_trivial():
         return y_loop
-    # a membership check: the join is a sphere wedge, whose loops are in P
-    hilton_milnor(join_cells(x, reduced_cells(y_loop)), y_loop.cutoff)
+    # the join's cells, non-negative through D + 1, put its loops in P through D
+    # by Hilton-Milnor: their exponents are graded Lyndon (Witt) counts
+    join_cells(x, reduced_cells(y_loop), y_loop.cutoff + 1)
     p, q = x.reduced.num, x.reduced.den
     n, d = y_loop.series.num, y_loop.series.den
     series = GradedSeries(
@@ -307,8 +310,8 @@ def porter_loop_wedge(summands) -> PProduct:
             after = poly_mul(nums[i], after)
     gap = poly_add(den, poly_neg(S))
     residual_cells = GradedSeries(poly_mul((0, 1), gap), den)
-    # a membership check: the residual is a sphere wedge, whose loops are in P
-    hilton_milnor(SphereWedge(CellSeries(residual_cells)), cutoff)
+    # the residual's loops are in P through D by Hilton-Milnor, as in loop_half_smash
+    SphereWedge(CellSeries(residual_cells, cutoff + 1))
     return greedy_factorize(GradedSeries(whole, S), cutoff)
 
 

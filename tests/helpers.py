@@ -417,7 +417,7 @@ def _rational_rank(matrix):
 def suspension_splitting(p):
     """Suspension of a product of spheres and loop spaces, as a sphere wedge:
     cells t * (series - 1)."""
-    return SphereWedge(CellSeries(GradedSeries.monomial(1) * sub(p.series, 1)))
+    return SphereWedge(CellSeries(GradedSeries.monomial(1) * sub(p.series, 1), p.cutoff + 1))
 
 
 _LOOP_DIM_CHOICES = [d for d in range(3, 17) if d not in (4, 8)]
@@ -556,7 +556,7 @@ def loop_sphere(dim):
     return dim - 1
 
 
-POINT = CellSeries(GradedSeries.zero())
+POINT = CellSeries(GradedSeries.zero(), DEFAULT_DEGREE + 1)
 
 
 def wedge_of_spheres(dims):
@@ -564,7 +564,7 @@ def wedge_of_spheres(dims):
     total = GradedSeries.zero()
     for d in dims:
         total = add(total, GradedSeries.monomial(d))
-    return SphereWedge(CellSeries(total))
+    return SphereWedge(CellSeries(total, DEFAULT_DEGREE + 1))
 
 
 def is_point(w):

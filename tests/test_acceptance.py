@@ -92,7 +92,7 @@ def test_criterion_3_skeleton_wedge_vs_hochster():
             full = validate_complex([list(range(1, m + 1))], m)
             for k in range(m):
                 K = skeleton(full, k)
-                wedge = skeleton_simplex_wedge(m, k, PairSpec.moment_angle(m))
+                wedge = skeleton_simplex_wedge(m, k, PairSpec.moment_angle(m), 21)
                 bound = m + K.dim() + 2
                 ranks = {
                     d: c for d, c in enumerate(wedge.cells.reduced.expand(bound)) if c

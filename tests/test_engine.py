@@ -111,11 +111,37 @@ class TestPairSpec:
         assert engine._pushout_cells(G, 1, PairSpec.moment_angle(4)) == (T, gs([0, 2, 1]))
 
     def test_polynomial_checked_past_working_degree(self):
-        # t - t^25 is negative only in degree 25, beyond DEFAULT_DEGREE
-        with pytest.raises(ValueError):
-            PairSpec((sub(T, GradedSeries.monomial(25)), T, T))
-        # a fraction is still checked through the working degree only
-        PairSpec((cp_pair_fiber_cells(2, 0), T))
+        # t - t^25 is negative only in degree 25: a polynomial cell is
+        # checked at every degree, whatever the cutoff; the spec itself is
+        # stored unchecked, and the run refuses it
+        bad = PairSpec((sub(T, GradedSeries.monomial(25)), T, T))
+        path = classify_input(validate_complex([[1, 2], [2, 3]], 3))
+        for cutoff in (1, 20, 60):
+            with pytest.raises(ValueError, match="non-negative"):
+                decompose_loop(path, bad, cutoff)
+        # a fraction is checked through the cutoff + 1
+        decompose_loop(path, PairSpec((cp_pair_fiber_cells(2, 0), T, T)), 60)
+
+    def test_fraction_cells_checked_through_the_cutoff(self):
+        # x = t/(1 - t) - 2 t^40 is -1 in degree 40 only: a vertex's cells
+        # are a wedge's, read through cutoff + 1, so cutoffs from 39 refuse
+        # it and cutoffs to 38 never read that degree
+        x = GradedSeries((0, 1) + (0,) * 38 + (-2, 2), (1, -1))
+        assert x.expand(41)[39:] == (1, -1, 1)
+        pairs = PairSpec((x,) + (T,) * 4)
+        cls = classify_input(c5())
+        product, trace = decompose_loop(cls, pairs, 20)
+        assert check_trace(trace, cls.graph, pairs, 20) == []
+        assert verify_against_oracle(c5(), pairs, 20)["status"] == "PASS"
+        decompose_loop(cls, pairs, 38)
+        for cutoff in (39, 60):
+            with pytest.raises(ValueError, match="reduced series must be non-negative"):
+                decompose_loop(cls, pairs, cutoff)
+            with pytest.raises(ValueError, match="reduced series must be non-negative"):
+                check_trace(trace, cls.graph, pairs, cutoff)
+        (check,) = verify_against_oracle(c5(), pairs, 60)["checks"]
+        assert check["name"] == "decompose" and check["status"] == "FAIL"
+        assert check["detail"] == "ValueError: reduced series must be non-negative"
 
     def test_restrict(self):
         pairs = PairSpec.from_suspension_dims([[2], [3], [4]])
@@ -124,7 +150,7 @@ class TestPairSpec:
 
     def test_only_the_roots_cells_are_checked(self, monkeypatch):
         # restricted specs and the pushout cells are built unchecked: on C8
-        # the one check of each distinct vertex series is the root spec's
+        # the one check of each distinct vertex series is decompose_loop's
         checked = []
         checkable = GradedSeries.checkable_coeffs
 
@@ -144,16 +170,16 @@ class TestPairSpec:
 
 class TestSkeletonWedge:
     def test_two_points(self):
-        w = skeleton_simplex_wedge(2, 0, PairSpec.moment_angle(2))
+        w = skeleton_simplex_wedge(2, 0, PairSpec.moment_angle(2), 21)
         assert w.cells.reduced == GradedSeries.monomial(3)
 
     def test_three_points(self):
-        w = skeleton_simplex_wedge(3, 0, PairSpec.moment_angle(3))
+        w = skeleton_simplex_wedge(3, 0, PairSpec.moment_angle(3), 21)
         assert w.cells.reduced == gs([0, 0, 0, 3, 2])
 
     def test_full_simplex_contractible(self):
         for m in range(1, 5):
-            w = skeleton_simplex_wedge(m, m - 1, PairSpec.moment_angle(m))
+            w = skeleton_simplex_wedge(m, m - 1, PairSpec.moment_angle(m), 21)
             assert is_point(w)
 
     def test_full_simplex_skips_the_sweep(self, monkeypatch):
@@ -166,13 +192,13 @@ class TestSkeletonWedge:
             return poly_mul(a, b)
 
         monkeypatch.setattr(engine, "poly_mul", counted)
-        w = skeleton_simplex_wedge(64, 63, PairSpec.moment_angle(64))
+        w = skeleton_simplex_wedge(64, 63, PairSpec.moment_angle(64), 21)
         assert is_point(w) and products == []
-        skeleton_simplex_wedge(64, 62, PairSpec.moment_angle(64))
+        skeleton_simplex_wedge(64, 62, PairSpec.moment_angle(64), 21)
         assert products
 
     def test_triangle_boundary_is_s5(self):
-        w = skeleton_simplex_wedge(3, 1, PairSpec.moment_angle(3))
+        w = skeleton_simplex_wedge(3, 1, PairSpec.moment_angle(3), 21)
         assert w.cells.reduced == GradedSeries.monomial(5)
 
     def test_matches_hochster_for_small_skeleta(self):
@@ -183,7 +209,7 @@ class TestSkeletonWedge:
             full = validate_complex([list(range(1, m + 1))], m)
             for k in range(m):
                 K = skeleton(full, k)
-                w = skeleton_simplex_wedge(m, k, PairSpec.moment_angle(m))
+                w = skeleton_simplex_wedge(m, k, PairSpec.moment_angle(m), 21)
                 bound = m + K.dim() + 2
                 ranks = {
                     d: c

@@ -2,7 +2,7 @@ from math import comb
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from loopdecomp import homotopy, series
 from loopdecomp.complexes import FlagSkeleton, classify_input, validate_complex
@@ -58,8 +58,8 @@ def gs(num, den=(1,)):
 
 T = GradedSeries.monomial(1)
 ONE = GradedSeries.one()
-CIRCLE = CellSeries(T)
-LOOP_S3_CELLS = CellSeries(gs([0, 0, 1], [1, 0, -1]))  # reduced Omega S^3
+CIRCLE = CellSeries(T, 21)
+LOOP_S3_CELLS = CellSeries(gs([0, 0, 1], [1, 0, -1]), 21)  # reduced Omega S^3
 
 
 def random_deep_product(rng, cutoff):
@@ -77,8 +77,8 @@ def half_smash_x(draw):
     """Cells of X: a finite wedge (a polynomial), or the fibre of a
     projective pair (mostly a fraction)."""
     if draw(st.booleans()):
-        return CellSeries(gs([0] + draw(st.lists(st.integers(0, 2), max_size=5))))
-    return CellSeries(cp_pair_fiber_cells(*draw(st.sampled_from(CP_PAIRS))))
+        return CellSeries(gs([0] + draw(st.lists(st.integers(0, 2), max_size=5))), 21)
+    return CellSeries(cp_pair_fiber_cells(*draw(st.sampled_from(CP_PAIRS))), 21)
 
 
 @st.composite
@@ -134,7 +134,7 @@ class TestPFactor:
 
 class TestJoin:
     def test_circle_join_circle_is_s3(self):
-        w = join_cells(CIRCLE, CIRCLE)
+        w = join_cells(CIRCLE, CIRCLE, 21)
         assert w.cells.reduced == GradedSeries.monomial(3)
 
     def test_wedge_rejects_low_cells(self):
@@ -144,10 +144,10 @@ class TestJoin:
             SphereWedge(CIRCLE)
 
     def test_join_with_point_is_trivial(self):
-        assert is_point(join_cells(CIRCLE, POINT))
+        assert is_point(join_cells(CIRCLE, POINT, 21))
 
     def test_circle_join_loop_s3(self):
-        w = join_cells(CIRCLE, LOOP_S3_CELLS)
+        w = join_cells(CIRCLE, LOOP_S3_CELLS, 21)
         # S^4 v S^6 v S^8 v ...
         assert w.cells.reduced == gs([0, 0, 0, 0, 1], [1, 0, -1])
         assert w.cells.reduced.expand(8) == (0, 0, 0, 0, 1, 0, 1, 0, 1)
@@ -260,7 +260,7 @@ class TestHiltonMilnor:
     def test_closed_form_is_the_operator_series(self, x, cutoff):
         # cells t x: a finite wedge, or t times a projective fibre's fraction
         cells = T * x.reduced
-        p = hilton_milnor(SphereWedge(CellSeries(cells)), cutoff)
+        p = hilton_milnor(SphereWedge(CellSeries(cells, cutoff + 1)), cutoff)
         if cells.is_zero():
             assert p.is_trivial()
             return
@@ -295,7 +295,9 @@ class TestLoopHalfSmash:
     @settings(max_examples=60, deadline=None)
     @given(half_smash_x(), half_smash_y())
     def test_closed_form_matches_composition(self, x, y):
-        composed = pproduct_mul(hilton_milnor(join_cells(x, reduced_cells(y)), y.cutoff), y)
+        composed = pproduct_mul(
+            hilton_milnor(join_cells(x, reduced_cells(y), y.cutoff + 1), y.cutoff), y
+        )
         p = loop_half_smash(x, y)
         assert p.series == composed.series
         assert p.factors == composed.factors
@@ -347,7 +349,7 @@ class TestPorter:
                 summands = [random_canonical_product(rng, 12) for _ in range(size - 1)]
                 summands.insert(rng.randint(0, size - 1), fraction)
                 direct = subset_residual_cells(summands)
-                expected = hilton_milnor(SphereWedge(CellSeries(direct)), 12)
+                expected = hilton_milnor(SphereWedge(CellSeries(direct, 13)), 12)
                 for p in summands:
                     expected = pproduct_mul(expected, p)
                 via = porter_loop_wedge(summands)
@@ -406,13 +408,13 @@ class TestFactorIdentities:
     @settings(max_examples=60, deadline=None)
     @given(half_smash_x(), canonical_products)
     def test_half_smash_has_the_factors_of_the_join_and_omega_y(self, x, y):
-        join = hilton_milnor(join_cells(x, reduced_cells(y)), y.cutoff)
+        join = hilton_milnor(join_cells(x, reduced_cells(y), y.cutoff + 1), y.cutoff)
         assert loop_half_smash(x, y).factors == merged_factors(join.factors, y.factors)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(canonical_products, min_size=2, max_size=4))
     def test_porter_has_the_factors_of_the_residual_and_the_summands(self, summands):
-        residual = hilton_milnor(SphereWedge(CellSeries(subset_residual_cells(summands))), 12)
+        residual = hilton_milnor(SphereWedge(CellSeries(subset_residual_cells(summands), 13)), 12)
         expected = merged_factors(residual.factors, *(p.factors for p in summands))
         assert porter_loop_wedge(summands).factors == expected
 
@@ -506,10 +508,36 @@ class TestDivide:
 
 
 def test_cell_series_polynomial_checked_at_every_degree():
-    # negative only in degree 25, beyond the working degree
+    # negative only in degree 25, past the degree a fraction is read to
     with pytest.raises(ValueError):
-        CellSeries(sub(T, GradedSeries.monomial(25)))
-    CellSeries(LOOP_S3_CELLS.reduced)  # a fraction: checked through degree 20
+        CellSeries(sub(T, GradedSeries.monomial(25)), 10)
+    # a fraction is read through the degree given: this one is negative in
+    # degree 31 only
+    boundary = GradedSeries((0, 1) + (0,) * 29 + (-2, 2), (1, -1))
+    assert boundary.expand(32)[30:] == (1, -1, 1)
+    CellSeries(boundary, 30)
+    with pytest.raises(ValueError, match="non-negative"):
+        CellSeries(boundary, 31)
+
+
+@settings(max_examples=120, deadline=None)
+@given(half_smash_x(), st.integers(-3, 20), st.integers(-50, 1), st.integers(8, 60))
+@example(LOOP_S3_CELLS, 19, -3, 20)  # t^3/(1 - t^2) - 3 t^40: negative past D + 1
+def test_cells_through_the_next_degree_put_the_loops_in_p(x, offset, c, cutoff):
+    """Hilton-Milnor: a wedge's loop exponents through D are graded Lyndon
+    counts over its cells through D + 1, so a wedge whose cells pass
+    CellSeries(., D + 1) has a P-form through D.  loop_half_smash and
+    porter_loop_wedge check their wedges so and build no P-form of them.
+    The cells are t x, as the join with S^1 would have, plus c t^n for
+    n = D + 1 + offset (at least 2): a fraction negative past D + 1 passes,
+    a polynomial negative anywhere does not."""
+    cells = add(T * x.reduced, GradedSeries((0,) * max(2, cutoff + 1 + offset) + (c,)))
+    try:
+        wedge = SphereWedge(CellSeries(cells, cutoff + 1))
+    except ValueError:
+        assert min(cells.checkable_coeffs(cutoff + 1)) < 0
+        return
+    hilton_milnor(wedge, cutoff)
 
 
 def test_fractions_stay_short(monkeypatch):

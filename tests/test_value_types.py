@@ -60,8 +60,8 @@ def _cases():
     return [
         GradedSeries((0, 1, 2)),
         fraction,
-        CellSeries(fraction),
-        SphereWedge(CellSeries(GradedSeries((0, 0, 2, 1)))),
+        CellSeries(fraction, 13),
+        SphereWedge(CellSeries(GradedSeries((0, 0, 2, 1)), 13)),
         product,
         decompose_loop(classify_input(c5), resolve_pairs("disks:3", 5)[0])[0],
         c5,
@@ -135,16 +135,15 @@ def _object_setattr_scopes(node, names=()):
 
 
 def test_no_value_is_written_after_construction():
-    # a slot is set by its own __init__, or restored by __setstate__; the
-    # one other writer, PairSpec.restrict, fills an instance it has just
-    # made with object.__new__.  Nothing is cached on a value later.
+    # a slot is set by its own __init__, or restored by __setstate__; no
+    # other function writes one, and nothing is cached on a value later
     writers = {
         f"{path.stem}.{scope}"
         for path in (SRC / "loopdecomp").glob("*.py")
         for scope in _object_setattr_scopes(ast.parse(path.read_text(encoding="utf-8")))
         if scope.rsplit(".", 1)[-1] not in ("__init__", "__setstate__")
     }
-    assert writers == {"engine.PairSpec.restrict"}
+    assert writers == set()
     assert SimplicialComplex.__slots__ == FIELDS[SimplicialComplex]
 
 
