@@ -68,7 +68,7 @@ def main():
         if cls.k_skeleton_of_flag is None:
             print(f"{name:34}{'no':12}-")
             continue
-        report = verify_against_oracle(K, PairSpec.moment_angle(m), args.cutoff)
+        report = verify_against_oracle(K, PairSpec.from_suspension_dims([[2]] * m), args.cutoff)
         failures += report["status"] == "FAIL"
         decomposed = report["checks"][0]
         notes = "".join(map(note, report["checks"]))

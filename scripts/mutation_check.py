@@ -54,6 +54,56 @@ MUTANTS = [
         "",
         "tests/test_engine.py::TestClosedForms",
     ),
+    (
+        "one-neighbour chordality test",
+        "src/loopdecomp/complexes.py",
+        "_indices(earlier)",
+        "list(_indices(earlier))[:1]",
+        "tests/test_complexes.py::TestChordality",
+    ),
+    (
+        "no same-piece check for a shared child",
+        "src/loopdecomp/engine.py",
+        "elif problems[c][0] != piece or problems[c][1].key() != sub.key():",
+        "elif False:",
+        "tests/test_engine.py::TestCheckTraceMutations"
+        "::test_a_shared_child_fails_at_its_smaller_id_parent",
+    ),
+    (
+        "cone without the flag check",
+        "src/loopdecomp/engine.py",
+        "if largest > graph.k + 1:",
+        "if False:",
+        "tests/test_engine.py::TestCheckTraceMutations::test_cone_mutations_are_rejected",
+    ),
+    (
+        "contractible node with two vertices",
+        "src/loopdecomp/engine.py",
+        "if m > 1:",
+        "if m > 2:",
+        "tests/test_engine.py::TestCheckTraceMutations::test_cone_mutations_are_rejected",
+    ),
+    (
+        "pushout at a dominating vertex",
+        "src/loopdecomp/complexes.py",
+        "if link.bit_count() == K.m - 1:",
+        "if False:",
+        "tests/test_complexes.py::TestPushout::test_dominating_vertex_rejected",
+    ),
+    (
+        "VERTEX_BOUND off by one",
+        "src/loopdecomp/cli.py",
+        "if K.m > VERTEX_BOUND:",
+        "if K.m >= VERTEX_BOUND:",
+        "tests/test_cli.py::TestExitCodes::test_simplex_at_the_vertex_bound_decomposes",
+    ),
+    (
+        "a node as its own child",
+        "src/loopdecomp/engine.py",
+        "if c >= i:",
+        "if c > i:",
+        "tests/test_engine.py::TestCheckTraceMutations::test_node_as_its_own_child_fails",
+    ),
 ]
 
 

@@ -41,7 +41,7 @@ def sweep_engine(count, rng, cutoff):
         K = random_flag_skeleton(rng.randint(2, 7), rng)
         kind = PAIR_KINDS[i % 4]
         if kind == "moment-angle":
-            pairs = PairSpec.moment_angle(K.m)
+            pairs = PairSpec.from_suspension_dims([[2]] * K.m)
         elif kind == "disks:3":
             pairs = PairSpec.from_suspension_dims([[3]] * K.m)
         elif kind == "varied dims":
@@ -60,7 +60,7 @@ def sweep_chordal(count, rng, cutoff):
     always applies."""
     for _ in range(count):
         K = random_chordal_flag_complex(rng.randint(2, 7), rng)
-        report = verify_against_oracle(K, PairSpec.moment_angle(K.m), cutoff)
+        report = verify_against_oracle(K, PairSpec.from_suspension_dims([[2]] * K.m), cutoff)
         assert report["status"] == "PASS", report
         assert report["checks"][-1]["detail"] == "Hochster prediction"
     return count

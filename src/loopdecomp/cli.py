@@ -4,17 +4,18 @@ All input and output documents are single JSON files.  Input complexes are
 {"m": int, "facets": [[int, ...], ...]}.  Every --pairs kind is a list of
 suspension dimensions per vertex: moment-angle is [2], disks:N is [N], and
 custom:PATH holds {"suspensions": [[dims...] per vertex]}, which the output
-echoes in place of the path.  Exit codes: 0 success, 1 input error (a
-malformed command line too), 2 inadmissible complex, 3 internal-check
-failure; each error is one line on stderr.  `main` reads and classifies the
-complex once and writes one document per call.  An output is exactly the
-bytes of json.dumps(doc, indent=2) and a newline; `_write` produces them,
-for the types a document holds (str, int, bool, None, lists and dicts with
-str keys), without the standard library's pure-Python indenting encoder,
-which took about a third of a call's time on small inputs.  An --output
-file is written over in place and then cut to length: truncating an
-existing file to zero made ext4 allocate its blocks and start writeback on
-close, which cost more than building the text.
+echoes in place of the path.  --cutoff defaults to DEFAULT_CUTOFF, 20, the
+one default cutoff: every library function takes its cutoff.  Exit codes: 0
+success, 1 input error (a malformed command line too), 2 inadmissible
+complex, 3 internal-check failure; each error is one line on stderr.
+`main` reads and classifies the complex once and writes one document per
+call.  An output is exactly the bytes of json.dumps(doc, indent=2) and a
+newline; `_write` produces them, for the types a document holds (str, int,
+bool, None, lists and dicts with str keys), without the standard library's
+pure-Python indenting encoder, which took about a third of a call's time on
+small inputs.  An --output file is written over in place and then cut to
+length: truncating an existing file to zero made ext4 allocate its blocks
+and start writeback on close, which cost more than building the text.
 """
 
 from __future__ import annotations
@@ -38,12 +39,13 @@ from .complexes import (
 from .engine import NotFlagSkeleton, PairSpec, decompose_loop, trace_to_doc
 from .homotopy import NoSolution, NotCanonicalP
 from .oracle import verify_against_oracle
-from .series import DEFAULT_DEGREE
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INADMISSIBLE = 2
 EXIT_INTERNAL = 3
+
+DEFAULT_CUTOFF = 20
 
 # a sphere of dimension n in a pair gives a cell series of n terms, and
 # every series the recursion builds from it grows with n
@@ -216,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", dest="input_path")
         if name != "check":
             p.add_argument("--pairs", default="moment-angle")
-            p.add_argument("--cutoff", type=int, default=DEFAULT_DEGREE)
+            p.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF)
         p.add_argument("--output", dest="output_path")
         if name == "decompose":
             p.add_argument("--trace", action="store_true")
@@ -253,7 +255,6 @@ def main(argv=None) -> int:
             cls = classify_input(K)
             product, trace = decompose_loop(cls, pairs, args.cutoff)
             doc.update(product.to_doc())
-            doc["expansion"] = list(product.series.expand(args.cutoff))
             if args.trace:
                 doc["trace"] = trace_to_doc(trace, cls.graph)
         _emit(doc, args.output_path)

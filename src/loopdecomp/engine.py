@@ -48,14 +48,11 @@ from .homotopy import (
     porter_loop_wedge,
     pproduct_mul,
 )
-from .series import DEFAULT_DEGREE, Frozen, GradedSeries, poly_add, poly_mul, poly_neg
+from .series import Frozen, GradedSeries, poly_add, poly_mul, poly_neg
 
 
 class NotFlagSkeleton(ValueError):
     """Input complex is not the k-skeleton of a flag complex."""
-
-
-_T = GradedSeries.monomial(1)
 
 
 class PairSpec(Frozen):
@@ -65,7 +62,9 @@ class PairSpec(Frozen):
     the cell series of the wedge Sigma A_i shifted down by one.  Finite
     wedges come from lists of suspension dimensions, [2] being the
     moment-angle pair (A_i = S^1) and [n] the disk pair (A_i = S^(n-1));
-    product-shaped fibers come from their exact Poincare series.
+    product-shaped fibers come from their exact Poincare series.  The
+    moment-angle pairs on m vertices are from_suspension_dims([[2]] * m);
+    `oracle` holds their cell t, which gates its Hochster prediction.
     """
 
     __slots__ = ("cells",)
@@ -76,10 +75,6 @@ class PairSpec(Frozen):
     @property
     def m(self) -> int:
         return len(self.cells)
-
-    @classmethod
-    def moment_angle(cls, m: int) -> "PairSpec":
-        return cls((_T,) * m)
 
     @classmethod
     def from_suspension_dims(cls, dims_per_vertex) -> "PairSpec":
@@ -97,12 +92,6 @@ class PairSpec(Frozen):
                 built[dims] = GradedSeries(tuple(counts))
             cells.append(built[dims])
         return cls(tuple(cells))
-
-    def is_moment_angle(self) -> bool:
-        return all(s == _T for s in self.cells)
-
-    def vertex(self, v: int) -> GradedSeries:
-        return self.cells[v - 1]
 
     def restrict(self, mask: int) -> "PairSpec":
         """The pairs on the vertex mask, relabelled 1..n in ascending order."""
@@ -168,9 +157,7 @@ def _add(num, den, other_num, other_den):
     return poly_add(poly_mul(num, other_den), poly_mul(other_num, den)), poly_mul(den, other_den)
 
 
-def decompose_loop(
-    cls: Classification, pairs: PairSpec, cutoff: int = DEFAULT_DEGREE
-) -> tuple[PProduct, TraceNode]:
+def decompose_loop(cls: Classification, pairs: PairSpec, cutoff: int) -> tuple[PProduct, TraceNode]:
     """Canonical product decomposition of Omega (CA,A)^K with its trace,
     from K's classification (`complexes.classify_input`).
 
@@ -218,7 +205,7 @@ def _decompose(K: FlagSkeleton, pairs: PairSpec, memo, cones) -> TraceNode:
         # u_i = d_i/n_i for a child's P_i = n_i/d_i, 1 + a = e/a.den, 1 + a' = N/D:
         # P = 1/(s - z) for s = (1 + a') u1 + (1 + a) u2, z = (1 + a)(1 + a') ul
         (n1, d1), (n2, d2), (nl, dl) = ((c.series.num, c.series.den) for c in children)
-        a = pairs.vertex(v)
+        a = pairs.cells[v - 1]
         e, (N, D) = poly_add(a.num, a.den), _one_plus_a_prime(K, v, pairs)
         s = _add(poly_mul(N, d1), poly_mul(D, n1), poly_mul(e, d2), poly_mul(a.den, n2))
         z_num, z_den = poly_mul(poly_mul(e, N), dl), poly_mul(poly_mul(a.den, D), nl)
@@ -232,7 +219,7 @@ def _decompose(K: FlagSkeleton, pairs: PairSpec, memo, cones) -> TraceNode:
 def _pushout_cells(K: FlagSkeleton, v: int, pairs: PairSpec) -> tuple[GradedSeries, GradedSeries]:
     """a, A_v's cells, and a' = (N - D)/D for 1 + a' = N/D."""
     num, den = _one_plus_a_prime(K, v, pairs)
-    return pairs.vertex(v), GradedSeries(poly_add(num, poly_neg(den)), den)
+    return pairs.cells[v - 1], GradedSeries(poly_add(num, poly_neg(den)), den)
 
 
 def _one_plus_a_prime(K: FlagSkeleton, v: int, pairs: PairSpec):
@@ -291,7 +278,7 @@ def _rebuild(node: TraceNode, graph: FlagSkeleton, pairs: PairSpec, children, cu
     its rebuilt fraction holds its operands' polynomials, which would pile up
     along the trace.  The other rules build the recorded fraction itself."""
     if node.rule == "contractible":
-        product = PProduct.trivial(cutoff)
+        product = PProduct(GradedSeries.one(), cutoff)
     elif node.rule == "simplex_skeleton":
         k = graph.simplex_skeleton_dim()
         product = hilton_milnor(skeleton_simplex_wedge(graph.m, k, pairs, cutoff + 1), cutoff)
@@ -338,8 +325,12 @@ def check_trace(node: TraceNode, graph: FlagSkeleton, pairs: PairSpec, cutoff: i
     step's P-form checked canonical where it is built; the root's rebuilt series
     is its recorded one, so its factors are those of `decompose_loop`.  No node
     without a piece or above a failing one is rebuilt.  Returns one message per
-    failing node, by ascending id; bad cells raise ValueError."""
+    failing node, by ascending id; bad cells, or pairs that do not cover the
+    graph, raise ValueError: every child's pairs are restricted by the mask its
+    graph is induced on, so only the root's can differ from its graph."""
     _check_pairs(pairs, cutoff)
+    if pairs.m != graph.m:
+        raise ValueError(f"the pairs cover {pairs.m} vertices, the graph {graph.m}")
     nodes = unique_nodes(node)
     ids = {id(current): i for i, current in enumerate(nodes)}
     problems: list = [None] * (len(nodes) - 1) + [(graph, pairs)]  # (graph, pairs) by id
@@ -349,8 +340,6 @@ def check_trace(node: TraceNode, graph: FlagSkeleton, pairs: PairSpec, cutoff: i
             continue
         graph, pairs = problems[i]
         try:
-            if pairs.m != graph.m:  # only the root's pairs are not restricted
-                raise ValueError(f"the pairs cover {pairs.m} vertices, the graph {graph.m}")
             pieces = _derive(nodes[i], graph)
             for j, (child, (piece, mask)) in enumerate(zip(nodes[i].children, pieces)):
                 c, sub = ids[id(child)], pairs.restrict(mask)

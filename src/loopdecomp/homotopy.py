@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from operator import mul, sub
 
-from .series import DEFAULT_DEGREE, Frozen, GradedSeries, poly_add, poly_mul, poly_neg
+from .series import Frozen, GradedSeries, poly_add, poly_mul, poly_neg
 
 
 class NotSimplyConnectedOutput(ValueError):
@@ -109,11 +109,8 @@ class PProduct(Frozen):
     def is_trivial(self) -> bool:
         return self.series.is_one()
 
-    @classmethod
-    def trivial(cls, cutoff: int = DEFAULT_DEGREE) -> "PProduct":
-        return cls(GradedSeries.one(), cutoff)
-
     def to_doc(self) -> dict:
+        """The factors, the series and its expansion through the cutoff."""
         num, den = self.series.to_pair()
         return {
             "factors": [
@@ -123,7 +120,7 @@ class PProduct(Frozen):
                 for d, mult in self.factors
             ],
             "series": {"num": num, "den": den},
-            "cutoff": self.cutoff,
+            "expansion": list(self.series.expand(self.cutoff)),
         }
 
 
@@ -228,7 +225,7 @@ def lyndon_counts(f: GradedSeries, degree: int) -> dict[int, int]:
     return {n: l_n for n, l_n in enumerate(counts) if l_n}
 
 
-def hilton_milnor(w: SphereWedge, cutoff: int = DEFAULT_DEGREE) -> PProduct:
+def hilton_milnor(w: SphereWedge, cutoff: int) -> PProduct:
     """Loop space of a wedge of spheres as a product of loops on spheres.
 
     A generator S^n of the wedge contributes a letter of degree n-1; each
@@ -241,7 +238,7 @@ def hilton_milnor(w: SphereWedge, cutoff: int = DEFAULT_DEGREE) -> PProduct:
     """
     cells = w.cells.reduced
     if cells.is_zero():
-        return PProduct.trivial(cutoff)
+        return PProduct(GradedSeries.one(), cutoff)
     series = GradedSeries(cells.den, poly_add(cells.den, poly_neg(cells.num[1:])))
     return greedy_factorize(series, cutoff)
 
@@ -315,7 +312,7 @@ def porter_loop_wedge(summands) -> PProduct:
     return greedy_factorize(GradedSeries(whole, S), cutoff)
 
 
-def greedy_factorize(s: GradedSeries, cutoff: int = DEFAULT_DEGREE) -> PProduct:
+def greedy_factorize(s: GradedSeries, cutoff: int) -> PProduct:
     """The P-form of a Poincare series s, whose constructor reads the
     canonical factor multiset off s.
 

@@ -25,7 +25,9 @@ vertex subsets, cutting the pivots back after each subtree; K's own
 ranks take it along {1}, {1,2}, ..., [m].
 `verify_against_oracle` classifies K once for all its checks and picks its
 oracle before it decomposes, so the oracle's gates, the table's vertex
-bound among them, refuse an input before any exponential work.
+bound among them, refuse an input before any exponential work.  The
+prediction speaks only of moment-angle pairs, whose vertex cell t this
+module holds (`_CIRCLE`); the cutoff is the caller's, as for the engine.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from math import gcd
 
 from .complexes import Classification, FlagSkeleton, SimplicialComplex, TooLarge, classify_input
 from .engine import NotFlagSkeleton, PairSpec, check_trace, decompose_loop, unique_nodes
-from .series import DEFAULT_DEGREE, GradedSeries
+from .series import GradedSeries
 
 
 class NotApplicable(ValueError):
@@ -42,6 +44,8 @@ class NotApplicable(ValueError):
 
 
 HOCHSTER_VERTEX_BOUND = 12
+# a moment-angle pair's vertex cells: A_i = S^1
+_CIRCLE = GradedSeries.monomial(1)
 
 
 def _faces_by_top(K: SimplicialComplex) -> list[tuple[list[int], int, int]]:
@@ -225,9 +229,7 @@ def _report(checks: list[dict]) -> dict:
     return {"status": "FAIL" if failed else "PASS", "checks": checks}
 
 
-def verify_against_oracle(
-    K: SimplicialComplex, pairs: PairSpec, cutoff: int = DEFAULT_DEGREE
-) -> dict:
+def verify_against_oracle(K: SimplicialComplex, pairs: PairSpec, cutoff: int) -> dict:
     """Run the engine and re-check it: the trace certificate, which
     derives every node from K and the pairs and also checks the listed
     factors, and (when applicable) the independent homology prediction.
@@ -236,7 +238,7 @@ def verify_against_oracle(
     ...data}, ...]}, FAIL when some check failed."""
     # the oracle comes first: its gates refuse an input before the engine runs
     cls, predicted = classify_input(K), None
-    if not pairs.is_moment_angle():
+    if any(s != _CIRCLE for s in pairs.cells):
         source = "no moment-angle oracle for these pairs"
     else:
         try:
@@ -252,18 +254,8 @@ def verify_against_oracle(
         raise  # refused as decompose refuses it: inadmissible or over a bound
     except Exception as exc:  # reported, not raised: failures are entries
         return _report([_check("decompose", "FAIL", f"{type(exc).__name__}: {exc}")])
-    expansion = list(product.series.expand(cutoff))
     doc = product.to_doc()
-    checks = [
-        _check(
-            "decompose",
-            "PASS",
-            "engine produced a canonical product",
-            factors=doc["factors"],
-            series=doc["series"],
-            expansion=expansion,
-        )
-    ]
+    checks = [_check("decompose", "PASS", "engine produced a canonical product", **doc)]
 
     nodes = len(unique_nodes(trace))
     failures = check_trace(trace, cls.graph, pairs, cutoff)
@@ -280,7 +272,7 @@ def verify_against_oracle(
         return _report(checks)
     want = list(predicted.expand(cutoff))
     data = {"expected_expansion": want}
-    diverge = next((i for i, (x, y) in enumerate(zip(expansion, want)) if x != y), None)
+    diverge = next((i for i, (x, y) in enumerate(zip(doc["expansion"], want)) if x != y), None)
     if diverge is not None:
         source += f": first divergent degree {diverge}"
         data["first_divergent_degree"] = diverge

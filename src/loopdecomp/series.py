@@ -9,7 +9,9 @@ cross-multiplication, so the representation never matters.  The only
 normalisations applied at construction are trailing-zero stripping, the
 zero series' denominator 1, and the sign.  A series multiplies, divides
 and compares with another series; sums and differences are built on the
-coefficient tuples, by poly_add and poly_neg.
+coefficient tuples, by poly_add and poly_neg.  Nothing here has a default
+degree: each caller passes its own, and a run's cutoff, 20 unless given, is
+the CLI's (`cli.DEFAULT_CUTOFF`).
 
 Every module builds a tuple from a list or a sized sequence, never from a
 generator: tuple() sizes a generator's tuple at 10 and resizes it, and a
@@ -21,8 +23,6 @@ many calls then holds up to 2,000 spare tuples of each size up to 20.
 from __future__ import annotations
 
 from operator import add, mul
-
-DEFAULT_DEGREE = 20
 
 
 class DivisionUndefined(ZeroDivisionError):

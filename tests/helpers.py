@@ -7,7 +7,8 @@ and a complex's faces are the closure of its facets as frozensets.  The
 projective-pair presets, the general-pair (X, A) decomposition and
 the other constructions below have no caller outside the tests.  So have
 `add` and `sub`, the sum and difference of series, which the operator
-chains need: a GradedSeries only multiplies, divides and compares.
+chains need: a GradedSeries only multiplies, divides and compares; and
+`moment_angle`, the pairs the CLI names "moment-angle".
 """
 
 import itertools
@@ -23,7 +24,16 @@ from loopdecomp.complexes import FlagSkeleton, classify_input, full_subcomplex, 
 from loopdecomp import engine
 from loopdecomp.engine import PairSpec, decompose_loop, trace_to_doc
 from loopdecomp.homotopy import CellSeries, PProduct, SphereWedge, pproduct_mul
-from loopdecomp.series import DEFAULT_DEGREE, GradedSeries, poly_add, poly_mul, poly_neg
+from loopdecomp.series import GradedSeries, poly_add, poly_mul, poly_neg
+
+# the cutoff of the helpers below when none is given: a test that does not
+# vary the cutoff runs at the CLI's default, 20
+CUTOFF = 20
+
+
+def moment_angle(m):
+    """The moment-angle pairs (CA_i, A_i) = (D^2, S^1) on m vertices."""
+    return PairSpec.from_suspension_dims([[2]] * m)
 
 
 def _series(x):
@@ -204,7 +214,7 @@ def forced_split(K, pairs, v):
     so check_trace certifies the claim, and the factors listed for it, by
     rebuilding the root from them through the P-calculus."""
     cls = classify_input(K)
-    _, trace = decompose_loop(cls, pairs)
+    _, trace = decompose_loop(cls, pairs, 20)
     memo = {}
     children = [
         engine._decompose(piece, pairs.restrict(mask), memo, cls.flag)
@@ -442,7 +452,7 @@ def random_canonical_product(rng, cutoff=15):
 # general pairs (X, A) and the complex projective presets
 
 
-def decompose_general_pair(K, loops_of_x, fibers, cutoff=DEFAULT_DEGREE):
+def decompose_general_pair(K, loops_of_x, fibers, cutoff=CUTOFF):
     """Omega (X,A)^K = prod Omega X_i x Omega (CY,Y)^K with Y_i the fiber
     of A_i into X_i; the caller supplies the loop products of the X_i and
     the fiber suspension data."""
@@ -455,7 +465,7 @@ def decompose_general_pair(K, loops_of_x, fibers, cutoff=DEFAULT_DEGREE):
     return product
 
 
-def loops_of_cp(n, cutoff=DEFAULT_DEGREE):
+def loops_of_cp(n, cutoff=CUTOFF):
     """Omega CP^n = S^1 x Omega S^(2n+1); n = None means CP^infinity."""
     s1 = GradedSeries((1, 1))
     if n is None:
@@ -556,7 +566,7 @@ def loop_sphere(dim):
     return dim - 1
 
 
-POINT = CellSeries(GradedSeries.zero(), DEFAULT_DEGREE + 1)
+POINT = CellSeries(GradedSeries.zero(), CUTOFF + 1)
 
 
 def wedge_of_spheres(dims):
@@ -564,7 +574,7 @@ def wedge_of_spheres(dims):
     total = GradedSeries.zero()
     for d in dims:
         total = add(total, GradedSeries.monomial(d))
-    return SphereWedge(CellSeries(total, DEFAULT_DEGREE + 1))
+    return SphereWedge(CellSeries(total, CUTOFF + 1))
 
 
 def is_point(w):
@@ -597,7 +607,7 @@ def merged_factors(*factor_lists):
     return tuple(sorted((d, mult) for d, mult in counts.items() if mult))
 
 
-def product_of(factors, cutoff=DEFAULT_DEGREE):
+def product_of(factors, cutoff=CUTOFF):
     """The exact product of explicitly listed factors (all bottoms <= cutoff),
     which reads them back off its series."""
     series = GradedSeries.one()
@@ -609,14 +619,15 @@ def product_of(factors, cutoff=DEFAULT_DEGREE):
     return p
 
 
-def product_from_doc(doc):
-    """The PProduct that `PProduct.to_doc` wrote, whose factors must be
-    the ones the document lists."""
+def product_from_doc(doc, cutoff):
+    """The PProduct at the cutoff that `PProduct.to_doc` wrote, whose
+    factors and expansion must be the ones the document lists."""
     kinds = {"sphere": sphere, "loop_sphere": loop_sphere}
     factors = tuple((kinds[e["kind"]](e["dim"]), e["mult"]) for e in doc["factors"])
     series = GradedSeries(tuple(doc["series"]["num"]), tuple(doc["series"]["den"]))
-    p = PProduct(series, doc["cutoff"])
+    p = PProduct(series, cutoff)
     assert p.factors == factors, (p.factors, factors)
+    assert list(series.expand(cutoff)) == doc["expansion"]
     return p
 
 

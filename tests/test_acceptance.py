@@ -9,7 +9,7 @@ from contextlib import contextmanager
 from random import Random
 
 from loopdecomp.complexes import FlagSkeleton, classify_input, validate_complex
-from loopdecomp.engine import PairSpec, check_trace, decompose_loop, skeleton_simplex_wedge
+from loopdecomp.engine import check_trace, decompose_loop, skeleton_simplex_wedge
 from loopdecomp.homotopy import (
     NotCanonicalP,
     divide_products,
@@ -25,6 +25,7 @@ from helpers import (
     add,
     forced_split,
     loop_sphere,
+    moment_angle,
     neighbors_and_domination,
     random_canonical_product,
     wedge_of_spheres,
@@ -59,7 +60,7 @@ def c5():
 def test_criterion_1_square_boundary_anchor():
     with criterion(1, "square boundary gives Omega S^3 x Omega S^3"):
         start = time.monotonic()
-        product, _ = decompose_loop(classify_input(square()), PairSpec.moment_angle(4), 20)
+        product, _ = decompose_loop(classify_input(square()), moment_angle(4), 20)
         elapsed = time.monotonic() - start
         assert product.factors == ((loop_sphere(3), 2),)
         assert product.series == GradedSeries((1,), (1, 0, -2, 0, 1))
@@ -79,7 +80,7 @@ def test_criterion_2_chordal_flag_oracle_equality():
             cases.append(K)
         for K in cases:
             cls = classify_input(K)
-            product, _ = decompose_loop(cls, PairSpec.moment_angle(K.m), 20)
+            product, _ = decompose_loop(cls, moment_angle(K.m), 20)
             predicted = predicted_loop_series(K, cls)
             assert product.series.expand(20) == predicted.expand(20), K.facets
         assert time.monotonic() - start < 30.0
@@ -92,7 +93,7 @@ def test_criterion_3_skeleton_wedge_vs_hochster():
             full = validate_complex([list(range(1, m + 1))], m)
             for k in range(m):
                 K = skeleton(full, k)
-                wedge = skeleton_simplex_wedge(m, k, PairSpec.moment_angle(m), 21)
+                wedge = skeleton_simplex_wedge(m, k, moment_angle(m), 21)
                 bound = m + K.dim() + 2
                 ranks = {
                     d: c for d, c in enumerate(wedge.cells.reduced.expand(bound)) if c
@@ -109,7 +110,7 @@ def test_criterion_4_path_independence():
         while len(inputs) < 12:
             inputs.append(random_flag_skeleton(rng.randint(2, 6), rng))
         for K in inputs:
-            pairs = PairSpec.moment_angle(K.m)
+            pairs = moment_angle(K.m)
             base, _ = decompose_loop(classify_input(K), pairs, 20)
             info = neighbors_and_domination(K)
             for v in (u for u, rec in info.items() if not rec.dominating):
@@ -188,8 +189,8 @@ def test_criterion_10_membership_witnessed_constructively():
             for k in range(flag.dim() + 1):
                 K = skeleton(flag, k)
                 try:
-                    _, trace = decompose_loop(classify_input(K), PairSpec.moment_angle(K.m), 20)
+                    _, trace = decompose_loop(classify_input(K), moment_angle(K.m), 20)
                 except NotCanonicalP as exc:
                     raise AssertionError(f"engine failed on {K.facets}: {exc}")
-                G, pairs = FlagSkeleton.of(K), PairSpec.moment_angle(K.m)
+                G, pairs = FlagSkeleton.of(K), moment_angle(K.m)
                 assert check_trace(trace, G, pairs, 20) == [], K.facets

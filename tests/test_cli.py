@@ -26,8 +26,9 @@ from loopdecomp.cli import (
     resolve_pairs,
 )
 from loopdecomp.complexes import CLIQUE_BOUND
-from loopdecomp.engine import PairSpec
 from loopdecomp.series import GradedSeries
+
+from helpers import moment_angle
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -195,7 +196,8 @@ class TestVerify:
         path = write_complex(tmp_path, "k.json", m, facets)
         code = main(["verify", "--input", path, "--pairs", pairs])
         doc = json.loads(capsys.readouterr().out)
-        report = oracle.verify_against_oracle(cli.load_complex(path), resolve_pairs(pairs, m)[0])
+        spec, _ = resolve_pairs(pairs, m)
+        report = oracle.verify_against_oracle(cli.load_complex(path), spec, cli.DEFAULT_CUTOFF)
         assert list(doc) == ["command", "input", "pairs", "cutoff", "status", "checks"]
         written = {"status": doc["status"], "checks": doc["checks"]}
         assert json.dumps(written) == json.dumps(report)
@@ -584,9 +586,9 @@ class TestModuleEntryPoint:
 class TestPairsResolution:
     def test_moment_angle(self):
         pairs, echo = resolve_pairs("moment-angle", 3)
-        assert pairs.is_moment_angle() and echo == "moment-angle"
+        assert echo == "moment-angle"
         # built from the dims [2], with the preset's cells and memo key
-        assert pairs.key() == PairSpec.moment_angle(3).key()
+        assert pairs.key() == moment_angle(3).key()
 
     def test_disks(self):
         pairs, echo = resolve_pairs("disks:4", 2)

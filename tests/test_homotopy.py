@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from loopdecomp import homotopy, series
 from loopdecomp.complexes import FlagSkeleton, classify_input, validate_complex
-from loopdecomp.engine import PairSpec, check_trace, decompose_loop
+from loopdecomp.engine import check_trace, decompose_loop
 from loopdecomp.homotopy import (
     CellSeries,
     NoSolution,
@@ -38,6 +38,7 @@ from helpers import (
     is_point,
     loop_sphere,
     merged_factors,
+    moment_angle,
     multiplicity,
     necklace_lyndon_count,
     operator_porter,
@@ -155,7 +156,7 @@ class TestJoin:
 
 class TestSuspension:
     def test_loop_s3(self):
-        p = hilton_milnor(wedge_of_spheres([3]))
+        p = hilton_milnor(wedge_of_spheres([3]), 20)
         w = suspension_splitting(p)
         assert w.cells.reduced == gs([0, 0, 0, 1], [1, 0, -1])
 
@@ -165,7 +166,7 @@ class TestSuspension:
         assert w.cells.reduced == gs([0, 0, 0, 0, 2, 0, 0, 1])
 
     def test_trivial(self):
-        assert is_point(suspension_splitting(PProduct.trivial()))
+        assert is_point(suspension_splitting(PProduct(GradedSeries.one(), 20)))
 
 
 class TestLyndon:
@@ -228,12 +229,12 @@ class TestLyndon:
 
 class TestHiltonMilnor:
     def test_single_s3(self):
-        p = hilton_milnor(wedge_of_spheres([3]))
+        p = hilton_milnor(wedge_of_spheres([3]), 20)
         assert p.factors == ((loop_sphere(3), 1),)
         assert p.series == geometric(2)
 
     def test_single_s2_canonicalizes(self):
-        p = hilton_milnor(wedge_of_spheres([2]))
+        p = hilton_milnor(wedge_of_spheres([2]), 20)
         assert p.factors == ((sphere(1), 1), (loop_sphere(3), 1))
         assert p.series == gs([1], [1, -1])
 
@@ -247,7 +248,7 @@ class TestHiltonMilnor:
         )
 
     def test_trivial_wedge(self):
-        assert hilton_milnor(SphereWedge(POINT)).is_trivial()
+        assert hilton_milnor(SphereWedge(POINT), 20).is_trivial()
 
     def test_series_law(self):
         # the exact series is 1/(1 - cells/t) independent of the cutoff
@@ -277,14 +278,14 @@ class TestHiltonMilnor:
 
 class TestLoopHalfSmash:
     def test_trivial_x(self):
-        y = hilton_milnor(wedge_of_spheres([3]))
+        y = hilton_milnor(wedge_of_spheres([3]), 20)
         assert loop_half_smash(POINT, y) == y
 
     def test_trivial_y(self):
-        assert loop_half_smash(CIRCLE, PProduct.trivial()).is_trivial()
+        assert loop_half_smash(CIRCLE, PProduct(GradedSeries.one(), 20)).is_trivial()
 
     def test_circle_on_loop_s3(self):
-        y = hilton_milnor(wedge_of_spheres([3]))
+        y = hilton_milnor(wedge_of_spheres([3]), 20)
         p = loop_half_smash(CIRCLE, y)
         # series (1/(1 - t^3/(1-t^2))) * 1/(1-t^2), composed independently
         join_part = ONE / sub(1, gs([0, 0, 0, 1], [1, 0, -1]))
@@ -305,18 +306,18 @@ class TestLoopHalfSmash:
 
 class TestPorter:
     def test_single_summand(self):
-        p = hilton_milnor(wedge_of_spheres([5]))
+        p = hilton_milnor(wedge_of_spheres([5]), 20)
         assert porter_loop_wedge([p]) == p
 
     def test_trivial_summand_dropped(self):
-        s3 = hilton_milnor(wedge_of_spheres([3]))
-        with_trivial = porter_loop_wedge([s3, PProduct.trivial()])
+        s3 = hilton_milnor(wedge_of_spheres([3]), 20)
+        with_trivial = porter_loop_wedge([s3, PProduct(GradedSeries.one(), 20)])
         assert with_trivial.series == s3.series
         assert with_trivial.factors == s3.factors
 
     def test_path_independence_for_two_s3(self):
-        s3 = hilton_milnor(wedge_of_spheres([3]))
-        direct = hilton_milnor(wedge_of_spheres([3, 3]))
+        s3 = hilton_milnor(wedge_of_spheres([3]), 20)
+        direct = hilton_milnor(wedge_of_spheres([3, 3]), 20)
         via = porter_loop_wedge([s3, s3])
         assert direct.series == gs([1], [1, 0, -2])
         assert via.series == direct.series
@@ -481,7 +482,7 @@ class TestDivide:
 
     def test_divide_by_trivial(self):
         big = product_of([(sphere(3), 1)])
-        assert divide_products(big, PProduct.trivial()) == big
+        assert divide_products(big, PProduct(GradedSeries.one(), 20)) == big
 
     def test_equal_forms_as_different_fractions_divide_to_trivial(self):
         # Omega S^2 as 1/(1 - t) and as (1 + t)/(1 - t^2): the quotient is
@@ -553,8 +554,8 @@ def test_fractions_stay_short(monkeypatch):
     monkeypatch.setattr(series, "poly_mul", measured)
     monkeypatch.setattr(homotopy, "poly_mul", measured)
     c16 = validate_complex([[i, i % 16 + 1] for i in range(1, 17)], 16)
-    _, trace = decompose_loop(classify_input(c16), PairSpec.moment_angle(16), 20)
-    assert check_trace(trace, FlagSkeleton.of(c16), PairSpec.moment_angle(16), 20) == []
+    _, trace = decompose_loop(classify_input(c16), moment_angle(16), 20)
+    assert check_trace(trace, FlagSkeleton.of(c16), moment_angle(16), 20) == []
     assert 0 < longest[0] <= 80
 
 
@@ -566,4 +567,6 @@ def test_reduced_cells_of_product():
 
 def test_pproduct_serialization_round_trip():
     p = product_of([(sphere(1), 2), (loop_sphere(6), 1)], 12)
-    assert product_from_doc(p.to_doc()) == p
+    doc = p.to_doc()
+    assert list(doc) == ["factors", "series", "expansion"] and len(doc["expansion"]) == 13
+    assert product_from_doc(doc, 12) == p

@@ -8,7 +8,7 @@ from random import Random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import geometric, subset_homology_table, tuple_face_homology
+from helpers import geometric, moment_angle, subset_homology_table, tuple_face_homology
 from loopdecomp import cli, complexes, oracle
 from loopdecomp.complexes import (
     FlagSkeleton,
@@ -262,7 +262,7 @@ class TestPrediction:
         for _ in range(10):
             K = random_chordal_flag_complex(rng.randint(2, 6), rng)
             cls = classify_input(K)
-            product, _ = decompose_loop(cls, PairSpec.moment_angle(K.m))
+            product, _ = decompose_loop(cls, moment_angle(K.m), 20)
             predicted = predicted_loop_series(K, cls)
             assert product.series.expand(20) == predicted.expand(20)
 
@@ -270,14 +270,14 @@ class TestPrediction:
 class TestVerify:
     def test_path3_passes(self):
         K = validate_complex([[1, 2], [2, 3]], 3)
-        report = verify_against_oracle(K, PairSpec.moment_angle(3))
+        report = verify_against_oracle(K, moment_angle(3), 20)
         assert report["status"] == "PASS"
         names = {c["name"]: c["status"] for c in report["checks"]}
         assert names["oracle_series"] == "PASS"
         assert names["trace_identities"] == "PASS"
 
     def test_square_uses_known_answer(self):
-        report = verify_against_oracle(square(), PairSpec.moment_angle(4))
+        report = verify_against_oracle(square(), moment_angle(4), 20)
         assert report["status"] == "PASS"
         oracle = next(c for c in report["checks"] if c["name"] == "oracle_series")
         assert oracle["status"] == "PASS"
@@ -299,7 +299,7 @@ class TestVerify:
         assert len(table) > 1
         for j in table:
             monkeypatch.setattr(oracle, "hochster_table", lambda K, j=j: {**table, j: table[j] + 1})
-            report = verify_against_oracle(K, PairSpec.moment_angle(K.m))
+            report = verify_against_oracle(K, moment_angle(K.m), 20)
             check = report["checks"][-1]
             assert report["status"] == "FAIL"
             assert (check["name"], check["status"]) == ("oracle_series", "FAIL")
@@ -311,7 +311,7 @@ class TestVerify:
         den = [1, 0, -2, 0, 1]
         den[degree] -= 1
         monkeypatch.setattr(oracle, "_FOUR_CYCLE_LOOP_SERIES", gs([1], den))
-        report = verify_against_oracle(square(), PairSpec.moment_angle(4))
+        report = verify_against_oracle(square(), moment_angle(4), 20)
         check = report["checks"][-1]
         assert report["status"] == "FAIL"
         assert (check["name"], check["status"]) == ("oracle_series", "FAIL")
@@ -320,7 +320,7 @@ class TestVerify:
 
     def test_c5_has_no_external_oracle(self):
         K = validate_complex([[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]], 5)
-        report = verify_against_oracle(K, PairSpec.moment_angle(5))
+        report = verify_against_oracle(K, moment_angle(5), 20)
         assert report["status"] == "PASS"
         oracle = next(c for c in report["checks"] if c["name"] == "oracle_series")
         assert oracle["status"] == "NOTE"
@@ -328,7 +328,7 @@ class TestVerify:
 
     def test_non_moment_angle_pairs_note(self):
         K = validate_complex([[1, 2], [2, 3]], 3)
-        report = verify_against_oracle(K, PairSpec.from_suspension_dims([[3]] * 3))
+        report = verify_against_oracle(K, PairSpec.from_suspension_dims([[3]] * 3), 20)
         assert report["status"] == "PASS"
         oracle = next(c for c in report["checks"] if c["name"] == "oracle_series")
         assert oracle["status"] == "NOTE"
@@ -339,15 +339,15 @@ class TestVerify:
         path4 = validate_complex([[1, 2], [2, 3], [3, 4]], 4)
         decompose = oracle.decompose_loop
         disks = PairSpec.from_suspension_dims([[3]] * 4)
-        for K, pairs in ((path4, PairSpec.moment_angle(4)), (square(), disks)):
+        for K, pairs in ((path4, moment_angle(4)), (square(), disks)):
             other = classify_input(K)
             monkeypatch.setattr(
                 oracle, "decompose_loop", lambda _cls, _p, c: decompose(other, pairs, c)
             )
-            report = verify_against_oracle(square(), PairSpec.moment_angle(4))
+            report = verify_against_oracle(square(), moment_angle(4), 20)
             _, trace = decompose(other, pairs, 20)
             assert check_trace(trace, FlagSkeleton.of(K), pairs, 20) == []
-            failures = check_trace(trace, FlagSkeleton.of(square()), PairSpec.moment_angle(4), 20)
+            failures = check_trace(trace, FlagSkeleton.of(square()), moment_angle(4), 20)
             assert failures and all(re.match(r"node \d+ \(\w+, m=\d+\): ", f) for f in failures)
             check = next(c for c in report["checks"] if c["name"] == "trace_identities")
             assert (check["status"], check["detail"]) == ("FAIL", "; ".join(failures))
@@ -356,14 +356,14 @@ class TestVerify:
         # refused as decompose_loop refuses it, not reported as a failed check
         K = validate_complex([[1, 2, 3], [3, 4], [1, 4]], 4)
         with pytest.raises(NotFlagSkeleton):
-            verify_against_oracle(K, PairSpec.moment_angle(4))
+            verify_against_oracle(K, moment_angle(4), 20)
 
     def test_engine_failure_reports_failure(self, monkeypatch):
         def fail(*args):
             raise NotCanonicalP("no canonical factorisation")
 
         monkeypatch.setattr(oracle, "decompose_loop", fail)
-        report = verify_against_oracle(square(), PairSpec.moment_angle(4))
+        report = verify_against_oracle(square(), moment_angle(4), 20)
         assert report == {
             "status": "FAIL",
             "checks": [
@@ -399,7 +399,7 @@ class TestVerify:
         # classification and its graph
         K = random_chordal_flag_complex(8, Random(5))
         builds.clear()
-        assert verify_against_oracle(K, PairSpec.moment_angle(K.m))["status"] == "PASS"
+        assert verify_against_oracle(K, moment_angle(K.m), 20)["status"] == "PASS"
         assert builds == {"is_chordal": 1, "FlagSkeleton.of": 1}
 
     @pytest.mark.parametrize("command", ["check", "decompose --trace", "verify"])
@@ -413,6 +413,6 @@ class TestVerify:
 
     def test_report_document_shape(self):
         K = validate_complex([[1, 2], [2, 3]], 3)
-        doc = verify_against_oracle(K, PairSpec.moment_angle(3))
+        doc = verify_against_oracle(K, moment_angle(3), 20)
         assert doc["status"] == "PASS"
         assert all("name" in c and "status" in c for c in doc["checks"])

@@ -63,7 +63,7 @@ def _cases():
         CellSeries(fraction, 13),
         SphereWedge(CellSeries(GradedSeries((0, 0, 2, 1)), 13)),
         product,
-        decompose_loop(classify_input(c5), resolve_pairs("disks:3", 5)[0])[0],
+        decompose_loop(classify_input(c5), resolve_pairs("disks:3", 5)[0], 20)[0],
         c5,
         classify_input(c5),
         cp,
@@ -156,9 +156,9 @@ def test_complex_equality_and_hash_are_by_facets():
 
 
 def test_product_equality_is_by_series_and_cutoff():
-    p = PProduct.trivial(8)
+    p = PProduct(GradedSeries.one(), 8)
     assert p == PProduct(GradedSeries((1, 1), (1, 1)), 8)
-    assert p != PProduct.trivial(9)
+    assert p != PProduct(GradedSeries.one(), 9)
     assert p != PProduct(GradedSeries((1, 1)), 8)
     with pytest.raises(TypeError):
         hash(p)
